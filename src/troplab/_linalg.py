@@ -27,8 +27,8 @@ def transpose(a: Sequence[Sequence]) -> Matrix:
 def mat_mul(a, b) -> Matrix:
     if not a:
         return []
-    inner = len(b)
-    assert len(a[0]) == inner, "dimension mismatch"
+    if len(a[0]) != len(b):
+        raise ValueError("dimension mismatch")
     bt = transpose(b)
     return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
 
@@ -39,25 +39,6 @@ def mat_vec(a, v) -> list:
 
 def mat_add(a, b) -> Matrix:
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_sub(a, b) -> Matrix:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def scalar_mul(c, a) -> Matrix:
-    return [[c * x for x in row] for row in a]
-
-
-def is_symmetric(a, tol=0) -> bool:
-    n = len(a)
-    for i in range(n):
-        if len(a[i]) != n:
-            return False
-        for j in range(i + 1, n):
-            if abs(a[i][j] - a[j][i]) > tol:
-                return False
-    return True
 
 
 def det(a):
@@ -115,13 +96,10 @@ def int_matrix(a) -> Matrix:
     for row in a:
         r = []
         for x in row:
-            if isinstance(x, Fraction):
-                assert x.denominator == 1, "non-integral entry"
-                r.append(int(x))
-            else:
-                xi = int(round(x))
-                assert x == xi, "non-integral entry"
-                r.append(xi)
+            xi = int(round(x))
+            if x != xi:
+                raise ValueError(f"non-integral entry {x}")
+            r.append(xi)
         out.append(r)
     return out
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from . import degen, forms, hybrid, limits, siegel, tropical
+from . import degen, hybrid, limits, siegel, tropical
 from .errors import PreconditionError, SchemaError
 from .rationals import format_scalar, parse_rational
 
@@ -184,7 +184,7 @@ def _cmd_av_limit(doc, args, cfg: RunConfig):
             raise SchemaError("periods must be square", "/periods")
         doc = {**doc, "M": [[format_scalar(v) for v in row] for row in m]}
     fam = degen.AVFamily.from_json_dict(doc)
-    result = {"limit": degen.av_family_limit(fam, tol=cfg.tolerance).to_json_dict()}
+    result = {"limit": degen.av_family_limit(fam).to_json_dict()}
     series = None
     if doc.get("t_samples") is not None:
         raw_ts = doc["t_samples"]
@@ -195,7 +195,7 @@ def _cmd_av_limit(doc, args, cfg: RunConfig):
             if isinstance(t, bool) or not isinstance(t, (int, float)):
                 raise SchemaError("t_samples entries must be numbers", f"/t_samples/{j}")
             ts.append(float(t))
-        tori = degen.av_family_numeric_oracle(fam, ts, tol=cfg.tolerance)
+        tori = degen.av_family_numeric_oracle(fam, ts)
         result["samples"] = [torus.to_json_dict() for torus in tori]
         g = fam.torus_rank
         header = ["t"] + [f"gram_{i}_{j}" for i in range(g) for j in range(g)]
@@ -223,7 +223,7 @@ def _cmd_trop_jac(doc, args, cfg: RunConfig):
 
 def _cmd_torelli_check(doc, args, cfg: RunConfig):
     fam = degen.CurveFamily.from_json_dict(doc)
-    return degen.torelli_family_compare(fam, tol=cfg.tolerance).to_json_dict(), None
+    return degen.torelli_family_compare(fam).to_json_dict(), None
 
 
 def _cmd_dual_complex(doc, args, cfg: RunConfig):

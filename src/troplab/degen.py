@@ -9,15 +9,12 @@ while the hybrid limit keeps them as projective weights.  The collar
 integral measures the hyperbolic length across a plumbing annulus.
 """
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence
 
-from scipy.integrate import quad
-
-from .errors import PreconditionError, SchemaError, ToleranceBudgetError
+from .errors import PreconditionError, SchemaError
 from .forms import FlatTorus, QuadraticForm, is_homothetic, rescale_to_diameter_one
 from .hybrid import GluingFunction
 from .tropical import (
@@ -101,14 +98,12 @@ def _parse_matrix(raw, pointer: str) -> List[List[Fraction]]:
     return out
 
 
-def av_family_limit(fam: AVFamily, tol: float = 1e-6) -> FlatTorus:
+def av_family_limit(fam: AVFamily) -> FlatTorus:
     """Diameter-1 torus of the valuation matrix; the abelian block drops out."""
-    return rescale_to_diameter_one(fam.valuation_matrix, tol=tol)
+    return rescale_to_diameter_one(fam.valuation_matrix)
 
 
-def av_family_numeric_oracle(
-    fam: AVFamily, t_samples: Sequence[float], tol: float = 1e-6
-) -> List[FlatTorus]:
+def av_family_numeric_oracle(fam: AVFamily, t_samples: Sequence[float]) -> List[FlatTorus]:
     """Rescaled metric tori sampled along the family at small t.
 
     With monomial period entries of order M[i][j], the imaginary part of
@@ -124,7 +119,7 @@ def av_family_numeric_oracle(
             raise PreconditionError("t-range", f"sample {k} must lie in (0, 1)")
         scale = -math.log(t) / TWO_PI
         y = [[x * scale for x in row] for row in mfloat]
-        out.append(rescale_to_diameter_one(QuadraticForm(y, "float"), tol=tol))
+        out.append(rescale_to_diameter_one(QuadraticForm(y, "float")))
     return out
 
 
@@ -244,7 +239,9 @@ def collar_length(t, c_star: float) -> float:
 
     In the normalized variable x = log|z| / log|t| the collar becomes
     [eps, 1 - eps] with eps = log(c*) / log|t|, and the integrand is
-    pi / sin(pi x); only |t| matters.  Grows like 2 log(-log|t|).
+    pi / sin(pi x), whose antiderivative is log tan(pi x / 2); the length
+    is -2 log tan(pi eps / 2), and only |t| matters.  Grows like
+    2 log(-log|t|).
     """
     at = abs(t)
     if not isinstance(c_star, (int, float)) or isinstance(c_star, bool):
@@ -255,17 +252,7 @@ def collar_length(t, c_star: float) -> float:
             "collar-range", "need 0 < |t| < c_star^4 < 1"
         )
     eps = math.log(c_star) / math.log(at)
-    value, err = quad(
-        lambda x: math.pi / math.sin(math.pi * x),
-        eps,
-        1.0 - eps,
-        epsabs=0.0,
-        epsrel=1e-9,
-        limit=200,
-    )
-    if not math.isfinite(value) or err > 1e-6 * abs(value):
-        raise ToleranceBudgetError(value - err, value + err, 1e-6)
-    return value
+    return -2.0 * math.log(math.tan(math.pi * eps / 2.0))
 
 
 @dataclass(frozen=True)
@@ -284,7 +271,7 @@ class TorelliComparison:
         }
 
 
-def torelli_family_compare(fam: CurveFamily, tol: float = 1e-6) -> TorelliComparison:
+def torelli_family_compare(fam: CurveFamily) -> TorelliComparison:
     """Compare the metric-limit torus with the abelian-family limit torus.
 
     The metric side rescales the Jacobian of the equal-length limit
@@ -296,7 +283,7 @@ def torelli_family_compare(fam: CurveFamily, tol: float = 1e-6) -> TorelliCompar
         raise PreconditionError(
             "positive-genus", "tropical Jacobian of a tree is a point"
         )
-    gh_side = torelli(curve_family_gh_limit(fam), tol=tol)
+    gh_side = torelli(curve_family_gh_limit(fam))
     weighted = WeightedMetricGraph(
         fam.graph.vertices,
         [
@@ -306,6 +293,6 @@ def torelli_family_compare(fam: CurveFamily, tol: float = 1e-6) -> TorelliCompar
         "exact",
     )
     av_fam = AVFamily(tropical_jacobian(weighted).gram)
-    av_side = av_family_limit(av_fam, tol=tol)
-    continuous = is_homothetic(gh_side.gram, av_side.gram, tol=tol) is not None
+    av_side = av_family_limit(av_fam)
+    continuous = is_homothetic(gh_side.gram, av_side.gram) is not None
     return TorelliComparison(gh_side, av_side, continuous)

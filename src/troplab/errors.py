@@ -40,18 +40,3 @@ class NotPositiveDefiniteError(PreconditionError):
 class ModeMixError(PreconditionError):
     def __init__(self, message: str):
         super().__init__("matching-arithmetic-modes", message)
-
-
-class ToleranceBudgetError(PreconditionError):
-    """Certified bounds did not meet tol within the work budget.
-
-    Carries the best bounds so the caller can decide whether they suffice.
-    """
-
-    def __init__(self, lower: float, upper: float, tol: float):
-        super().__init__(
-            "tolerance-budget",
-            f"bounds [{lower}, {upper}] did not close to tol={tol}",
-        )
-        self.lower = lower
-        self.upper = upper

@@ -2,34 +2,26 @@
 
 The form is the Gram matrix of a lattice basis; the associated flat torus
 is R^n / Z^n with that inner product.  Exact mode keeps every entry a
-Fraction so reduction, equivalence testing, and 1- and 2-dimensional
-covering radii are exact; float mode runs the same algorithms in doubles
-for numerically sampled inputs.
+Fraction so reduction, equivalence testing and covering radii in every
+dimension are exact; float mode runs reduction and equivalence in doubles
+for numerically sampled inputs, and reads a float form exactly for its
+covering radius.
 
 Mixing modes silently would hide precision loss, so mixed-mode operations
 raise and callers convert explicitly (to_float is lossy and deliberate,
 to_exact is lossless binary expansion).
 """
 
-import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
 
 from . import _linalg as la
-from .errors import (
-    ModeMixError,
-    NotPositiveDefiniteError,
-    PreconditionError,
-    SchemaError,
-    ToleranceBudgetError,
-)
+from .errors import ModeMixError, NotPositiveDefiniteError, PreconditionError, SchemaError
 from .rationals import format_scalar, parse_scalar
 
 Scalar = Union[Fraction, float]
-
-_BB_DEFAULT_BUDGET = 250_000
 
 
 class QuadraticForm:
@@ -110,11 +102,6 @@ class QuadraticForm:
         ut = la.transpose(u)
         m = la.mat_mul(ut, la.mat_mul([list(r) for r in self.entries], u))
         return QuadraticForm(_symmetrized(m), self.mode)
-
-    def principal_submatrix(self, indices: Sequence[int]) -> "QuadraticForm":
-        return QuadraticForm(
-            [[self.entries[i][j] for j in indices] for i in indices], self.mode
-        )
 
     def to_float(self) -> "QuadraticForm":
         return QuadraticForm(
@@ -404,37 +391,31 @@ def _orthogonal_components(form: QuadraticForm) -> List[List[int]]:
 
 
 def _lagrange_reduce_2d(a):
-    """Gauss reduction of a 2x2 Gram matrix, in its own arithmetic."""
+    """Gauss reduction of an exact 2x2 Gram matrix."""
     m = [list(r) for r in a]
-    for _ in range(512):
+    while True:
         if m[0][0] > m[1][1]:
             m[0][0], m[1][1] = m[1][1], m[0][0]
+        if 2 * abs(m[0][1]) <= m[0][0]:
+            return m
         q = _nearest_int(m[0][1] / m[0][0])
-        if q == 0:
-            break
         # b_1 <- b_1 - q b_0
         m11 = m[1][1] - 2 * q * m[0][1] + q * q * m[0][0]
         m[0][1] -= q * m[0][0]
         m[1][0] = m[0][1]
         m[1][1] = m11
-    if m[0][0] > m[1][1]:
-        m[0][0], m[1][1] = m[1][1], m[0][0]
-    return m
 
 
-def _covering_radius_sq_small(form: QuadraticForm) -> Scalar:
-    """Exact covering radius squared in dimension <= 2.
+def _covering_radius_sq_small(block) -> Fraction:
+    """Exact covering radius squared of a positive-definite block, n <= 2.
 
     n = 1 is half the circle.  n = 2 reduces to an obtuse superbase; the
     Delaunay triangles are then non-obtuse and congruent, so the covering
     radius is their circumradius: R^2 = q1 q2 q3 / (4 det).
     """
-    n = form.n
-    if n == 0:
-        return Fraction(0) if form.mode == "exact" else 0.0
-    if n == 1:
-        return form.entries[0][0] / 4
-    m = _lagrange_reduce_2d(form.entries)
+    if len(block) == 1:
+        return block[0][0] / 4
+    m = _lagrange_reduce_2d(block)
     if m[0][1] > 0:
         m[0][1] = -m[0][1]
         m[1][0] = m[0][1]
@@ -444,150 +425,149 @@ def _covering_radius_sq_small(form: QuadraticForm) -> Scalar:
     return (q1 * q2 * q3) / (4 * detval)
 
 
-def _cvp_sq(bmat, dvec, target, upper=None) -> float:
-    """Squared distance from a real point to Z^n, float arithmetic."""
-    n = len(dvec)
-    shift = [0.0] * n
-    best = [math.inf]
-    x = [0] * n
+def _echelon_add(echelon, row):
+    """Add an integer row [a | b] to a reduced echelon list of (pivot, row).
 
-    # Babai nearest plane seeds the pruning bound
-    def babai():
-        val = 0.0
-        xs = [0] * n
-        for j in range(n - 1, -1, -1):
-            c = sum(bmat[j][i] * (xs[i] - target[i]) for i in range(j + 1, n))
-            xs[j] = int(math.floor(target[j] - c + 0.5))
-            val += dvec[j] * (xs[j] - target[j] + c) ** 2
-        return val
-
-    best[0] = babai() * (1 + 1e-12) + 1e-300
-    if upper is not None:
-        best[0] = min(best[0], upper)
-
-    def recurse(j, partial):
-        if partial >= best[0]:
-            return
-        if j < 0:
-            best[0] = partial
-            return
-        c = sum(bmat[j][i] * (x[i] - target[i]) for i in range(j + 1, n))
-        center = target[j] - c
-        room = best[0] - partial
-        rad = math.sqrt(max(0.0, room / dvec[j]))
-        lo = math.floor(center - rad)
-        hi = math.ceil(center + rad)
-        order = sorted(range(lo, hi + 1), key=lambda t: abs(t - center))
-        for xj in order:
-            term = dvec[j] * (xj - target[j] + c) ** 2
-            if partial + term < best[0]:
-                x[j] = xj
-                recurse(j - 1, partial + term)
-        x[j] = 0
-
-    recurse(n - 1, 0.0)
-    return best[0]
+    Every row of the list is zero in the pivot columns of the others and
+    positive in its own; the new list keeps that, with each row divided
+    by the gcd of its entries.  Returns None when the new row's left part
+    depends on the rows already there.
+    """
+    for p, e in echelon:
+        if row[p]:
+            row = [e[p] * a - row[p] * b for a, b in zip(row, e)]
+    p = next((j for j in range(len(row) - 1) if row[j]), None)
+    if p is None:
+        return None
+    c = math.gcd(*row) * (1 if row[p] > 0 else -1)
+    row = [a // c for a in row]
+    out = []
+    for q, e in echelon:
+        if e[p]:
+            e = [row[p] * a - e[p] * b for a, b in zip(e, row)]
+            c = math.gcd(*e)
+            e = [a // c for a in e]
+        out.append((q, e))
+    out.append((p, row))
+    return out
 
 
-def _cell_circumradius_sq(g, hw) -> float:
-    """Max squared G-norm over the corners of a centered box, exact max."""
-    n = len(hw)
-    best = 0.0
-    for mask in range(1 << max(0, n - 1)):
-        s = [1.0]
-        for b in range(n - 1):
-            s.append(-1.0 if (mask >> b) & 1 else 1.0)
-        v = [s[i] * hw[i] for i in range(n)]
-        val = sum(g[i][j] * v[i] * v[j] for i in range(n) for j in range(n))
-        best = max(best, val)
-    return best
+def _voronoi_covering_radius_sq(form: QuadraticForm) -> Fraction:
+    """Covering radius squared of an exact form from its Voronoi cell.
 
-
-def _covering_radius_bb(
-    form: QuadraticForm, tol: float, budget: int = _BB_DEFAULT_BUDGET
-) -> float:
-    """Certified branch and bound on the unit cube in reduced coordinates.
-
-    The distance-to-lattice function is 1-Lipschitz in the form's metric,
-    so a cell's value is at most (distance at center) + (cell circumradius).
-    Cells whose bound cannot beat the running lower bound are pruned; the
-    gap closes geometrically near conical deep holes.
+    mu^2 is the largest norm of a vertex of the Voronoi cell of 0 (Conway
+    & Sloane, SPLAG ch. 2).  Once every nonzero class of L/2L has a vector
+    of norm <= bound, the vectors of norm <= bound include all the
+    shortest ones of each class: these are the Voronoi vectors, and a
+    class whose only shortest vectors are +-v makes v relevant.  The cell is
+    {x : 2<x, v> <= Q(v) for every relevant v}, and a vertex lies on n
+    independent of these bisectors.  The lattice points nearest a vertex
+    (0 and the v on its bisectors) pairwise differ by Voronoi vectors, by
+    the parallelogram law, so only such n-sets of relevant vectors are
+    solved, and a solution counts if it satisfies every inequality.
     """
     reduced, _ = lll_reduce(form)
-    raw = [[float(x) for x in row] for row in reduced.entries]
-    scale = max(raw[i][i] for i in range(form.n))
-    g = [[x / scale for x in row] for row in raw]
-    dec = _check_positive_definite(g)
-    lmat, dvec = dec
-    bmat = la.transpose(lmat)
+    n = reduced.n
+    den = math.lcm(*(x.denominator for row in reduced.entries for x in row))
+    g = [[int(x * den) for x in row] for row in reduced.entries]
+    dec = jacobi_decompose(QuadraticForm(g))
+    # a class c in {0,1}^n has a vector of norm Q(c), so the doubling ends
+    bound = max(g[i][i] for i in range(n))
+    while True:
+        shortest = {}
+        for vec, val in _enumerate_up_to(dec.b, dec.d, bound):
+            key = tuple(x & 1 for x in vec)
+            if not any(key):
+                continue
+            known = shortest.get(key)
+            if known is None or val < known[0]:
+                shortest[key] = (val, [vec])
+            elif val == known[0]:
+                known[1].append(vec)
+        if len(shortest) == 2**n - 1:
+            break
+        bound *= 2
+    voronoi = {v for _, vecs in shortest.values() for v in vecs}
+    relevant = [v for _, vecs in shortest.values() if len(vecs) == 2 for v in vecs]
+    m = len(relevant)
+    index = {v: i for i, v in enumerate(relevant)}
+    neg = [index[tuple(-x for x in v)] for v in relevant]
+    # the bisector of v, 2<x, v> = Q(v), as the integer row [g v | Q(v)]
+    eqs = []
+    for v in relevant:
+        w = la.mat_vec(g, v)
+        eqs.append(w + [sum(a * b for a, b in zip(w, v))])
+    adj = [
+        sum(
+            1 << j
+            for j, w in enumerate(relevant)
+            if tuple(a - b for a, b in zip(v, w)) in voronoi
+        )
+        for v in relevant
+    ]
 
-    n = form.n
-    # d(x) = d(1 - x), so half the cube along the first axis suffices
-    center0 = [0.25] + [0.5] * (n - 1)
-    hw0 = [0.25] + [0.5] * (n - 1)
+    # best vertex norm so far, as (numerator, denominator) in units of g
+    best = [0, 1]
 
-    def bound_cell(center, hw):
-        d = math.sqrt(_cvp_sq(bmat, dvec, center))
-        h = math.sqrt(_cell_circumradius_sq(g, hw))
-        return d, d + h
+    def visit(echelon):
+        # row (p, e) says e[p] y_p = e[n] for y = 2x; x = ys / (2 d)
+        d = math.lcm(*(e[p] for p, e in echelon))
+        ys = [0] * n
+        for p, e in echelon:
+            ys[p] = e[n] * (d // e[p])
+        num = sum(a * b for a, b in zip(la.mat_vec(g, ys), ys))
+        if num * best[1] <= best[0] * 4 * d * d:
+            return
+        for r in eqs:
+            if sum(a * b for a, b in zip(r, ys)) > r[n] * d:
+                return
+        best[0], best[1] = num, 4 * d * d
 
-    lower, upper0 = bound_cell(center0, hw0)
-    heap = [(-upper0, 0, tuple(center0), tuple(hw0))]
-    counter = 1
-    processed = 0
-    while heap:
-        neg_up, _, center, hw = heapq.heappop(heap)
-        upper = -neg_up
-        if upper - lower <= tol * max(1.0, lower):
-            return math.sqrt(scale) * (lower + upper) / 2
-        processed += 1
-        if processed > budget:
-            s = math.sqrt(scale)
-            raise ToleranceBudgetError(s * lower, s * upper, tol)
-        axis = max(range(n), key=lambda i: hw[i] * hw[i] * g[i][i])
-        for side in (-1, 1):
-            c2 = list(center)
-            h2 = list(hw)
-            h2[axis] = hw[axis] / 2
-            c2[axis] = center[axis] + side * h2[axis]
-            d, up = bound_cell(c2, h2)
-            lower = max(lower, d)
-            if up > lower:
-                heapq.heappush(heap, (-up, counter, tuple(c2), tuple(h2)))
-                counter += 1
-    return math.sqrt(scale) * lower
+    def extend(echelon, cand):
+        if len(echelon) == n:
+            visit(echelon)
+            return
+        need = n - len(echelon) - 1
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            i = low.bit_length() - 1
+            nxt = cand & adj[i]
+            if nxt.bit_count() >= need:
+                grown = _echelon_add(echelon, eqs[i])
+                if grown is not None:
+                    extend(grown, nxt)
+
+    # -x is a vertex with x: walk only the n-sets whose smallest index is
+    # below every index of their negatives
+    for i in range(m):
+        if neg[i] > i:
+            above = sum(1 << j for j in range(i + 1, m) if neg[j] > i)
+            extend(_echelon_add([], eqs[i]), adj[i] & above)
+    return Fraction(best[0], best[1] * den)
 
 
-def covering_radius_sq(
-    form: QuadraticForm, tol: float = 1e-6, decompose: bool = True
-) -> Scalar:
-    """Covering radius squared.
+def covering_radius_sq(form: QuadraticForm) -> Scalar:
+    """Covering radius squared: a Fraction for exact forms.
 
     Splits the form into orthogonal blocks (zero off-diagonal couplings)
-    and combines them by the Pythagorean law; blocks of dimension <= 2 are
-    exact, larger blocks go through the certified branch and bound.  Pass
-    decompose=False to force the sampled path on the whole form.
+    and adds their values by the Pythagorean law.  Blocks of dimension
+    <= 2 use the closed form; larger ones the Voronoi cell.  A float form
+    is read exactly through to_exact and the exact answer rounded once.
     """
-    if form.n == 0:
-        return Fraction(0) if form.mode == "exact" else 0.0
-    comps = _orthogonal_components(form) if decompose else [list(range(form.n))]
-    bb_count = sum(1 for c in comps if len(c) > 2)
-    comp_tol = tol / max(1, bb_count)
-    total: Scalar = Fraction(0) if form.mode == "exact" else 0.0
-    for comp in comps:
-        sub = form.principal_submatrix(comp)
-        if sub.n <= 2:
-            total = total + _covering_radius_sq_small(sub)
+    exact = form if form.mode == "exact" else form.to_exact()
+    total = Fraction(0)
+    for comp in _orthogonal_components(exact):
+        block = [[exact.entries[i][j] for j in comp] for i in comp]
+        if len(comp) <= 2:
+            total += _covering_radius_sq_small(block)
         else:
-            mu = _covering_radius_bb(sub, comp_tol)
-            total = float(total) + mu * mu
-    return total
+            total += _voronoi_covering_radius_sq(QuadraticForm(block))
+    return total if form.mode == "exact" else float(total)
 
 
-def covering_radius(
-    form: QuadraticForm, tol: float = 1e-6, decompose: bool = True
-) -> float:
-    return math.sqrt(float(covering_radius_sq(form, tol, decompose)))
+def covering_radius(form: QuadraticForm) -> float:
+    return math.sqrt(float(covering_radius_sq(form)))
 
 
 # -- equivalence and homothety ----------------------------------------------
@@ -677,8 +657,8 @@ def is_equivalent(
     u2_inv = la.int_matrix(la.inv([[Fraction(x) for x in row] for row in u2]))
     u = la.mat_mul(u1, la.mat_mul(t_inv, u2_inv))
     u = la.int_matrix(u)
-    if exact:
-        assert f1.transform(u) == f2, "witness verification failed"
+    if exact and f1.transform(u) != f2:
+        raise RuntimeError("witness verification failed")
     return u
 
 
@@ -687,11 +667,14 @@ def _integer_nth_root(value: int, n: int) -> Optional[int]:
         return None
     if value in (0, 1):
         return value
-    r = int(round(value ** (1.0 / n)))
-    for cand in (r - 1, r, r + 1):
-        if cand >= 0 and cand**n == value:
-            return cand
-    return None
+    # integer Newton from above ends at floor(value^(1/n))
+    x = 1 << -(-value.bit_length() // n)
+    while True:
+        y = ((n - 1) * x + value // x ** (n - 1)) // n
+        if y >= x:
+            break
+        x = y
+    return x if x**n == value else None
 
 
 def _fraction_nth_root(x: Fraction, n: int) -> Optional[Fraction]:
@@ -710,8 +693,9 @@ def is_homothetic(
     """Equality up to positive scale: returns (c, U) with U^T (c f1) U = f2.
 
     The determinant pins the only possible scale, c = (det f2 / det f1)^(1/n).
-    When both forms are exact and that ratio is a perfect n-th power the
-    whole test is exact; otherwise the float path with tol decides.
+    When both forms are exact the test is exact: a ratio that is no
+    rational n-th power proves them not homothetic.  Otherwise the float
+    path with tol decides.
     """
     if f1.n != f2.n:
         raise PreconditionError("dimension-match", "forms have different ranks")
@@ -721,9 +705,10 @@ def is_homothetic(
     if f1.mode == "exact" and f2.mode == "exact":
         ratio = Fraction(f2.det()) / Fraction(f1.det())
         c = _fraction_nth_root(ratio, n)
-        if c is not None:
-            u = is_equivalent(f1.scale(c), f2)
-            return (c, u) if u is not None else None
+        if c is None:
+            return None
+        u = is_equivalent(f1.scale(c), f2)
+        return (c, u) if u is not None else None
     c = (float(f2.det()) / float(f1.det())) ** (1.0 / n)
     u = is_equivalent(f1.to_float().scale(c), f2.to_float(), tol=tol)
     return (c, u) if u is not None else None
@@ -735,28 +720,22 @@ def is_homothetic(
 class FlatTorus:
     """R^n / Z^n with the inner product given by a positive-definite Gram.
 
-    The diameter equals the covering radius of the Gram form; it is cached
-    together with the tolerance it was certified at.
+    The diameter equals the covering radius of the Gram form.
     """
 
-    __slots__ = ("gram", "_diameter")
+    __slots__ = ("gram",)
 
-    def __init__(self, gram, certified_diameter: Optional[Tuple[float, float]] = None):
+    def __init__(self, gram):
         if not isinstance(gram, QuadraticForm):
             gram = QuadraticForm(gram)
         self.gram = gram
-        self._diameter = certified_diameter
 
     @property
     def dimension(self) -> int:
         return self.gram.n
 
-    def diameter(self, tol: float = 1e-6) -> float:
-        if self._diameter is not None and self._diameter[1] <= tol:
-            return self._diameter[0]
-        value = covering_radius(self.gram, tol)
-        self._diameter = (value, tol)
-        return value
+    def diameter(self) -> float:
+        return covering_radius(self.gram)
 
     def __eq__(self, other):
         return isinstance(other, FlatTorus) and self.gram == other.gram
@@ -774,27 +753,18 @@ class FlatTorus:
         return cls(QuadraticForm.from_json_dict(doc["gram"], pointer + "/gram"))
 
 
-def rescale_to_diameter_one(torus, tol: float = 1e-6) -> FlatTorus:
+def rescale_to_diameter_one(torus) -> FlatTorus:
     """Scale the metric so the diameter is 1.
 
-    Exact whenever every orthogonal block of the Gram has dimension <= 2
-    (the covering radius squared is then rational); larger blocks force
-    float mode, which is the documented mode change.
+    The Gram is divided by its covering radius squared, which is rational
+    for an exact form, so the result keeps the mode of the input.
     """
     form = torus.gram if isinstance(torus, FlatTorus) else torus
     if not isinstance(form, QuadraticForm):
         form = QuadraticForm(form)
     if form.n == 0:
         raise PreconditionError("positive-dimension", "cannot rescale a point")
-    musq = covering_radius_sq(form, tol)
-    if isinstance(musq, Fraction) and form.mode == "exact":
-        gram = form.scale(1 / musq)
-    else:
-        gram = QuadraticForm(
-            [[float(x) / float(musq) for x in row] for row in form.entries],
-            "float",
-        )
-    return FlatTorus(gram, certified_diameter=(1.0, tol))
+    return FlatTorus(form.scale(1 / covering_radius_sq(form)))
 
 
 def product(t1: FlatTorus, t2: FlatTorus) -> FlatTorus:
@@ -815,7 +785,7 @@ def product(t1: FlatTorus, t2: FlatTorus) -> FlatTorus:
     return FlatTorus(QuadraticForm(rows, t1.gram.mode))
 
 
-def join_path(x: FlatTorus, t, tol: float = 1e-6) -> FlatTorus:
+def join_path(x: FlatTorus, t) -> FlatTorus:
     """Point on the canonical path joining a torus to the unit-diameter circle.
 
     At parameter t the Gram is blockdiag((1-t)^2 X, [t^2]) rescaled to
@@ -830,10 +800,10 @@ def join_path(x: FlatTorus, t, tol: float = 1e-6) -> FlatTorus:
         raise PreconditionError("join-parameter", "t must lie in [0, 1]")
     exact = x.gram.mode == "exact" and not isinstance(tq, float)
     if tq == 0:
-        return rescale_to_diameter_one(x, tol)
+        return rescale_to_diameter_one(x)
     if tq == 1:
         one = Fraction(4) if exact else 4.0
-        return FlatTorus(QuadraticForm([[one]]), certified_diameter=(1.0, 0.0))
+        return FlatTorus(QuadraticForm([[one]]))
     if exact:
         shrunk = x.gram.scale((1 - tq) ** 2)
         circle = QuadraticForm([[tq * tq]])
@@ -842,7 +812,7 @@ def join_path(x: FlatTorus, t, tol: float = 1e-6) -> FlatTorus:
         shrunk = x.gram.to_float().scale((1 - tf) ** 2)
         circle = QuadraticForm([[tf * tf]], "float")
     joined = product(FlatTorus(shrunk), FlatTorus(circle))
-    return rescale_to_diameter_one(joined, tol)
+    return rescale_to_diameter_one(joined)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,6 @@ from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import PreconditionError, SchemaError
-from .rationals import parse_rational
 
 
 def downward_closure(sets: Iterable[Iterable[int]]) -> FrozenSet[FrozenSet[int]]:
@@ -66,9 +65,6 @@ class IncidenceComplex:
                     )
         self.n = n
         self.strata = frozenset(packed)
-
-    def has_stratum(self, s: Iterable[int]) -> bool:
-        return frozenset(s) in self.strata
 
     def to_json_dict(self) -> dict:
         return {

@@ -9,10 +9,9 @@ limit (keeps the converging block as a torus factor) and the fixed
 injectivity radius limit (keeps every direction as a circle factor).
 """
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 from . import _linalg as la
 from .errors import PreconditionError, SchemaError
@@ -291,8 +290,8 @@ def classify_collapse_symbolic(path: SymbolicSiegelPath) -> CollapseResult:
     The ratios d_j / d_g converge to a_j (zero exactly when the exponent
     lags).  With r zeros, the limit Gram is the lower-right (g - r) block
     of B_inf^T diag(a) B_inf; the discarded block is the kernel because
-    B_inf is unit upper triangular.  Exact output whenever that block has
-    orthogonal components of dimension <= 2.
+    B_inf is unit upper triangular.  The limit Gram is exact: its squared
+    covering radius is rational.
     """
     path._validate_bounded_frame()
     exps = path._validate_d_ordering()

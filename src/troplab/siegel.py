@@ -7,13 +7,19 @@ it are provided; reduction steps act through integral symplectic matrices
 so the torus model's equivalence class is preserved.
 """
 
-import math
 from fractions import Fraction
-from typing import List, Optional, Tuple, Union
+from typing import List, Tuple, Union
 
 from . import _linalg as la
 from .errors import ModeMixError, PreconditionError, SchemaError
-from .forms import FlatTorus, QuadraticForm, jacobi_decompose, lll_reduce
+from .forms import (
+    FlatTorus,
+    QuadraticForm,
+    _nearest_int,
+    _symmetrized,
+    jacobi_decompose,
+    lll_reduce,
+)
 from .rationals import format_scalar, parse_scalar
 
 Scalar = Union[Fraction, float]
@@ -188,8 +194,8 @@ class SymplecticElement:
             ax = la.mat_mul(a, [list(r) for r in z.x])
             x_new = la.mat_mul(la.mat_add(ax, b), d_inv)
             y_new = la.mat_mul(la.mat_mul(a, z.y.rows), d_inv)
-            x_new = _sym_avg(x_new)
-            y_new = _sym_avg(y_new)
+            x_new = _symmetrized(x_new)
+            y_new = _symmetrized(y_new)
             return SiegelPoint(x_new, QuadraticForm(y_new, z.mode))
         zc = [
             [complex(float(z.x[i][j]), float(z.y.entries[i][j])) for j in range(g)]
@@ -198,20 +204,12 @@ class SymplecticElement:
         num = la.mat_add(la.mat_mul(a, zc), [[complex(v) for v in r] for r in b])
         den = la.mat_add(la.mat_mul(c, zc), [[complex(v) for v in r] for r in d])
         znew = la.mat_mul(num, la.inv(den))
-        x_new = _sym_avg([[v.real for v in r] for r in znew])
-        y_new = _sym_avg([[v.imag for v in r] for r in znew])
+        x_new = _symmetrized([[v.real for v in r] for r in znew])
+        y_new = _symmetrized([[v.imag for v in r] for r in znew])
         return SiegelPoint(x_new, QuadraticForm(y_new, "float"))
 
     def __repr__(self):
         return f"SymplecticElement({[list(r) for r in self.mat]!r})"
-
-
-def _sym_avg(m):
-    n = len(m)
-    return [
-        [(m[i][j] + m[j][i]) / 2 if i != j else m[i][i] for j in range(n)]
-        for i in range(n)
-    ]
 
 
 def metric_matrix(z: SiegelPoint) -> QuadraticForm:
@@ -231,7 +229,7 @@ def metric_matrix(z: SiegelPoint) -> QuadraticForm:
         rows.append(list(y_inv[i]) + list(top_right[i]))
     for i in range(g):
         rows.append(list(bottom_left[i]) + list(bottom_right[i]))
-    return QuadraticForm(_sym_avg(rows), z.mode)
+    return QuadraticForm(_symmetrized(rows), z.mode)
 
 
 def torus_model(z: SiegelPoint) -> FlatTorus:
@@ -262,16 +260,6 @@ def in_siegel_set(z: SiegelPoint, u) -> bool:
         if not dec.d[i] < u * dec.d[i + 1]:
             return False
     return True
-
-
-def _round_to_int(v) -> int:
-    if isinstance(v, Fraction):
-        num, den = v.numerator, v.denominator
-        q, r = divmod(abs(num), den)
-        if 2 * r >= den:
-            q += 1
-        return q if num >= 0 else -q
-    return int(math.floor(float(v) + 0.5))
 
 
 def siegel_reduce(
@@ -305,7 +293,7 @@ def siegel_reduce(
             cur = step.act(cur)
             gamma = step.compose(gamma)
         # translate X into [-1/2, 1/2]; X symmetric, so S is too
-        s = [[-_round_to_int(cur.x[i][j]) for j in range(g)] for i in range(g)]
+        s = [[-_nearest_int(cur.x[i][j]) for j in range(g)] for i in range(g)]
         if any(v != 0 for r in s for v in r):
             step = SymplecticElement.translation(s)
             cur = step.act(cur)

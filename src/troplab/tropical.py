@@ -418,6 +418,6 @@ def tropical_jacobian(graph: WeightedMetricGraph) -> TropicalAV:
     return TropicalAV(len(basis), QuadraticForm(gram, graph.mode))
 
 
-def torelli(graph: WeightedMetricGraph, tol: float = 1e-6) -> FlatTorus:
+def torelli(graph: WeightedMetricGraph) -> FlatTorus:
     """Unit-diameter flat torus of the tropical Jacobian."""
-    return rescale_to_diameter_one(tropical_jacobian(graph).gram, tol=tol)
+    return rescale_to_diameter_one(tropical_jacobian(graph).gram)

@@ -2,8 +2,9 @@
 
 The oracles here deliberately avoid the library's own algorithms: the
 covering radius is brute-forced on a grid, graph diameters are sampled
-densely along edges with a hand-rolled all-pairs shortest path, and
-equivalence witnesses are searched over bounded-entry integer matrices.
+densely along edges with a hand-rolled all-pairs shortest path,
+equivalence witnesses are searched over bounded-entry integer matrices,
+and the collar integral is summed by Simpson's rule.
 """
 
 import itertools
@@ -50,6 +51,20 @@ def random_pd_form(rng: random.Random, n: int, mode: str = "exact") -> Quadratic
     return QuadraticForm(rows, "exact")
 
 
+def a_n_gram(n: int):
+    """Cartan matrix of the root lattice A_n."""
+    return [[2 if i == j else (-1 if abs(i - j) == 1 else 0) for j in range(n)] for i in range(n)]
+
+
+def d_n_gram(n: int):
+    """Cartan matrix of D_n (n >= 4): the chain A_n with node 0 moved from
+    node 1 to node 2."""
+    m = a_n_gram(n)
+    m[0][1] = m[1][0] = 0
+    m[0][2] = m[2][0] = -1
+    return m
+
+
 def random_integer_pd(rng: random.Random, n: int):
     """M^T M + I with small integer M: integer positive definite."""
     m = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
@@ -85,6 +100,24 @@ def sampled_covering_radius(form_rows, steps: int = 24, span: int = 2) -> float:
         if best > worst:
             worst = best
     return math.sqrt(worst)
+
+
+def collar_quadrature(t, c_star: float, steps: int = 2000) -> float:
+    """Integral of pi / sin(pi x) over [eps, 1 - eps], eps = log c* / log|t|,
+    by composite Simpson's rule.  The integrand is symmetric about 1/2, and
+    x = e^s turns each half into the smooth pi x / sin(pi x) ds."""
+    eps = math.log(c_star) / math.log(abs(t))
+    a, b = math.log(eps), math.log(0.5)
+    h = (b - a) / steps
+
+    def f(s):
+        x = math.exp(s)
+        return math.pi * x / math.sin(math.pi * x)
+
+    total = f(a) + f(b)
+    for k in range(1, steps):
+        total += (4 if k % 2 else 2) * f(a + k * h)
+    return 2.0 * total * h / 3.0
 
 
 def grid_gap(form_rows, steps: int) -> float:

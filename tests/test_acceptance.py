@@ -173,12 +173,14 @@ def test_criterion_06_covering_radius_exactness():
             )
             <= 1e-6
         )
-        sampled = covering_radius(I3, tol=1e-4, decompose=False)
+        # a sheared basis of Z^3: one 3-d block, not three orthogonal ones
+        sheared = I3.transform([[1, 1, 1], [0, 1, 1], [0, 0, 1]])
+        sampled = covering_radius(sheared)
         assert abs(sampled - math.sqrt(3.0) / 2.0) <= 1e-3
         oracle = sampled_covering_radius(I3.rows, steps=12, span=1)
         assert abs(sampled - oracle) <= 1e-3
 
-    run_criterion(6, "covering radii: exact closed forms and certified sampling", body)
+    run_criterion(6, "covering radii: exact closed forms and a grid oracle", body)
 
 
 def test_criterion_07_equivalence_suite():

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -10,7 +11,6 @@ from troplab import (
     NotPositiveDefiniteError,
     PreconditionError,
     QuadraticForm,
-    ToleranceBudgetError,
     WeightedMetricGraph,
     av_family_limit,
     av_family_numeric_oracle,
@@ -22,7 +22,14 @@ from troplab import (
     torelli_family_compare,
 )
 
-from helpers import handcuff_graph, loop_graph, random_integer_pd, seeded, theta_graph
+from helpers import (
+    collar_quadrature,
+    handcuff_graph,
+    loop_graph,
+    random_integer_pd,
+    seeded,
+    theta_graph,
+)
 
 F = Fraction
 
@@ -185,6 +192,12 @@ class TestCollar:
             want = closed_form_collar(t, c)
             assert abs(got - want) <= 1e-6 * abs(want)
 
+    def test_matches_independent_quadrature(self):
+        for t, c in ((1e-4, 0.5), (1e-6, 0.5), (1e-5, 0.3), (1e-9, 0.7), (1e-14, 0.5)):
+            got = collar_length(t, c)
+            want = collar_quadrature(t, c)
+            assert abs(got - want) <= 1e-9 * abs(want)
+
     def test_growth_matches_double_log_up_to_bounded_error(self):
         values = []
         for k in range(4, 9):
@@ -206,11 +219,25 @@ class TestCollar:
         b = collar_length(1e-6 * complex(0, 1), 0.5)
         assert a == pytest.approx(b, rel=1e-12)
 
-    def test_budget_error_type_exists(self):
-        assert issubclass(ToleranceBudgetError, PreconditionError)
+
+def k4_family(multiplicities) -> CurveFamily:
+    edges = [(u, v, F(1)) for u, v in itertools.combinations("abcd", 2)]
+    return CurveFamily(WeightedMetricGraph([(v, 0) for v in "abcd"], edges), multiplicities)
 
 
 class TestTorelliComparison:
+    def test_k4_equal_multiplicities_are_continuous_and_exact(self):
+        cmp = torelli_family_compare(k4_family([3] * 6))
+        assert cmp.continuous
+        assert cmp.gh_side.gram.mode == cmp.av_side.gram.mode == "exact"
+        assert cmp.gh_side.gram == cmp.av_side.gram
+
+    def test_k4_nearly_equal_multiplicities_are_discontinuous(self):
+        # the det ratio of the two Jacobians is no rational cube
+        cmp = torelli_family_compare(k4_family([10**7] * 5 + [10**7 + 1]))
+        assert not cmp.continuous
+        assert cmp.gh_side.gram.mode == cmp.av_side.gram.mode == "exact"
+
     def test_uneven_handcuff_is_discontinuous(self):
         fam = CurveFamily(handcuff_graph(1, 1, 1), [1, 2, 3])
         cmp = torelli_family_compare(fam)

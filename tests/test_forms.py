@@ -22,8 +22,11 @@ from troplab import (
 )
 
 from helpers import (
+    a_n_gram,
     brute_equivalent,
+    d_n_gram,
     grid_gap,
+    random_integer_pd,
     random_pd_form,
     random_unimodular,
     sampled_covering_radius,
@@ -33,6 +36,8 @@ from helpers import (
 F = Fraction
 I2 = QuadraticForm([[1, 0], [0, 1]])
 I3 = QuadraticForm([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+# U^T I3 U has no zero coupling: Z^3 as one block
+SHEAR3 = [[1, 1, 1], [0, 1, 1], [0, 0, 1]]
 
 
 class TestQuadraticForm:
@@ -145,8 +150,9 @@ class TestCoveringRadius:
         assert covering_radius_sq(QuadraticForm([[1, 1], [1, 2]])) == F(1, 2)
 
     def test_cubic_lattice_sampled_path(self):
-        # three orthogonal blocks would be exact; force one 3-d block
-        mu = covering_radius(I3, tol=1e-4, decompose=False)
+        # three orthogonal blocks would be exact; a sheared basis of Z^3
+        # is one 3-d block
+        mu = covering_radius(I3.transform(SHEAR3))
         assert abs(mu - math.sqrt(3) / 2) <= 1e-3
 
     def test_cubic_lattice_decomposed_is_exact(self):
@@ -158,7 +164,7 @@ class TestCoveringRadius:
         for _ in range(5):
             forms.append(random_pd_form(rng, 2).rows)
         for rows in forms:
-            mu = covering_radius(QuadraticForm(rows), tol=1e-9)
+            mu = covering_radius(QuadraticForm(rows))
             lower = sampled_covering_radius(rows, steps=24)
             assert lower <= mu + 1e-9
             assert mu <= lower + grid_gap(rows, 24)
@@ -170,6 +176,12 @@ class TestCoveringRadius:
             f = random_pd_form(rng, n)
             u = random_unimodular(rng, n)
             assert covering_radius_sq(f.transform(u)) == covering_radius_sq(f)
+        # forms with no orthogonal split, through the Voronoi cell
+        rng = seeded(21)
+        for n in (3, 3, 4, 4):
+            f = QuadraticForm(random_integer_pd(rng, n))
+            u = random_unimodular(rng, n)
+            assert covering_radius_sq(f.transform(u)) == covering_radius_sq(f)
 
     def test_scaling_law_exact(self):
         rng = seeded(16)
@@ -177,6 +189,52 @@ class TestCoveringRadius:
             f = random_pd_form(rng, rng.randint(1, 2))
             c = F(rng.randint(1, 5), rng.randint(1, 5))
             assert covering_radius_sq(f.scale(c * c)) == c * c * covering_radius_sq(f)
+        rng = seeded(22)
+        for n in (3, 3, 4, 4):
+            f = QuadraticForm(random_integer_pd(rng, n))
+            c = F(rng.randint(1, 9), rng.randint(1, 9))
+            assert covering_radius_sq(f.scale(c)) == c * covering_radius_sq(f)
+
+
+class TestVoronoiCoveringRadius:
+    # closed forms (Conway & Sloane, SPLAG ch. 4): A_n has
+    # mu^2 = a(n+1-a)/(n+1) with a = floor((n+1)/2); D_n has max(1, n/4)
+    @pytest.mark.parametrize(
+        "rows, want",
+        [
+            (a_n_gram(3), F(1)),
+            (a_n_gram(4), F(6, 5)),
+            (a_n_gram(5), F(3, 2)),
+            (d_n_gram(4), F(1)),
+            (d_n_gram(5), F(5, 4)),
+            # unit-length K4 Jacobian: the body-centred cubic lattice
+            ([[3, 1, -1], [1, 3, 1], [-1, 1, 3]], F(5, 4)),
+            # Z^3 in a basis with no orthogonal split
+            (I3.transform(SHEAR3).rows, F(3, 4)),
+        ],
+    )
+    def test_closed_forms(self, rows, want):
+        got = covering_radius_sq(QuadraticForm(rows))
+        assert isinstance(got, Fraction)
+        assert got == want
+
+    def test_grid_lower_bound(self):
+        # the grid search needs a short basis to find the nearest points
+        rng = seeded(23)
+        for n, steps in ((3, 10), (3, 10), (4, 5)):
+            f, _ = lll_reduce(QuadraticForm(random_integer_pd(rng, n)))
+            lower = sampled_covering_radius(f.rows, steps=steps, span=1)
+            mu = covering_radius(f)
+            assert lower <= mu + 1e-9
+            assert mu <= lower + grid_gap(f.rows, steps)
+
+    def test_float_form_reads_exactly(self):
+        rng = seeded(24)
+        for n in (3, 4):
+            f = QuadraticForm(random_integer_pd(rng, n)).to_float().scale(0.1)
+            got = covering_radius_sq(f)
+            assert isinstance(got, float)
+            assert got == float(covering_radius_sq(f.to_exact()))
 
 
 class TestEquivalence:
@@ -192,6 +250,12 @@ class TestEquivalence:
     def test_rank_mismatch_rejected(self):
         with pytest.raises(PreconditionError):
             is_equivalent(I2, QuadraticForm([[1]]))
+
+    def test_failed_witness_raises(self, monkeypatch):
+        # the witness is checked with a raise that python -O keeps
+        monkeypatch.setattr(QuadraticForm, "transform", lambda self, u: self.scale(2))
+        with pytest.raises(RuntimeError, match="witness"):
+            is_equivalent(I2, I2)
 
     def test_float_mode_needs_tol(self):
         with pytest.raises(ModeMixError):
@@ -247,6 +311,18 @@ class TestHomothety:
     def test_no_scale_makes_them_match(self):
         assert is_homothetic(I2, QuadraticForm([[1, 0], [0, 2]])) is None
 
+    def test_det_ratio_no_rational_power_is_certified_no(self):
+        # 1 + 10^-9 is no rational square; a float tolerance would say yes
+        near = QuadraticForm([[1, 0], [0, F(10**9 + 1, 10**9)]])
+        assert is_homothetic(I2, near) is None
+
+    def test_huge_exact_scale(self):
+        c = 10**110
+        got = is_homothetic(I3, I3.scale(c))
+        assert got is not None
+        assert got[0] == c
+        assert I3.scale(c).transform(got[1]) == I3.scale(c)
+
     def test_irrational_ratio_falls_back_to_float(self):
         # det ratio 2 is not a perfect square; scaled copies still match
         f = QuadraticForm([[1, 0], [0, 2]])
@@ -278,14 +354,15 @@ class TestTorus:
             assert a.gram == b.gram
 
     def test_rescale_orthogonal_blocks_stay_exact(self):
-        t = rescale_to_diameter_one(I3, tol=1e-6)
+        t = rescale_to_diameter_one(I3)
         assert t.gram == I3.scale(F(4, 3))
 
-    def test_rescale_indecomposable_three_dim_goes_float(self):
+    def test_rescale_indecomposable_three_dim_stays_exact(self):
+        # a conjugate of A3, whose mu^2 is 1
         chain = QuadraticForm([[2, 1, 0], [1, 2, 1], [0, 1, 2]])
-        t = rescale_to_diameter_one(chain, tol=1e-6)
-        assert t.gram.mode == "float"
-        assert t.diameter(1e-6) == pytest.approx(1.0, abs=1e-5)
+        t = rescale_to_diameter_one(chain)
+        assert t.gram == chain.scale(1 / F(1))
+        assert t.diameter() == 1.0
 
     def test_product_pythagorean_diameter(self):
         rng = seeded(20)
@@ -293,8 +370,8 @@ class TestTorus:
         for _ in range(12):
             t1 = FlatTorus(random_pd_form(rng, rng.randint(1, 2)))
             t2 = FlatTorus(random_pd_form(rng, rng.randint(1, 2)))
-            d = product(t1, t2).diameter(tol)
-            expect = math.hypot(t1.diameter(tol), t2.diameter(tol))
+            d = product(t1, t2).diameter()
+            expect = math.hypot(t1.diameter(), t2.diameter())
             assert abs(d - expect) <= 2 * tol
 
     def test_product_mode_mix_rejected(self):
@@ -326,4 +403,4 @@ class TestJoinPath:
     def test_diameter_one_along_path(self):
         x = FlatTorus(QuadraticForm([[3, 1], [1, 2]]))
         for t in (F(1, 10), F(1, 3), F(9, 10)):
-            assert join_path(x, t).diameter(1e-6) == pytest.approx(1.0, abs=1e-5)
+            assert join_path(x, t).diameter() == pytest.approx(1.0, abs=1e-5)

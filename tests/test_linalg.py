@@ -1,0 +1,24 @@
+from fractions import Fraction
+
+import pytest
+
+from troplab import _linalg as la
+
+
+def test_int_matrix_rejects_non_integral_fraction():
+    with pytest.raises(ValueError, match="non-integral"):
+        la.int_matrix([[1, Fraction(1, 2)]])
+
+
+def test_int_matrix_rejects_non_integral_float():
+    with pytest.raises(ValueError, match="non-integral"):
+        la.int_matrix([[2.5]])
+
+
+def test_int_matrix_casts_integral_entries():
+    assert la.int_matrix([[Fraction(4, 2), 3.0, -1]]) == [[2, 3, -1]]
+
+
+def test_mat_mul_rejects_shape_mismatch():
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        la.mat_mul([[1, 2]], [[1, 2]])
