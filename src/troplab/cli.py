@@ -359,8 +359,8 @@ def _build_parser() -> argparse.ArgumentParser:
             "--tol",
             type=float,
             default=None,
-            help="tolerance for certified numerics (default 1e-6; "
-            "numeric collapse defaults to 1e-3)",
+            help="tolerance of collapse --mode numeric (default 1e-3) and "
+            "tropicalize (default 1e-6); the other commands ignore it",
         )
         p.add_argument(
             "--max-iter", type=int, default=None, help="iteration cap (default 64)"

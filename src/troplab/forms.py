@@ -59,6 +59,10 @@ class QuadraticForm:
             rows = coerced
         else:
             rows = [[float(x) for x in r] for r in rows]
+            for i, r in enumerate(rows):
+                if not all(map(math.isfinite, r)):
+                    j = next(j for j, x in enumerate(r) if not math.isfinite(x))
+                    raise PreconditionError("finite", f"entries[{i}][{j}] is {r[j]!r}")
         for i in range(n):
             for j in range(i + 1, n):
                 if rows[i][j] != rows[j][i]:
@@ -221,52 +225,138 @@ def jacobi_decompose(form: QuadraticForm) -> JacobiDecomposition:
 # -- LLL reduction ---------------------------------------------------------
 
 
+def _integer_gram(form: QuadraticForm) -> Tuple[List[List[int]], int]:
+    """(g, den) with g = den * F integral, den the lcm of the denominators."""
+    den = math.lcm(*(x.denominator for row in form.entries for x in row))
+    g = [[x.numerator * (den // x.denominator) for x in row] for row in form.entries]
+    return g, den
+
+
 def lll_reduce(
     form: QuadraticForm, delta: Scalar = Fraction(3, 4)
 ) -> Tuple[QuadraticForm, List[List[int]]]:
     """Gram-matrix LLL.  Returns (reduced, U) with U^T F U = reduced.
 
-    Exact over Fractions; the same loop runs in doubles for float forms
-    with an iteration guard since floating ties need not terminate.
+    Both modes take the same steps: for k = 1, 2, ... size-reduce b_k
+    against b_{k-1}, ..., b_0 (rounding mu_kj half away from zero), then
+    keep k + 1 if the Lovasz condition holds, else swap b_{k-1}, b_k and
+    step back.  An exact form runs the integral LLL (H. Cohen, A Course in
+    Computational Algebraic Number Theory, Alg. 2.6.7) on its Gram scaled
+    to integers by _integer_gram: the leading minors d_i and
+    lambda_ij = d_{j+1} mu_ij stay integers and are updated in O(n) per
+    step by exact division; a float delta is read exactly.  A float form
+    recomputes the Gram-Schmidt table in doubles after every step and
+    raises PreconditionError("well-conditioned") when round-off breaks
+    the reduction.
     """
-    n = form.n
-    m = [list(r) for r in form.entries]
-    u = la.identity(n)
-    if n <= 1:
-        return QuadraticForm(m, form.mode), u
-    if form.mode == "float":
-        delta = float(delta)
-    if not (0.25 < float(delta) < 1.0):
+    if form.n <= 1:
+        return form, la.identity(form.n)
+    delta = float(delta) if form.mode == "float" else Fraction(delta)
+    if not 0.25 < delta < 1:
         raise PreconditionError("lll-delta", "delta must lie in (1/4, 1)")
+    if form.mode == "float":
+        return _lll_float(form.rows, delta)
+    m, den = _integer_gram(form)
+    u = _lll_integer(m, delta)
+    return QuadraticForm([[Fraction(x, den) for x in row] for row in m]), u
+
+
+def _translate(m, u, k, j, q):
+    # b_k <- b_k - q b_j
+    n = len(m)
+    for r in range(n):
+        u[r][k] -= q * u[r][j]
+    mkk = m[k][k] - 2 * q * m[k][j] + q * q * m[j][j]
+    for i in range(n):
+        if i != k:
+            m[k][i] -= q * m[j][i]
+            m[i][k] = m[k][i]
+    m[k][k] = mkk
+
+
+def _swap(m, u, k):
+    # b_{k-1} <-> b_k
+    for r in range(len(m)):
+        u[r][k - 1], u[r][k] = u[r][k], u[r][k - 1]
+    m[k - 1], m[k] = m[k], m[k - 1]
+    for r in range(len(m)):
+        m[r][k - 1], m[r][k] = m[r][k], m[r][k - 1]
+
+
+def _lll_integer(m, delta: Fraction) -> List[List[int]]:
+    """LLL-reduce the integer Gram matrix m in place; returns U."""
+    dn, dd = delta.numerator, delta.denominator
+    n = len(m)
+    u = la.identity(n)
+    # d[i] is the i-th leading principal minor of m (d[0] = 1), and
+    # lam[i][j] = d[j+1] mu_ij for j < i; both are integers
+    d = [1] * (n + 1)
+    lam = la.zeros(n, n)
+    for i in range(n):
+        for j in range(i + 1):
+            t = m[i][j]
+            for s in range(j):
+                t = (d[s + 1] * t - lam[i][s] * lam[j][s]) // d[s]
+            if j < i:
+                lam[i][j] = t
+            else:
+                d[i + 1] = t
+    k = 1
+    while k < n:
+        lk = lam[k]
+        for j in range(k - 1, -1, -1):
+            q = _round_half_away(lk[j], d[j + 1])
+            if q:
+                _translate(m, u, k, j, q)
+                lk[j] -= q * d[j + 1]
+                lj = lam[j]
+                for i in range(j):
+                    lk[i] -= q * lj[i]
+        lkk = lk[k - 1]
+        # B_k >= (delta - mu^2) B_{k-1}, times d_k d_{k-1} dd
+        if dd * (d[k + 1] * d[k - 1] + lkk * lkk) >= dn * d[k] * d[k]:
+            k += 1
+            continue
+        # Cohen's SWAPI: rows k-1 and k of lam trade their first k-1
+        # entries, columns k-1 and k of the later rows mix, d_k changes
+        _swap(m, u, k)
+        lam[k - 1][: k - 1], lk[: k - 1] = lk[: k - 1], lam[k - 1][: k - 1]
+        b = (d[k - 1] * d[k + 1] + lkk * lkk) // d[k]
+        for i in range(k + 1, n):
+            li = lam[i]
+            t = li[k]
+            li[k] = (d[k + 1] * li[k - 1] - lkk * t) // d[k]
+            li[k - 1] = (b * t + lkk * li[k]) // d[k + 1]
+        d[k] = b
+        k = max(k - 1, 1)
+    return u
+
+
+def _float_breakdown(what: str) -> PreconditionError:
+    return PreconditionError(
+        "well-conditioned",
+        f"float LLL broke down ({what}); reduce form.to_exact() instead",
+    )
+
+
+def _lll_float(m, delta: float):
+    """LLL-reduce the float Gram matrix m in place; returns (reduced, U)."""
+    n = len(m)
+    u = la.identity(n)
 
     def gso():
         mu = la.zeros(n, n)
         bst = [None] * n
-        for i in range(n):
-            for j in range(i):
-                mu[i][j] = (
-                    m[i][j] - sum(mu[i][k] * mu[j][k] * bst[k] for k in range(j))
-                ) / bst[j]
-            bst[i] = m[i][i] - sum(mu[i][k] ** 2 * bst[k] for k in range(i))
+        try:
+            for i in range(n):
+                for j in range(i):
+                    mu[i][j] = (
+                        m[i][j] - sum(mu[i][k] * mu[j][k] * bst[k] for k in range(j))
+                    ) / bst[j]
+                bst[i] = m[i][i] - sum(mu[i][k] ** 2 * bst[k] for k in range(i))
+        except ZeroDivisionError:
+            raise _float_breakdown("a Gram-Schmidt length vanished") from None
         return mu, bst
-
-    def translate(k, j, q):
-        # b_k <- b_k - q b_j
-        for r in range(n):
-            u[r][k] -= q * u[r][j]
-        mkk = m[k][k] - 2 * q * m[k][j] + q * q * m[j][j]
-        for i in range(n):
-            if i != k:
-                m[k][i] -= q * m[j][i]
-                m[i][k] = m[k][i]
-        m[k][k] = mkk
-
-    def swap(k):
-        for r in range(n):
-            u[r][k - 1], u[r][k] = u[r][k], u[r][k - 1]
-        m[k - 1], m[k] = m[k], m[k - 1]
-        for r in range(n):
-            m[r][k - 1], m[r][k] = m[r][k], m[r][k - 1]
 
     k = 1
     guard = 0
@@ -274,30 +364,36 @@ def lll_reduce(
     while k < n:
         guard += 1
         if guard > cap:
-            # only reachable through float round-off ties
-            break
+            raise _float_breakdown(f"no progress after {cap} steps")
         mu, bst = gso()
         for j in range(k - 1, -1, -1):
             q = _nearest_int(mu[k][j])
             if q != 0:
-                translate(k, j, q)
+                _translate(m, u, k, j, q)
                 mu, bst = gso()
         if bst[k] >= (delta - mu[k][k - 1] ** 2) * bst[k - 1]:
             k += 1
         else:
-            swap(k)
+            _swap(m, u, k)
             k = max(k - 1, 1)
-    return QuadraticForm(m, form.mode), u
+    try:
+        return QuadraticForm(m, "float"), u
+    except PreconditionError:
+        raise _float_breakdown("the reduced Gram is not positive definite") from None
+
+
+def _round_half_away(num: int, den: int) -> int:
+    """num / den (den > 0) rounded to the nearest integer, half away from 0."""
+    q, r = divmod(abs(num), den)
+    if 2 * r >= den:
+        q += 1
+    return q if num >= 0 else -q
 
 
 def _nearest_int(x) -> int:
     if isinstance(x, Fraction):
         # round half away from zero keeps |mu| <= 1/2 after reduction
-        num, den = x.numerator, x.denominator
-        q, r = divmod(abs(num), den)
-        if 2 * r >= den:
-            q += 1
-        return q if num >= 0 else -q
+        return _round_half_away(x.numerator, x.denominator)
     return int(math.floor(x + 0.5))
 
 
@@ -468,8 +564,7 @@ def _voronoi_covering_radius_sq(form: QuadraticForm) -> Fraction:
     """
     reduced, _ = lll_reduce(form)
     n = reduced.n
-    den = math.lcm(*(x.denominator for row in reduced.entries for x in row))
-    g = [[int(x * den) for x in row] for row in reduced.entries]
+    g, den = _integer_gram(reduced)
     dec = jacobi_decompose(QuadraticForm(g))
     # a class c in {0,1}^n has a vector of norm Q(c), so the doubling ends
     bound = max(g[i][i] for i in range(n))

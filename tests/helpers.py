@@ -4,7 +4,9 @@ The oracles here deliberately avoid the library's own algorithms: the
 covering radius is brute-forced on a grid, graph diameters are sampled
 densely along edges with a hand-rolled all-pairs shortest path,
 equivalence witnesses are searched over bounded-entry integer matrices,
-and the collar integral is summed by Simpson's rule.
+the collar integral is summed by Simpson's rule, LLL output is compared
+with the textbook recompute-everything loop and its conditions are read
+off Gram determinants.
 """
 
 import itertools
@@ -65,6 +67,34 @@ def d_n_gram(n: int):
     return m
 
 
+def e_n_gram(n: int):
+    """Cartan matrix of E_n (n = 6, 7, 8): the chain A_{n-1} with node n-1
+    attached to node 2."""
+    m = [row + [0] for row in a_n_gram(n - 1)] + [[0] * n]
+    m[n - 1][n - 1] = 2
+    m[2][n - 1] = m[n - 1][2] = -1
+    return m
+
+
+def random_rational_form(rng: random.Random, n: int) -> QuadraticForm:
+    """M^T M + I/2 with M of small rationals: an exact positive-definite
+    form with unrelated denominators."""
+    m = [
+        [Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(n)]
+        for _ in range(n)
+    ]
+    half = Fraction(1, 2)
+    return QuadraticForm(
+        [
+            [
+                sum(m[k][i] * m[k][j] for k in range(n)) + (half if i == j else 0)
+                for j in range(n)
+            ]
+            for i in range(n)
+        ]
+    )
+
+
 def random_integer_pd(rng: random.Random, n: int):
     """M^T M + I with small integer M: integer positive definite."""
     m = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
@@ -118,6 +148,100 @@ def collar_quadrature(t, c_star: float, steps: int = 2000) -> float:
     for k in range(1, steps):
         total += (4 if k % 2 else 2) * f(a + k * h)
     return 2.0 * total * h / 3.0
+
+
+def reference_lll(form: QuadraticForm, delta=Fraction(3, 4)):
+    """Gram-matrix LLL of an exact form that recomputes the whole
+    Gram-Schmidt table in Fractions after every step: the textbook loop
+    the library's integral LLL must reproduce step for step.  Returns the
+    reduced Gram rows and U."""
+    n = form.n
+    m = [list(r) for r in form.entries]
+    u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+    def gso():
+        mu = [[Fraction(0)] * n for _ in range(n)]
+        bst = [None] * n
+        for i in range(n):
+            for j in range(i):
+                mu[i][j] = (
+                    m[i][j] - sum(mu[i][k] * mu[j][k] * bst[k] for k in range(j))
+                ) / bst[j]
+            bst[i] = m[i][i] - sum(mu[i][k] ** 2 * bst[k] for k in range(i))
+        return mu, bst
+
+    def translate(k, j, q):
+        for r in range(n):
+            u[r][k] -= q * u[r][j]
+        mkk = m[k][k] - 2 * q * m[k][j] + q * q * m[j][j]
+        for i in range(n):
+            if i != k:
+                m[k][i] -= q * m[j][i]
+                m[i][k] = m[k][i]
+        m[k][k] = mkk
+
+    def swap(k):
+        for r in range(n):
+            u[r][k - 1], u[r][k] = u[r][k], u[r][k - 1]
+        m[k - 1], m[k] = m[k], m[k - 1]
+        for r in range(n):
+            m[r][k - 1], m[r][k] = m[r][k], m[r][k - 1]
+
+    def round_half_away(x):
+        q = math.floor(abs(x) + Fraction(1, 2))
+        return q if x >= 0 else -q
+
+    k = 1
+    while k < n:
+        mu, bst = gso()
+        for j in range(k - 1, -1, -1):
+            q = round_half_away(mu[k][j])
+            if q != 0:
+                translate(k, j, q)
+                mu, bst = gso()
+        if bst[k] >= (delta - mu[k][k - 1] ** 2) * bst[k - 1]:
+            k += 1
+        else:
+            swap(k)
+            k = max(k - 1, 1)
+    return m, u
+
+
+def _fraction_det(rows) -> Fraction:
+    a = [[Fraction(x) for x in row] for row in rows]
+    n = len(a)
+    det = Fraction(1)
+    for c in range(n):
+        p = next((r for r in range(c, n) if a[r][c] != 0), None)
+        if p is None:
+            return Fraction(0)
+        if p != c:
+            a[c], a[p] = a[p], a[c]
+            det = -det
+        det *= a[c][c]
+        for r in range(c + 1, n):
+            f = a[r][c] / a[c][c]
+            for cc in range(c, n):
+                a[r][cc] -= f * a[c][cc]
+    return det
+
+
+def lll_conditions_hold(rows, delta=Fraction(3, 4)) -> bool:
+    """Size and Lovasz conditions of a Gram matrix, read off determinants:
+    d_i is the i-th leading principal minor, d_{j+1} mu_ij the minor with
+    column j replaced by column i, and B_i = d_{i+1} / d_i."""
+    n = len(rows)
+    d = [_fraction_det([row[:i] for row in rows[:i]]) for i in range(n + 1)]
+    for i in range(n):
+        for j in range(i):
+            lam = _fraction_det([row[:j] + [row[i]] for row in rows[: j + 1]])
+            if 2 * abs(lam) > d[j + 1]:
+                return False
+    for k in range(1, n):
+        mu = _fraction_det([row[: k - 1] + [row[k]] for row in rows[:k]]) / d[k]
+        if d[k + 1] / d[k] < (delta - mu * mu) * d[k] / d[k - 1]:
+            return False
+    return True
 
 
 def grid_gap(form_rows, steps: int) -> float:

@@ -71,6 +71,20 @@ class TestReduce:
         point = SiegelPoint.from_json_dict(result["point"])
         assert abs(point.x[0][0]) <= F(1, 2)
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_float_entry_is_precondition_failure(
+        self, capsys, tmp_path, literal
+    ):
+        # json.loads accepts these literals and hands over non-finite floats
+        path = tmp_path / "z.json"
+        path.write_text(
+            '{"g": 1, "mode": "float", "X": [[0.0]], "Y": [[%s]]}' % literal
+        )
+        code, out, err = run_main(capsys, "reduce", str(path))
+        assert code == 3
+        assert out == ""
+        assert "finite: entries[0][0]" in err
+
 
 class TestCollapse:
     def test_symbolic(self, capsys, tmp_path):

@@ -25,10 +25,14 @@ from helpers import (
     a_n_gram,
     brute_equivalent,
     d_n_gram,
+    e_n_gram,
     grid_gap,
+    lll_conditions_hold,
     random_integer_pd,
     random_pd_form,
+    random_rational_form,
     random_unimodular,
+    reference_lll,
     sampled_covering_radius,
     seeded,
 )
@@ -38,6 +42,21 @@ I2 = QuadraticForm([[1, 0], [0, 1]])
 I3 = QuadraticForm([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
 # U^T I3 U has no zero coupling: Z^3 as one block
 SHEAR3 = [[1, 1, 1], [0, 1, 1], [0, 0, 1]]
+DELTAS = [pytest.param(d, id=str(d)) for d in (F(1, 2), F(3, 4), F(99, 100))]
+# accepted in doubles, but read exactly its leading minor 3 is <= 0
+FLOAT_ROUNDED_PD = [
+    [2881380564045.619, -13017722465288.047, 11161405797526.898],
+    [-13017722465288.047, 58812467849253.66, -50458815056625.625],
+    [11161405797526.898, -50458815056625.625, 912388792012503.4],
+]
+# a Gram-Schmidt length of this one vanishes in doubles
+FLOAT_ILL_CONDITIONED = [
+    [7570.00174041, 3880.00058816, 7990.00147608, 58990.00896944, -260.0],
+    [3880.00058816, 4640.01025216, 7800.00063808, 70360.15384544, -80.0],
+    [7990.00147608, 7800.00063808, 13610.00161504, 118330.00973072, -200.0],
+    [58990.00896944, 70360.15384544, 118330.00973072, 1066932.3086429602, -1220.0],
+    [-260.0, -80.0, -200.0, -1220.0, 10.0],
+]
 
 
 class TestQuadraticForm:
@@ -54,6 +73,16 @@ class TestQuadraticForm:
         with pytest.raises(NotPositiveDefiniteError) as info:
             QuadraticForm([[0]])
         assert info.value.minor_index == 1
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        with pytest.raises(PreconditionError) as info:
+            QuadraticForm([[bad]])
+        assert info.value.invariant == "finite"
+        with pytest.raises(PreconditionError) as info:
+            QuadraticForm([[2.0, 0.0], [0.0, bad]])
+        assert info.value.invariant == "finite"
+        assert "entries[1][1]" in str(info.value)
 
     def test_mode_mixing_rejected(self):
         with pytest.raises(ModeMixError):
@@ -109,6 +138,73 @@ class TestLLL:
         f = QuadraticForm([[1, 7], [7, 50]])
         reduced, _ = lll_reduce(f)
         assert reduced.entries[0][0] == 1
+
+    @pytest.mark.parametrize("delta", DELTAS)
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_matches_reference_on_rational_forms(self, n, delta):
+        f = random_rational_form(seeded(100 + n), n)
+        reduced, u = lll_reduce(f, delta)
+        want_rows, want_u = reference_lll(f, delta)
+        assert reduced == QuadraticForm(want_rows)
+        assert u == want_u
+        assert lll_conditions_hold(reduced.rows, delta)
+
+    @pytest.mark.parametrize("delta", DELTAS)
+    @pytest.mark.parametrize(
+        "rows", [a_n_gram(12), d_n_gram(8), e_n_gram(8)], ids=["A12", "D8", "E8"]
+    )
+    def test_matches_reference_on_root_lattice_conjugates(self, rows, delta):
+        n = len(rows)
+        f = QuadraticForm(rows).transform(random_unimodular(seeded(n), n, steps=2 * n))
+        reduced, u = lll_reduce(f, delta)
+        want_rows, want_u = reference_lll(f, delta)
+        assert reduced == QuadraticForm(want_rows)
+        assert u == want_u
+        assert f.transform(u) == reduced
+        assert lll_conditions_hold(reduced.rows, delta)
+
+    def test_conditions_checker_rejects_unreduced(self):
+        assert not lll_conditions_hold([[F(1), F(7)], [F(7), F(50)]])
+        assert not lll_conditions_hold([[F(4), F(0)], [F(0), F(1)]])
+        assert lll_conditions_hold([[F(1), F(0)], [F(0), F(1)]])
+
+    def test_float_delta_read_exactly_on_exact_forms(self):
+        f = random_rational_form(seeded(7), 6)
+        assert lll_reduce(f, 0.75) == lll_reduce(f, F(3, 4))
+
+    @pytest.mark.parametrize("delta", [F(1, 4), F(1), 0.25, 1.0])
+    def test_delta_out_of_range(self, delta):
+        with pytest.raises(PreconditionError) as info:
+            lll_reduce(QuadraticForm([[2, 1], [1, 2]]), delta)
+        assert info.value.invariant == "lll-delta"
+        with pytest.raises(PreconditionError):
+            lll_reduce(QuadraticForm([[2.0, 1.0], [1.0, 2.0]]), delta)
+
+
+class TestFloatLLLBreakdown:
+    def test_rounded_form_points_to_exact(self):
+        f = QuadraticForm(FLOAT_ROUNDED_PD)
+        with pytest.raises(PreconditionError) as info:
+            lll_reduce(f)
+        assert info.value.invariant == "well-conditioned"
+        assert "to_exact()" in str(info.value)
+        with pytest.raises(NotPositiveDefiniteError) as info:
+            f.to_exact()
+        assert info.value.minor_index == 3
+
+    def test_vanishing_gram_schmidt_length(self):
+        with pytest.raises(PreconditionError) as info:
+            lll_reduce(QuadraticForm(FLOAT_ILL_CONDITIONED))
+        assert info.value.invariant == "well-conditioned"
+        assert "to_exact()" in str(info.value)
+
+    def test_no_progress_raises_instead_of_returning(self, monkeypatch):
+        # a swap that does nothing fails the Lovasz test forever
+        monkeypatch.setattr("troplab.forms._swap", lambda m, u, k: None)
+        with pytest.raises(PreconditionError) as info:
+            lll_reduce(QuadraticForm([[4.0, 0.0], [0.0, 1.0]]))
+        assert info.value.invariant == "well-conditioned"
+        assert "to_exact()" in str(info.value)
 
 
 class TestShortestVector:
