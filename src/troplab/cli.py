@@ -363,7 +363,11 @@ def _build_parser() -> argparse.ArgumentParser:
             "tropicalize (default 1e-6); the other commands ignore it",
         )
         p.add_argument(
-            "--max-iter", type=int, default=None, help="iteration cap (default 64)"
+            "--max-iter",
+            type=int,
+            default=None,
+            help="rounds of Siegel reduction in reduce (default 64); "
+            "the other commands ignore it",
         )
         p.add_argument(
             "--seed", type=int, default=None, help="seed recorded in the run config"

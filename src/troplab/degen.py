@@ -17,6 +17,7 @@ from typing import List, Sequence
 from .errors import PreconditionError, SchemaError
 from .forms import FlatTorus, QuadraticForm, is_homothetic, rescale_to_diameter_one
 from .hybrid import GluingFunction
+from .rationals import parse_matrix
 from .tropical import (
     WeightedMetricGraph,
     first_betti,
@@ -72,30 +73,21 @@ class AVFamily:
     def from_json_dict(cls, obj, pointer: str = "") -> "AVFamily":
         if not isinstance(obj, dict) or "M" not in obj:
             raise SchemaError("expected an object with 'M'", pointer or "/")
-        m = _parse_matrix(obj["M"], pointer + "/M")
-        if "r" in obj and obj["r"] != len(m):
+
+        def square(key):
+            rows = parse_matrix(obj[key], "exact", f"{pointer}/{key}")
+            if not rows:
+                raise SchemaError("expected a nonempty matrix", f"{pointer}/{key}")
+            for i, row in enumerate(rows):
+                if len(row) != len(rows):
+                    raise SchemaError("matrix must be square", f"{pointer}/{key}/{i}")
+            return QuadraticForm(rows, "exact")
+
+        m = square("M")
+        if "r" in obj and obj["r"] != m.n:
             raise SchemaError("r does not match the size of M", pointer + "/r")
-        block = None
-        if obj.get("abelian_block") is not None:
-            block = QuadraticForm(
-                _parse_matrix(obj["abelian_block"], pointer + "/abelian_block")
-            )
-        return cls(QuadraticForm(m, "exact"), block)
-
-
-def _parse_matrix(raw, pointer: str) -> List[List[Fraction]]:
-    from .rationals import parse_rational
-
-    if not isinstance(raw, list) or not raw:
-        raise SchemaError("expected a nonempty matrix", pointer)
-    out = []
-    for i, row in enumerate(raw):
-        if not isinstance(row, list) or len(row) != len(raw):
-            raise SchemaError("matrix must be square", f"{pointer}/{i}")
-        out.append(
-            [parse_rational(x, f"{pointer}/{i}/{j}") for j, x in enumerate(row)]
-        )
-    return out
+        block = square("abelian_block") if obj.get("abelian_block") is not None else None
+        return cls(m, block)
 
 
 def av_family_limit(fam: AVFamily) -> FlatTorus:

@@ -3,9 +3,10 @@
 The form is the Gram matrix of a lattice basis; the associated flat torus
 is R^n / Z^n with that inner product.  Exact mode keeps every entry a
 Fraction so reduction, equivalence testing and covering radii in every
-dimension are exact; float mode runs reduction and equivalence in doubles
-for numerically sampled inputs, and reads a float form exactly for its
-covering radius.
+dimension are exact.  Float mode holds numerically sampled inputs: LLL
+reduction and the covering radius read a float form from the exact values
+of its entries and round the result once, and equivalence with a
+tolerance matches the reduced forms in doubles.
 
 Mixing modes silently would hide precision loss, so mixed-mode operations
 raise and callers convert explicitly (to_float is lossy and deliberate,
@@ -19,7 +20,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 from . import _linalg as la
 from .errors import ModeMixError, NotPositiveDefiniteError, PreconditionError, SchemaError
-from .rationals import format_scalar, parse_scalar
+from .rationals import format_scalar, parse_matrix
 
 Scalar = Union[Fraction, float]
 
@@ -145,19 +146,7 @@ class QuadraticForm:
         if not isinstance(doc, dict):
             raise SchemaError("form must be an object", pointer)
         mode = doc.get("mode", "exact")
-        entries = doc.get("entries")
-        if not isinstance(entries, list):
-            raise SchemaError("missing 'entries' array", pointer + "/entries")
-        rows = []
-        for i, row in enumerate(entries):
-            if not isinstance(row, list):
-                raise SchemaError("entries rows must be arrays", f"{pointer}/entries/{i}")
-            rows.append(
-                [
-                    parse_scalar(x, mode, f"{pointer}/entries/{i}/{j}")
-                    for j, x in enumerate(row)
-                ]
-            )
+        rows = parse_matrix(doc.get("entries"), mode, pointer + "/entries")
         n = doc.get("n", len(rows))
         if n != len(rows):
             raise SchemaError("'n' disagrees with entries shape", pointer + "/n")
@@ -226,9 +215,10 @@ def jacobi_decompose(form: QuadraticForm) -> JacobiDecomposition:
 
 
 def _integer_gram(form: QuadraticForm) -> Tuple[List[List[int]], int]:
-    """(g, den) with g = den * F integral, den the lcm of the denominators."""
-    den = math.lcm(*(x.denominator for row in form.entries for x in row))
-    g = [[x.numerator * (den // x.denominator) for x in row] for row in form.entries]
+    """(g, den) with g = den * F integral; a float is read as its dyadic value."""
+    ratios = [[x.as_integer_ratio() for x in row] for row in form.entries]
+    den = math.lcm(*(q for row in ratios for _, q in row))
+    g = [[p * (den // q) for p, q in row] for row in ratios]
     return g, den
 
 
@@ -237,27 +227,27 @@ def lll_reduce(
 ) -> Tuple[QuadraticForm, List[List[int]]]:
     """Gram-matrix LLL.  Returns (reduced, U) with U^T F U = reduced.
 
-    Both modes take the same steps: for k = 1, 2, ... size-reduce b_k
-    against b_{k-1}, ..., b_0 (rounding mu_kj half away from zero), then
-    keep k + 1 if the Lovasz condition holds, else swap b_{k-1}, b_k and
-    step back.  An exact form runs the integral LLL (H. Cohen, A Course in
-    Computational Algebraic Number Theory, Alg. 2.6.7) on its Gram scaled
-    to integers by _integer_gram: the leading minors d_i and
-    lambda_ij = d_{j+1} mu_ij stay integers and are updated in O(n) per
-    step by exact division; a float delta is read exactly.  A float form
-    recomputes the Gram-Schmidt table in doubles after every step and
-    raises PreconditionError("well-conditioned") when round-off breaks
-    the reduction.
+    For k = 1, 2, ... size-reduce b_k against b_{k-1}, ..., b_0 (rounding
+    mu_kj half away from zero), then keep k + 1 if the Lovasz condition
+    holds, else swap b_{k-1}, b_k and step back.  This is the integral
+    LLL (H. Cohen, A Course in Computational Algebraic Number Theory,
+    Alg. 2.6.7) on the Gram scaled to integers by _integer_gram: the
+    leading minors d_i and lambda_ij = d_{j+1} mu_ij stay integers and
+    are updated in O(n) per step by exact division; delta is read exactly.
+    A float form is read from the exact values of its entries, so it
+    takes the same steps as its to_exact(), raises the same
+    NotPositiveDefiniteError when that is not positive definite, and
+    gets back the exact reduced Gram rounded once per entry.
     """
     if form.n <= 1:
         return form, la.identity(form.n)
-    delta = float(delta) if form.mode == "float" else Fraction(delta)
+    delta = Fraction(delta)
     if not 0.25 < delta < 1:
         raise PreconditionError("lll-delta", "delta must lie in (1/4, 1)")
-    if form.mode == "float":
-        return _lll_float(form.rows, delta)
     m, den = _integer_gram(form)
     u = _lll_integer(m, delta)
+    if form.mode == "float":
+        return QuadraticForm([[x / den for x in row] for row in m], "float"), u
     return QuadraticForm([[Fraction(x, den) for x in row] for row in m]), u
 
 
@@ -299,6 +289,8 @@ def _lll_integer(m, delta: Fraction) -> List[List[int]]:
                 t = (d[s + 1] * t - lam[i][s] * lam[j][s]) // d[s]
             if j < i:
                 lam[i][j] = t
+            elif t <= 0:
+                raise NotPositiveDefiniteError(i + 1)
             else:
                 d[i + 1] = t
     k = 1
@@ -330,56 +322,6 @@ def _lll_integer(m, delta: Fraction) -> List[List[int]]:
         d[k] = b
         k = max(k - 1, 1)
     return u
-
-
-def _float_breakdown(what: str) -> PreconditionError:
-    return PreconditionError(
-        "well-conditioned",
-        f"float LLL broke down ({what}); reduce form.to_exact() instead",
-    )
-
-
-def _lll_float(m, delta: float):
-    """LLL-reduce the float Gram matrix m in place; returns (reduced, U)."""
-    n = len(m)
-    u = la.identity(n)
-
-    def gso():
-        mu = la.zeros(n, n)
-        bst = [None] * n
-        try:
-            for i in range(n):
-                for j in range(i):
-                    mu[i][j] = (
-                        m[i][j] - sum(mu[i][k] * mu[j][k] * bst[k] for k in range(j))
-                    ) / bst[j]
-                bst[i] = m[i][i] - sum(mu[i][k] ** 2 * bst[k] for k in range(i))
-        except ZeroDivisionError:
-            raise _float_breakdown("a Gram-Schmidt length vanished") from None
-        return mu, bst
-
-    k = 1
-    guard = 0
-    cap = 20000 * n * n
-    while k < n:
-        guard += 1
-        if guard > cap:
-            raise _float_breakdown(f"no progress after {cap} steps")
-        mu, bst = gso()
-        for j in range(k - 1, -1, -1):
-            q = _nearest_int(mu[k][j])
-            if q != 0:
-                _translate(m, u, k, j, q)
-                mu, bst = gso()
-        if bst[k] >= (delta - mu[k][k - 1] ** 2) * bst[k - 1]:
-            k += 1
-        else:
-            _swap(m, u, k)
-            k = max(k - 1, 1)
-    try:
-        return QuadraticForm(m, "float"), u
-    except PreconditionError:
-        raise _float_breakdown("the reduced Gram is not positive definite") from None
 
 
 def _round_half_away(num: int, den: int) -> int:

@@ -6,7 +6,7 @@ so identical inputs produce byte-identical output documents.
 """
 
 from fractions import Fraction
-from typing import Union
+from typing import List, Union
 
 from .errors import SchemaError
 
@@ -36,6 +36,22 @@ def parse_scalar(value, mode: str, pointer: str = "/") -> Scalar:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError("expected a number in float mode", pointer)
     return float(value)
+
+
+def parse_matrix(raw, mode: str, pointer: str = "/") -> List[List[Scalar]]:
+    """An array of arrays of scalars in one arithmetic mode; shape is unchecked."""
+    if mode not in ("exact", "float"):
+        raise SchemaError(f"mode must be 'exact' or 'float', not {mode!r}", pointer)
+    if not isinstance(raw, list):
+        raise SchemaError("expected an array of arrays", pointer)
+    rows = []
+    for i, row in enumerate(raw):
+        if not isinstance(row, list):
+            raise SchemaError("matrix rows must be arrays", f"{pointer}/{i}")
+        rows.append(
+            [parse_scalar(x, mode, f"{pointer}/{i}/{j}") for j, x in enumerate(row)]
+        )
+    return rows
 
 
 def format_rational(value: Fraction):

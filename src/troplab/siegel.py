@@ -20,7 +20,7 @@ from .forms import (
     jacobi_decompose,
     lll_reduce,
 )
-from .rationals import format_scalar, parse_scalar
+from .rationals import format_scalar, parse_matrix
 
 Scalar = Union[Fraction, float]
 
@@ -88,17 +88,8 @@ class SiegelPoint:
         if not isinstance(doc, dict):
             raise SchemaError("point must be an object", pointer)
         mode = doc.get("mode", "exact")
-        for key in ("X", "Y"):
-            if not isinstance(doc.get(key), list):
-                raise SchemaError(f"missing '{key}' matrix", f"{pointer}/{key}")
-        x = [
-            [parse_scalar(v, mode, f"{pointer}/X/{i}/{j}") for j, v in enumerate(r)]
-            for i, r in enumerate(doc["X"])
-        ]
-        y = [
-            [parse_scalar(v, mode, f"{pointer}/Y/{i}/{j}") for j, v in enumerate(r)]
-            for i, r in enumerate(doc["Y"])
-        ]
+        x = parse_matrix(doc.get("X"), mode, f"{pointer}/X")
+        y = parse_matrix(doc.get("Y"), mode, f"{pointer}/Y")
         return cls(x, QuadraticForm(y, mode))
 
 

@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import ModeMixError, PreconditionError, SchemaError
 from .forms import FlatTorus, QuadraticForm, Scalar, rescale_to_diameter_one
-from .rationals import format_scalar, parse_scalar
+from .rationals import format_scalar, parse_matrix, parse_scalar
 
 
 class WeightedMetricGraph:
@@ -389,14 +389,7 @@ class TropicalAV:
         if not isinstance(obj, dict) or "gram" not in obj:
             raise SchemaError("expected an object with 'gram'", pointer or "/")
         mode = obj.get("mode", "exact")
-        raw = obj["gram"]
-        if not isinstance(raw, list) or any(not isinstance(r, list) for r in raw):
-            raise SchemaError("gram must be a matrix", pointer + "/gram")
-        rows = [
-            [parse_scalar(x, mode, f"{pointer}/gram/{i}/{j}") for j, x in enumerate(r)]
-            for i, r in enumerate(raw)
-        ]
-        gram = QuadraticForm(rows, mode)
+        gram = QuadraticForm(parse_matrix(obj["gram"], mode, pointer + "/gram"), mode)
         return cls(obj.get("b1", gram.n), gram)
 
 

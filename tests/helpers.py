@@ -226,6 +226,10 @@ def _fraction_det(rows) -> Fraction:
     return det
 
 
+def is_unimodular(u) -> bool:
+    return abs(_fraction_det(u)) == 1
+
+
 def lll_conditions_hold(rows, delta=Fraction(3, 4)) -> bool:
     """Size and Lovasz conditions of a Gram matrix, read off determinants:
     d_i is the i-th leading principal minor, d_{j+1} mu_ij the minor with

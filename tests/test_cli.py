@@ -85,6 +85,27 @@ class TestReduce:
         assert out == ""
         assert "finite: entries[0][0]" in err
 
+    @pytest.mark.parametrize(
+        "doc, pointer",
+        [({"X": [0], "Y": [[1]]}, "/X/0"), ({"X": [[0]], "Y": [1]}, "/Y/0")],
+        ids=["X", "Y"],
+    )
+    def test_matrix_row_not_an_array_is_schema_error(
+        self, capsys, tmp_path, doc, pointer
+    ):
+        code, out, err = run_main(capsys, "reduce", write_doc(tmp_path, "z.json", doc))
+        assert code == 2
+        assert out == ""
+        assert "matrix rows must be arrays" in err
+        assert pointer in err
+
+    def test_unknown_mode_is_schema_error(self, capsys, tmp_path):
+        doc = {"g": 1, "mode": "fuzzy", "X": [[0]], "Y": [[1]]}
+        code, out, err = run_main(capsys, "reduce", write_doc(tmp_path, "z.json", doc))
+        assert code == 2
+        assert out == ""
+        assert "mode must be 'exact' or 'float', not 'fuzzy'" in err
+
 
 class TestCollapse:
     def test_symbolic(self, capsys, tmp_path):

@@ -66,6 +66,24 @@ class TestAVFamily:
         with pytest.raises(SchemaError):
             AVFamily.from_json_dict({"r": 2, "M": [[1]]})
 
+    @pytest.mark.parametrize(
+        "doc, pointer",
+        [
+            ({"M": [[1, 0]]}, "/M/0"),
+            ({"M": []}, "/M"),
+            ({"M": None}, "/M"),
+            ({"M": [[1.5]]}, "/M/0/0"),
+            ({"M": [[1]], "abelian_block": [[1], [0]]}, "/abelian_block/0"),
+        ],
+        ids=["not-square", "empty", "null", "float", "block-not-square"],
+    )
+    def test_malformed_matrices_are_schema_errors(self, doc, pointer):
+        from troplab import SchemaError
+
+        with pytest.raises(SchemaError) as info:
+            AVFamily.from_json_dict(doc)
+        assert info.value.pointer == pointer
+
 
 class TestAVLimit:
     def test_hexagonal_rescale(self):

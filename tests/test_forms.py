@@ -9,6 +9,7 @@ from troplab import (
     NotPositiveDefiniteError,
     PreconditionError,
     QuadraticForm,
+    SchemaError,
     covering_radius,
     covering_radius_sq,
     is_equivalent,
@@ -27,6 +28,7 @@ from helpers import (
     d_n_gram,
     e_n_gram,
     grid_gap,
+    is_unimodular,
     lll_conditions_hold,
     random_integer_pd,
     random_pd_form,
@@ -49,7 +51,7 @@ FLOAT_ROUNDED_PD = [
     [-13017722465288.047, 58812467849253.66, -50458815056625.625],
     [11161405797526.898, -50458815056625.625, 912388792012503.4],
 ]
-# a Gram-Schmidt length of this one vanishes in doubles
+# a Gram-Schmidt length of this one vanishes in doubles, not when read exactly
 FLOAT_ILL_CONDITIONED = [
     [7570.00174041, 3880.00058816, 7990.00147608, 58990.00896944, -260.0],
     [3880.00058816, 4640.01025216, 7800.00063808, 70360.15384544, -80.0],
@@ -106,6 +108,12 @@ class TestQuadraticForm:
         f = QuadraticForm([[F(1, 3), F(1, 7)], [F(1, 7), F(2)]])
         doc = f.to_json_dict()
         assert QuadraticForm.from_json_dict(doc) == f
+
+    def test_json_unknown_mode_is_schema_error(self):
+        doc = {"n": 1, "mode": "fuzzy", "entries": [[1]]}
+        with pytest.raises(SchemaError) as info:
+            QuadraticForm.from_json_dict(doc, "")
+        assert info.value.pointer == "/entries"
 
 
 class TestJacobi:
@@ -182,29 +190,52 @@ class TestLLL:
 
 
 class TestFloatLLLBreakdown:
+    # forms on which a Gram-Schmidt table in doubles breaks down: read
+    # exactly, the float LLL decides them as their to_exact() would
     def test_rounded_form_points_to_exact(self):
         f = QuadraticForm(FLOAT_ROUNDED_PD)
-        with pytest.raises(PreconditionError) as info:
-            lll_reduce(f)
-        assert info.value.invariant == "well-conditioned"
-        assert "to_exact()" in str(info.value)
-        with pytest.raises(NotPositiveDefiniteError) as info:
-            f.to_exact()
-        assert info.value.minor_index == 3
+        for call in (lambda: lll_reduce(f), f.to_exact):
+            with pytest.raises(NotPositiveDefiniteError) as info:
+                call()
+            assert info.value.minor_index == 3
 
     def test_vanishing_gram_schmidt_length(self):
-        with pytest.raises(PreconditionError) as info:
-            lll_reduce(QuadraticForm(FLOAT_ILL_CONDITIONED))
-        assert info.value.invariant == "well-conditioned"
-        assert "to_exact()" in str(info.value)
+        f = QuadraticForm(FLOAT_ILL_CONDITIONED)
+        reduced, u = lll_reduce(f)
+        assert is_unimodular(u)
+        exact = f.to_exact().transform(u)
+        assert lll_conditions_hold(exact.rows)
+        assert exact.to_float() == reduced
 
-    def test_no_progress_raises_instead_of_returning(self, monkeypatch):
-        # a swap that does nothing fails the Lovasz test forever
-        monkeypatch.setattr("troplab.forms._swap", lambda m, u, k: None)
-        with pytest.raises(PreconditionError) as info:
-            lll_reduce(QuadraticForm([[4.0, 0.0], [0.0, 1.0]]))
-        assert info.value.invariant == "well-conditioned"
-        assert "to_exact()" in str(info.value)
+
+class TestFloatLLLMatchesExact:
+    # dyadic entries make to_float() lossless, so the float LLL must take
+    # the steps of the exact one and round its reduced Gram once
+    @staticmethod
+    def check(exact, delta):
+        f = exact.to_float()
+        assert f.to_exact() == exact
+        want, want_u = lll_reduce(exact, delta)
+        reduced, u = lll_reduce(f, delta)
+        assert u == want_u
+        assert reduced == want.to_float()
+
+    @pytest.mark.parametrize("delta", DELTAS)
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_rational_forms(self, n, delta):
+        self.check(random_rational_form(seeded(100 + n), n).to_float().to_exact(), delta)
+
+    @pytest.mark.parametrize("delta", DELTAS)
+    @pytest.mark.parametrize(
+        "rows",
+        [a_n_gram(3), a_n_gram(12), d_n_gram(8), e_n_gram(8)],
+        ids=["A3", "A12", "D8", "E8"],
+    )
+    def test_root_lattice_conjugates(self, rows, delta):
+        # mu = -1/2 occurs on A3's conjugates: both modes round it to -1
+        n = len(rows)
+        f = QuadraticForm(rows).transform(random_unimodular(seeded(n), n, steps=2 * n))
+        self.check(f, delta)
 
 
 class TestShortestVector:

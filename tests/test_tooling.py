@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -20,3 +21,14 @@ def test_import_loads_only_stdlib_and_troplab():
         [sys.executable, "-c", PROBE], capture_output=True, text=True, env=env, check=True
     )
     assert proc.stdout.split() == []
+
+
+def test_no_assert_statements_in_the_library():
+    # python -O strips assert statements, so no check may rest on one
+    package = os.path.join(SRC, "troplab")
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read(), name)
+            found = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]
+            assert found == [], f"{name} asserts on lines {found}"
