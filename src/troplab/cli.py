@@ -68,12 +68,12 @@ def _load_doc(source: str):
         raise SchemaError(f"invalid JSON: {exc.msg}", f"/line/{exc.lineno}")
 
 
-def _require_object(doc, keys, pointer: str = "/"):
+def _require_object(doc, keys, pointer: str = ""):
     if not isinstance(doc, dict):
-        raise SchemaError("expected a JSON object", pointer)
+        raise SchemaError("expected a JSON object", pointer or "/")
     for k in keys:
         if k not in doc:
-            raise SchemaError(f"missing required key {k!r}", pointer + k)
+            raise SchemaError(f"missing required key {k!r}", f"{pointer}/{k}")
 
 
 def _write_csv(path: str, header, rows):

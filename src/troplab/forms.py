@@ -142,9 +142,9 @@ class QuadraticForm:
         }
 
     @classmethod
-    def from_json_dict(cls, doc: dict, pointer: str = "/") -> "QuadraticForm":
+    def from_json_dict(cls, doc: dict, pointer: str = "") -> "QuadraticForm":
         if not isinstance(doc, dict):
-            raise SchemaError("form must be an object", pointer)
+            raise SchemaError("form must be an object", pointer or "/")
         mode = doc.get("mode", "exact")
         rows = parse_matrix(doc.get("entries"), mode, pointer + "/entries")
         n = doc.get("n", len(rows))
@@ -784,9 +784,9 @@ class FlatTorus:
         return {"gram": self.gram.to_json_dict()}
 
     @classmethod
-    def from_json_dict(cls, doc: dict, pointer: str = "/") -> "FlatTorus":
+    def from_json_dict(cls, doc: dict, pointer: str = "") -> "FlatTorus":
         if not isinstance(doc, dict) or "gram" not in doc:
-            raise SchemaError("torus must be an object with 'gram'", pointer)
+            raise SchemaError("torus must be an object with 'gram'", pointer or "/")
         return cls(QuadraticForm.from_json_dict(doc["gram"], pointer + "/gram"))
 
 

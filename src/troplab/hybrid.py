@@ -17,7 +17,7 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import PreconditionError, SchemaError
 
@@ -203,16 +203,24 @@ class GroupAction:
         ident = tuple(range(1, n + 1))
         if ident not in seen:
             raise PreconditionError("group-identity", "identity permutation missing")
+        # Grow the subgroup of generators picked greedily from the list;
+        # each new one at least doubles it.  Its products all lie in the
+        # list exactly when the list is closed under composition, and it
+        # then holds every element.  A finite set of permutations closed
+        # under composition holds the inverses too (p^-1 is a power of p).
+        gens: List[Tuple[int, ...]] = []
+        sub = {ident}
         for p in elems:
-            inv = _perm_inverse(p)
-            if inv not in seen:
-                raise PreconditionError("group-inverse", f"inverse of {p!r} missing")
-            for q in elems:
-                if _perm_compose(p, q) not in seen:
+            if p in sub:
+                continue
+            gens.append(p)
+            for nxt in _grow(sub, gens):
+                if nxt not in seen:
                     raise PreconditionError(
                         "group-closure", "element set not closed under composition"
                     )
-        for p in elems:
+        # generators preserving the strata make every product do so
+        for p in gens:
             for s in inc.strata:
                 if frozenset(p[i - 1] for i in s) not in inc.strata:
                     raise PreconditionError(
@@ -237,31 +245,32 @@ class GroupAction:
                     "permutation", f"{g!r} is not a permutation of 1..{n}"
                 )
         closure = {ident}
-        frontier = [ident]
-        while frontier:
-            cur = frontier.pop()
-            for g in gens:
-                nxt = _perm_compose(g, cur)
-                if nxt not in closure:
-                    if len(closure) >= 40320:  # 8! guard against huge groups
-                        raise PreconditionError(
-                            "group-size", "group closure exceeds the supported size"
-                        )
-                    closure.add(nxt)
-                    frontier.append(nxt)
+        for _ in _grow(closure, gens):
+            if len(closure) >= 40320:  # 8! guard against huge groups
+                raise PreconditionError(
+                    "group-size", "group closure exceeds the supported size"
+                )
         return cls(inc, sorted(closure))
+
+
+def _grow(group: set, gens: Sequence[Tuple[int, ...]]) -> Iterator[Tuple[int, ...]]:
+    """Grow the permutation group `group` in place into the group it
+    generates together with gens, yielding each new element before it is
+    added."""
+    frontier = list(group)
+    while frontier:
+        cur = frontier.pop()
+        for g in gens:
+            nxt = _perm_compose(g, cur)
+            if nxt not in group:
+                yield nxt
+                group.add(nxt)
+                frontier.append(nxt)
 
 
 def _perm_compose(p: Tuple[int, ...], q: Tuple[int, ...]) -> Tuple[int, ...]:
     """(p after q): i -> p[q[i]]."""
     return tuple(p[q[i] - 1] for i in range(len(p)))
-
-
-def _perm_inverse(p: Tuple[int, ...]) -> Tuple[int, ...]:
-    inv = [0] * len(p)
-    for i, v in enumerate(p):
-        inv[v - 1] = i + 1
-    return tuple(inv)
 
 
 def quotient_complex(c: DualComplex, a: GroupAction) -> DualComplex:
@@ -271,6 +280,14 @@ def quotient_complex(c: DualComplex, a: GroupAction) -> DualComplex:
     the divisor permutations act on them.  Chains of strata have strictly
     increasing sizes, hence a group element fixing a chain fixes it
     pointwise and the orbit complex is again a well-formed cell complex.
+
+    Chains are walked dimension by dimension in the order of the sorted
+    keys of their strata, so the first chain met of each orbit is its
+    least member, the representative.  Its label goes to the whole orbit
+    at once, mapped through a table of every stratum's image under every
+    group element.  A cell's facets are then the labels of its
+    representative's subchains, looked up, so each orbit costs one pass
+    over the group instead of one per chain and per facet.
     """
     strata = []
     for d, labels in c.cells.items():
@@ -291,59 +308,44 @@ def quotient_complex(c: DualComplex, a: GroupAction) -> DualComplex:
             "matching-strata", "the action was built on a different incidence complex"
         )
 
-    # chains of strictly nested strata, one (len-1)-cell each
-    by_size: Dict[int, list] = {}
-    for lab in strata:
-        by_size.setdefault(len(lab), []).append(frozenset(lab))
-    chains: Dict[int, List[Tuple]] = {0: [(s,) for s in sorted(own, key=_set_key)]}
-    max_dim = 0
+    # strata as ranks in the order of (size, sorted ids): chains then
+    # compare as rank tuples exactly as they do by the keys of their strata
+    ordered = sorted(own, key=lambda s: (len(s), sorted(s)))
+    names = [tuple(sorted(s)) for s in ordered]
+    rank = {s: r for r, s in enumerate(ordered)}
+    above = [[rank[t] for t in ordered if s < t] for s in ordered]
+    # chains of strictly nested strata, one (len-1)-cell each.  Extending
+    # the sorted chains of one dimension by the ranks above their tops, in
+    # increasing order, lists the next dimension's chains sorted too.
+    chains = [[(r,) for r in range(len(ordered))]]
     while True:
-        nxt = []
-        for ch in chains[max_dim]:
-            top = ch[-1]
-            for size in sorted(by_size):
-                if size <= len(top):
-                    continue
-                for cand in by_size[size]:
-                    if top < cand:
-                        nxt.append(ch + (cand,))
+        nxt = [ch + (t,) for ch in chains[-1] for t in above[ch[-1]]]
         if not nxt:
             break
-        max_dim += 1
-        chains[max_dim] = sorted(nxt, key=lambda ch: [_set_key(s) for s in ch])
+        chains.append(nxt)
 
-    def act(p, chain):
-        return tuple(frozenset(p[i - 1] for i in s) for s in chain)
-
-    def orbit_rep(chain):
-        return min(
-            (act(p, chain) for p in a.elements),
-            key=lambda ch: [_set_key(s) for s in ch],
-        )
-
+    # the image of every stratum under every group element, as ranks
+    images = [
+        [rank[frozenset(p[i - 1] for i in s)] for s in ordered] for p in a.elements
+    ]
     cells: Dict[int, list] = {}
     facets: Dict[object, tuple] = {}
-    rep_label = {}
-    for d in sorted(chains):
+    label = {}
+    for d, level in enumerate(chains):
         labels = []
-        for ch in chains[d]:
-            rep = orbit_rep(ch)
-            if rep in rep_label:
+        for ch in level:
+            if ch in label:
                 continue
-            lab = tuple(tuple(sorted(s)) for s in rep)
-            rep_label[rep] = lab
+            # the first chain met of an orbit is its least member, as the
+            # chains are walked in sorted order: it labels the whole orbit
+            lab = tuple([names[r] for r in ch])
+            for img in images:
+                label[tuple([img[r] for r in ch])] = lab
             labels.append(lab)
             if d > 0:
-                facets[lab] = tuple(
-                    rep_label[orbit_rep(rep[:i] + rep[i + 1 :])]
-                    for i in range(len(rep))
-                )
+                facets[lab] = tuple(label[ch[:i] + ch[i + 1 :]] for i in range(len(ch)))
         cells[d] = labels
     return DualComplex(cells, facets)
-
-
-def _set_key(s: FrozenSet[int]):
-    return (len(s), sorted(s))
 
 
 class GluingFunction(enum.Enum):

@@ -71,9 +71,9 @@ class MonomialEntry:
         return {"c": format_rational(self.coefficient), "e": format_rational(self.exponent)}
 
     @classmethod
-    def from_json_dict(cls, doc, pointer: str = "/", t_convention: bool = False):
+    def from_json_dict(cls, doc, pointer: str = "", t_convention: bool = False):
         if not isinstance(doc, dict) or "c" not in doc:
-            raise SchemaError("monomial must be an object with 'c'", pointer)
+            raise SchemaError("monomial must be an object with 'c'", pointer or "/")
         c = parse_rational(doc["c"], pointer + "/c")
         e = parse_rational(doc.get("e", 0), pointer + "/e")
         if t_convention:
@@ -208,9 +208,9 @@ class SymbolicSiegelPath:
         }
 
     @classmethod
-    def from_json_dict(cls, doc: dict, pointer: str = "/") -> "SymbolicSiegelPath":
+    def from_json_dict(cls, doc: dict, pointer: str = "") -> "SymbolicSiegelPath":
         if not isinstance(doc, dict):
-            raise SchemaError("path must be an object", pointer)
+            raise SchemaError("path must be an object", pointer or "/")
         convention = doc.get("convention", "s")
         if convention not in ("s", "t"):
             raise SchemaError("convention must be 's' or 't'", pointer + "/convention")
@@ -218,20 +218,22 @@ class SymbolicSiegelPath:
         for key in ("X", "B", "D"):
             if not isinstance(doc.get(key), list):
                 raise SchemaError(f"missing '{key}'", f"{pointer}/{key}")
-        x = [
-            [
-                MonomialEntry.from_json_dict(v, f"{pointer}/X/{i}/{j}", flip)
-                for j, v in enumerate(r)
-            ]
-            for i, r in enumerate(doc["X"])
-        ]
-        b = [
-            [
-                MonomialEntry.from_json_dict(v, f"{pointer}/B/{i}/{j}", flip)
-                for j, v in enumerate(r)
-            ]
-            for i, r in enumerate(doc["B"])
-        ]
+
+        def matrix(key):
+            rows = []
+            for i, r in enumerate(doc[key]):
+                here = f"{pointer}/{key}/{i}"
+                if not isinstance(r, list):
+                    raise SchemaError("matrix rows must be arrays", here)
+                rows.append(
+                    [
+                        MonomialEntry.from_json_dict(v, f"{here}/{j}", flip)
+                        for j, v in enumerate(r)
+                    ]
+                )
+            return rows
+
+        x, b = matrix("X"), matrix("B")
         d = [
             MonomialEntry.from_json_dict(v, f"{pointer}/D/{j}", flip)
             for j, v in enumerate(doc["D"])

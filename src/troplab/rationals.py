@@ -38,12 +38,12 @@ def parse_scalar(value, mode: str, pointer: str = "/") -> Scalar:
     return float(value)
 
 
-def parse_matrix(raw, mode: str, pointer: str = "/") -> List[List[Scalar]]:
+def parse_matrix(raw, mode: str, pointer: str = "") -> List[List[Scalar]]:
     """An array of arrays of scalars in one arithmetic mode; shape is unchecked."""
     if mode not in ("exact", "float"):
-        raise SchemaError(f"mode must be 'exact' or 'float', not {mode!r}", pointer)
+        raise SchemaError(f"mode must be 'exact' or 'float', not {mode!r}", pointer or "/")
     if not isinstance(raw, list):
-        raise SchemaError("expected an array of arrays", pointer)
+        raise SchemaError("expected an array of arrays", pointer or "/")
     rows = []
     for i, row in enumerate(raw):
         if not isinstance(row, list):

@@ -84,9 +84,9 @@ class SiegelPoint:
         }
 
     @classmethod
-    def from_json_dict(cls, doc: dict, pointer: str = "/") -> "SiegelPoint":
+    def from_json_dict(cls, doc: dict, pointer: str = "") -> "SiegelPoint":
         if not isinstance(doc, dict):
-            raise SchemaError("point must be an object", pointer)
+            raise SchemaError("point must be an object", pointer or "/")
         mode = doc.get("mode", "exact")
         x = parse_matrix(doc.get("X"), mode, f"{pointer}/X")
         y = parse_matrix(doc.get("Y"), mode, f"{pointer}/Y")

@@ -9,8 +9,11 @@ sends the graph to the unit-diameter real torus of that lattice.
 Diameter means the diameter of the metric realization: the maximum
 distance between any two points, edge interiors included.  It is
 computed exactly (for rational lengths) from all-pairs vertex distances
-plus a per-edge-pair maximization of the concave piecewise-linear
-distance function, so downstream rescaling stays in exact arithmetic.
+plus a closed form for each pair of edges, so downstream rescaling stays
+in exact arithmetic.  Seen from a point x of edge e, the farthest point
+of another edge f = (u_f, v_f, l_f) is (d(x, u_f) + d(x, v_f) + l_f) / 2
+away, and the sum d(x, u_f) + d(x, v_f) of two tent functions of x
+peaks where the tent of u_f does; graph_diameter gives the derivation.
 """
 
 from dataclasses import dataclass
@@ -204,72 +207,49 @@ def _vertex_distances(graph: WeightedMetricGraph) -> List[list]:
     return dist
 
 
-def _pair_max(le, lf, funcs) -> Scalar:
-    """Max over [0,le]x[0,lf] of min of affine funcs (cx, cy, c0).
-
-    The min of affine functions is concave, so the max sits on a vertex
-    of the arrangement cut out by the box sides and the equality lines
-    of the function pairs; enumerate all pairwise intersections.
-    """
-    zero = le - le
-    lines = [
-        (1, 0, zero),
-        (1, 0, le),
-        (0, 1, zero),
-        (0, 1, lf),
-    ]
-    m = len(funcs)
-    for a in range(m):
-        for b in range(a + 1, m):
-            ax, ay, a0 = funcs[a]
-            bx, by, b0 = funcs[b]
-            lines.append((ax - bx, ay - by, b0 - a0))
-    best = None
-    for a in range(len(lines)):
-        for b in range(a + 1, len(lines)):
-            a1, b1, c1 = lines[a]
-            a2, b2, c2 = lines[b]
-            det = a1 * b2 - a2 * b1
-            if det == 0:
-                continue
-            x = (c1 * b2 - c2 * b1) / det
-            y = (a1 * c2 - a2 * c1) / det
-            if x < 0 or x > le or y < 0 or y > lf:
-                continue
-            val = min(cx * x + cy * y + c0 for cx, cy, c0 in funcs)
-            if best is None or val > best:
-                best = val
-    return best
-
-
 def graph_diameter(graph: WeightedMetricGraph) -> Scalar:
-    """Diameter of the metric realization, exact for rational lengths."""
+    """Diameter of the metric realization, exact for rational lengths.
+
+    Vertex pairs and pairs of points on one edge e = (u, v, l) come from
+    the vertex distances d; the farthest two points of e are min(l,
+    (l + d(u, v)) / 2) apart.  For two different edges e = (u_e, v_e,
+    l_e) and f = (u_f, v_f, l_f), a point x of e (its distance from u_e)
+    is at d(x, w) = min(x + d(u_e, w), l_e - x + d(v_e, w)) from a vertex
+    w.  As |d(x, u_f) - d(x, v_f)| <= l_f, the farthest point of f is at
+    (d(x, u_f) + d(x, v_f) + l_f) / 2.  Each d(x, w) rises with slope 1
+    up to its breakpoint and falls with slope -1 after it, so their sum
+    is flat between the two breakpoints and peaks at both, among them
+    the one of u_f, x1 = (l_e + d(v_e, u_f) - d(u_e, u_f)) / 2.  Four
+    times the pair's maximum is therefore
+        l_e + d(u_e, u_f) + d(v_e, u_f) + 2 l_f
+          + min(l_e + d(v_e, u_f) - d(u_e, u_f) + 2 d(u_e, v_f),
+                l_e - d(v_e, u_f) + d(u_e, u_f) + 2 d(v_e, v_f)),
+    a constant number of additions per edge pair; loops and parallel
+    edges need no special case.
+    """
     zero = Fraction(0) if graph.mode == "exact" else 0.0
     if not graph.edges:
         return zero
     dist = _vertex_distances(graph)
-    best = max(max(row) for row in dist)
-    edges = graph.edges
-    one = zero + 1
-    for a in range(len(edges)):
-        ua, va, le = edges[a]
-        ia, ja = graph.vertex_index(ua), graph.vertex_index(va)
+    ends = [
+        (graph.vertex_index(u), graph.vertex_index(v), l) for u, v, l in graph.edges
+    ]
+    best4 = 4 * max(max(row) for row in dist)
+    for a, (ia, ja, le) in enumerate(ends):
         # points x <= y on the same edge: the far side of min(direct, around)
         around = (le + dist[ia][ja]) / 2
-        best = max(best, min(le, around))
-        for b in range(a + 1, len(edges)):
-            ub, vb, lf = edges[b]
-            ib, jb = graph.vertex_index(ub), graph.vertex_index(vb)
-            funcs = [
-                (one, one, dist[ia][ib]),
-                (one, -one, lf + dist[ia][jb]),
-                (-one, one, le + dist[ja][ib]),
-                (-one, -one, le + lf + dist[ja][jb]),
-            ]
-            val = _pair_max(le, lf, funcs)
-            if val > best:
-                best = val
-    return best
+        best4 = max(best4, 4 * min(le, around))
+        du, dv = dist[ia], dist[ja]
+        for ib, jb, lf in ends[a + 1 :]:
+            rise = le + dv[ib] - du[ib]
+            fall = le - dv[ib] + du[ib]
+            val4 = (
+                le + du[ib] + dv[ib] + 2 * lf
+                + min(rise + 2 * du[jb], fall + 2 * dv[jb])
+            )
+            if val4 > best4:
+                best4 = val4
+    return best4 / 4
 
 
 def rescale_graph_to_diameter_one(graph: WeightedMetricGraph) -> WeightedMetricGraph:

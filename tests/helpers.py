@@ -2,11 +2,14 @@
 
 The oracles here deliberately avoid the library's own algorithms: the
 covering radius is brute-forced on a grid, graph diameters are sampled
-densely along edges with a hand-rolled all-pairs shortest path,
-equivalence witnesses are searched over bounded-entry integer matrices,
-the collar integral is summed by Simpson's rule, LLL output is compared
-with the textbook recompute-everything loop and its conditions are read
-off Gram determinants.
+densely along edges with a hand-rolled all-pairs shortest path, or taken
+exactly over every pair of quarter-grid points, equivalence witnesses are
+searched over bounded-entry integer matrices, the collar integral is
+summed by Simpson's rule, LLL output is compared with the textbook
+recompute-everything loop and its conditions are read off Gram
+determinants, and orbit quotients are compared with the loop that
+minimizes every chain and facet over the whole group, and counted by
+Burnside's lemma.
 """
 
 import itertools
@@ -14,7 +17,7 @@ import math
 import random
 from fractions import Fraction
 
-from troplab import QuadraticForm, WeightedMetricGraph
+from troplab import DualComplex, QuadraticForm, WeightedMetricGraph
 
 
 def seeded(n: int) -> random.Random:
@@ -322,6 +325,154 @@ def sampled_graph_diameter(vertices, edges, steps: int = 40) -> float:
         if cand > worst:
             worst = cand
     return worst
+
+
+def grid_graph_diameter(vertices, edges) -> Fraction:
+    """Exact diameter of a metric graph with rational lengths.
+
+    Scaled to integer lengths, the distance between a point of edge e and
+    one of edge f is a min of affine functions of the two positions with
+    slopes +-1 (and |x - y| on one edge), so it peaks at a corner of that
+    line arrangement, where both positions are half-integers.  Taking
+    every pair of points on the quarter grid of the scaled lengths
+    therefore finds the maximum; positions are counted in quarters, so
+    the search runs in integers.
+    """
+    ids = [v[0] for v in vertices]
+    idx = {v: i for i, v in enumerate(ids)}
+    lengths = [Fraction(e[2]) for e in edges]
+    scale = 4 * math.lcm(*(l.denominator for l in lengths))
+    quarters = [int(l * scale) for l in lengths]
+    n = len(ids)
+    dist = [[0 if i == j else None for j in range(n)] for i in range(n)]
+    for (u, v, _), q in zip(edges, quarters):
+        i, j = idx[u], idx[v]
+        if i != j and (dist[i][j] is None or q < dist[i][j]):
+            dist[i][j] = dist[j][i] = q
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                if dist[i][k] is not None and dist[k][j] is not None:
+                    alt = dist[i][k] + dist[k][j]
+                    if dist[i][j] is None or alt < dist[i][j]:
+                        dist[i][j] = alt
+    worst = max(max(row) for row in dist)
+    for e, f in itertools.combinations_with_replacement(range(len(edges)), 2):
+        a, b = idx[edges[e][0]], idx[edges[e][1]]
+        c, d = idx[edges[f][0]], idx[edges[f][1]]
+        le, lf = quarters[e], quarters[f]
+        for x in range(le + 1):
+            for y in range(lf + 1):
+                cand = min(
+                    x + dist[a][c] + y,
+                    x + dist[a][d] + lf - y,
+                    le - x + dist[b][c] + y,
+                    le - x + dist[b][d] + lf - y,
+                )
+                if e == f:
+                    cand = min(cand, abs(x - y))
+                if cand > worst:
+                    worst = cand
+    return Fraction(worst, scale)
+
+
+def random_multigraph(rng: random.Random, max_vertices: int = 5, max_extra: int = 5):
+    """Vertices and edges of a connected multigraph, loops and parallel
+    edges likely, with small rational lengths."""
+    nv = rng.randint(1, max_vertices)
+    vids = ["v%d" % i for i in range(nv)]
+    pairs = [(vids[rng.randrange(i)], vids[i]) for i in range(1, nv)]
+    for _ in range(rng.randint(1, max_extra)):
+        u = rng.choice(vids)
+        pairs.append((u, u) if rng.random() < 0.25 else (u, rng.choice(vids)))
+    if pairs and rng.random() < 0.5:
+        pairs.append(rng.choice(pairs))
+    edges = [(u, v, Fraction(rng.randint(1, 4), rng.randint(1, 2))) for u, v in pairs]
+    return [(v, 0) for v in vids], edges
+
+
+def complete_graph(n: int):
+    edges = [(i, j, Fraction(1)) for i, j in itertools.combinations(range(n), 2)]
+    return [(v, 0) for v in range(n)], edges
+
+
+def reference_quotient(c: DualComplex, elements):
+    """Orbit quotient of the barycentric subdivision, by the loop that
+    takes every chain's orbit representative as a minimum over all group
+    elements, and again for each facet.  Returns (cells, facets)."""
+    strata = [frozenset(lab) for labels in c.cells.values() for lab in labels]
+
+    def key(ch):
+        return [(len(s), sorted(s)) for s in ch]
+
+    chains = {0: sorted(((s,) for s in strata), key=key)}
+    d = 0
+    while True:
+        nxt = [ch + (t,) for ch in chains[d] for t in strata if ch[-1] < t]
+        if not nxt:
+            break
+        d += 1
+        chains[d] = sorted(nxt, key=key)
+
+    def orbit_rep(chain):
+        return min(
+            (tuple(frozenset(p[i - 1] for i in s) for s in chain) for p in elements),
+            key=key,
+        )
+
+    cells, facets, rep_label = {}, {}, {}
+    for d in sorted(chains):
+        labels = []
+        for ch in chains[d]:
+            rep = orbit_rep(ch)
+            if rep in rep_label:
+                continue
+            lab = tuple(tuple(sorted(s)) for s in rep)
+            rep_label[rep] = lab
+            labels.append(lab)
+            facets[lab] = tuple(
+                rep_label[orbit_rep(rep[:i] + rep[i + 1 :])] for i in range(len(rep)) if d
+            )
+        cells[d] = tuple(labels)
+    return cells, facets
+
+
+def _surjections(c: int, m: int) -> int:
+    return sum((-1) ** j * math.comb(m, j) * (m - j) ** c for j in range(m + 1))
+
+
+def cyclic_quotient_counts(n: int):
+    """Cells per dimension of the barycentric subdivision of the full
+    (n-1)-simplex modulo the rotation group C_n, by Burnside's lemma.
+
+    A rotation by k has gcd(k, n) cycles; it fixes a chain of m strata
+    exactly when every stratum is a union of cycles, and such chains of
+    a c-set are the maps of the cycles onto m nonempty layers plus a
+    possibly empty rest."""
+    counts = {}
+    for m in range(1, n + 1):
+        fixed = sum(
+            _surjections(c, m) + _surjections(c, m + 1)
+            for c in (math.gcd(k, n) for k in range(n))
+        )
+        counts[m - 1] = fixed // n
+    return counts
+
+
+def symmetric_quotient(n: int):
+    """Cells and facets of the full (n-1)-simplex's subdivision modulo
+    S_n in closed form.  S_n moves any chain onto the chain of initial
+    segments {1..s} with the same sizes, its least member, so there is
+    one cell per set of sizes, listed in lexicographic order."""
+    cells, facets = {}, {}
+    for d in range(n):
+        cells[d] = tuple(
+            tuple(tuple(range(1, s + 1)) for s in sizes)
+            for sizes in itertools.combinations(range(1, n + 1), d + 1)
+        )
+        for lab in cells[d]:
+            facets[lab] = tuple(lab[:i] + lab[i + 1 :] for i in range(d + 1)) if d else ()
+    return cells, facets
 
 
 # -- graph builders ------------------------------------------------------------

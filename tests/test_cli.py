@@ -106,6 +106,23 @@ class TestReduce:
         assert out == ""
         assert "mode must be 'exact' or 'float', not 'fuzzy'" in err
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"X": [[0]]}, "expected an array of arrays (at /Y)"),
+            ([1], "point must be an object (at /)"),
+        ],
+        ids=["missing-Y", "not-an-object"],
+    )
+    def test_schema_pointer_is_rooted_once(self, capsys, tmp_path, doc, message):
+        # a key of the top-level document is "/Y"; "//Y" would name the key
+        # "Y" inside a key ""
+        code, out, err = run_main(capsys, "reduce", write_doc(tmp_path, "z.json", doc))
+        assert code == 2
+        assert out == ""
+        assert message in err
+        assert "//" not in err
+
 
 class TestCollapse:
     def test_symbolic(self, capsys, tmp_path):
@@ -124,6 +141,36 @@ class TestCollapse:
         assert result["collapsed"] is True
         torus = FlatTorus.from_json_dict(result["limit"])
         assert torus.gram.entries[0][0] == 4
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            (
+                {"X": [5], "B": [[{"c": 1}]], "D": [{"c": 1}]},
+                "matrix rows must be arrays (at /X/0)",
+            ),
+            (
+                {"X": [{"c": 0}], "B": [[{"c": 1}]], "D": [{"c": 1}]},
+                "matrix rows must be arrays (at /X/0)",
+            ),
+            (
+                {"X": [[{"c": 0}]], "B": [7], "D": [{"c": 1}]},
+                "matrix rows must be arrays (at /B/0)",
+            ),
+            (
+                {"X": [[5]], "B": [[{"c": 1}]], "D": [{"c": 1}]},
+                "monomial must be an object with 'c' (at /X/0/0)",
+            ),
+        ],
+        ids=["int-row", "monomial-row", "B-row", "int-entry"],
+    )
+    def test_malformed_path_is_schema_error(self, capsys, tmp_path, doc, message):
+        code, out, err = run_main(
+            capsys, "collapse", write_doc(tmp_path, "p.json", doc)
+        )
+        assert code == 2
+        assert out == ""
+        assert message in err
 
     def test_numeric_with_csv(self, capsys, tmp_path):
         samples = [

@@ -19,7 +19,12 @@ from troplab import (
     tropicalize,
 )
 
-from helpers import seeded
+from helpers import (
+    cyclic_quotient_counts,
+    reference_quotient,
+    seeded,
+    symmetric_quotient,
+)
 
 F = Fraction
 
@@ -99,6 +104,31 @@ class TestGroupAction:
             GroupAction.from_generators(lop, [(2, 1)])
         assert info.value.invariant == "strata-preserving"
 
+    def test_unclosed_list_is_rejected(self):
+        # the 3-cycle's inverse (its square) is missing: the product of the
+        # 3-cycle with itself already leaves the list
+        with pytest.raises(PreconditionError) as info:
+            GroupAction(simplex(3), [(1, 2, 3), (2, 3, 1)])
+        assert info.value.invariant == "group-closure"
+        with pytest.raises(PreconditionError) as info:
+            GroupAction(simplex(4), [(1, 2, 3, 4), (2, 1, 3, 4), (1, 2, 4, 3)])
+        assert info.value.invariant == "group-closure"
+
+    def test_any_order_of_a_group_is_accepted(self):
+        full = GroupAction.from_generators(simplex(4), [(2, 3, 4, 1), (2, 1, 3, 4)])
+        elems = list(full.elements)
+        seeded(62).shuffle(elems)
+        act = GroupAction(simplex(4), elems)
+        assert act.elements == tuple(elems)
+
+    def test_first_offending_element_is_named(self):
+        # strata {1}, {2}, {3}, {1,2}: the swap of 2 and 3 breaks them
+        inc = IncidenceComplex(3, [[1], [2], [3], [1, 2]])
+        with pytest.raises(PreconditionError) as info:
+            GroupAction(inc, [(1, 2, 3), (1, 3, 2)])
+        assert info.value.invariant == "strata-preserving"
+        assert "(1, 3, 2)" in str(info.value)
+
     def test_malformed_permutation(self):
         with pytest.raises(PreconditionError):
             GroupAction.from_generators(segment(), [(1, 1)])
@@ -134,6 +164,42 @@ class TestQuotient:
         assert len(act.elements) == 6
         q = quotient_complex(dc, act)
         assert q.counts() == {0: 3, 1: 3, 2: 1}
+
+    @pytest.mark.parametrize(
+        "kind, n", [(k, n) for n in (3, 4, 5) for k in "CS"] + [("C", 6)]
+    )
+    def test_matches_the_per_chain_minimum(self, kind, n):
+        inc = simplex(n)
+        dc = dual_complex(inc)
+        act = GroupAction.from_generators(inc, self._generators(kind, n))
+        q = quotient_complex(dc, act)
+        cells, facets = reference_quotient(dc, act.elements)
+        assert q.cells == cells
+        assert q.facets == facets
+        want = cyclic_quotient_counts(n) if kind == "C" else {
+            d: math.comb(n, d + 1) for d in range(n)
+        }
+        assert q.counts() == want
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_symmetric_group_closed_form(self, n):
+        # S6 on the 5-simplex: 720 elements, 4683 chains, 63 cells
+        inc = simplex(n)
+        act = GroupAction.from_generators(inc, self._generators("S", n))
+        assert len(act.elements) == math.factorial(n)
+        q = quotient_complex(dual_complex(inc), act)
+        cells, facets = symmetric_quotient(n)
+        assert q.cells == cells
+        assert q.facets == facets
+        assert q.counts() == {d: math.comb(n, d + 1) for d in range(n)}
+
+    def test_cyclic_six_counts(self):
+        assert cyclic_quotient_counts(6) == {0: 13, 1: 103, 2: 351, 3: 560, 4: 420, 5: 120}
+
+    @staticmethod
+    def _generators(kind, n):
+        rot = tuple(range(2, n + 1)) + (1,)
+        return [rot] if kind == "C" else [rot, (2, 1) + tuple(range(3, n + 1))]
 
     def test_action_must_match_complex(self):
         dc = dual_complex(segment())

@@ -20,9 +20,12 @@ from troplab import (
 from troplab.tropical import TropicalAV
 
 from helpers import (
+    complete_graph,
+    grid_graph_diameter,
     handcuff_graph,
     loop_graph,
     random_connected_graph,
+    random_multigraph,
     relabeled_shuffled,
     sampled_graph_diameter,
     seeded,
@@ -38,6 +41,25 @@ def path_tree(*lengths):
     vertices = [("v%d" % i, 0) for i in range(n + 1)]
     edges = [("v%d" % i, "v%d" % (i + 1), F(l)) for i, l in enumerate(lengths)]
     return WeightedMetricGraph(vertices, edges)
+
+
+def _cycle(n):
+    return [(i, (i + 1) % n) for i in range(n)]
+
+
+def _unit_graph(n, pairs):
+    return [(i, 0) for i in range(n)], [(u, v, F(1)) for u, v in pairs]
+
+
+# Petersen, the cube, K3,3 and the wheels W5, W6 (hub n, rim 0..n-1)
+NAMED_GRAPHS = [
+    _unit_graph(10, _cycle(5) + [(i, i + 5) for i in range(5)]
+                + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]),
+    _unit_graph(8, [(i, i ^ b) for i in range(8) for b in (1, 2, 4) if i < i ^ b]),
+    _unit_graph(6, [(i, j) for i in range(3) for j in range(3, 6)]),
+    _unit_graph(6, _cycle(5) + [(i, 5) for i in range(5)]),
+    _unit_graph(7, _cycle(6) + [(i, 6) for i in range(6)]),
+]
 
 
 class TestGraphValidation:
@@ -131,6 +153,37 @@ class TestDiameter:
             longest = max(float(l) for _, _, l in g.edges)
             assert sampled <= exact + 1e-9
             assert exact <= sampled + 2 * longest / 60 + 1e-9
+
+    def test_grid_oracle_on_random_multigraphs(self):
+        # loops, parallel edges and single-vertex graphs included
+        rng = seeded(45)
+        for _ in range(40):
+            vertices, edges = random_multigraph(rng)
+            g = WeightedMetricGraph(vertices, edges)
+            assert graph_diameter(g) == grid_graph_diameter(vertices, edges)
+
+    def test_grid_oracle_on_named_graphs(self):
+        rng = seeded(46)
+        graphs = [complete_graph(n) for n in range(4, 9)] + NAMED_GRAPHS
+        for vertices, edges in graphs:
+            assert graph_diameter(WeightedMetricGraph(vertices, edges)) == (
+                grid_graph_diameter(vertices, edges)
+            )
+            # the same shape with uneven lengths
+            uneven = [(u, v, F(rng.randint(1, 3), rng.randint(1, 2))) for u, v, _ in edges]
+            assert graph_diameter(WeightedMetricGraph(vertices, uneven)) == (
+                grid_graph_diameter(vertices, uneven)
+            )
+
+    def test_float_lengths_match_the_exact_diameter(self):
+        rng = seeded(47)
+        cases = [random_multigraph(rng) for _ in range(20)] + [complete_graph(6)]
+        for vertices, edges in cases:
+            exact = grid_graph_diameter(vertices, edges)
+            floats = [(u, v, float(l)) for u, v, l in edges]
+            value = graph_diameter(WeightedMetricGraph(vertices, floats))
+            assert isinstance(value, float)
+            assert abs(value - float(exact)) <= 1e-12 * float(exact)
 
     def test_rescale_makes_diameter_one(self):
         g = handcuff_graph(1, 2, F(3, 2))
