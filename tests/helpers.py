@@ -344,18 +344,17 @@ def grid_graph_diameter(vertices, edges) -> Fraction:
     scale = 4 * math.lcm(*(l.denominator for l in lengths))
     quarters = [int(l * scale) for l in lengths]
     n = len(ids)
-    dist = [[0 if i == j else None for j in range(n)] for i in range(n)]
+    dist = [[0 if i == j else math.inf for j in range(n)] for i in range(n)]
     for (u, v, _), q in zip(edges, quarters):
         i, j = idx[u], idx[v]
-        if i != j and (dist[i][j] is None or q < dist[i][j]):
+        if i != j and q < dist[i][j]:
             dist[i][j] = dist[j][i] = q
     for k in range(n):
         for i in range(n):
             for j in range(n):
-                if dist[i][k] is not None and dist[k][j] is not None:
-                    alt = dist[i][k] + dist[k][j]
-                    if dist[i][j] is None or alt < dist[i][j]:
-                        dist[i][j] = alt
+                alt = dist[i][k] + dist[k][j]
+                if alt < dist[i][j]:
+                    dist[i][j] = alt
     worst = max(max(row) for row in dist)
     for e, f in itertools.combinations_with_replacement(range(len(edges)), 2):
         a, b = idx[edges[e][0]], idx[edges[e][1]]
