@@ -1,4 +1,4 @@
-"""Small dense matrix helpers, generic over Fraction / float / complex.
+"""Small dense matrix helpers, generic over Fraction and float.
 
 Everything here works on lists of lists and stays in whatever arithmetic
 the entries carry; integer literals are neutral in both exact and float

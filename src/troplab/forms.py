@@ -333,10 +333,9 @@ def _round_half_away(num: int, den: int) -> int:
 
 
 def _nearest_int(x) -> int:
-    if isinstance(x, Fraction):
-        # round half away from zero keeps |mu| <= 1/2 after reduction
-        return _round_half_away(x.numerator, x.denominator)
-    return int(math.floor(x + 0.5))
+    """x rounded half away from zero; a float is read by its exact value."""
+    num, den = x.as_integer_ratio()
+    return _round_half_away(num, den)
 
 
 # -- enumeration -----------------------------------------------------------

@@ -90,6 +90,10 @@ class SiegelPoint:
         mode = doc.get("mode", "exact")
         x = parse_matrix(doc.get("X"), mode, f"{pointer}/X")
         y = parse_matrix(doc.get("Y"), mode, f"{pointer}/Y")
+        g = doc.get("g", len(y))
+        if "g" in doc and not (type(g) is int and 1 <= g == len(y)):
+            message = f"g must be a positive integer equal to the size of Y, not {g!r}"
+            raise SchemaError(message, f"{pointer}/g")
         return cls(x, QuadraticForm(y, mode))
 
 
@@ -171,33 +175,26 @@ class SymplecticElement:
         return SymplecticElement(la.mat_mul(self.mat, other.mat))
 
     def act(self, z: SiegelPoint) -> SiegelPoint:
-        """Z -> (AZ + B)(CZ + D)^{-1}.
+        """Z -> (AZ + B)(CZ + D)^{-1}, in the arithmetic of Z.
 
-        Stays exact when C = 0 (then the action is affine in X, Y);
-        otherwise the complex inverse runs in floats.
+        W = gamma Z is symmetric, so W(CZ + D) = AZ + B transposes to
+        (CZ + D)^T W = (AZ + B)^T.  With P = CX + D and Q = CY its real and
+        imaginary parts form one real 2g x 2g system
+        [[P^T, -Q^T], [Q^T, P^T]] [Re W; Im W] = [(AX + B)^T; (AY)^T],
+        solved by elimination over Fractions or floats alike.
         """
         a, b, c, d = self.blocks()
-        g = z.g
-        if all(v == 0 for r in c for v in r):
-            d_inv = la.inv([[Fraction(v) for v in r] for r in d])
-            if z.mode == "float":
-                d_inv = [[float(v) for v in r] for r in d_inv]
-            ax = la.mat_mul(a, [list(r) for r in z.x])
-            x_new = la.mat_mul(la.mat_add(ax, b), d_inv)
-            y_new = la.mat_mul(la.mat_mul(a, z.y.rows), d_inv)
-            x_new = _symmetrized(x_new)
-            y_new = _symmetrized(y_new)
-            return SiegelPoint(x_new, QuadraticForm(y_new, z.mode))
-        zc = [
-            [complex(float(z.x[i][j]), float(z.y.entries[i][j])) for j in range(g)]
-            for i in range(g)
-        ]
-        num = la.mat_add(la.mat_mul(a, zc), [[complex(v) for v in r] for r in b])
-        den = la.mat_add(la.mat_mul(c, zc), [[complex(v) for v in r] for r in d])
-        znew = la.mat_mul(num, la.inv(den))
-        x_new = _symmetrized([[v.real for v in r] for r in znew])
-        y_new = _symmetrized([[v.imag for v in r] for r in znew])
-        return SiegelPoint(x_new, QuadraticForm(y_new, "float"))
+        g, x, y = z.g, z.x, z.y.rows
+        p = la.transpose(la.mat_add(la.mat_mul(c, x), d))
+        q = la.transpose(la.mat_mul(c, y))
+        lhs = [pr + [-v for v in qr] for pr, qr in zip(p, q)]
+        lhs += [qr + pr for pr, qr in zip(p, q)]
+        rhs = la.transpose(la.mat_add(la.mat_mul(a, x), b))
+        rhs += la.transpose(la.mat_mul(a, y))
+        w = la.mat_mul(la.inv(lhs), rhs)
+        return SiegelPoint(
+            _symmetrized(w[:g]), QuadraticForm(_symmetrized(w[g:]), z.mode)
+        )
 
     def __repr__(self):
         return f"SymplecticElement({[list(r) for r in self.mat]!r})"
@@ -258,12 +255,18 @@ def siegel_reduce(
 ) -> Tuple[SiegelPoint, SymplecticElement, bool]:
     """Move Z into the fundamental set, tracking the symplectic witness.
 
-    Alternates lattice reduction of Y, integral translation of X, and a
-    partial inversion when the smallest diagonal of the Jacobi
-    decomposition is too small.  Best effort: the success flag reports
-    whether membership at slack u was reached within the iteration cap.
-    Inversions leave exact arithmetic (documented mode change), except in
-    genus 1 where the full inversion is rational.
+    Each round lattice-reduces Y (Y -> U^T Y U, X -> U^T X U), translates
+    X by an integral symmetric S into [-1/2, 1/2], and, if Z is still
+    outside, applies the partial inversion in the first coordinate.  The
+    answer stays in the arithmetic of Z in every genus: exact in, exact out.
+
+    Why the rounds end: after LLL and translation only 1 < u d_1 can
+    fail.  Then |x_11| <= 1/2 and y_11 = d_1 <= 1/u <= 1/2, so
+    |z_11|^2 < 1 and the inversion, which divides det Y by |z_11|^2,
+    raises det Y; the other steps keep it.  On one orbit det Im(gamma Z)
+    takes finitely many values above any bound (Siegel), so it cannot
+    rise forever.  max_iterations stays as a user bound; the flag reports
+    whether membership at slack u was reached within it.
     """
     g = z.g
     if u is None:
@@ -277,31 +280,21 @@ def siegel_reduce(
     for _ in range(max_iterations):
         if in_siegel_set(cur, u):
             return cur, gamma, True
-        # lattice-reduce Y
-        _, u_gl = lll_reduce(cur.y)
+        y, u_gl = lll_reduce(cur.y)
+        x = cur.x
         if u_gl != la.identity(g):
-            step = SymplecticElement.from_gl(u_gl)
-            cur = step.act(cur)
-            gamma = step.compose(gamma)
+            gamma = SymplecticElement.from_gl(u_gl).compose(gamma)
+            x = _symmetrized(la.mat_mul(la.transpose(u_gl), la.mat_mul(x, u_gl)))
         # translate X into [-1/2, 1/2]; X symmetric, so S is too
-        s = [[-_nearest_int(cur.x[i][j]) for j in range(g)] for i in range(g)]
+        s = [[-_nearest_int(v) for v in r] for r in x]
         if any(v != 0 for r in s for v in r):
-            step = SymplecticElement.translation(s)
-            cur = step.act(cur)
-            gamma = step.compose(gamma)
+            gamma = SymplecticElement.translation(s).compose(gamma)
+            x = la.mat_add(x, s)
+        cur = SiegelPoint(x, y)
         if in_siegel_set(cur, u):
             return cur, gamma, True
-        dec = jacobi_decompose(cur.y)
-        if not 1 < u * dec.d[0]:
-            if g == 1:
-                step = SymplecticElement.partial_inversion(1)
-                # rational full inversion: -1/z
-                xv, yv = cur.x[0][0], cur.y.entries[0][0]
-                norm = xv * xv + yv * yv
-                cur = SiegelPoint([[-xv / norm]], QuadraticForm([[yv / norm]], cur.mode))
-                gamma = step.compose(gamma)
-            else:
-                step = SymplecticElement.partial_inversion(g, 0)
-                cur = step.act(cur)
-                gamma = step.compose(gamma)
+        if not 1 < u * jacobi_decompose(cur.y).d[0]:
+            step = SymplecticElement.partial_inversion(g, 0)
+            cur = step.act(cur)
+            gamma = step.compose(gamma)
     return cur, gamma, in_siegel_set(cur, u)

@@ -1,9 +1,11 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -105,6 +107,14 @@ class TestReduce:
         assert code == 2
         assert out == ""
         assert "mode must be 'exact' or 'float', not 'fuzzy'" in err
+
+    @pytest.mark.parametrize("g", [3, "two"], ids=["wrong-size", "not-an-integer"])
+    def test_bad_genus_is_schema_error(self, capsys, tmp_path, g):
+        doc = {"g": g, "X": [["9/2"]], "Y": [["3"]]}
+        code, out, err = run_main(capsys, "reduce", write_doc(tmp_path, "z.json", doc))
+        assert code == 2
+        assert out == ""
+        assert f"equal to the size of Y, not {g!r} (at /g)" in err
 
     @pytest.mark.parametrize(
         "doc, message",
@@ -501,3 +511,24 @@ class TestRoundTrips:
         )
         assert code == 0
         IncidenceComplex.from_json_dict(doc)
+
+
+COMMAND_PAGES = sorted(
+    (Path(__file__).resolve().parent.parent / "docs" / "commands").glob("*.md")
+)
+
+
+@pytest.mark.parametrize("page", COMMAND_PAGES, ids=lambda p: p.stem)
+def test_worked_example_output_is_byte_identical(capsys, tmp_path, page):
+    # each page ends in an input.json block and a console block: the
+    # command line, a blank line, then stdout exactly as printed
+    example = page.read_text(encoding="utf-8").split("## Worked example", 1)[1]
+    blocks = dict(re.findall(r"```(json|console)\n(.*?)```", example, re.S))
+    command_line, blank, expected = blocks["console"].split("\n", 2)
+    assert blank == ""
+    command = command_line.split()
+    assert command[:2] == ["$", "troplab"] and command[3:] == ["input.json"]
+    (tmp_path / "input.json").write_text(blocks["json"], encoding="utf-8")
+    code, out, _ = run_main(capsys, command[2], str(tmp_path / "input.json"))
+    assert code == 0
+    assert out == expected

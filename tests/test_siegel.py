@@ -25,15 +25,55 @@ def point(x, y):
     return SiegelPoint(x, QuadraticForm(y))
 
 
-def assert_same_point(a, b, tol=1e-9):
-    """Equality across arithmetic modes: inversions move to floats."""
-    assert a.g == b.g
-    for i in range(a.g):
-        for j in range(a.g):
-            assert abs(float(a.x[i][j]) - float(b.x[i][j])) <= tol
-            assert (
-                abs(float(a.y.entries[i][j]) - float(b.y.entries[i][j])) <= tol
-            )
+def has_inversion(gamma):
+    """C != 0: gamma is not affine, so some step of it inverted."""
+    g = gamma.g
+    return any(gamma.mat[g + i][j] for i in range(g) for j in range(g))
+
+
+def defining_identity_holds(gamma, z, w):
+    """W(CZ + D) = AZ + B, real and imaginary parts apart, in Fractions.
+
+    With Z = X + iY, W = U + iV, P = CX + D and Q = CY the two sides read
+    (UP - VQ) + i(UQ + VP) = (AX + B) + i(AY).
+    """
+    g = z.g
+    a, b, c, d = gamma.blocks()
+
+    def mul(m, n):
+        return [
+            [sum(m[i][k] * n[k][j] for k in range(g)) for j in range(g)]
+            for i in range(g)
+        ]
+
+    def add(m, n, sign=1):
+        return [[m[i][j] + sign * n[i][j] for j in range(g)] for i in range(g)]
+
+    x, y = [list(r) for r in z.x], [list(r) for r in z.y.entries]
+    u, v = [list(r) for r in w.x], [list(r) for r in w.y.entries]
+    p, q = add(mul(c, x), d), mul(c, y)
+    real = add(mul(u, p), mul(v, q), -1) == add(mul(a, x), b)
+    imag = add(mul(u, q), mul(v, p)) == mul(a, y)
+    return real and imag
+
+
+def dyadic_point(rng, g):
+    """A point with dyadic entries: floats hold it exactly."""
+    b = [
+        [F(int(i == j)) if j <= i else F(rng.randint(-4, 4), 4) for j in range(g)]
+        for i in range(g)
+    ]
+    scale = rng.choice([F(1, 1024), F(1, 16), F(1, 2), F(1), F(4)])
+    d = [scale * F(rng.randint(1, 16), 4) for _ in range(g)]
+    y = [
+        [sum(b[k][i] * d[k] * b[k][j] for k in range(g)) for j in range(g)]
+        for i in range(g)
+    ]
+    x = [[F(0)] * g for _ in range(g)]
+    for i in range(g):
+        for j in range(i, g):
+            x[i][j] = x[j][i] = F(rng.randint(-40, 40), rng.choice([1, 2, 4, 8]))
+    return x, y
 
 
 class TestDefaults:
@@ -160,7 +200,8 @@ class TestReduce:
             reduced, gamma, ok = siegel_reduce(z)
             if ok:
                 assert in_siegel_set(reduced, 2)
-            assert_same_point(gamma.act(z), reduced)
+            assert reduced.mode == "exact"
+            assert gamma.act(z) == reduced
 
     def test_witness_preserves_torus_class_genus_one(self):
         rng = seeded(33)
@@ -173,10 +214,7 @@ class TestReduce:
             assert ok
             t1 = torus_model(z).gram
             t2 = torus_model(reduced).gram
-            if t1.mode == "exact" and t2.mode == "exact":
-                assert is_equivalent(t1, t2) is not None
-            else:
-                assert is_equivalent(t1.to_float(), t2.to_float(), tol=1e-7) is not None
+            assert is_equivalent(t1, t2) is not None
 
     def test_genus_two_lattice_reduction(self):
         y = QuadraticForm([[1, 7], [7, 50]])
@@ -185,3 +223,57 @@ class TestReduce:
         assert ok
         assert in_siegel_set(reduced, 4)
         assert gamma.act(z) == reduced
+
+    @pytest.mark.parametrize("eps", [F(1, 1000), F(1, 10**6)], ids=["1e-3", "1e-6"])
+    @pytest.mark.parametrize("g", [1, 2, 3, 4])
+    def test_inversions_stay_exact(self, g, eps):
+        # Y = eps (I + J) lies far below the fundamental set, so the
+        # reduction must invert; X holds random sevenths
+        rng = seeded(40 + g)
+        y = [[eps * (1 + (i == j)) for j in range(g)] for i in range(g)]
+        x = [[F(0)] * g for _ in range(g)]
+        for i in range(g):
+            for j in range(i, g):
+                x[i][j] = x[j][i] = F(rng.randint(-20, 20), 7)
+        z = point(x, y)
+        reduced, gamma, ok = siegel_reduce(z)
+        assert ok
+        assert reduced.mode == "exact"
+        assert has_inversion(gamma)
+        assert defining_identity_holds(gamma, z, reduced)
+
+    def test_float_copy_of_dyadic_point_takes_the_exact_steps(self):
+        # one rounding rule in both modes (half away from zero, floats read
+        # by their exact values), and LLL reads a float Gram exactly, so a
+        # float point holding a dyadic one exactly gets the same witness;
+        # with no inversion every float step is exact too, so the answer is
+        # the exact one rounded once per entry
+        rng = seeded(41)
+        without_inversion = 0
+        for k in range(80):
+            g = 1 + k % 4
+            x, y = dyadic_point(rng, g)
+            exact, gamma, ok = siegel_reduce(point(x, y))
+            if has_inversion(gamma):
+                continue
+            without_inversion += 1
+            zf = SiegelPoint(
+                [[float(v) for v in r] for r in x],
+                QuadraticForm([[float(v) for v in r] for r in y], "float"),
+            )
+            rounded, gamma_f, ok_f = siegel_reduce(zf)
+            assert (gamma_f.mat, ok_f) == (gamma.mat, ok)
+            assert rounded.mode == "float"
+            assert rounded.x == tuple(tuple(float(v) for v in r) for r in exact.x)
+            assert rounded.y == exact.y.to_float()
+        assert without_inversion >= 40
+
+    def test_float_half_rounds_away_from_zero(self):
+        # -5/2 rounds to -3 in both modes, so X moves to +1/2
+        for x in (F(-5, 2), -2.5):
+            mode = "float" if isinstance(x, float) else "exact"
+            z = SiegelPoint([[x]], QuadraticForm([[3]], mode))
+            reduced, gamma, ok = siegel_reduce(z)
+            assert ok
+            assert gamma.mat == ((1, 3), (0, 1))
+            assert reduced.x[0][0] == F(1, 2)
