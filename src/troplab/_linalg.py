@@ -2,11 +2,10 @@
 
 Everything here works on lists of lists and stays in whatever arithmetic
 the entries carry; integer literals are neutral in both exact and float
-modes.  Matrices are tiny (a handful of rows), so the cubic algorithms
-with full pivoting are the right tool.
+modes.  Matrices are tiny (a handful of rows), so a cubic Gauss-Jordan
+pass is the right tool.
 """
 
-from fractions import Fraction
 from typing import List, Sequence
 
 Matrix = List[list]
@@ -41,40 +40,15 @@ def mat_add(a, b) -> Matrix:
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def det(a):
-    """Determinant by elimination with max-|pivot| selection.
+def solve(a, b) -> Matrix:
+    """X with A X = B, by one Gauss-Jordan pass on [A | B].
 
-    Exact for Fraction entries, numerically sane for floats.
+    Stays in the arithmetic of A (Fraction entries give the exact
+    solution); B = identity gives the inverse.  Raises ZeroDivisionError
+    on singular input.
     """
     n = len(a)
-    if n == 0:
-        return 1
-    m = [list(row) for row in a]
-    sign = 1
-    result = None
-    for col in range(n):
-        pivot_row = max(range(col, n), key=lambda r: abs(m[r][col]))
-        if m[pivot_row][col] == 0:
-            return 0 * m[0][0]
-        if pivot_row != col:
-            m[col], m[pivot_row] = m[pivot_row], m[col]
-            sign = -sign
-        pivot = m[col][col]
-        result = pivot if result is None else result * pivot
-        for r in range(col + 1, n):
-            factor = m[r][col] / pivot
-            if factor == 0:
-                continue
-            m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
-    return sign * result
-
-
-def inv(a) -> Matrix:
-    """Gauss-Jordan inverse; raises ZeroDivisionError on singular input."""
-    n = len(a)
-    one = 1 if n == 0 or not isinstance(a[0][0], Fraction) else Fraction(1)
-    aug = [list(row) + [one if i == j else 0 * one for j in range(n)]
-           for i, row in enumerate(a)]
+    aug = [list(ra) + list(rb) for ra, rb in zip(a, b)]
     for col in range(n):
         pivot_row = max(range(col, n), key=lambda r: abs(aug[r][col]))
         if aug[pivot_row][col] == 0:
@@ -102,8 +76,3 @@ def int_matrix(a) -> Matrix:
             r.append(xi)
         out.append(r)
     return out
-
-
-def is_unimodular(u) -> bool:
-    d = det([[Fraction(x) for x in row] for row in u])
-    return d in (1, -1)

@@ -3,9 +3,11 @@
 The form is the Gram matrix of a lattice basis; the associated flat torus
 is R^n / Z^n with that inner product.  Exact mode keeps every entry a
 Fraction so reduction, equivalence testing and covering radii in every
-dimension are exact.  Float mode holds numerically sampled inputs: LLL
-reduction and the covering radius read a float form from the exact values
-of its entries and round the result once, and equivalence with a
+dimension are exact.  Float mode holds numerically sampled inputs, each
+entry read as its exact (dyadic) value.  A form is eliminated once, when
+it is built, fraction-free in integers; positive definiteness, det,
+jacobi_decompose, LLL and the covering radius all read those minors, and
+a float answer is the exact one rounded once.  Equivalence with a
 tolerance matches the reduced forms in doubles.
 
 Mixing modes silently would hide precision loss, so mixed-mode operations
@@ -29,11 +31,15 @@ class QuadraticForm:
     """Symmetric positive-definite matrix with a declared arithmetic mode.
 
     Entries are normalized to Fraction ("exact") or float ("float") and
-    stored immutably.  Positive definiteness is checked on construction;
-    the error names the first failing leading principal minor.
+    stored immutably with the fraction-free LDL^T of the Gram
+    (_integer_ldl).  Positive definiteness is decided exactly on its
+    leading minors, so a float form is accepted exactly when its
+    to_exact() is; the error names the first minor that is not positive.
+    det() and jacobi_decompose are exact, or on a float form the exact
+    value rounded once.
     """
 
-    __slots__ = ("n", "entries", "mode", "_det")
+    __slots__ = ("n", "entries", "mode", "_gram", "_den", "_minors", "_lam")
 
     def __init__(self, entries: Sequence[Sequence], mode: Optional[str] = None):
         rows = [list(r) for r in entries]
@@ -70,20 +76,17 @@ class QuadraticForm:
                     raise PreconditionError(
                         "symmetric", f"entries[{i}][{j}] != entries[{j}][{i}]"
                     )
+                rows[j][i] = rows[i][j]  # one object for both halves
         self.n = n
         self.entries = tuple(tuple(r) for r in rows)
         self.mode = mode
-        self._det = None
-        _check_positive_definite(self.entries)
+        self._gram, self._den, self._minors, self._lam = _integer_ldl(self.entries)
 
     # -- basic algebra ---------------------------------------------------
 
     def det(self) -> Scalar:
-        if self._det is None:
-            self._det = la.det([list(r) for r in self.entries]) if self.n else (
-                Fraction(1) if self.mode == "exact" else 1.0
-            )
-        return self._det
+        """d_n / den^n from the stored minors."""
+        return _quotient(self.mode, self._minors[-1], self._den**self.n)
 
     def scale(self, c: Scalar) -> "QuadraticForm":
         if c <= 0:
@@ -165,22 +168,39 @@ def _symmetrized(m):
     ]
 
 
-def _check_positive_definite(entries):
-    # LDL^T elimination; d_j <= 0 pins the first bad leading minor
-    n = len(entries)
-    a = [list(r) for r in entries]
-    lmat = la.identity(n)
-    dvec = []
-    for j in range(n):
-        dj = a[j][j] - sum(lmat[j][k] * lmat[j][k] * dvec[k] for k in range(j))
-        if dj <= 0:
-            raise NotPositiveDefiniteError(j + 1)
-        dvec.append(dj)
-        for i in range(j + 1, n):
-            lmat[i][j] = (
-                a[i][j] - sum(lmat[i][k] * lmat[j][k] * dvec[k] for k in range(j))
-            ) / dj
-    return lmat, dvec
+def _integer_ldl(entries):
+    """Fraction-free LDL^T of F, a float read as its dyadic value.
+
+    Returns (g, den, d, lam): g = den * F is integral, d[i] is the i-th
+    leading principal minor of g (d[0] = 1) and lam[i][j] = d[j+1] mu_ij
+    for j < i, all integers by exact division (Bareiss, Math. Comp. 22
+    (1968); Cohen, Alg. 2.6.7).  The first d[i] <= 0 raises
+    NotPositiveDefiniteError(i).
+    """
+    # the lower triangle is all the elimination reads
+    ratios = [[x.as_integer_ratio() for x in r[: i + 1]] for i, r in enumerate(entries)]
+    den = math.lcm(*(q for row in ratios for _, q in row))
+    low = [[p * (den // q) for p, q in row] for row in ratios]
+    d, lam = [1], []
+    for i, gi in enumerate(low):
+        li = []
+        lam.append(li)
+        for j in range(i + 1):
+            t, lj = gi[j], lam[j]
+            for s in range(j):
+                t = (d[s + 1] * t - li[s] * lj[s]) // d[s]
+            li.append(t)
+        if li[i] <= 0:
+            raise NotPositiveDefiniteError(i + 1)
+        d.append(li.pop())
+    n = len(low)
+    g = tuple(tuple(low[max(i, j)][min(i, j)] for j in range(n)) for i in range(n))
+    return g, den, tuple(d), tuple(map(tuple, lam))
+
+
+def _quotient(mode: str, num: int, den: int) -> Scalar:
+    """num / den: a Fraction, or in float mode the double nearest to it."""
+    return Fraction(num, den) if mode == "exact" else num / den
 
 
 @dataclass(frozen=True)
@@ -201,25 +221,23 @@ def jacobi_decompose(form: QuadraticForm) -> JacobiDecomposition:
     """Unit-upper-triangular diagonalization of a positive-definite form.
 
     The diagonal entries are the squared lengths of the Gram-Schmidt
-    vectors of the standard basis; positivity failure reports the first
-    violated leading principal minor.
+    vectors of the standard basis.  Both factors are read off the minors
+    stored with the form: b_ij = lambda_ji / d_{i+1} for i < j and
+    d_i = d_{i+1} / (d_i den), exact, or on a float form rounded once.
     """
-    lmat, dvec = _check_positive_definite(form.entries)
-    bmat = la.transpose(lmat)
-    return JacobiDecomposition(
-        b=tuple(tuple(r) for r in bmat), d=tuple(dvec)
+    n, mode, d, lam = form.n, form.mode, form._minors, form._lam
+    b = tuple(
+        tuple(
+            _quotient(mode, lam[j][i], d[i + 1]) if j > i else int(j == i)
+            for j in range(n)
+        )
+        for i in range(n)
     )
+    dvec = tuple(_quotient(mode, d[i + 1], d[i] * form._den) for i in range(n))
+    return JacobiDecomposition(b=b, d=dvec)
 
 
 # -- LLL reduction ---------------------------------------------------------
-
-
-def _integer_gram(form: QuadraticForm) -> Tuple[List[List[int]], int]:
-    """(g, den) with g = den * F integral; a float is read as its dyadic value."""
-    ratios = [[x.as_integer_ratio() for x in row] for row in form.entries]
-    den = math.lcm(*(q for row in ratios for _, q in row))
-    g = [[p * (den // q) for p, q in row] for row in ratios]
-    return g, den
 
 
 def lll_reduce(
@@ -231,24 +249,22 @@ def lll_reduce(
     mu_kj half away from zero), then keep k + 1 if the Lovasz condition
     holds, else swap b_{k-1}, b_k and step back.  This is the integral
     LLL (H. Cohen, A Course in Computational Algebraic Number Theory,
-    Alg. 2.6.7) on the Gram scaled to integers by _integer_gram: the
-    leading minors d_i and lambda_ij = d_{j+1} mu_ij stay integers and
-    are updated in O(n) per step by exact division; delta is read exactly.
-    A float form is read from the exact values of its entries, so it
-    takes the same steps as its to_exact(), raises the same
-    NotPositiveDefiniteError when that is not positive definite, and
-    gets back the exact reduced Gram rounded once per entry.
+    Alg. 2.6.7) on the integer Gram stored with the form: it starts from
+    the leading minors d_i and lambda_ij = d_{j+1} mu_ij of the form's
+    elimination, which stay integers and are updated in O(n) per step by
+    exact division; delta is read exactly.  A float form is read from the
+    exact values of its entries, so it takes the same steps as its
+    to_exact() and gets back the exact reduced Gram rounded once per entry.
     """
     if form.n <= 1:
         return form, la.identity(form.n)
     delta = Fraction(delta)
     if not 0.25 < delta < 1:
         raise PreconditionError("lll-delta", "delta must lie in (1/4, 1)")
-    m, den = _integer_gram(form)
-    u = _lll_integer(m, delta)
-    if form.mode == "float":
-        return QuadraticForm([[x / den for x in row] for row in m], "float"), u
-    return QuadraticForm([[Fraction(x, den) for x in row] for row in m]), u
+    m = [list(r) for r in form._gram]
+    u = _lll_integer(m, list(form._minors), [list(r) for r in form._lam], delta)
+    rows = [[_quotient(form.mode, x, form._den) for x in row] for row in m]
+    return QuadraticForm(rows, form.mode), u
 
 
 def _translate(m, u, k, j, q):
@@ -273,26 +289,11 @@ def _swap(m, u, k):
         m[r][k - 1], m[r][k] = m[r][k], m[r][k - 1]
 
 
-def _lll_integer(m, delta: Fraction) -> List[List[int]]:
-    """LLL-reduce the integer Gram matrix m in place; returns U."""
+def _lll_integer(m, d, lam, delta: Fraction) -> List[List[int]]:
+    """LLL-reduce the integer Gram m, its minors d and lam, in place; returns U."""
     dn, dd = delta.numerator, delta.denominator
     n = len(m)
     u = la.identity(n)
-    # d[i] is the i-th leading principal minor of m (d[0] = 1), and
-    # lam[i][j] = d[j+1] mu_ij for j < i; both are integers
-    d = [1] * (n + 1)
-    lam = la.zeros(n, n)
-    for i in range(n):
-        for j in range(i + 1):
-            t = m[i][j]
-            for s in range(j):
-                t = (d[s + 1] * t - lam[i][s] * lam[j][s]) // d[s]
-            if j < i:
-                lam[i][j] = t
-            elif t <= 0:
-                raise NotPositiveDefiniteError(i + 1)
-            else:
-                d[i + 1] = t
     k = 1
     while k < n:
         lk = lam[k]
@@ -504,11 +505,10 @@ def _voronoi_covering_radius_sq(form: QuadraticForm) -> Fraction:
     solved, and a solution counts if it satisfies every inequality.
     """
     reduced, _ = lll_reduce(form)
-    n = reduced.n
-    g, den = _integer_gram(reduced)
-    dec = jacobi_decompose(QuadraticForm(g))
+    n, g, den = reduced.n, reduced._gram, reduced._den
+    dec = jacobi_decompose(reduced)
     # a class c in {0,1}^n has a vector of norm Q(c), so the doubling ends
-    bound = max(g[i][i] for i in range(n))
+    bound = max(reduced.entries[i][i] for i in range(n))
     while True:
         shortest = {}
         for vec, val in _enumerate_up_to(dec.b, dec.d, bound):
@@ -687,12 +687,12 @@ def is_equivalent(
     if not extend(0):
         return None
     t = la.transpose([list(v) for v in chosen])  # columns are images
-    if not la.is_unimodular(t):
+    # U = U1 T^-1 U2^-1 = U1 (U2 T)^-1 is integral iff T is unimodular
+    u2t = [[Fraction(x) for x in row] for row in la.mat_mul(u2, t)]
+    try:
+        u = la.int_matrix(la.mat_mul(u1, la.solve(u2t, la.identity(n))))
+    except (ZeroDivisionError, ValueError):
         return None
-    t_inv = la.int_matrix(la.inv([[Fraction(x) for x in row] for row in t]))
-    u2_inv = la.int_matrix(la.inv([[Fraction(x) for x in row] for row in u2]))
-    u = la.mat_mul(u1, la.mat_mul(t_inv, u2_inv))
-    u = la.int_matrix(u)
     if exact and f1.transform(u) != f2:
         raise RuntimeError("witness verification failed")
     return u

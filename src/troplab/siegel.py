@@ -132,7 +132,8 @@ class SymplecticElement:
         """GL(g, Z) embedding sending Y to U^T Y U."""
         g = len(u)
         ut = la.transpose([[int(v) for v in r] for r in u])
-        u_inv = la.int_matrix(la.inv([[Fraction(v) for v in r] for r in u]))
+        u_frac = [[Fraction(v) for v in r] for r in u]
+        u_inv = la.int_matrix(la.solve(u_frac, la.identity(g)))
         m = la.zeros(2 * g, 2 * g)
         for i in range(g):
             for j in range(g):
@@ -181,7 +182,7 @@ class SymplecticElement:
         (CZ + D)^T W = (AZ + B)^T.  With P = CX + D and Q = CY its real and
         imaginary parts form one real 2g x 2g system
         [[P^T, -Q^T], [Q^T, P^T]] [Re W; Im W] = [(AX + B)^T; (AY)^T],
-        solved by elimination over Fractions or floats alike.
+        solved by one elimination over Fractions or floats alike.
         """
         a, b, c, d = self.blocks()
         g, x, y = z.g, z.x, z.y.rows
@@ -191,7 +192,7 @@ class SymplecticElement:
         lhs += [qr + pr for pr, qr in zip(p, q)]
         rhs = la.transpose(la.mat_add(la.mat_mul(a, x), b))
         rhs += la.transpose(la.mat_mul(a, y))
-        w = la.mat_mul(la.inv(lhs), rhs)
+        w = la.solve(lhs, rhs)
         return SiegelPoint(
             _symmetrized(w[:g]), QuadraticForm(_symmetrized(w[g:]), z.mode)
         )
@@ -208,7 +209,7 @@ def metric_matrix(z: SiegelPoint) -> QuadraticForm:
     g = z.g
     y = z.y.rows
     x = [list(r) for r in z.x]
-    y_inv = la.inv(y)
+    y_inv = la.solve(y, la.identity(g))
     top_right = la.mat_mul(y_inv, x)
     bottom_left = la.mat_mul(x, y_inv)
     bottom_right = la.mat_add(la.mat_mul(x, la.mat_mul(y_inv, x)), y)

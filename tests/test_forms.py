@@ -45,7 +45,8 @@ I3 = QuadraticForm([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
 # U^T I3 U has no zero coupling: Z^3 as one block
 SHEAR3 = [[1, 1, 1], [0, 1, 1], [0, 0, 1]]
 DELTAS = [pytest.param(d, id=str(d)) for d in (F(1, 2), F(3, 4), F(99, 100))]
-# accepted in doubles, but read exactly its leading minor 3 is <= 0
+# positive definite to an LDL^T in doubles, but read exactly its leading
+# minor 3 is <= 0
 FLOAT_ROUNDED_PD = [
     [2881380564045.619, -13017722465288.047, 11161405797526.898],
     [-13017722465288.047, 58812467849253.66, -50458815056625.625],
@@ -190,13 +191,15 @@ class TestLLL:
 
 
 class TestFloatLLLBreakdown:
-    # forms on which a Gram-Schmidt table in doubles breaks down: read
-    # exactly, the float LLL decides them as their to_exact() would
+    # forms on which an elimination in doubles breaks down: read exactly,
+    # a float form is decided as its to_exact() would be
     def test_rounded_form_points_to_exact(self):
-        f = QuadraticForm(FLOAT_ROUNDED_PD)
-        for call in (lambda: lll_reduce(f), f.to_exact):
+        # the constructor rejects the float form at the minor that rejects
+        # the same values as Fractions
+        exact = [[F(x) for x in row] for row in FLOAT_ROUNDED_PD]
+        for rows in (FLOAT_ROUNDED_PD, exact):
             with pytest.raises(NotPositiveDefiniteError) as info:
-                call()
+                QuadraticForm(rows)
             assert info.value.minor_index == 3
 
     def test_vanishing_gram_schmidt_length(self):
@@ -236,6 +239,87 @@ class TestFloatLLLMatchesExact:
         n = len(rows)
         f = QuadraticForm(rows).transform(random_unimodular(seeded(n), n, steps=2 * n))
         self.check(f, delta)
+
+
+def near_singular_rows(rng, n, dyadic):
+    """M M^T + s I with M of rank n - 1 and a tiny shift s of either sign,
+    as floats: about half of these forms are positive definite.  Dyadic
+    entries are sums of multiples of 1/64 and s = +-2^-k, k <= 40, which
+    doubles hold exactly; the others are products of uniform doubles,
+    rounded at every step, with s down to the size of that rounding."""
+    if dyadic:
+        m = [[F(rng.randint(-16, 16), 8) for _ in range(n - 1)] for _ in range(n)]
+        shift = F(rng.choice((-1, 1)), 2 ** rng.randint(6, 40))
+    else:
+        m = [[rng.uniform(-2, 2) for _ in range(n - 1)] for _ in range(n)]
+        shift = rng.choice((-1, 1)) * 10.0 ** -rng.randint(10, 17)
+    rows = [
+        [sum(a * b for a, b in zip(m[i], m[j])) + (shift if i == j else 0) for j in range(n)]
+        for i in range(n)
+    ]
+    return [[float(x) for x in row] for row in rows]
+
+
+def dyadic_pd_form(rng, n):
+    """M^T M + I/2 with M of small multiples of 1/4, held exactly in doubles."""
+    m = [[F(rng.randint(-8, 8), 4) for _ in range(n)] for _ in range(n)]
+    rows = [
+        [sum(m[k][i] * m[k][j] for k in range(n)) + (F(1, 2) if i == j else 0) for j in range(n)]
+        for i in range(n)
+    ]
+    return QuadraticForm(rows).to_float()
+
+
+class TestFloatMatchesExact:
+    # a float form is its exact dyadic value: it is accepted exactly when
+    # its to_exact() is, and its det and Jacobi factors are the exact ones
+    # rounded once
+    @staticmethod
+    def minor_or_none(rows):
+        try:
+            QuadraticForm(rows)
+        except NotPositiveDefiniteError as err:
+            return err.minor_index
+        return None
+
+    @pytest.mark.parametrize("dyadic", [True, False], ids=["dyadic", "non-dyadic"])
+    def test_acceptance_det_and_jacobi(self, dyadic):
+        rng = seeded(30 + dyadic)
+        outcomes = set()
+        for _ in range(80):
+            rows = near_singular_rows(rng, rng.randint(2, 6), dyadic)
+            exact_rows = [[F(x) for x in row] for row in rows]
+            minor = self.minor_or_none(rows)
+            assert minor == self.minor_or_none(exact_rows)
+            outcomes.add(minor is None)
+            if minor is not None:
+                continue
+            f = QuadraticForm(rows)
+            exact = f.to_exact()
+            assert exact == QuadraticForm(exact_rows)
+            assert f.det() == float(exact.det())
+            got, want = jacobi_decompose(f), jacobi_decompose(exact)
+            assert got.b == tuple(tuple(float(x) for x in row) for row in want.b)
+            assert got.d == tuple(float(x) for x in want.d)
+        assert outcomes == {True, False}
+
+    def test_tolerant_equivalence_on_dyadic_forms(self):
+        # entries are multiples of 1/16, so a match within the tolerance is
+        # an exact match and both answers must agree
+        rng = seeded(32)
+        for _ in range(12):
+            n = rng.randint(2, 4)
+            f = dyadic_pd_form(rng, n)
+            same = f.transform(random_unimodular(rng, n))
+            bumped = [list(row) for row in same.rows]
+            i = rng.randrange(n)
+            bumped[i][i] += 0.125
+            for g in (same, QuadraticForm(bumped)):
+                want = is_equivalent(f.to_exact(), g.to_exact())
+                got = is_equivalent(f, g, tol=1e-9)
+                assert (got is None) == (want is None)
+                if got is not None:
+                    assert f.to_exact().transform(got) == g.to_exact()
 
 
 class TestShortestVector:
@@ -357,8 +441,9 @@ class TestVoronoiCoveringRadius:
 
     def test_float_form_reads_exactly(self):
         rng = seeded(24)
-        for n in (3, 4):
-            f = QuadraticForm(random_integer_pd(rng, n)).to_float().scale(0.1)
+        forms = [QuadraticForm(random_integer_pd(rng, n)).to_float().scale(0.1) for n in (3, 4)]
+        forms += [dyadic_pd_form(rng, n) for n in (2, 3, 3, 4)]
+        for f in forms:
             got = covering_radius_sq(f)
             assert isinstance(got, float)
             assert got == float(covering_radius_sq(f.to_exact()))

@@ -22,3 +22,14 @@ def test_int_matrix_casts_integral_entries():
 def test_mat_mul_rejects_shape_mismatch():
     with pytest.raises(ValueError, match="dimension mismatch"):
         la.mat_mul([[1, 2]], [[1, 2]])
+
+
+def test_solve_is_exact_on_fractions():
+    a = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(3)]]
+    assert la.solve(a, [[1], [2]]) == [[Fraction(1, 5)], [Fraction(3, 5)]]
+    assert la.mat_mul(a, la.solve(a, la.identity(2))) == la.identity(2)
+
+
+def test_solve_rejects_singular():
+    with pytest.raises(ZeroDivisionError, match="singular"):
+        la.solve([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]], la.identity(2))
