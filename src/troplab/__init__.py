@@ -4,158 +4,115 @@ Core objects: positive-definite quadratic forms over exact rationals,
 flat tori with exact squared diameters, Siegel-set reduction, collapse
 classification for one-parameter families, tropical Jacobians of metric
 graphs, and hybrid boundary limits of monomial path charts.
+
+Importing the package loads none of its submodules.  Each public name,
+and each submodule named in the table below, is imported on first
+access, so a CLI command or a script pays only for the modules it uses.
 """
+
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-from .errors import (
-    ModeMixError,
-    NotPositiveDefiniteError,
-    PreconditionError,
-    SchemaError,
-    TroplabError,
-)
-from .forms import (
-    FlatTorus,
-    JacobiDecomposition,
-    LimitSpace,
-    QuadraticForm,
-    covering_radius,
-    covering_radius_sq,
-    is_equivalent,
-    is_homothetic,
-    jacobi_decompose,
-    join_path,
-    lll_reduce,
-    product,
-    rescale_to_diameter_one,
-    shortest_vector,
-)
-from .siegel import (
-    SiegelPoint,
-    SymplecticElement,
-    default_u0,
-    in_siegel_set,
-    metric_matrix,
-    siegel_reduce,
-    torus_model,
-)
-from .limits import (
-    CollapseResult,
-    MonomialEntry,
-    NumericReport,
-    SymbolicSiegelPath,
-    classify_collapse_numeric,
-    classify_collapse_symbolic,
-    fixed_injrad_limit,
-    fixed_volume_limit,
-    product_collapse_reduce,
-)
-from .tropical import (
-    TropicalAV,
-    WeightedMetricGraph,
-    cycle_basis,
-    first_betti,
-    genus_condition_counting_leaves,
-    graph_diameter,
-    is_stable_type,
-    rescale_graph_to_diameter_one,
-    torelli,
-    tropical_jacobian,
-)
-from .degen import (
-    AVFamily,
-    CurveFamily,
-    TorelliComparison,
-    av_family_limit,
-    av_family_numeric_oracle,
-    collar_length,
-    curve_family_gh_limit,
-    curve_family_hybrid_limit,
-    torelli_family_compare,
-)
-from .hybrid import (
-    DualComplex,
-    GluingFunction,
-    GroupAction,
-    HybridLimit,
-    IncidenceComplex,
-    MonomialPathChart,
-    Tropicalization,
-    downward_closure,
-    dual_complex,
-    hybrid_limit,
-    pushforward_map,
-    quotient_complex,
-    tropicalize,
-)
+# submodule -> the public names it defines; __all__ keeps this order
+_EXPORTS = {
+    "errors": (
+        "TroplabError",
+        "SchemaError",
+        "PreconditionError",
+        "NotPositiveDefiniteError",
+        "ModeMixError",
+    ),
+    "forms": (
+        "QuadraticForm",
+        "FlatTorus",
+        "LimitSpace",
+        "JacobiDecomposition",
+        "jacobi_decompose",
+        "lll_reduce",
+        "shortest_vector",
+        "covering_radius",
+        "covering_radius_sq",
+        "is_equivalent",
+        "is_homothetic",
+        "rescale_to_diameter_one",
+        "product",
+        "join_path",
+    ),
+    "siegel": (
+        "SiegelPoint",
+        "SymplecticElement",
+        "default_u0",
+        "in_siegel_set",
+        "metric_matrix",
+        "torus_model",
+        "siegel_reduce",
+    ),
+    "limits": (
+        "MonomialEntry",
+        "SymbolicSiegelPath",
+        "NumericReport",
+        "CollapseResult",
+        "classify_collapse_symbolic",
+        "classify_collapse_numeric",
+        "fixed_volume_limit",
+        "fixed_injrad_limit",
+        "product_collapse_reduce",
+    ),
+    "tropical": (
+        "WeightedMetricGraph",
+        "TropicalAV",
+        "first_betti",
+        "is_stable_type",
+        "genus_condition_counting_leaves",
+        "graph_diameter",
+        "rescale_graph_to_diameter_one",
+        "cycle_basis",
+        "tropical_jacobian",
+        "torelli",
+    ),
+    "degen": (
+        "AVFamily",
+        "CurveFamily",
+        "TorelliComparison",
+        "av_family_limit",
+        "av_family_numeric_oracle",
+        "curve_family_gh_limit",
+        "curve_family_hybrid_limit",
+        "collar_length",
+        "torelli_family_compare",
+    ),
+    "hybrid": (
+        "IncidenceComplex",
+        "DualComplex",
+        "GroupAction",
+        "GluingFunction",
+        "MonomialPathChart",
+        "HybridLimit",
+        "Tropicalization",
+        "downward_closure",
+        "dual_complex",
+        "quotient_complex",
+        "hybrid_limit",
+        "tropicalize",
+        "pushforward_map",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "TroplabError",
-    "SchemaError",
-    "PreconditionError",
-    "NotPositiveDefiniteError",
-    "ModeMixError",
-    "QuadraticForm",
-    "FlatTorus",
-    "LimitSpace",
-    "JacobiDecomposition",
-    "jacobi_decompose",
-    "lll_reduce",
-    "shortest_vector",
-    "covering_radius",
-    "covering_radius_sq",
-    "is_equivalent",
-    "is_homothetic",
-    "rescale_to_diameter_one",
-    "product",
-    "join_path",
-    "SiegelPoint",
-    "SymplecticElement",
-    "default_u0",
-    "in_siegel_set",
-    "metric_matrix",
-    "torus_model",
-    "siegel_reduce",
-    "MonomialEntry",
-    "SymbolicSiegelPath",
-    "NumericReport",
-    "CollapseResult",
-    "classify_collapse_symbolic",
-    "classify_collapse_numeric",
-    "fixed_volume_limit",
-    "fixed_injrad_limit",
-    "product_collapse_reduce",
-    "WeightedMetricGraph",
-    "TropicalAV",
-    "first_betti",
-    "is_stable_type",
-    "genus_condition_counting_leaves",
-    "graph_diameter",
-    "rescale_graph_to_diameter_one",
-    "cycle_basis",
-    "tropical_jacobian",
-    "torelli",
-    "AVFamily",
-    "CurveFamily",
-    "TorelliComparison",
-    "av_family_limit",
-    "av_family_numeric_oracle",
-    "curve_family_gh_limit",
-    "curve_family_hybrid_limit",
-    "collar_length",
-    "torelli_family_compare",
-    "IncidenceComplex",
-    "DualComplex",
-    "GroupAction",
-    "GluingFunction",
-    "MonomialPathChart",
-    "HybridLimit",
-    "Tropicalization",
-    "downward_closure",
-    "dual_complex",
-    "quotient_complex",
-    "hybrid_limit",
-    "tropicalize",
-    "pushforward_map",
-]
+__all__ = list(_HOME)
+
+
+def __getattr__(name):
+    if name in _EXPORTS:
+        return _import_module(f"{__name__}.{name}")
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_HOME) | set(_EXPORTS))

@@ -9,25 +9,32 @@ invariant).  Set TROPLAB_LOG=info or =debug for progress on stderr.
 """
 
 import argparse
-import csv
 import json
-import logging
 import os
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
-from . import degen, hybrid, limits, siegel, tropical
 from .errors import PreconditionError, SchemaError
-from .rationals import format_scalar, parse_rational
 
-log = logging.getLogger("troplab")
+_LOG_LEVELS = {"debug": 10, "info": 20, "error": 40}
 
 
-@dataclass(frozen=True)
-class RunConfig:
+def _log_level_name() -> str:
+    return os.environ.get("TROPLAB_LOG", "error").strip().lower()
+
+
+def _log(level: str, message: str):
+    """Write `troplab LEVEL: message` to stderr if TROPLAB_LOG admits it.
+
+    An unknown TROPLAB_LOG level reads as 'error'.
+    """
+    if _LOG_LEVELS[level] >= _LOG_LEVELS.get(_log_level_name(), 40):
+        print(f"troplab {level.upper()}: {message}", file=sys.stderr)
+
+
+class RunConfig(NamedTuple):
     """Per-invocation knobs shared by the subcommands.
 
     rng_seed is accepted for reproducibility bookkeeping but none of the
@@ -61,7 +68,7 @@ def _load_doc(source: str):
         except OSError as exc:
             raise SchemaError(f"cannot read input: {exc}", "/")
         where = source
-    log.info("reading JSON from %s", where)
+    _log("info", f"reading JSON from {where}")
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -77,18 +84,23 @@ def _require_object(doc, keys, pointer: str = ""):
 
 
 def _write_csv(path: str, header, rows):
+    import csv
+
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
-    log.info("wrote %d CSV rows to %s", len(rows), path)
+    _log("info", f"wrote {len(rows)} CSV rows to {path}")
 
 
 # -- subcommand handlers -----------------------------------------------------
-# each returns (result dict, optional (csv header, csv rows))
+# each returns (result dict, optional (csv header, csv rows)); each imports
+# the library modules it runs, so one call loads only those
 
 
 def _cmd_reduce(doc, args, cfg: RunConfig):
+    from . import siegel
+
     z = siegel.SiegelPoint.from_json_dict(doc)
     point, gamma, ok = siegel.siegel_reduce(
         z, u=args.u, max_iterations=cfg.max_iterations
@@ -106,6 +118,8 @@ def _cmd_reduce(doc, args, cfg: RunConfig):
 
 
 def _cmd_collapse(doc, args, cfg: RunConfig):
+    from . import limits, siegel
+
     if args.mode == "symbolic":
         path = limits.SymbolicSiegelPath.from_json_dict(doc)
         result = limits.classify_collapse_symbolic(path)
@@ -133,11 +147,16 @@ def _cmd_collapse(doc, args, cfg: RunConfig):
 
 
 def _cmd_volume_limit(doc, args, cfg: RunConfig):
+    from . import limits
+
     path = limits.SymbolicSiegelPath.from_json_dict(doc)
     return limits.fixed_volume_limit(path).to_json_dict(), None
 
 
 def _cmd_injrad_limit(doc, args, cfg: RunConfig):
+    from . import limits
+    from .rationals import parse_rational
+
     _require_object(doc, ["a", "r"])
     if not isinstance(doc["a"], list) or not doc["a"]:
         raise SchemaError("'a' must be a nonempty list of rationals", "/a")
@@ -171,6 +190,9 @@ def _monomial_order(text, pointer: str) -> Fraction:
 
 
 def _cmd_av_limit(doc, args, cfg: RunConfig):
+    from . import degen
+    from .rationals import format_scalar
+
     _require_object(doc, [])
     if "periods" in doc:
         raw = doc["periods"]
@@ -208,12 +230,16 @@ def _cmd_av_limit(doc, args, cfg: RunConfig):
 
 
 def _cmd_curve_limit(doc, args, cfg: RunConfig):
+    from . import degen
+
     fam = degen.CurveFamily.from_json_dict(doc)
     graph = degen.curve_family_gh_limit(fam)
     return {"graph": graph.to_json_dict()}, None
 
 
 def _cmd_trop_jac(doc, args, cfg: RunConfig):
+    from . import tropical
+
     graph = tropical.WeightedMetricGraph.from_json_dict(doc)
     tav = tropical.tropical_jacobian(graph)
     out = tav.to_json_dict()
@@ -222,11 +248,15 @@ def _cmd_trop_jac(doc, args, cfg: RunConfig):
 
 
 def _cmd_torelli_check(doc, args, cfg: RunConfig):
+    from . import degen
+
     fam = degen.CurveFamily.from_json_dict(doc)
     return degen.torelli_family_compare(fam).to_json_dict(), None
 
 
 def _cmd_dual_complex(doc, args, cfg: RunConfig):
+    from . import hybrid
+
     inc = hybrid.IncidenceComplex.from_json_dict(doc)
     complex_ = hybrid.dual_complex(inc)
     if doc.get("action") is not None:
@@ -234,12 +264,15 @@ def _cmd_dual_complex(doc, args, cfg: RunConfig):
         if not isinstance(raw, list) or any(not isinstance(p, list) for p in raw):
             raise SchemaError("action must be a list of permutations", "/action")
         action = hybrid.GroupAction.from_generators(inc, [tuple(p) for p in raw])
-        log.info("quotienting by a group of order %d", len(action.elements))
+        _log("info", f"quotienting by a group of order {len(action.elements)}")
         complex_ = hybrid.quotient_complex(complex_, action)
     return complex_.to_json_dict(), None
 
 
 def _cmd_hybrid_limit(doc, args, cfg: RunConfig):
+    from . import hybrid
+    from .rationals import parse_rational
+
     _require_object(doc, ["m"])
     if not isinstance(doc["m"], list) or not doc["m"]:
         raise SchemaError("'m' must be a nonempty list of rationals", "/m")
@@ -259,6 +292,8 @@ def _cmd_hybrid_limit(doc, args, cfg: RunConfig):
 
 
 def _cmd_tropicalize(doc, args, cfg: RunConfig):
+    from . import hybrid
+
     _require_object(doc, ["points"])
     raw = doc["points"]
     if not isinstance(raw, list) or not raw:
@@ -287,6 +322,8 @@ def _cmd_tropicalize(doc, args, cfg: RunConfig):
 
 
 def _cmd_collar(doc, args, cfg: RunConfig):
+    from . import degen
+
     _require_object(doc, ["t", "c_star"])
     c_star = doc["c_star"]
     if isinstance(c_star, bool) or not isinstance(c_star, (int, float)):
@@ -400,27 +437,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _setup_logging():
-    level_name = os.environ.get("TROPLAB_LOG", "error").strip().lower()
-    levels = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
-    level = levels.get(level_name)
-    if level is None:
-        level = logging.ERROR
-    handler = logging.StreamHandler(sys.stderr)
-    handler.setFormatter(logging.Formatter("troplab %(levelname)s: %(message)s"))
-    log.handlers[:] = [handler]
-    log.setLevel(level)
-    if level_name not in levels:
-        log.error("unknown TROPLAB_LOG level %r; using 'error'", level_name)
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    _setup_logging()
+    level_name = _log_level_name()
+    if level_name not in _LOG_LEVELS:
+        _log("error", f"unknown TROPLAB_LOG level {level_name!r}; using 'error'")
     try:
         cfg = _config(args)
         doc = _load_doc(args.input)
-        log.debug("run config: %s", cfg)
+        _log("debug", f"run config: {cfg}")
         result, series = _HANDLERS[args.command](doc, args, cfg)
         emit_csv = getattr(args, "emit_csv", None)
         if emit_csv:

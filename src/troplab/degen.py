@@ -10,9 +10,8 @@ integral measures the hyperbolic length across a plumbing annulus.
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence
+from typing import List, NamedTuple, Sequence
 
 from .errors import PreconditionError, SchemaError
 from .forms import FlatTorus, QuadraticForm, is_homothetic, rescale_to_diameter_one
@@ -247,8 +246,7 @@ def collar_length(t, c_star: float) -> float:
     return -2.0 * math.log(math.tan(math.pi * eps / 2.0))
 
 
-@dataclass(frozen=True)
-class TorelliComparison:
+class TorelliComparison(NamedTuple):
     """Both limit tori of a curve family and whether they agree."""
 
     gh_side: FlatTorus

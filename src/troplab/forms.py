@@ -16,9 +16,8 @@ to_exact is lossless binary expansion).
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from . import _linalg as la
 from .errors import ModeMixError, NotPositiveDefiniteError, PreconditionError, SchemaError
@@ -203,8 +202,7 @@ def _quotient(mode: str, num: int, den: int) -> Scalar:
     return Fraction(num, den) if mode == "exact" else num / den
 
 
-@dataclass(frozen=True)
-class JacobiDecomposition:
+class JacobiDecomposition(NamedTuple):
     """F = B^T diag(d) B with B unit upper triangular and d positive."""
 
     b: tuple
@@ -851,26 +849,35 @@ def join_path(x: FlatTorus, t) -> FlatTorus:
     return rescale_to_diameter_one(joined)
 
 
-@dataclass(frozen=True)
-class LimitSpace:
+class _LimitSpaceFields(NamedTuple):
+    circle_circumferences: tuple
+    euclidean_rank: int
+    torus_part: Optional[FlatTorus]
+
+
+class LimitSpace(_LimitSpaceFields):
     """Product description of a collapse limit.
 
     circle_circumferences lists the compact circle factors, euclidean_rank
     counts flat R factors, torus_part is an optional flat torus factor.
     """
 
-    circle_circumferences: tuple
-    euclidean_rank: int
-    torus_part: Optional[FlatTorus] = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        for c in self.circle_circumferences:
+    def __new__(
+        cls,
+        circle_circumferences: tuple,
+        euclidean_rank: int,
+        torus_part: Optional[FlatTorus] = None,
+    ):
+        for c in circle_circumferences:
             if c <= 0:
                 raise PreconditionError(
                     "positive-circumference", "circle factors must be positive"
                 )
-        if self.euclidean_rank < 0:
+        if euclidean_rank < 0:
             raise PreconditionError("nonnegative-rank", "euclidean rank < 0")
+        return tuple.__new__(cls, (circle_circumferences, euclidean_rank, torus_part))
 
     def to_json_dict(self) -> dict:
         return {

@@ -15,9 +15,8 @@ exponents, iterated log washes the exponents out entirely.
 
 import enum
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import PreconditionError, SchemaError
 
@@ -373,8 +372,12 @@ class GluingFunction(enum.Enum):
         return math.log(-math.log(z))
 
 
-@dataclass(frozen=True)
-class MonomialPathChart:
+class _MonomialPathChartFields(NamedTuple):
+    complex: IncidenceComplex
+    exponents: Tuple[Fraction, ...]
+
+
+class MonomialPathChart(_MonomialPathChartFields):
     """Vanishing orders m_i >= 0 of each divisor equation along a path.
 
     The support {i : m_i > 0} must be a stratum: the path lands on the
@@ -382,10 +385,9 @@ class MonomialPathChart:
     the interior; hybrid_limit rejects it.
     """
 
-    complex: IncidenceComplex
-    exponents: Tuple[Fraction, ...]
+    __slots__ = ()
 
-    def __init__(self, complex: IncidenceComplex, exponents: Sequence):
+    def __new__(cls, complex: IncidenceComplex, exponents: Sequence):
         exps = []
         for i, m in enumerate(exponents):
             if isinstance(m, float):
@@ -408,15 +410,13 @@ class MonomialPathChart:
                 "support-stratum",
                 f"support {sorted(support)} is not a stratum of the complex",
             )
-        object.__setattr__(self, "complex", complex)
-        object.__setattr__(self, "exponents", tuple(exps))
+        return tuple.__new__(cls, (complex, tuple(exps)))
 
     def support(self) -> Tuple[int, ...]:
         return tuple(i + 1 for i, m in enumerate(self.exponents) if m > 0)
 
 
-@dataclass(frozen=True)
-class HybridLimit:
+class HybridLimit(NamedTuple):
     """Barycentric point on the cell of the support divisors."""
 
     support: Tuple[int, ...]
@@ -450,8 +450,7 @@ def hybrid_limit(path: MonomialPathChart, f: GluingFunction) -> HybridLimit:
     return HybridLimit(support, coords)
 
 
-@dataclass(frozen=True)
-class Tropicalization:
+class Tropicalization(NamedTuple):
     """Componentwise -log|z| images and, when stable, their ray direction."""
 
     vectors: Tuple[Tuple[float, ...], ...]

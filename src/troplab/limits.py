@@ -9,9 +9,8 @@ limit (keeps the converging block as a torus factor) and the fixed
 injectivity radius limit (keeps every direction as a circle factor).
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Dict, NamedTuple, Optional, Sequence, Tuple, Union
 
 from . import _linalg as la
 from .errors import PreconditionError, SchemaError
@@ -22,20 +21,23 @@ from .siegel import SiegelPoint, default_u0, in_siegel_set, jacobi_decompose, me
 Scalar = Union[Fraction, float]
 
 
-@dataclass(frozen=True)
-class MonomialEntry:
+class _MonomialEntryFields(NamedTuple):
+    coefficient: Fraction
+    exponent: Fraction
+
+
+class MonomialEntry(_MonomialEntryFields):
     """coefficient * s^exponent in the s -> +infinity convention.
 
     The zero entry is coefficient 0 with exponent normalized to 0.
     """
 
-    coefficient: Fraction = Fraction(0)
-    exponent: Fraction = Fraction(0)
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "coefficient", Fraction(self.coefficient))
-        exp = Fraction(self.exponent) if self.coefficient != 0 else Fraction(0)
-        object.__setattr__(self, "exponent", exp)
+    def __new__(cls, coefficient=Fraction(0), exponent=Fraction(0)):
+        c = Fraction(coefficient)
+        e = Fraction(exponent) if c != 0 else Fraction(0)
+        return tuple.__new__(cls, (c, e))
 
     @property
     def is_zero(self) -> bool:
@@ -241,8 +243,7 @@ class SymbolicSiegelPath:
         return cls(x, b, d, convention)
 
 
-@dataclass(frozen=True)
-class NumericReport:
+class NumericReport(NamedTuple):
     """Ratio trajectories backing a numeric classification."""
 
     d_top: tuple
@@ -259,8 +260,7 @@ class NumericReport:
         }
 
 
-@dataclass(frozen=True)
-class CollapseResult:
+class CollapseResult(NamedTuple):
     """r collapsed directions, the limit ratios, and the rescaled limit.
 
     collapsed is False for paths whose largest diagonal stays bounded; the

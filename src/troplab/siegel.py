@@ -106,7 +106,12 @@ def _sympl_j(g: int) -> List[List[int]]:
 
 
 class SymplecticElement:
-    """Integral 2g x 2g matrix preserving the standard alternating form."""
+    """Integral 2g x 2g matrix preserving the standard alternating form.
+
+    The constructor checks gamma^T J gamma = J.  The named constructors
+    and compose build matrices that are symplectic by construction, from
+    checked inputs, and skip that product.
+    """
 
     __slots__ = ("g", "mat")
 
@@ -124,32 +129,52 @@ class SymplecticElement:
         self.mat = tuple(tuple(r) for r in rows)
 
     @classmethod
+    def _symplectic(cls, rows) -> "SymplecticElement":
+        """The element of 2g x 2g integer rows known to be symplectic."""
+        element = object.__new__(cls)
+        element.g = len(rows) // 2
+        element.mat = tuple(tuple(r) for r in rows)
+        return element
+
+    @classmethod
     def identity(cls, g: int) -> "SymplecticElement":
-        return cls(la.identity(2 * g))
+        return cls._symplectic(la.identity(2 * g))
 
     @classmethod
     def from_gl(cls, u) -> "SymplecticElement":
-        """GL(g, Z) embedding sending Y to U^T Y U."""
+        """GL(g, Z) embedding sending Y to U^T Y U.
+
+        diag(U^T, U^-1) is symplectic for every invertible U; U must be
+        integral with an integral inverse.
+        """
         g = len(u)
-        ut = la.transpose([[int(v) for v in r] for r in u])
-        u_frac = [[Fraction(v) for v in r] for r in u]
-        u_inv = la.int_matrix(la.solve(u_frac, la.identity(g)))
+        if any(len(r) != g for r in u):
+            raise PreconditionError("square-matrix", "U must be g x g")
+        try:
+            ut = la.transpose(la.int_matrix(u))
+            u_frac = [[Fraction(v) for v in r] for r in u]
+            u_inv = la.int_matrix(la.solve(u_frac, la.identity(g)))
+        except (ArithmeticError, ValueError):
+            raise PreconditionError("unimodular", "U must be in GL(g, Z)")
         m = la.zeros(2 * g, 2 * g)
         for i in range(g):
-            for j in range(g):
-                m[i][j] = ut[i][j]
-                m[g + i][g + j] = u_inv[i][j]
-        return cls(m)
+            m[i][:g] = ut[i]
+            m[g + i][g:] = u_inv[i]
+        return cls._symplectic(m)
 
     @classmethod
     def translation(cls, s) -> "SymplecticElement":
         """Z -> Z + S for integral symmetric S."""
         g = len(s)
+        rows = [[int(v) for v in r] for r in s]
+        if any(len(r) != g for r in rows) or any(
+            rows[i][j] != rows[j][i] for i in range(g) for j in range(i)
+        ):
+            raise PreconditionError("symmetric", "S must be a symmetric g x g matrix")
         m = la.identity(2 * g)
         for i in range(g):
-            for j in range(g):
-                m[i][g + j] = int(s[i][j])
-        return cls(m)
+            m[i][g:] = rows[i]
+        return cls._symplectic(m)
 
     @classmethod
     def partial_inversion(cls, g: int, index: int = 0) -> "SymplecticElement":
@@ -162,7 +187,7 @@ class SymplecticElement:
             else:
                 m[i][i] = 1
                 m[g + i][g + i] = 1
-        return cls(m)
+        return cls._symplectic(m)
 
     def blocks(self):
         g = self.g
@@ -173,7 +198,7 @@ class SymplecticElement:
         return a, b, c, d
 
     def compose(self, other: "SymplecticElement") -> "SymplecticElement":
-        return SymplecticElement(la.mat_mul(self.mat, other.mat))
+        return SymplecticElement._symplectic(la.mat_mul(self.mat, other.mat))
 
     def act(self, z: SiegelPoint) -> SiegelPoint:
         """Z -> (AZ + B)(CZ + D)^{-1}, in the arithmetic of Z.

@@ -16,9 +16,8 @@ away, and the sum d(x, u_f) + d(x, v_f) of two tent functions of x
 peaks where the tent of u_f does; graph_diameter gives the derivation.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import ModeMixError, PreconditionError, SchemaError
 from .forms import FlatTorus, QuadraticForm, Scalar, rescale_to_diameter_one
@@ -346,16 +345,20 @@ def cycle_basis(graph: WeightedMetricGraph) -> List[List[int]]:
     return rows
 
 
-@dataclass(frozen=True)
-class TropicalAV:
-    """Integer cycle lattice with its length-weighted inner product."""
-
+class _TropicalAVFields(NamedTuple):
     b1: int
     gram: QuadraticForm
 
-    def __post_init__(self):
-        if self.b1 != self.gram.n:
+
+class TropicalAV(_TropicalAVFields):
+    """Integer cycle lattice with its length-weighted inner product."""
+
+    __slots__ = ()
+
+    def __new__(cls, b1: int, gram: QuadraticForm):
+        if b1 != gram.n:
             raise PreconditionError("rank-matches-gram", "rank must equal the Gram size")
+        return tuple.__new__(cls, (b1, gram))
 
     def to_json_dict(self) -> dict:
         return {

@@ -490,6 +490,19 @@ class TestDeterminismAndLogging:
         assert proc.returncode == 0
         assert "unknown TROPLAB_LOG" in proc.stderr
 
+    def test_debug_lines_keep_their_format(self):
+        proc = run_proc(
+            ["trop-jac"],
+            stdin_text=json.dumps(HANDCUFF),
+            env_extra={"TROPLAB_LOG": " Debug "},
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == (
+            "troplab INFO: reading JSON from stdin\n"
+            "troplab DEBUG: run config: "
+            "RunConfig(tolerance=1e-06, max_iterations=64, rng_seed=None)\n"
+        )
+
     def test_stdin_default(self):
         proc = run_proc(["av-limit"], stdin_text='{"M": [[1]]}')
         assert proc.returncode == 0
@@ -518,10 +531,12 @@ COMMAND_PAGES = sorted(
 )
 
 
-@pytest.mark.parametrize("page", COMMAND_PAGES, ids=lambda p: p.stem)
-def test_worked_example_output_is_byte_identical(capsys, tmp_path, page):
-    # each page ends in an input.json block and a console block: the
-    # command line, a blank line, then stdout exactly as printed
+def worked_example(page, tmp_path):
+    """(command, input path, stdout) of the page's worked example.
+
+    Each page ends in an input.json block and a console block: the
+    command line, a blank line, then stdout exactly as printed.
+    """
     example = page.read_text(encoding="utf-8").split("## Worked example", 1)[1]
     blocks = dict(re.findall(r"```(json|console)\n(.*?)```", example, re.S))
     command_line, blank, expected = blocks["console"].split("\n", 2)
@@ -529,6 +544,54 @@ def test_worked_example_output_is_byte_identical(capsys, tmp_path, page):
     command = command_line.split()
     assert command[:2] == ["$", "troplab"] and command[3:] == ["input.json"]
     (tmp_path / "input.json").write_text(blocks["json"], encoding="utf-8")
-    code, out, _ = run_main(capsys, command[2], str(tmp_path / "input.json"))
+    return command[2], str(tmp_path / "input.json"), expected
+
+
+@pytest.mark.parametrize("page", COMMAND_PAGES, ids=lambda p: p.stem)
+def test_worked_example_output_is_byte_identical(capsys, tmp_path, page):
+    command, path, expected = worked_example(page, tmp_path)
+    code, out, _ = run_main(capsys, command, path)
     assert code == 0
     assert out == expected
+
+
+# the library modules each command runs, with what they import
+_SIEGEL = {"forms", "siegel"}
+_LIMITS = {"forms", "siegel", "limits"}
+_DEGEN = {"forms", "tropical", "hybrid", "degen"}
+COMMAND_MODULES = {
+    "reduce": _SIEGEL,
+    "collapse": _LIMITS,
+    "volume-limit": _LIMITS,
+    "injrad-limit": _LIMITS,
+    "av-limit": _DEGEN,
+    "curve-limit": _DEGEN,
+    "torelli-check": _DEGEN,
+    "collar": _DEGEN,
+    "trop-jac": {"forms", "tropical"},
+    "dual-complex": {"hybrid"},
+    "hybrid-limit": {"hybrid"},
+    "tropicalize": {"hybrid"},
+}
+
+LOADED_MODULES = """
+import contextlib, io, sys
+from troplab.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(code, *sorted(m for m in sys.modules if m.startswith("troplab.")))
+"""
+
+
+@pytest.mark.parametrize("page", COMMAND_PAGES, ids=lambda p: p.stem)
+def test_worked_example_loads_only_the_modules_it_runs(tmp_path, page):
+    command, path, _ = worked_example(page, tmp_path)
+    proc = subprocess.run(
+        [sys.executable, "-c", LOADED_MODULES, command, path],
+        capture_output=True,
+        text=True,
+    )
+    code, *loaded = proc.stdout.split()
+    assert code == "0"
+    library = {"forms", "siegel", "limits", "tropical", "degen", "hybrid"}
+    assert {m.split(".", 1)[1] for m in loaded} & library == COMMAND_MODULES[command]

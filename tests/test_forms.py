@@ -6,10 +6,14 @@ import pytest
 from troplab import (
     FlatTorus,
     ModeMixError,
+    MonomialEntry,
     NotPositiveDefiniteError,
     PreconditionError,
     QuadraticForm,
     SchemaError,
+    SiegelPoint,
+    SymbolicSiegelPath,
+    classify_collapse_numeric,
     covering_radius,
     covering_radius_sq,
     is_equivalent,
@@ -320,6 +324,62 @@ class TestFloatMatchesExact:
                 assert (got is None) == (want is None)
                 if got is not None:
                     assert f.to_exact().transform(got) == g.to_exact()
+
+    def test_numeric_collapse_on_dyadic_samples(self):
+        # samples of a path with quarter-integer X, B and D coefficients at
+        # s = 2^k are dyadic, so a float copy holds each exactly; Jacobi
+        # factors are exact or rounded once, and the rest of the numeric
+        # classification runs in doubles in both modes, so the answers agree
+        # except the bounded limit, whose float metric matrix is solved in
+        # doubles
+        rng = seeded(33)
+
+        def quarter(lo, hi):
+            return MonomialEntry(F(rng.randint(4 * lo, 4 * hi), 4))
+
+        outcomes = set()
+        for k in range(30):
+            g = 1 + k % 3
+            exps = sorted(rng.randint(0, 2) for _ in range(g))
+            exps[-1] = max(exps[-1], 1)
+            if k % 5 == 0:  # bounded: the limit torus has dimension 2g
+                g = min(g, 2)
+                exps = [0] * g
+            x = [[None] * g for _ in range(g)]
+            b = [[MonomialEntry(int(i == j)) for j in range(g)] for i in range(g)]
+            for i in range(g):
+                for j in range(i, g):
+                    x[i][j] = x[j][i] = quarter(-1, 1)
+                    if j > i:
+                        b[i][j] = quarter(-1, 1)
+            d = [MonomialEntry(quarter(1, 3).coefficient, e) for e in exps]
+            path = SymbolicSiegelPath(x, b, d)
+            exact = [path.point_at(2**t) for t in range(1, 9)]
+            floats = [
+                SiegelPoint(
+                    [[float(v) for v in r] for r in z.x],
+                    QuadraticForm([[float(v) for v in r] for r in z.y.entries], "float"),
+                )
+                for z in exact
+            ]
+            try:
+                want = classify_collapse_numeric(exact)
+            except PreconditionError as err:
+                with pytest.raises(PreconditionError) as info:
+                    classify_collapse_numeric(floats)
+                assert info.value.invariant == err.invariant
+                outcomes.add(err.invariant)
+                continue
+            got = classify_collapse_numeric(floats)
+            outcomes.add(want.collapsed)
+            assert (got.r, got.profile, got.collapsed) == (want.r, want.profile, want.collapsed)
+            assert got.report == want.report
+            if want.collapsed:
+                assert got.limit == want.limit
+            else:
+                for gr, wr in zip(got.limit.gram.entries, want.limit.gram.entries):
+                    assert gr == pytest.approx([float(v) for v in wr], rel=1e-9, abs=1e-12)
+        assert {True, False} <= outcomes
 
 
 class TestShortestVector:

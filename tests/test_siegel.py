@@ -31,6 +31,22 @@ def has_inversion(gamma):
     return any(gamma.mat[g + i][j] for i in range(g) for j in range(g))
 
 
+def is_symplectic(gamma):
+    """gamma^T J gamma = J, with J = [[0, I], [-I, 0]], summed by hand."""
+    n = len(gamma.mat)
+    g = n // 2
+
+    def j(r, c):
+        return (c == r + g) - (r == c + g)
+
+    m = gamma.mat
+    return all(
+        sum(m[k][r] * j(k, l) * m[l][c] for k in range(n) for l in range(n)) == j(r, c)
+        for r in range(n)
+        for c in range(n)
+    )
+
+
 def defining_identity_holds(gamma, z, w):
     """W(CZ + D) = AZ + B, real and imaginary parts apart, in Fractions.
 
@@ -104,8 +120,50 @@ class TestSiegelPoint:
 
 class TestSymplectic:
     def test_rejects_non_symplectic(self):
+        for mat in (
+            [[1, 1], [1, 1]],
+            [[1, 0, 1, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 2]],
+            # a translation by the non-symmetric S = [[0, 1], [0, 0]]
+            [[1, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+        ):
+            with pytest.raises(PreconditionError) as info:
+                SymplecticElement(mat)
+            assert info.value.invariant == "symplectic"
+
+    def test_named_constructors_check_their_inputs(self):
+        # they skip the gamma^T J gamma product, so a translation must be
+        # symmetric and a GL(g, Z) element integral with integral inverse
         with pytest.raises(PreconditionError):
-            SymplecticElement([[1, 1], [1, 1]])
+            SymplecticElement.translation([[0, 1], [0, 0]])
+        for u in ([[F(1, 2)]], [[2]], [[1, 1], [1, 1]], [[1, 0]]):
+            with pytest.raises(PreconditionError):
+                SymplecticElement.from_gl(u)
+
+    def test_named_constructors_and_products_are_symplectic(self):
+        rng = seeded(42)
+        for g in (1, 2, 3):
+            gamma = SymplecticElement.identity(g)
+            for _ in range(12):
+                kind = rng.randrange(3)
+                if kind == 0:
+                    s = [[0] * g for _ in range(g)]
+                    for i in range(g):
+                        for k in range(i, g):
+                            s[i][k] = s[k][i] = rng.randint(-3, 3)
+                    step = SymplecticElement.translation(s)
+                elif kind == 1:
+                    u = [[int(i == k) for k in range(g)] for i in range(g)]
+                    i, k = rng.sample(range(g), 2) if g > 1 else (0, 0)
+                    if i == k:
+                        u[0][0] = -1
+                    else:
+                        u[i][k] = rng.randint(-3, 3)
+                    step = SymplecticElement.from_gl(u)
+                else:
+                    step = SymplecticElement.partial_inversion(g, rng.randrange(g))
+                assert is_symplectic(step)
+                gamma = step.compose(gamma)
+                assert is_symplectic(gamma)
 
     def test_translation_acts_on_x_only(self):
         z = point([[F(7, 2)]], [[F(2)]])
@@ -240,6 +298,7 @@ class TestReduce:
         assert ok
         assert reduced.mode == "exact"
         assert has_inversion(gamma)
+        assert is_symplectic(gamma)
         assert defining_identity_holds(gamma, z, reduced)
 
     def test_float_copy_of_dyadic_point_takes_the_exact_steps(self):

@@ -3,24 +3,83 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
-PROBE = """
+SUBMODULES = ("forms", "siegel", "limits", "tropical", "degen", "hybrid")
+
+# modules no import path of the library may load: each costs milliseconds
+# on every CLI start
+SLOW_STDLIB = {"dataclasses", "inspect", "logging"}
+
+TOUCH_EVERY_NAME = """
 import sys
 before = set(sys.modules)
 import troplab
+for name in troplab.__all__ + %r:
+    getattr(troplab, name)
 loaded = {name.partition(".")[0] for name in set(sys.modules) - before}
 print(" ".join(sorted(loaded - set(sys.stdlib_module_names) - {"troplab"})))
+print(" ".join(sorted(loaded & %r)))
+""" % (list(SUBMODULES), SLOW_STDLIB)
+
+IMPORT_CLI = """
+import sys
+before = set(sys.modules)
+import troplab.cli
+print(" ".join(sorted(set(sys.modules) - before)))
 """
 
 
-def test_import_loads_only_stdlib_and_troplab():
+def run_probe(code):
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.run(
-        [sys.executable, "-c", PROBE], capture_output=True, text=True, env=env, check=True
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
-    assert proc.stdout.split() == []
+    return proc.stdout.split("\n")
+
+
+def test_import_loads_only_stdlib_and_troplab():
+    # every public name and submodule touched, in a fresh interpreter
+    foreign, slow = run_probe(TOUCH_EVERY_NAME)[:2]
+    assert foreign.split() == []
+    assert slow.split() == []
+
+
+def test_import_of_the_cli_loads_no_library_module():
+    # each command imports the modules it runs; see test_cli for those
+    loaded = set(run_probe(IMPORT_CLI)[0].split())
+    assert {m for m in loaded if m.startswith("troplab")} == {
+        "troplab",
+        "troplab.cli",
+        "troplab.errors",
+    }
+    assert loaded & SLOW_STDLIB == set()
+
+
+def test_every_public_name_resolves_and_is_listed():
+    import troplab
+
+    listed = dir(troplab)
+    assert len(set(troplab.__all__)) == len(troplab.__all__)
+    for name in troplab.__all__:
+        value = getattr(troplab, name)
+        assert name in listed
+        assert getattr(value, "__name__", name) == name
+    for name in SUBMODULES:
+        assert getattr(troplab, name).__name__ == f"troplab.{name}"
+        assert name in listed
+
+
+def test_unknown_name_raises_attribute_error():
+    import troplab
+
+    with pytest.raises(AttributeError, match="no_such_name"):
+        troplab.no_such_name
+    with pytest.raises(ImportError):
+        from troplab import no_such_name  # noqa: F401
 
 
 def test_no_assert_statements_in_the_library():
