@@ -6,6 +6,7 @@ modes.  Matrices are tiny (a handful of rows), so a cubic Gauss-Jordan
 pass is the right tool.
 """
 
+from fractions import Fraction
 from typing import List, Sequence
 
 Matrix = List[list]
@@ -76,3 +77,14 @@ def int_matrix(a) -> Matrix:
             r.append(xi)
         out.append(r)
     return out
+
+
+def int_inverse(a) -> Matrix:
+    """Inverse of an integer matrix in GL(n, Z), in integers.
+
+    Solved exactly over Fractions; raises ZeroDivisionError when A is
+    singular and ValueError when its inverse is not integral (det A is
+    not +-1).
+    """
+    exact = [[Fraction(x) for x in row] for row in a]
+    return int_matrix(solve(exact, identity(len(a))))

@@ -7,8 +7,9 @@ dimension are exact.  Float mode holds numerically sampled inputs, each
 entry read as its exact (dyadic) value.  A form is eliminated once, when
 it is built, fraction-free in integers; positive definiteness, det,
 jacobi_decompose, LLL and the covering radius all read those minors, and
-a float answer is the exact one rounded once.  Equivalence with a
-tolerance matches the reduced forms in doubles.
+a float answer is the exact one rounded once.  Exact equivalence
+matches inner products on the integer Grams; with a tolerance the same
+search matches them in doubles.
 
 Mixing modes silently would hide precision loss, so mixed-mode operations
 raise and callers convert explicitly (to_float is lossy and deliberate,
@@ -16,6 +17,7 @@ to_exact is lossless binary expansion).
 """
 
 import math
+import operator
 from fractions import Fraction
 from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -619,11 +621,19 @@ def is_equivalent(
 ) -> Optional[List[List[int]]]:
     """GL(n, Z) equivalence.  Returns U with U^T f1 U = f2, or None.
 
+    Both forms are LLL-reduced, and the images of the reduced basis of f1
+    are chosen in turn from the vectors of f2 of the matching length.  A
+    candidate for vector i is tested against each chosen vector w with one
+    dot product with the stored image of w under the Gram of f2.
+
     Exact mode (both forms exact, tol omitted) certifies absence: the
-    candidate images of each reduced basis vector are complete lists of
-    lattice vectors of the required length, and the backtracking exhausts
-    every matching of pairwise inner products.  With tol, matching is
-    approximate and None only means no match within tolerance.
+    candidate lists are complete, and the backtracking exhausts every
+    matching of pairwise inner products.  It runs on the integer Grams
+    g = den F stored with the forms: <v, w> = F1[i][j] in the reduced
+    forms is tested as v^T (den1 g2) w = den2 g1[i][j], and the witness as
+    U^T g1 U den2 = g2 den1.  With tol, the same search matches doubles
+    within tol times the largest entry, and None only means no match
+    within tolerance.
     """
     if f1.n != f2.n:
         raise PreconditionError("dimension-match", "forms have different ranks")
@@ -643,56 +653,62 @@ def is_equivalent(
     m2, u2 = lll_reduce(f2)
     if exact and m1.det() != m2.det():
         return None
-    scale = 1 if exact else _match_scale(m1, m2)
-    slack = 0 if exact else tol * scale
-
-    def close(a, b):
-        return a == b if exact else abs(a - b) <= slack
-
+    slack = 0 if exact else tol * _match_scale(m1, m2)
     dec2 = jacobi_decompose(m2)
     need = [m1.entries[i][i] for i in range(n)]
     maxnorm = max(need) + slack
     pool = _enumerate_up_to(dec2.b, dec2.d, maxnorm)
     cands = []
     for i in range(n):
-        ci = sorted(vec for vec, val in pool if close(val, need[i]))
+        ci = sorted(vec for vec, val in pool if abs(val - need[i]) <= slack)
         if not ci:
             return None
         cands.append(ci)
 
-    m2rows = m2.rows
+    # <v, w> in m2 against m1[i][j]: exactly, in integers cross-multiplied
+    # by the two denominators; with tol, in doubles
+    if exact:
+        gram = [[m1._den * x for x in row] for row in m2._gram]
+        target = [[m2._den * x for x in row] for row in m1._gram]
+    else:
+        gram, target = m2.entries, m1.entries
     chosen: List[Tuple[int, ...]] = []
-
-    def inner(a, b):
-        return sum(m2rows[i][j] * a[i] * b[j] for i in range(n) for j in range(n))
+    images: list = []  # gram v for each chosen v
 
     def extend(i):
         if i == n:
             return True
+        row = target[i]
         for v in cands[i]:
-            ok = True
-            for j in range(i):
-                if not close(inner(v, chosen[j]), m1.entries[i][j]):
-                    ok = False
+            for image, t in zip(images, row):
+                if abs(sum(map(operator.mul, v, image)) - t) > slack:
                     break
-            if ok:
+            else:
                 chosen.append(v)
+                images.append(la.mat_vec(gram, v))
                 if extend(i + 1):
                     return True
                 chosen.pop()
+                images.pop()
         return False
 
     if not extend(0):
         return None
     t = la.transpose([list(v) for v in chosen])  # columns are images
-    # U = U1 T^-1 U2^-1 = U1 (U2 T)^-1 is integral iff T is unimodular
-    u2t = [[Fraction(x) for x in row] for row in la.mat_mul(u2, t)]
+    # U = U1 T^-1 U2^-1 = U1 (U2 T)^-1 is integral iff U2 T is unimodular
     try:
-        u = la.int_matrix(la.mat_mul(u1, la.solve(u2t, la.identity(n))))
+        u = la.mat_mul(u1, la.int_inverse(la.mat_mul(u2, t)))
     except (ZeroDivisionError, ValueError):
         return None
-    if exact and f1.transform(u) != f2:
-        raise RuntimeError("witness verification failed")
+    if exact:
+        # U^T g1 U / den1 = g2 / den2, in integers
+        g1u = la.mat_mul(la.transpose(u), la.mat_mul(f1._gram, u))
+        if any(
+            x * f2._den != y * f1._den
+            for r1, r2 in zip(g1u, f2._gram)
+            for x, y in zip(r1, r2)
+        ):
+            raise RuntimeError("witness verification failed")
     return u
 
 

@@ -105,18 +105,27 @@ def _sympl_j(g: int) -> List[List[int]]:
     return j
 
 
+def _integral(mat, name: str) -> List[List[int]]:
+    """The rows of an integral matrix as ints; any other entry raises."""
+    try:
+        return la.int_matrix(mat)
+    except (ArithmeticError, TypeError, ValueError):
+        raise PreconditionError("integral", f"{name} must have integer entries")
+
+
 class SymplecticElement:
     """Integral 2g x 2g matrix preserving the standard alternating form.
 
-    The constructor checks gamma^T J gamma = J.  The named constructors
-    and compose build matrices that are symplectic by construction, from
-    checked inputs, and skip that product.
+    The constructor reads integer entries, rejecting any other, and checks
+    gamma^T J gamma = J.  The named constructors and compose build
+    matrices that are symplectic by construction, from checked inputs,
+    and skip that product.
     """
 
     __slots__ = ("g", "mat")
 
     def __init__(self, mat):
-        rows = [[int(v) for v in r] for r in mat]
+        rows = _integral(mat, "gamma")
         n = len(rows)
         if n % 2 != 0 or any(len(r) != n for r in rows):
             raise PreconditionError("even-size", "matrix must be 2g x 2g")
@@ -151,11 +160,11 @@ class SymplecticElement:
         if any(len(r) != g for r in u):
             raise PreconditionError("square-matrix", "U must be g x g")
         try:
-            ut = la.transpose(la.int_matrix(u))
-            u_frac = [[Fraction(v) for v in r] for r in u]
-            u_inv = la.int_matrix(la.solve(u_frac, la.identity(g)))
+            u = la.int_matrix(u)
+            u_inv = la.int_inverse(u)
         except (ArithmeticError, ValueError):
             raise PreconditionError("unimodular", "U must be in GL(g, Z)")
+        ut = la.transpose(u)
         m = la.zeros(2 * g, 2 * g)
         for i in range(g):
             m[i][:g] = ut[i]
@@ -166,7 +175,7 @@ class SymplecticElement:
     def translation(cls, s) -> "SymplecticElement":
         """Z -> Z + S for integral symmetric S."""
         g = len(s)
-        rows = [[int(v) for v in r] for r in s]
+        rows = _integral(s, "S")
         if any(len(r) != g for r in rows) or any(
             rows[i][j] != rows[j][i] for i in range(g) for j in range(i)
         ):

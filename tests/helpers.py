@@ -4,7 +4,8 @@ The oracles here deliberately avoid the library's own algorithms: the
 covering radius is brute-forced on a grid, graph diameters are sampled
 densely along edges with a hand-rolled all-pairs shortest path, or taken
 exactly over every pair of quarter-grid points, equivalence witnesses are
-searched over bounded-entry integer matrices, the collar integral is
+searched over bounded-entry integer matrices, or found again by the
+backtracking search with Fraction inner products, the collar integral is
 summed by Simpson's rule, LLL output is compared with the textbook
 recompute-everything loop and its conditions are read off Gram
 determinants, and orbit quotients are compared with the loop that
@@ -282,6 +283,106 @@ def _int_det(m) -> int:
         minor = [row[:j] + row[j + 1 :] for row in m[1:]]
         total += (-1) ** j * m[0][j] * _int_det(minor)
     return total
+
+
+def reference_is_equivalent(f1: QuadraticForm, f2: QuadraticForm):
+    """Exact GL(n, Z) equivalence by the backtracking search over
+    Fractions: the witness the library must reproduce.
+
+    Both forms are reduced by reference_lll.  Vector i of the reduced f1
+    is sent, in sorted order, to each vector of the reduced f2 of the same
+    norm (_vectors_up_to), kept if its inner products with the vectors
+    already chosen, each a sum of n^2 Fraction products, match f1.  With T
+    the chosen columns, the witness is U1 (U2 T)^-1, or None when no
+    matching exists or U2 T is not unimodular.
+    """
+    n = f1.n
+    if n == 0:
+        return []
+    m1, u1 = reference_lll(f1)
+    m2, u2 = reference_lll(f2)
+    if _fraction_det(m1) != _fraction_det(m2):
+        return None
+    found = _vectors_up_to(m2, max(m1[i][i] for i in range(n)))
+    cands = [sorted(v for v, val in found if val == m1[i][i]) for i in range(n)]
+    chosen = []
+
+    def inner(a, b):
+        return sum(m2[i][j] * a[i] * b[j] for i in range(n) for j in range(n))
+
+    def extend(i):
+        if i == n:
+            return True
+        for v in cands[i]:
+            if all(inner(v, chosen[j]) == m1[i][j] for j in range(i)):
+                chosen.append(v)
+                if extend(i + 1):
+                    return True
+                chosen.pop()
+        return False
+
+    if not extend(0):
+        return None
+    u2t = [[sum(u2[i][k] * chosen[j][k] for k in range(n)) for j in range(n)] for i in range(n)]
+    inv = _fraction_inverse(u2t)
+    if inv is None or any(x.denominator != 1 for row in inv for x in row):
+        return None
+    return [[int(sum(u1[i][k] * inv[k][j] for k in range(n))) for j in range(n)] for i in range(n)]
+
+
+def _vectors_up_to(rows, bound):
+    """Every nonzero integer x with x^T rows x <= bound, with its value.
+
+    rows = B^T diag(q) B with B unit upper triangular, so the value is
+    the sum of q_i (x_i + c_i)^2 with c_i = sum_{j > i} b_ij x_j; x_i is
+    tried over a box around -c_i of integer half-width isqrt(room / q_i)
+    + 1 and kept when its term fits the room left.
+    """
+    n = len(rows)
+    q, b = [], []
+    for i in range(n):
+        qi = rows[i][i] - sum(b[k][i] ** 2 * q[k] for k in range(i))
+        bi = [Fraction(int(i == j)) for j in range(n)]
+        for j in range(i + 1, n):
+            bi[j] = (rows[i][j] - sum(b[k][i] * q[k] * b[k][j] for k in range(i))) / qi
+        q.append(qi)
+        b.append(bi)
+    found, x = [], [0] * n
+
+    def walk(i, value):
+        if i < 0:
+            if any(x):
+                found.append((tuple(x), value))
+            return
+        c = sum(b[i][j] * x[j] for j in range(i + 1, n))
+        half = math.isqrt(math.floor((bound - value) / q[i])) + 1
+        for xi in range(math.floor(-c) - half, math.ceil(-c) + half + 1):
+            term = q[i] * (xi + c) ** 2
+            if value + term <= bound:
+                x[i] = xi
+                walk(i - 1, value + term)
+        x[i] = 0
+
+    walk(n - 1, Fraction(0))
+    return found
+
+
+def _fraction_inverse(rows):
+    """Inverse of an integer matrix over Fractions; None when singular."""
+    n = len(rows)
+    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(rows)]
+    for c in range(n):
+        p = next((r for r in range(c, n) if a[r][c] != 0), None)
+        if p is None:
+            return None
+        a[c], a[p] = a[p], a[c]
+        a[c] = [x / a[c][c] for x in a[c]]
+        for r in range(n):
+            f = a[r][c]
+            if r != c and f != 0:
+                a[r] = [x - f * y for x, y in zip(a[r], a[c])]
+    return [row[n:] for row in a]
 
 
 def sampled_graph_diameter(vertices, edges, steps: int = 40) -> float:

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from troplab import _linalg as la
 from troplab import (
     FlatTorus,
     ModeMixError,
@@ -38,6 +39,7 @@ from helpers import (
     random_pd_form,
     random_rational_form,
     random_unimodular,
+    reference_is_equivalent,
     reference_lll,
     sampled_covering_radius,
     seeded,
@@ -524,8 +526,10 @@ class TestEquivalence:
             is_equivalent(I2, QuadraticForm([[1]]))
 
     def test_failed_witness_raises(self, monkeypatch):
-        # the witness is checked with a raise that python -O keeps
-        monkeypatch.setattr(QuadraticForm, "transform", lambda self, u: self.scale(2))
+        # the witness is checked with a raise that python -O keeps: an
+        # inverse of U2 T doubled in every entry makes U^T I U = 4 I
+        inverse = la.int_inverse
+        monkeypatch.setattr(la, "int_inverse", lambda m: [[2 * x for x in r] for r in inverse(m)])
         with pytest.raises(RuntimeError, match="witness"):
             is_equivalent(I2, I2)
 
@@ -570,6 +574,73 @@ class TestEquivalence:
             assert wb is not None and g.transform(wb) == f
             wt = is_equivalent(f, h)
             assert wt is not None and f.transform(wt) == h
+
+
+def z_plus(n, k):
+    """Z^n + [k]: the identity of rank n with one more basis vector of norm k."""
+    return [[(k if i == n else 1) if i == j else 0 for j in range(n + 1)] for i in range(n + 1)]
+
+
+# D6-D8 are left out: the Fraction search backtracks for seconds to
+# minutes on their conjugates
+ROOT_LATTICES = (
+    [a_n_gram(n) for n in range(2, 9)]
+    + [d_n_gram(n) for n in (4, 5)]
+    + [e_n_gram(n) for n in (6, 7, 8)]
+    + [z_plus(n - 1, 1) for n in range(2, 9)]
+)
+
+
+class TestEquivalenceReference:
+    """Witnesses against the backtracking search over Fraction inner products."""
+
+    def test_conjugate_pairs_give_the_reference_witness(self):
+        rng = seeded(61)
+        for k, rows in enumerate(ROOT_LATTICES):
+            n = len(rows)
+            f = QuadraticForm(rows).scale(F(rng.randint(1, 9), rng.randint(1, 9)))
+            g = f.transform(random_unimodular(rng, n, steps=n))
+            a, b = (f, g) if k % 2 else (g, f)
+            want = reference_is_equivalent(a, b)
+            assert want is not None
+            assert is_equivalent(a, b) == want
+
+    def test_same_det_other_denominator_gives_none(self):
+        # a root lattice f scaled by c = p/11, p odd, against
+        # 2c Z^(n-1) + [det f / (2c)^(n-1)]: the search for f in g runs on
+        # the vectors of norm 2c and compares cross-multiplied integers of
+        # denominators 11 and 11 2^k
+        rng = seeded(62)
+        for rows in (a_n_gram(2), a_n_gram(4), a_n_gram(6), d_n_gram(4), d_n_gram(5), e_n_gram(6)):
+            n = len(rows)
+            c = F(rng.randrange(1, 11, 2), 11)
+            f = QuadraticForm(rows).scale(c)
+            diag = [2 * c] * (n - 1) + [f.det() / (2 * c) ** (n - 1)]
+            g = QuadraticForm([[diag[i] if i == j else 0 for j in range(n)] for i in range(n)])
+            assert f._den != g._den
+            for a, b in ((f, g), (g, f)):
+                assert reference_is_equivalent(a, b) is None
+                assert is_equivalent(a, b) is None
+
+    def test_same_det_inequivalent_lattices_give_none(self):
+        d4, z3_4 = QuadraticForm(d_n_gram(4)), QuadraticForm(z_plus(3, 4))
+        assert reference_is_equivalent(d4, z3_4) is None
+        assert is_equivalent(d4, z3_4) is None
+        for rows, other in ((d_n_gram(5), z_plus(4, 4)), (e_n_gram(6), z_plus(5, 3))):
+            f, g = QuadraticForm(rows), QuadraticForm(other)
+            assert f.det() == g.det()
+            assert is_equivalent(f, g) is None
+            assert is_equivalent(g.scale(F(2, 3)), f.scale(F(2, 3))) is None
+
+    def test_homothety_with_rational_scale_gives_the_reference_witness(self):
+        rng = seeded(63)
+        for rows in (a_n_gram(3), a_n_gram(5), d_n_gram(4), e_n_gram(6), z_plus(3, 1)):
+            n = len(rows)
+            f = QuadraticForm(rows).scale(F(rng.randint(1, 9), rng.randint(2, 9)))
+            c = F(rng.randint(1, 9), rng.randint(2, 9))
+            g = f.scale(c).transform(random_unimodular(rng, n, steps=n))
+            got = is_homothetic(f, g)
+            assert got == (c, reference_is_equivalent(f.scale(c), g))
 
 
 class TestHomothety:

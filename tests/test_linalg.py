@@ -33,3 +33,18 @@ def test_solve_is_exact_on_fractions():
 def test_solve_rejects_singular():
     with pytest.raises(ZeroDivisionError, match="singular"):
         la.solve([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]], la.identity(2))
+
+
+def test_int_inverse_is_integral():
+    u = [[2, 1], [1, 1]]
+    inv = la.int_inverse(u)
+    assert inv == [[1, -1], [-1, 2]]
+    assert all(type(x) is int for row in inv for x in row)
+    assert la.mat_mul(u, inv) == la.identity(2)
+
+
+def test_int_inverse_rejects_singular_and_non_unimodular():
+    with pytest.raises(ZeroDivisionError):
+        la.int_inverse([[1, 2], [2, 4]])
+    with pytest.raises(ValueError, match="non-integral"):
+        la.int_inverse([[2, 0], [0, 1]])

@@ -130,14 +130,32 @@ class TestSymplectic:
                 SymplecticElement(mat)
             assert info.value.invariant == "symplectic"
 
+    def test_constructor_rejects_non_integral_entries(self):
+        # an entry is read exactly, never truncated by int()
+        for mat in ([[1, F(1, 2)], [0, 1]], [[1, 1.5], [0, 1]], [[1.9, 0], [0, 1]]):
+            with pytest.raises(PreconditionError) as info:
+                SymplecticElement(mat)
+            assert info.value.invariant == "integral"
+        assert SymplecticElement([[1, F(2, 1)], [0, 1.0]]).mat == ((1, 2), (0, 1))
+
+    def test_translation_rejects_non_integral_entries(self):
+        for s in ([[F(1, 2)]], [[1.9]], [[0, F(-1, 3)], [F(-1, 3), 0]]):
+            with pytest.raises(PreconditionError) as info:
+                SymplecticElement.translation(s)
+            assert info.value.invariant == "integral"
+        assert SymplecticElement.translation([[2.0]]).mat == ((1, 2), (0, 1))
+
     def test_named_constructors_check_their_inputs(self):
         # they skip the gamma^T J gamma product, so a translation must be
         # symmetric and a GL(g, Z) element integral with integral inverse
         with pytest.raises(PreconditionError):
             SymplecticElement.translation([[0, 1], [0, 0]])
-        for u in ([[F(1, 2)]], [[2]], [[1, 1], [1, 1]], [[1, 0]]):
-            with pytest.raises(PreconditionError):
+        for u in ([[F(1, 2)]], [[2]], [[1, 1], [1, 1]]):
+            with pytest.raises(PreconditionError) as info:
                 SymplecticElement.from_gl(u)
+            assert info.value.invariant == "unimodular"
+        with pytest.raises(PreconditionError):
+            SymplecticElement.from_gl([[1, 0]])
 
     def test_named_constructors_and_products_are_symplectic(self):
         rng = seeded(42)
