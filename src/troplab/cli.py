@@ -10,6 +10,7 @@ invariant).  Set TROPLAB_LOG=info or =debug for progress on stderr.
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -48,12 +49,17 @@ class RunConfig(NamedTuple):
 
 
 def _config(args) -> RunConfig:
+    """The run config from the common flags, which are checked here; a
+    value that fails its check exits 2 before any input is read."""
     tol = args.tol if getattr(args, "tol", None) is not None else 1e-6
-    if tol <= 0:
-        raise SchemaError("tolerance must be positive", "/--tol")
-    max_iter = getattr(args, "max_iter", None) or 64
+    if not 0 < tol < math.inf:
+        raise SchemaError("tolerance must be positive and finite", "/--tol")
+    max_iter = args.max_iter if getattr(args, "max_iter", None) is not None else 64
     if max_iter < 1:
         raise SchemaError("max iterations must be >= 1", "/--max-iter")
+    u = getattr(args, "u", None)
+    if u is not None and not math.isfinite(u):
+        raise SchemaError("slack must be finite", "/--u")
     return RunConfig(tol, max_iter, getattr(args, "seed", None))
 
 

@@ -213,11 +213,7 @@ def curve_family_hybrid_limit(
     them and distributes length uniformly.
     """
     _require_edges(fam)
-    if gluing is GluingFunction.LOG:
-        total = sum(fam.multiplicities)
-        lengths = [Fraction(m, total) for m in fam.multiplicities]
-    else:
-        lengths = [Fraction(1, len(fam.multiplicities))] * len(fam.multiplicities)
+    lengths = gluing.weights(fam.multiplicities)
     return WeightedMetricGraph(
         fam.graph.vertices,
         [(u, v, l) for (u, v, _), l in zip(fam.graph.edges, lengths)],

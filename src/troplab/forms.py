@@ -13,7 +13,10 @@ search matches them in doubles.
 
 Mixing modes silently would hide precision loss, so mixed-mode operations
 raise and callers convert explicitly (to_float is lossy and deliberate,
-to_exact is lossless binary expansion).
+to_exact is lossless binary expansion).  Entries enter a mode through
+rationals.coerce_matrix, as the X of a Siegel point and the edge lengths
+of a graph do: a float in exact mode raises, and a float entry must be
+finite.
 """
 
 import math
@@ -23,7 +26,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from . import _linalg as la
 from .errors import ModeMixError, NotPositiveDefiniteError, PreconditionError, SchemaError
-from .rationals import format_scalar, parse_matrix
+from .rationals import coerce_matrix, format_scalar, parse_matrix
 
 Scalar = Union[Fraction, float]
 
@@ -48,29 +51,7 @@ class QuadraticForm:
         for r in rows:
             if len(r) != n:
                 raise PreconditionError("square-matrix", "entries must be n x n")
-        if mode is None:
-            has_float = any(isinstance(x, float) for r in rows for x in r)
-            mode = "float" if has_float else "exact"
-        if mode not in ("exact", "float"):
-            raise PreconditionError("arithmetic-mode", f"unknown mode {mode!r}")
-        if mode == "exact":
-            coerced = []
-            for r in rows:
-                cr = []
-                for x in r:
-                    if isinstance(x, float):
-                        raise ModeMixError(
-                            "float entry in exact mode; call to_exact explicitly"
-                        )
-                    cr.append(Fraction(x))
-                coerced.append(cr)
-            rows = coerced
-        else:
-            rows = [[float(x) for x in r] for r in rows]
-            for i, r in enumerate(rows):
-                if not all(map(math.isfinite, r)):
-                    j = next(j for j, x in enumerate(r) if not math.isfinite(x))
-                    raise PreconditionError("finite", f"entries[{i}][{j}] is {r[j]!r}")
+        rows, mode = coerce_matrix(rows, mode)
         for i in range(n):
             for j in range(i + 1, n):
                 if rows[i][j] != rows[j][i]:
@@ -113,9 +94,7 @@ class QuadraticForm:
         return QuadraticForm(_symmetrized(m), self.mode)
 
     def to_float(self) -> "QuadraticForm":
-        return QuadraticForm(
-            [[float(x) for x in row] for row in self.entries], "float"
-        )
+        return QuadraticForm(self.entries, "float")
 
     def to_exact(self) -> "QuadraticForm":
         # float -> Fraction is the exact binary expansion, never lossy
@@ -211,10 +190,19 @@ class JacobiDecomposition(NamedTuple):
     d: tuple
 
     def recompose(self) -> QuadraticForm:
-        n = len(self.d)
-        bm = [list(r) for r in self.b]
-        dm = [[self.d[i] if i == j else 0 for j in range(n)] for i in range(n)]
-        return QuadraticForm(la.mat_mul(la.transpose(bm), la.mat_mul(dm, bm)))
+        """The form B^T diag(d) B, in the arithmetic of the entries of B and d.
+
+        Entry (i, j), i <= j, sums b_ki (d_k b_kj) over k <= i, the rows
+        where column i of B can be nonzero; entry (j, i) is the same
+        number, so a float form is symmetric however its products round.
+        """
+        b, d = self.b, self.d
+        n = len(d)
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                rows[i][j] = rows[j][i] = sum(b[k][i] * (d[k] * b[k][j]) for k in range(i + 1))
+        return QuadraticForm(rows)
 
 
 def jacobi_decompose(form: QuadraticForm) -> JacobiDecomposition:

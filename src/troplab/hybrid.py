@@ -371,6 +371,17 @@ class GluingFunction(enum.Enum):
             return -math.log(z)
         return math.log(-math.log(z))
 
+    def weights(self, orders: Sequence) -> Tuple[Fraction, ...]:
+        """Projective weights, summing to 1, of divergence orders m_i > 0.
+
+        Log weighs each order by its share m_i / sum m; LogLog sees every
+        scale log(m_i L) ~ log L and weighs them uniformly.
+        """
+        if self is GluingFunction.LOG:
+            total = sum(orders)
+            return tuple(Fraction(m) / total for m in orders)
+        return tuple(Fraction(1, len(orders)) for _ in orders)
+
 
 class _MonomialPathChartFields(NamedTuple):
     complex: IncidenceComplex
@@ -434,20 +445,15 @@ class HybridLimit(NamedTuple):
 def hybrid_limit(path: MonomialPathChart, f: GluingFunction) -> HybridLimit:
     """Limit coordinates of the path on its support cell.
 
-    Log weighs divisor i by its exponent; LogLog sees every exponent's
-    scale as log(m_i * L) ~ log L and distributes mass uniformly.
+    The coordinates are the gluing function's weights of the exponents
+    on the support (GluingFunction.weights).
     """
     support = path.support()
     if not support:
         raise PreconditionError(
             "boundary-approach", "path does not approach the boundary"
         )
-    if f is GluingFunction.LOG:
-        total = sum(path.exponents)
-        coords = tuple(path.exponents[i - 1] / total for i in support)
-    else:
-        coords = tuple(Fraction(1, len(support)) for _ in support)
-    return HybridLimit(support, coords)
+    return HybridLimit(support, f.weights([path.exponents[i - 1] for i in support]))
 
 
 class Tropicalization(NamedTuple):

@@ -12,9 +12,8 @@ injectivity radius limit (keeps every direction as a circle factor).
 from fractions import Fraction
 from typing import Dict, NamedTuple, Optional, Sequence, Tuple, Union
 
-from . import _linalg as la
 from .errors import PreconditionError, SchemaError
-from .forms import FlatTorus, LimitSpace, QuadraticForm, rescale_to_diameter_one
+from .forms import FlatTorus, JacobiDecomposition, LimitSpace, rescale_to_diameter_one
 from .rationals import format_rational, parse_rational
 from .siegel import SiegelPoint, default_u0, in_siegel_set, jacobi_decompose, metric_matrix
 
@@ -159,9 +158,7 @@ class SymbolicSiegelPath:
         xv = [[self.x[i][j].value_at(s) for j in range(g)] for i in range(g)]
         bv = [[self.b[i][j].value_at(s) for j in range(g)] for i in range(g)]
         dv = [self.d[j].value_at(s) for j in range(g)]
-        dm = [[dv[i] if i == j else Fraction(0) for j in range(g)] for i in range(g)]
-        y = la.mat_mul(la.transpose(bv), la.mat_mul(dm, bv))
-        return SiegelPoint(xv, QuadraticForm(y))
+        return SiegelPoint(xv, JacobiDecomposition(bv, dv).recompose())
 
     def _validate_bounded_frame(self):
         for name, mat in (("X", self.x), ("B", self.b)):
@@ -188,11 +185,16 @@ class SymbolicSiegelPath:
                 )
         return exps
 
-    def limit_frame(self):
-        g = self.g
-        x_inf = [[self.x[i][j].limit() for j in range(g)] for i in range(g)]
-        b_inf = [[self.b[i][j].limit() for j in range(g)] for i in range(g)]
-        return x_inf, b_inf
+    def _converging_point(self, r: int) -> SiegelPoint:
+        """Limit of the upper-left r x r blocks of X and Y.
+
+        Needs d_1, ..., d_r of exponent zero: the block of Y is then the
+        recomposition of the limiting blocks of B and D.
+        """
+        x = [[v.limit() for v in row[:r]] for row in self.x[:r]]
+        b = [[v.limit() for v in row[:r]] for row in self.b[:r]]
+        head = JacobiDecomposition(b, [m.coefficient for m in self.d[:r]])
+        return SiegelPoint(x, head.recompose())
 
     def to_json_dict(self) -> dict:
         flip = self.convention == "t"
@@ -286,37 +288,39 @@ class CollapseResult(NamedTuple):
         }
 
 
+def _collapse_tail(b, a, r: int) -> FlatTorus:
+    """Rescaled limit torus of a frame B whose first r limit ratios vanish.
+
+    The limit Gram is the lower-right (g - r) block of B^T diag(a) B, and
+    the discarded block is the kernel.  B is unit upper triangular and
+    a_j = 0 for j < r, so that block is the recomposition of the
+    lower-right blocks of B and a.
+    """
+    tail = JacobiDecomposition(tuple(row[r:] for row in b[r:]), tuple(a[r:]))
+    return rescale_to_diameter_one(tail.recompose())
+
+
 def classify_collapse_symbolic(path: SymbolicSiegelPath) -> CollapseResult:
     """Limit of the rescaled tori along a monomial path.
 
     The ratios d_j / d_g converge to a_j (zero exactly when the exponent
-    lags).  With r zeros, the limit Gram is the lower-right (g - r) block
-    of B_inf^T diag(a) B_inf; the discarded block is the kernel because
-    B_inf is unit upper triangular.  The limit Gram is exact: its squared
-    covering radius is rational.
+    lags); with r zeros the limit is the tail of B_inf and a (see
+    _collapse_tail).  The limit Gram is exact: its squared covering radius
+    is rational.
     """
     path._validate_bounded_frame()
     exps = path._validate_d_ordering()
     g = path.g
-    x_inf, b_inf = path.limit_frame()
     top = exps[g - 1]
-    if top == 0:
-        d_inf = [m.limit() for m in path.d]
-        dm = [[d_inf[i] if i == j else Fraction(0) for j in range(g)] for i in range(g)]
-        y_inf = la.mat_mul(la.transpose(b_inf), la.mat_mul(dm, b_inf))
-        z_inf = SiegelPoint(x_inf, QuadraticForm(y_inf))
-        torus = rescale_to_diameter_one(metric_matrix(z_inf))
-        profile = tuple(d_inf[j] / d_inf[g - 1] for j in range(g))
-        return CollapseResult(r=0, profile=profile, limit=torus, collapsed=False)
     a = [
         path.d[j].coefficient / path.d[g - 1].coefficient if exps[j] == top else Fraction(0)
         for j in range(g)
     ]
+    if top == 0:
+        torus = rescale_to_diameter_one(metric_matrix(path._converging_point(g)))
+        return CollapseResult(r=0, profile=tuple(a), limit=torus, collapsed=False)
     r = sum(1 for v in a if v == 0)
-    lam = [[a[i] if i == j else Fraction(0) for j in range(g)] for i in range(g)]
-    p_full = la.mat_mul(la.transpose(b_inf), la.mat_mul(lam, b_inf))
-    block = [[p_full[i][j] for j in range(r, g)] for i in range(r, g)]
-    torus = rescale_to_diameter_one(QuadraticForm(block))
+    torus = _collapse_tail([[v.limit() for v in row] for row in path.b], a, r)
     return CollapseResult(r=r, profile=tuple(a[r:]), limit=torus, collapsed=True)
 
 
@@ -383,11 +387,7 @@ def classify_collapse_numeric(
             "oscillating-ratios", "collapsed directions are not an initial block"
         )
     a = [0.0 if collapsed_flags[j] else ratios[j + 1][-1] for j in range(g)]
-    b_inf = [[float(v) for v in row] for row in decs[-1].b]
-    lam = [[a[i] if i == j else 0.0 for j in range(g)] for i in range(g)]
-    p_full = la.mat_mul(la.transpose(b_inf), la.mat_mul(lam, b_inf))
-    block = [[p_full[i][j] for j in range(r, g)] for i in range(r, g)]
-    torus = rescale_to_diameter_one(QuadraticForm(block, "float"))
+    torus = _collapse_tail(decs[-1].b, a, r)
     report = NumericReport(
         d_top=tuple(d_top),
         ratios=ratios,
@@ -412,14 +412,7 @@ def fixed_volume_limit(path: SymbolicSiegelPath) -> LimitSpace:
     r = sum(1 for e in exps if e == 0)
     if r == 0:
         return LimitSpace((), g, None)
-    x_inf, b_inf = path.limit_frame()
-    x_blk = [[x_inf[i][j] for j in range(r)] for i in range(r)]
-    b_blk = [[b_inf[i][j] for j in range(r)] for i in range(r)]
-    d_blk = [path.d[j].coefficient for j in range(r)]
-    dm = [[d_blk[i] if i == j else Fraction(0) for j in range(r)] for i in range(r)]
-    y_blk = la.mat_mul(la.transpose(b_blk), la.mat_mul(dm, b_blk))
-    torus = FlatTorus(metric_matrix(SiegelPoint(x_blk, QuadraticForm(y_blk))))
-    return LimitSpace((), g - r, torus)
+    return LimitSpace((), g - r, FlatTorus(metric_matrix(path._converging_point(r))))
 
 
 def fixed_injrad_limit(

@@ -5,10 +5,11 @@ numbers.  Serialization is canonical (integer when the denominator is 1)
 so identical inputs produce byte-identical output documents.
 """
 
+import math
 from fractions import Fraction
-from typing import List, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
-from .errors import SchemaError
+from .errors import ModeMixError, PreconditionError, SchemaError
 
 Scalar = Union[Fraction, float]
 
@@ -52,6 +53,34 @@ def parse_matrix(raw, mode: str, pointer: str = "") -> List[List[Scalar]]:
             [parse_scalar(x, mode, f"{pointer}/{i}/{j}") for j, x in enumerate(row)]
         )
     return rows
+
+
+def coerce_matrix(
+    rows: Sequence[Sequence], mode: Optional[str] = None, name: str = "entries"
+) -> Tuple[List[List[Scalar]], str]:
+    """The rows as new lists of Fractions ("exact") or floats ("float"), and the mode.
+
+    With no mode, any float entry makes it "float", else "exact".  A float
+    in exact mode raises ModeMixError, since converting it silently would
+    hide that it was rounded; a float entry must be finite, or it fails the
+    `finite` precondition naming name[i][j].
+    """
+    has_float = any(isinstance(x, float) for r in rows for x in r)
+    if mode is None:
+        mode = "float" if has_float else "exact"
+    if mode == "exact":
+        if has_float:
+            raise ModeMixError(f"{name} has a float entry in exact mode; convert it explicitly")
+        # a Fraction is immutable, so it is kept rather than copied
+        return [[x if type(x) is Fraction else Fraction(x) for x in r] for r in rows], mode
+    if mode != "float":
+        raise PreconditionError("arithmetic-mode", f"unknown mode {mode!r}")
+    rows = [[float(x) for x in r] for r in rows]
+    for i, r in enumerate(rows):
+        if not all(map(math.isfinite, r)):
+            j = next(j for j, x in enumerate(r) if not math.isfinite(x))
+            raise PreconditionError("finite", f"{name}[{i}][{j}] is {r[j]!r}")
+    return rows, mode
 
 
 def format_rational(value: Fraction):

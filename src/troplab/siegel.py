@@ -11,7 +11,7 @@ from fractions import Fraction
 from typing import List, Tuple, Union
 
 from . import _linalg as la
-from .errors import ModeMixError, PreconditionError, SchemaError
+from .errors import PreconditionError, SchemaError
 from .forms import (
     FlatTorus,
     QuadraticForm,
@@ -20,7 +20,7 @@ from .forms import (
     jacobi_decompose,
     lll_reduce,
 )
-from .rationals import format_scalar, parse_matrix
+from .rationals import coerce_matrix, format_scalar, parse_matrix
 
 Scalar = Union[Fraction, float]
 
@@ -41,18 +41,9 @@ class SiegelPoint:
         if not isinstance(y, QuadraticForm):
             y = QuadraticForm(y)
         g = y.n
-        rows = [list(r) for r in x]
+        rows, _ = coerce_matrix(x, y.mode, "X")
         if len(rows) != g or any(len(r) != g for r in rows):
             raise PreconditionError("shape-match", "X must be g x g")
-        if y.mode == "exact":
-            try:
-                rows = [[Fraction(v) for v in r] for r in rows]
-            except (TypeError, ValueError):
-                raise ModeMixError("X has float entries but Y is exact")
-            if any(isinstance(v, float) for r in x for v in r):
-                raise ModeMixError("X has float entries but Y is exact")
-        else:
-            rows = [[float(v) for v in r] for r in rows]
         for i in range(g):
             for j in range(i + 1, g):
                 if rows[i][j] != rows[j][i]:
@@ -265,7 +256,7 @@ def in_siegel_set(z: SiegelPoint, u) -> bool:
     |x_ij| < u, |1 - b_ij| < u above the diagonal, 1 < u d_1, and
     d_i < u d_{i+1}.
     """
-    if u <= 1:
+    if not u > 1:
         raise PreconditionError("slack-range", "u must exceed 1")
     g = z.g
     for i in range(g):
@@ -306,7 +297,7 @@ def siegel_reduce(
     g = z.g
     if u is None:
         u = default_u0(g)
-    if u < default_u0(g):
+    if not u >= default_u0(g):
         raise PreconditionError(
             "slack-range", f"u must be >= configured default {default_u0(g)}"
         )

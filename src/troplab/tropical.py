@@ -21,7 +21,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import ModeMixError, PreconditionError, SchemaError
 from .forms import FlatTorus, QuadraticForm, Scalar, rescale_to_diameter_one
-from .rationals import format_scalar, parse_matrix, parse_scalar
+from .rationals import coerce_matrix, format_scalar, parse_matrix, parse_scalar
 
 
 class WeightedMetricGraph:
@@ -52,22 +52,11 @@ class WeightedMetricGraph:
                 raise PreconditionError("unique-vertex-ids", f"duplicate vertex id {vid!r}")
             pos[vid] = i
 
-        lengths = [e[2] for e in edges]
-        if mode is None:
-            mode = "float" if any(isinstance(x, float) for x in lengths) else "exact"
-        if mode not in ("exact", "float"):
-            raise PreconditionError("arithmetic-mode", f"unknown mode {mode!r}")
+        (lengths,), mode = coerce_matrix([[e[2] for e in edges]], mode, "lengths")
         parsed = []
-        for k, e in enumerate(edges):
-            u, v, length = e
+        for k, ((u, v, _), length) in enumerate(zip(edges, lengths)):
             if u not in pos or v not in pos:
                 raise PreconditionError("edge-endpoints", f"edge {k} references an unknown vertex")
-            if mode == "exact":
-                if isinstance(length, float):
-                    raise ModeMixError("float edge length in exact mode")
-                length = Fraction(length)
-            else:
-                length = float(length)
             if length <= 0:
                 raise PreconditionError("positive-length", f"edge {k} has nonpositive length")
             parsed.append((u, v, length))

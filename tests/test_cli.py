@@ -87,6 +87,15 @@ class TestReduce:
         assert out == ""
         assert "finite: entries[0][0]" in err
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_x_entry_is_precondition_failure(self, capsys, tmp_path, literal):
+        path = tmp_path / "z.json"
+        path.write_text('{"mode": "float", "X": [[%s]], "Y": [[1.0]]}' % literal)
+        code, out, err = run_main(capsys, "reduce", str(path))
+        assert code == 3
+        assert out == ""
+        assert "finite: X[0][0]" in err
+
     @pytest.mark.parametrize(
         "doc, pointer",
         [({"X": [0], "Y": [[1]]}, "/X/0"), ({"X": [[0]], "Y": [1]}, "/Y/0")],
@@ -455,6 +464,29 @@ class TestExitCodes:
             ["av-limit", "--tol", "0"], stdin_text='{"M": [[1]]}'
         )
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize(
+        "command, flags, pointer",
+        [
+            ("reduce", ["--max-iter", "0"], "/--max-iter"),
+            ("reduce", ["--u", "nan"], "/--u"),
+            ("reduce", ["--u", "inf"], "/--u"),
+            ("reduce", ["--tol", "nan"], "/--tol"),
+            ("tropicalize", ["--tol", "nan"], "/--tol"),
+            ("tropicalize", ["--tol", "inf"], "/--tol"),
+        ],
+        ids=["max-iter-0", "u-nan", "u-inf", "reduce-tol-nan", "tol-nan", "tol-inf"],
+    )
+    def test_flag_out_of_range_is_schema_error(
+        self, capsys, tmp_path, command, flags, pointer
+    ):
+        doc = {"X": [["9/2"]], "Y": [["3"]], "points": [[0.5]]}
+        code, out, err = run_main(
+            capsys, command, write_doc(tmp_path, "d.json", doc), *flags
+        )
+        assert code == 2
+        assert out == ""
+        assert f"(at {pointer})" in err
 
     def test_csv_flag_only_on_series_commands(self):
         proc = run_proc(

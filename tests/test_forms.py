@@ -6,6 +6,7 @@ import pytest
 from troplab import _linalg as la
 from troplab import (
     FlatTorus,
+    JacobiDecomposition,
     ModeMixError,
     MonomialEntry,
     NotPositiveDefiniteError,
@@ -14,6 +15,7 @@ from troplab import (
     SchemaError,
     SiegelPoint,
     SymbolicSiegelPath,
+    WeightedMetricGraph,
     classify_collapse_numeric,
     covering_radius,
     covering_radius_sq,
@@ -123,6 +125,36 @@ class TestQuadraticForm:
         assert info.value.pointer == "/entries"
 
 
+COERCING_CONSTRUCTORS = {
+    "form": (lambda v, mode: QuadraticForm([[2, 0], [0, v]], mode), "entries[1][1]"),
+    "siegel-x": (
+        lambda v, mode: SiegelPoint([[0, 0], [0, v]], QuadraticForm([[1, 0], [0, 1]], mode)),
+        "X[1][1]",
+    ),
+    "graph-lengths": (
+        lambda v, mode: WeightedMetricGraph([("a", 0)], [("a", "a", 1), ("a", "a", v)], mode),
+        "lengths[0][1]",
+    ),
+}
+
+
+@pytest.mark.parametrize("build, where", COERCING_CONSTRUCTORS.values(), ids=COERCING_CONSTRUCTORS)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_float_mode_rejects_non_finite_entries(build, where, bad):
+    with pytest.raises(PreconditionError) as info:
+        build(bad, "float")
+    assert info.value.invariant == "finite"
+    assert f"{where} is {bad!r}" in str(info.value)
+
+
+@pytest.mark.parametrize("build, where", COERCING_CONSTRUCTORS.values(), ids=COERCING_CONSTRUCTORS)
+def test_exact_mode_rejects_float_entries(build, where):
+    with pytest.raises(ModeMixError):
+        build(1.5, "exact")
+    assert build(Fraction(3, 2), "exact").mode == "exact"
+    assert build(1.5, "float").mode == "float"
+
+
 class TestJacobi:
     def test_recompose_identity_exact(self):
         rng = seeded(11)
@@ -131,6 +163,23 @@ class TestJacobi:
             f = random_pd_form(rng, n)
             dec = jacobi_decompose(f)
             assert dec.recompose() == f
+
+    def test_recompose_float_frame_is_symmetric(self):
+        # b_ki (d_k b_kj) and b_kj (d_k b_ki) round differently, so a
+        # recomposition that computed both halves could fail "symmetric"
+        rng = seeded(12)
+        for _ in range(40):
+            n = rng.randint(3, 5)
+            b = [[rng.uniform(-1, 1) if j > i else float(i == j) for j in range(n)] for i in range(n)]
+            d = [rng.uniform(0.5, 3.0) for _ in range(n)]
+            f = JacobiDecomposition(b, d).recompose()
+            exact = JacobiDecomposition(
+                [[Fraction(v) for v in r] for r in b], [Fraction(v) for v in d]
+            ).recompose()
+            assert f.mode == "float"
+            for row, exact_row in zip(f.entries, exact.entries):
+                for v, w in zip(row, exact_row):
+                    assert abs(v - float(w)) <= 1e-12 * (1 + abs(float(w)))
 
     def test_unit_upper_triangular_factor(self):
         f = QuadraticForm([[2, 1], [1, 2]])

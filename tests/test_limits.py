@@ -18,6 +18,8 @@ from troplab import (
     rescale_to_diameter_one,
 )
 
+from helpers import seeded
+
 F = Fraction
 
 
@@ -232,3 +234,107 @@ class TestProductCollapse:
     def test_empty_rejected(self):
         with pytest.raises(PreconditionError):
             product_collapse_reduce([])
+
+
+def frame_product(b, d):
+    """B^T diag(d) B by the definition, entry by entry."""
+    n = len(d)
+    return [[sum(b[k][i] * d[k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+
+
+def matrix_product(p, q):
+    return [[sum(p[i][k] * q[k][j] for k in range(len(q))) for j in range(len(q[0]))] for i in range(len(p))]
+
+
+def random_frame_path(rng, exps):
+    """A monomial path with the given integer d exponents and bounded,
+    non-diagonal X and B: each entry off the diagonal of B is zero, constant
+    or decays like 1/s, so only the constants survive in the limit.  Entries
+    stay within 5/2, so the samples lie in the fundamental set."""
+    g = len(exps)
+
+    def bounded():
+        return mono(F(rng.randint(-5, 5), rng.randint(2, 4)), rng.choice([0, 0, -1]))
+
+    x = [[None] * g for _ in range(g)]
+    for i in range(g):
+        for j in range(i, g):
+            x[i][j] = x[j][i] = bounded()
+    b = [[bounded() if j > i else mono(int(i == j)) for j in range(g)] for i in range(g)]
+    d = [mono(F(rng.randint(4, 8), 4), e) for e in exps]
+    return SymbolicSiegelPath(x, b, d)
+
+
+def limit_of(m):
+    return [[v.limit() for v in row] for row in m]
+
+
+def assert_proportional(gram, block, tol=0):
+    # gram = c * block for one c > 0
+    c = gram[0][0] / block[0][0]
+    assert c > 0
+    for row, brow in zip(gram, block):
+        for v, w in zip(row, brow):
+            assert abs(v - c * w) <= tol
+
+
+class TestCollapseOracle:
+    """Limits against B^T diag(a) B formed here, without library algebra."""
+
+    @staticmethod
+    def collapsing_exponents(rng):
+        g = rng.randint(2, 4)
+        r = rng.randint(0, g - 1)
+        top = rng.randint(1, 3)
+        return sorted(rng.randint(0, top - 1) for _ in range(r)) + [top] * (g - r), r
+
+    def test_symbolic_and_numeric_collapse(self):
+        rng = seeded(23)
+        for _ in range(30):
+            exps, r = self.collapsing_exponents(rng)
+            g = len(exps)
+            path = random_frame_path(rng, exps)
+            a = [F(0)] * r + [m.coefficient / path.d[-1].coefficient for m in path.d[r:]]
+            full = frame_product(limit_of(path.b), a)
+            block = [row[r:] for row in full[r:]]
+
+            sym = classify_collapse_symbolic(path)
+            assert (sym.r, sym.collapsed, sym.profile) == (r, True, tuple(a[r:]))
+            assert sym.limit.gram.mode == "exact"
+            assert_proportional(sym.limit.gram.entries, block)
+            # the discarded directions span the kernel of the full product
+            assert all(full[i][j] == 0 for i in range(g) for j in range(g) if min(i, j) < r)
+
+            samples = [
+                SiegelPoint([[float(v) for v in row] for row in z.x], z.y.to_float())
+                for z in (path.point_at(F(10) ** k) for k in range(1, 9))
+            ]
+            num = classify_collapse_numeric(samples)
+            assert (num.r, num.collapsed) == (r, True)
+            assert num.limit.gram.mode == "float"
+            assert_proportional(num.limit.gram.entries, block, tol=1e-6)
+
+    def test_volume_limit(self):
+        rng = seeded(29)
+        for _ in range(30):
+            g = rng.randint(1, 4)
+            r = rng.randint(0, g)
+            path = random_frame_path(rng, [0] * r + sorted(rng.randint(1, 3) for _ in range(g - r)))
+            space = fixed_volume_limit(path)
+            assert (space.circle_circumferences, space.euclidean_rank) == ((), g - r)
+            if r == 0:
+                assert space.torus_part is None
+                continue
+            x = [row[:r] for row in limit_of(path.x)[:r]]
+            b = [row[:r] for row in limit_of(path.b)[:r]]
+            y = frame_product(b, [m.coefficient for m in path.d[:r]])
+            # the metric matrix of X + iY is [[Y^-1, Y^-1 X], [X Y^-1, Y + X Y^-1 X]]
+            gram = space.torus_part.gram.entries
+            top_left = [row[:r] for row in gram[:r]]
+            top_right = [row[r:] for row in gram[:r]]
+            bottom_right = [row[r:] for row in gram[r:]]
+            identity = [[int(i == j) for j in range(r)] for i in range(r)]
+            assert matrix_product(y, top_left) == identity
+            assert matrix_product(y, top_right) == x
+            x_yinv_x = matrix_product(x, top_right)
+            assert [[p - q for p, q in zip(u, v)] for u, v in zip(bottom_right, x_yinv_x)] == y

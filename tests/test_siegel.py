@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -235,6 +236,12 @@ class TestMembership:
     def test_interior_point_accepted(self):
         assert in_siegel_set(point([[0]], [[1]]), 2)
 
+    @pytest.mark.parametrize("u", [1, F(1, 2), math.nan])
+    def test_slack_must_exceed_one(self, u):
+        with pytest.raises(PreconditionError) as info:
+            in_siegel_set(point([[0]], [[1]]), u)
+        assert info.value.invariant == "slack-range"
+
     def test_small_y_rejected(self):
         assert not in_siegel_set(point([[0]], [[F(1, 10)]]), 2)
 
@@ -250,8 +257,11 @@ class TestMembership:
 
 class TestReduce:
     def test_rejects_small_slack(self):
-        with pytest.raises(PreconditionError):
-            siegel_reduce(point([[0]], [[1]]), u=1)
+        # NaN compares false both ways, so it must fail the check, not pass it
+        for u in (1, math.nan):
+            with pytest.raises(PreconditionError) as info:
+                siegel_reduce(point([[0]], [[1]]), u=u)
+            assert info.value.invariant == "slack-range"
 
     def test_translation_only(self):
         z = point([[F(9, 2)]], [[F(3)]])

@@ -93,15 +93,37 @@ def test_no_assert_statements_in_the_library():
             assert found == [], f"{name} asserts on lines {found}"
 
 
-def test_every_private_definition_is_used():
-    # a private function, class or method that nothing names outside its
-    # own body is dead code
+def library_trees():
     package = os.path.join(SRC, "troplab")
     trees = {}
     for name in sorted(os.listdir(package)):
         if name.endswith(".py"):
             with open(os.path.join(package, name), encoding="utf-8") as fh:
                 trees[name] = ast.parse(fh.read(), name)
+    return trees
+
+
+def test_every_module_level_import_is_used():
+    # an import that nothing in its module names is dead; __init__.py
+    # imports to re-export
+    unused = []
+    for module, tree in library_trees().items():
+        if module == "__init__.py":
+            continue
+        named = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.partition(".")[0]
+                    if bound not in named:
+                        unused.append(f"{module}:{node.lineno} {bound}")
+    assert unused == [], unused
+
+
+def test_every_private_definition_is_used():
+    # a private function, class or method that nothing names outside its
+    # own body is dead code
+    trees = library_trees()
 
     def is_private(name):
         return name.startswith("_") and not name.endswith("__")
