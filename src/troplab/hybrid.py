@@ -475,8 +475,13 @@ def tropicalize(points: Sequence[Sequence[complex]], tol: float = 1e-6) -> Tropi
     The direction (a point of the sphere of rays) is reported when the
     vectors blow up, the last three norms strictly increase with the
     final norm at least twice the first sample's, and the normalized
-    tail has settled to within tol in the max norm.
+    tail has settled to within tol in the max norm, which must be finite
+    and > 0.
     """
+    if not 0 < tol < math.inf:
+        raise PreconditionError(
+            "positive-tolerance", f"tol must be finite and > 0, not {tol!r}"
+        )
     if not points:
         raise PreconditionError("sample-count", "need at least one point")
     vectors = []

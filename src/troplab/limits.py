@@ -14,7 +14,7 @@ from typing import Dict, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import PreconditionError, SchemaError
 from .forms import FlatTorus, JacobiDecomposition, LimitSpace, rescale_to_diameter_one
-from .rationals import format_rational, parse_rational
+from .rationals import coerce_matrix, format_rational, parse_rational
 from .siegel import SiegelPoint, default_u0, in_siegel_set, jacobi_decompose, metric_matrix
 
 Scalar = Union[Fraction, float]
@@ -423,8 +423,9 @@ def fixed_injrad_limit(
     Only the split frame (X = 0, B = I) is supported; passing a
     nontrivial frame is rejected.  The profile must satisfy the
     fundamental-set style constraints 1 < u0 a_1 and a_i < u0 a_{i+1}.
+    Any float entry makes the whole profile float.
     """
-    a = [Fraction(v) if not isinstance(v, float) else v for v in a]
+    (a,), _ = coerce_matrix([a], None, "a")
     g = len(a)
     if g == 0:
         raise PreconditionError("positive-genus", "profile must be nonempty")
@@ -456,11 +457,12 @@ def product_collapse_reduce(
 ) -> FlatTorus:
     """Rescaled limit of a metric product whose factors blow up at
     different monomial rates: only the strictly dominant factor survives.
+    Any float exponent makes all of them float.
     """
     blocks = list(blocks)
     if not blocks:
         raise PreconditionError("nonempty-product", "no factors given")
-    exps = [Fraction(e) if not isinstance(e, float) else e for _, e in blocks]
+    (exps,), _ = coerce_matrix([[e for _, e in blocks]], None, "exponents")
     top = max(exps)
     winners = [i for i, e in enumerate(exps) if e == top]
     if len(winners) != 1:

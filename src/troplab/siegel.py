@@ -7,6 +7,7 @@ it are provided; reduction steps act through integral symplectic matrices
 so the torus model's equivalence class is preserved.
 """
 
+import math
 from fractions import Fraction
 from typing import List, Tuple, Union
 
@@ -254,10 +255,11 @@ def in_siegel_set(z: SiegelPoint, u) -> bool:
     """Strict fundamental-set inequalities with slack u > 1.
 
     |x_ij| < u, |1 - b_ij| < u above the diagonal, 1 < u d_1, and
-    d_i < u d_{i+1}.
+    d_i < u d_{i+1}.  An infinite u would admit every point, so u must
+    be finite.
     """
-    if not u > 1:
-        raise PreconditionError("slack-range", "u must exceed 1")
+    if not 1 < u < math.inf:
+        raise PreconditionError("slack-range", f"u must be finite and exceed 1, not {u!r}")
     g = z.g
     for i in range(g):
         for j in range(g):
@@ -297,9 +299,10 @@ def siegel_reduce(
     g = z.g
     if u is None:
         u = default_u0(g)
-    if not u >= default_u0(g):
+    if not default_u0(g) <= u < math.inf:
         raise PreconditionError(
-            "slack-range", f"u must be >= configured default {default_u0(g)}"
+            "slack-range",
+            f"u must be finite and >= configured default {default_u0(g)}, not {u!r}",
         )
     gamma = SymplecticElement.identity(g)
     cur = z

@@ -8,14 +8,17 @@ sends the graph to the unit-diameter real torus of that lattice.
 
 Diameter means the diameter of the metric realization: the maximum
 distance between any two points, edge interiors included.  It is
-computed exactly (for rational lengths) from all-pairs vertex distances
-plus a closed form for each pair of edges, so downstream rescaling stays
-in exact arithmetic.  Seen from a point x of edge e, the farthest point
+computed in integers, on the lengths scaled to a common denominator,
+from all-pairs vertex distances plus a closed form for each pair of
+edges; an exact graph gets an exact Fraction, so downstream rescaling
+stays exact, and a float graph gets its exact diameter rounded once.
+Seen from a point x of edge e, the farthest point
 of another edge f = (u_f, v_f, l_f) is (d(x, u_f) + d(x, v_f) + l_f) / 2
 away, and the sum d(x, u_f) + d(x, v_f) of two tent functions of x
 peaks where the tent of u_f does; graph_diameter gives the derivation.
 """
 
+import math
 from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -170,33 +173,14 @@ def genus_condition_counting_leaves(graph: WeightedMetricGraph, g: int) -> bool:
 # -- metric realization ----------------------------------------------------
 
 
-def _vertex_distances(graph: WeightedMetricGraph) -> List[list]:
-    n = len(graph.vertices)
-    inf = float("inf")
-    dist = [[inf] * n for _ in range(n)]
-    zero = Fraction(0) if graph.mode == "exact" else 0.0
-    for i in range(n):
-        dist[i][i] = zero
-    for u, v, l in graph.edges:
-        i, j = graph.vertex_index(u), graph.vertex_index(v)
-        if i != j and l < dist[i][j]:
-            dist[i][j] = dist[j][i] = l
-    for k in range(n):
-        dk = dist[k]
-        for i in range(n):
-            dik = dist[i][k]
-            if dik == inf:
-                continue
-            di = dist[i]
-            for j in range(n):
-                alt = dik + dk[j]
-                if alt < di[j]:
-                    di[j] = alt
-    return dist
-
-
 def graph_diameter(graph: WeightedMetricGraph) -> Scalar:
-    """Diameter of the metric realization, exact for rational lengths.
+    """Diameter of the metric realization: exact for an exact graph, and
+    for a float graph its exact diameter rounded once.
+
+    Every length is read with as_integer_ratio(), exact for a Fraction
+    and for a float alike, and scaled by the lcm den of the denominators,
+    so all of the work below runs on Python ints and the answer is
+    formed once from four times the diameter of the scaled graph.
 
     Vertex pairs and pairs of points on one edge e = (u, v, l) come from
     the vertex distances d; the farthest two points of e are min(l,
@@ -215,18 +199,36 @@ def graph_diameter(graph: WeightedMetricGraph) -> Scalar:
     a constant number of additions per edge pair; loops and parallel
     edges need no special case.
     """
-    zero = Fraction(0) if graph.mode == "exact" else 0.0
-    if not graph.edges:
-        return zero
-    dist = _vertex_distances(graph)
+    ratios = [l.as_integer_ratio() for _, _, l in graph.edges]
+    den = math.lcm(*(q for _, q in ratios))
     ends = [
-        (graph.vertex_index(u), graph.vertex_index(v), l) for u, v, l in graph.edges
+        (graph.vertex_index(u), graph.vertex_index(v), p * (den // q))
+        for (u, v, _), (p, q) in zip(graph.edges, ratios)
     ]
+    # all-pairs vertex distances (Floyd-Warshall); the graph is connected,
+    # so no distance reaches far, the total length plus one
+    n = len(graph.vertices)
+    far = 1 + sum(l for _, _, l in ends)
+    dist = [[far] * n for _ in range(n)]
+    for i in range(n):
+        dist[i][i] = 0
+    for i, j, l in ends:
+        if i != j and l < dist[i][j]:
+            dist[i][j] = dist[j][i] = l
+    for k in range(n):
+        dk = dist[k]
+        for di in dist:
+            dik = di[k]
+            if dik == far:
+                continue
+            for j in range(n):
+                alt = dik + dk[j]
+                if alt < di[j]:
+                    di[j] = alt
     best4 = 4 * max(max(row) for row in dist)
     for a, (ia, ja, le) in enumerate(ends):
         # points x <= y on the same edge: the far side of min(direct, around)
-        around = (le + dist[ia][ja]) / 2
-        best4 = max(best4, 4 * min(le, around))
+        best4 = max(best4, min(4 * le, 2 * (le + dist[ia][ja])))
         du, dv = dist[ia], dist[ja]
         for ib, jb, lf in ends[a + 1 :]:
             rise = le + dv[ib] - du[ib]
@@ -237,7 +239,10 @@ def graph_diameter(graph: WeightedMetricGraph) -> Scalar:
             )
             if val4 > best4:
                 best4 = val4
-    return best4 / 4
+    if graph.mode == "exact":
+        return Fraction(best4, 4 * den)
+    # int / int is correctly rounded: the exact diameter rounded once
+    return best4 / (4 * den)
 
 
 def rescale_graph_to_diameter_one(graph: WeightedMetricGraph) -> WeightedMetricGraph:

@@ -10,13 +10,19 @@ summed by Simpson's rule, LLL output is compared with the textbook
 recompute-everything loop and its conditions are read off Gram
 determinants, and orbit quotients are compared with the loop that
 minimizes every chain and facet over the whole group, and counted by
-Burnside's lemma.
+Burnside's lemma.  The worked example of each docs/commands page is read
+here too, for the CLI tests.
 """
 
 import itertools
 import math
+import os
 import random
+import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 from troplab import DualComplex, QuadraticForm, WeightedMetricGraph
 
@@ -462,17 +468,14 @@ def grid_graph_diameter(vertices, edges) -> Fraction:
         c, d = idx[edges[f][0]], idx[edges[f][1]]
         le, lf = quarters[e], quarters[f]
         for x in range(le + 1):
-            for y in range(lf + 1):
-                cand = min(
-                    x + dist[a][c] + y,
-                    x + dist[a][d] + lf - y,
-                    le - x + dist[b][c] + y,
-                    le - x + dist[b][d] + lf - y,
-                )
-                if e == f:
-                    cand = min(cand, abs(x - y))
-                if cand > worst:
-                    worst = cand
+            # from the point x of e, the point y of f is min(to_c + y,
+            # to_d + lf - y) away, and at most |x - y| when f is e
+            to_c = min(x + dist[a][c], le - x + dist[b][c])
+            to_d = min(x + dist[a][d], le - x + dist[b][d])
+            far = map(min, range(to_c, to_c + lf + 1), range(to_d + lf, to_d - 1, -1))
+            if e == f:
+                far = map(min, far, map(abs, range(x, x - lf - 1, -1)))
+            worst = max(worst, max(far))
     return Fraction(worst, scale)
 
 
@@ -634,3 +637,50 @@ def relabeled_shuffled(graph: WeightedMetricGraph, rng: random.Random) -> Weight
     edges = [(names[u], names[v], length) for u, v, length in graph.edges]
     rng.shuffle(edges)
     return WeightedMetricGraph(vertices, edges)
+
+
+# -- CLI worked examples --------------------------------------------------------
+
+ROOT = Path(__file__).resolve().parent.parent
+
+COMMAND_PAGES = sorted((ROOT / "docs" / "commands").glob("*.md"))
+
+
+def worked_example(page, tmp_path):
+    """(command, input path, stdout) of the page's worked example.
+
+    Each page ends in an input.json block and a console block: the
+    command line, a blank line, then stdout exactly as printed.
+    """
+    example = page.read_text(encoding="utf-8").split("## Worked example", 1)[1]
+    blocks = dict(re.findall(r"```(json|console)\n(.*?)```", example, re.S))
+    command_line, blank, expected = blocks["console"].split("\n", 2)
+    assert blank == ""
+    command = command_line.split()
+    assert command[:2] == ["$", "troplab"] and command[3:] == ["input.json"]
+    (tmp_path / "input.json").write_text(blocks["json"], encoding="utf-8")
+    return command[2], str(tmp_path / "input.json"), expected
+
+
+LOADED_MODULES = """
+import contextlib, io, sys
+from troplab.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(code, *sorted(m for m in sys.modules if m.startswith("troplab.")))
+"""
+
+
+def loaded_submodules(command, path):
+    """Exit code of `troplab command path` run in a fresh interpreter, and
+    the troplab submodules it loaded, named without the package prefix."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-c", LOADED_MODULES, command, path],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    code, *loaded = proc.stdout.split()
+    return int(code), {m.split(".", 1)[1] for m in loaded}

@@ -1,11 +1,9 @@
 import csv
 import json
 import os
-import re
 import subprocess
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -18,6 +16,8 @@ from troplab import (
 )
 from troplab.cli import main
 from troplab.tropical import TropicalAV
+
+from helpers import COMMAND_PAGES, loaded_submodules, worked_example
 
 F = Fraction
 
@@ -558,27 +558,6 @@ class TestRoundTrips:
         IncidenceComplex.from_json_dict(doc)
 
 
-COMMAND_PAGES = sorted(
-    (Path(__file__).resolve().parent.parent / "docs" / "commands").glob("*.md")
-)
-
-
-def worked_example(page, tmp_path):
-    """(command, input path, stdout) of the page's worked example.
-
-    Each page ends in an input.json block and a console block: the
-    command line, a blank line, then stdout exactly as printed.
-    """
-    example = page.read_text(encoding="utf-8").split("## Worked example", 1)[1]
-    blocks = dict(re.findall(r"```(json|console)\n(.*?)```", example, re.S))
-    command_line, blank, expected = blocks["console"].split("\n", 2)
-    assert blank == ""
-    command = command_line.split()
-    assert command[:2] == ["$", "troplab"] and command[3:] == ["input.json"]
-    (tmp_path / "input.json").write_text(blocks["json"], encoding="utf-8")
-    return command[2], str(tmp_path / "input.json"), expected
-
-
 @pytest.mark.parametrize("page", COMMAND_PAGES, ids=lambda p: p.stem)
 def test_worked_example_output_is_byte_identical(capsys, tmp_path, page):
     command, path, expected = worked_example(page, tmp_path)
@@ -606,24 +585,10 @@ COMMAND_MODULES = {
     "tropicalize": {"hybrid"},
 }
 
-LOADED_MODULES = """
-import contextlib, io, sys
-from troplab.cli import main
-with contextlib.redirect_stdout(io.StringIO()):
-    code = main(sys.argv[1:])
-print(code, *sorted(m for m in sys.modules if m.startswith("troplab.")))
-"""
-
-
 @pytest.mark.parametrize("page", COMMAND_PAGES, ids=lambda p: p.stem)
 def test_worked_example_loads_only_the_modules_it_runs(tmp_path, page):
     command, path, _ = worked_example(page, tmp_path)
-    proc = subprocess.run(
-        [sys.executable, "-c", LOADED_MODULES, command, path],
-        capture_output=True,
-        text=True,
-    )
-    code, *loaded = proc.stdout.split()
-    assert code == "0"
+    code, loaded = loaded_submodules(command, path)
+    assert code == 0
     library = {"forms", "siegel", "limits", "tropical", "degen", "hybrid"}
-    assert {m.split(".", 1)[1] for m in loaded} & library == COMMAND_MODULES[command]
+    assert loaded & library == COMMAND_MODULES[command]

@@ -324,6 +324,16 @@ class TestTropicalize:
         assert out.vectors[0][0] == pytest.approx(math.log(2.0))
         assert out.vectors[0][1] == pytest.approx(math.log(4.0))
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+    def test_tolerance_must_be_finite_and_positive(self, tol):
+        # a nan or negative tol used to report no direction on points
+        # where the default finds (1, 2) / sqrt(5)
+        points = [[math.exp(-k), math.exp(-2 * k)] for k in range(1, 6)]
+        assert tropicalize(points).direction is not None
+        with pytest.raises(PreconditionError) as info:
+            tropicalize(points, tol)
+        assert info.value.invariant == "positive-tolerance"
+
 
 class TestPushforward:
     def test_drop_one_divisor(self):

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -217,6 +218,21 @@ class TestFixedInjrad:
         )
         assert space.circle_circumferences == (F(2), F(1))
 
+    def test_exact_profile_stays_exact(self):
+        space = fixed_injrad_limit([1, F(3, 2), 3], 0)
+        assert space.circle_circumferences == (F(3), F(2), F(1))
+        assert all(type(c) is F for c in space.circle_circumferences)
+
+    def test_one_float_entry_makes_the_profile_float(self):
+        space = fixed_injrad_limit([F(1), 2.0, F(6)], 1)
+        assert space.circle_circumferences == (3.0, 1.0)
+        assert all(type(c) is float for c in space.circle_circumferences)
+
+    def test_nan_entry_rejected(self):
+        with pytest.raises(PreconditionError) as info:
+            fixed_injrad_limit([F(1), math.nan], 0)
+        assert info.value.invariant == "finite"
+
 
 class TestProductCollapse:
     def test_dominant_block_wins(self):
@@ -234,6 +250,29 @@ class TestProductCollapse:
     def test_empty_rejected(self):
         with pytest.raises(PreconditionError):
             product_collapse_reduce([])
+
+    def test_exact_exponents_compare_exactly(self):
+        a = FlatTorus(QuadraticForm([[1]]))
+        b = FlatTorus(QuadraticForm([[2]]))
+        out = product_collapse_reduce([(a, 1), (b, F(1, 3))])
+        assert out.gram == rescale_to_diameter_one(a.gram).gram
+
+    def test_one_float_exponent_makes_all_float(self):
+        # F(1, 3) and 1 / 3 round to the same float, so neither dominates
+        a = FlatTorus(QuadraticForm([[1]]))
+        b = FlatTorus(QuadraticForm([[2]]))
+        with pytest.raises(PreconditionError) as info:
+            product_collapse_reduce([(a, F(1, 3)), (b, 1 / 3)])
+        assert info.value.invariant == "dominant-factor"
+        out = product_collapse_reduce([(a, F(1, 2)), (b, 0.25)])
+        assert out.gram == rescale_to_diameter_one(a.gram).gram
+
+    def test_nan_exponent_rejected(self):
+        a = FlatTorus(QuadraticForm([[1]]))
+        b = FlatTorus(QuadraticForm([[2]]))
+        with pytest.raises(PreconditionError) as info:
+            product_collapse_reduce([(a, F(1)), (b, math.nan)])
+        assert info.value.invariant == "finite"
 
 
 def frame_product(b, d):

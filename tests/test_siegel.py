@@ -263,6 +263,15 @@ class TestReduce:
                 siegel_reduce(point([[0]], [[1]]), u=u)
             assert info.value.invariant == "slack-range"
 
+    @pytest.mark.parametrize("u", [math.inf, float("nan")])
+    def test_rejects_non_finite_slack(self, u):
+        # an infinite slack would count Z = 9/2 + i/100 as reduced
+        z = point([[F(9, 2)]], [[F(1, 100)]])
+        for call in (lambda: in_siegel_set(z, u), lambda: siegel_reduce(z, u=u)):
+            with pytest.raises(PreconditionError) as info:
+                call()
+            assert info.value.invariant == "slack-range"
+
     def test_translation_only(self):
         z = point([[F(9, 2)]], [[F(3)]])
         reduced, gamma, ok = siegel_reduce(z)

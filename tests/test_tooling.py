@@ -5,6 +5,8 @@ import sys
 
 import pytest
 
+from helpers import COMMAND_PAGES, loaded_submodules, worked_example
+
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 SUBMODULES = ("forms", "siegel", "limits", "tropical", "degen", "hybrid")
@@ -57,6 +59,37 @@ def test_import_of_the_cli_loads_no_library_module():
         "troplab.errors",
     }
     assert loaded & SLOW_STDLIB == set()
+
+
+# every troplab submodule that each documented command loads, each one
+# paid for on every CLI start
+_BARE = {"cli", "errors"}
+_FORMS = _BARE | {"_linalg", "forms", "rationals"}
+_SIEGEL = _FORMS | {"siegel"}
+_LIMITS = _SIEGEL | {"limits"}
+_DEGEN = _FORMS | {"tropical", "hybrid", "degen"}
+COMMAND_SUBMODULES = {
+    "reduce": _SIEGEL,
+    "collapse": _LIMITS,
+    "volume-limit": _LIMITS,
+    "injrad-limit": _LIMITS,
+    "av-limit": _DEGEN,
+    "curve-limit": _DEGEN,
+    "torelli-check": _DEGEN,
+    "collar": _DEGEN,
+    "trop-jac": _FORMS | {"tropical"},
+    "dual-complex": _BARE | {"hybrid"},
+    "hybrid-limit": _BARE | {"hybrid", "rationals"},
+    "tropicalize": _BARE | {"hybrid"},
+}
+
+
+@pytest.mark.parametrize("page", COMMAND_PAGES, ids=lambda p: p.stem)
+def test_each_command_loads_exactly_its_submodules(tmp_path, page):
+    # a fresh interpreter per worked example, so an import that creeps
+    # into a command's path shows here as a slower cold start
+    command, path, _ = worked_example(page, tmp_path)
+    assert loaded_submodules(command, path) == (0, COMMAND_SUBMODULES[command])
 
 
 def test_every_public_name_resolves_and_is_listed():

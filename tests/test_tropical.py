@@ -183,7 +183,41 @@ class TestDiameter:
             floats = [(u, v, float(l)) for u, v, l in edges]
             value = graph_diameter(WeightedMetricGraph(vertices, floats))
             assert isinstance(value, float)
-            assert abs(value - float(exact)) <= 1e-12 * float(exact)
+            # the lengths are dyadic, so the floats hold them exactly and
+            # the exact diameter is rounded once
+            assert value == float(exact)
+
+    def test_grid_oracle_with_mixed_denominators(self):
+        # lengths in thirds, sevenths, elevenths and powers of two, so
+        # every length is scaled by its own factor to the common one
+        cases = [
+            [("p", "q", F(1, 3)), ("q", "r", F(1, 7)), ("r", "p", F(1, 11)),
+             ("q", "q", F(1, 2))],
+            [("p", "q", F(2, 3)), ("p", "q", F(1, 8)), ("q", "r", F(3, 7))],
+            [("r", "r", F(1, 16)), ("p", "q", F(1, 3)), ("q", "r", F(1, 7))],
+            [("p", "q", F(3, 32)), ("q", "r", F(1, 11)), ("r", "p", F(1, 4))],
+        ]
+        vertices = [("p", 0), ("q", 0), ("r", 0)]
+        for edges in cases:
+            assert graph_diameter(WeightedMetricGraph(vertices, edges)) == (
+                grid_graph_diameter(vertices, edges)
+            )
+
+    def test_extreme_float_lengths_round_once(self):
+        # closed forms in exact arithmetic on the floats' own values,
+        # rounded once: loop l / 2, segment l, theta (l2 + l3) / 2 for
+        # sorted lengths l1 <= l2 <= l3
+        p, q = ("p", 0), ("q", 0)
+        for lo, hi in [(1e-200, 1e200), (1e-200, 1e-199), (1e199, 1e200)]:
+            for l in (lo, hi):
+                loop = WeightedMetricGraph([p], [("p", "p", l)])
+                assert graph_diameter(loop) == float(F(l) / 2)
+                segment = WeightedMetricGraph([p, q], [("p", "q", l)])
+                assert graph_diameter(segment) == l
+            for lengths in [(lo, lo, hi), (hi, lo, hi), (lo, hi, lo)]:
+                theta = WeightedMetricGraph([p, q], [("p", "q", l) for l in lengths])
+                l1, l2, l3 = sorted(map(F, lengths))
+                assert graph_diameter(theta) == float((l2 + l3) / 2)
 
     def test_rescale_makes_diameter_one(self):
         g = handcuff_graph(1, 2, F(3, 2))
