@@ -642,6 +642,7 @@ def relabeled_shuffled(graph: WeightedMetricGraph, rng: random.Random) -> Weight
 # -- CLI worked examples --------------------------------------------------------
 
 ROOT = Path(__file__).resolve().parent.parent
+SRC = str(ROOT / "src")
 
 COMMAND_PAGES = sorted((ROOT / "docs" / "commands").glob("*.md"))
 
@@ -671,16 +672,19 @@ print(code, *sorted(m for m in sys.modules if m.startswith("troplab.")))
 """
 
 
+def run_probe(code, *args):
+    """Stdout lines of `python -c code args` in a fresh interpreter that
+    imports troplab from src/."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args], capture_output=True, text=True, env=env, check=True
+    )
+    return proc.stdout.split("\n")
+
+
 def loaded_submodules(command, path):
     """Exit code of `troplab command path` run in a fresh interpreter, and
     the troplab submodules it loaded, named without the package prefix."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.run(
-        [sys.executable, "-c", LOADED_MODULES, command, path],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-    code, *loaded = proc.stdout.split()
+    code, *loaded = run_probe(LOADED_MODULES, command, path)[0].split()
     return int(code), {m.split(".", 1)[1] for m in loaded}

@@ -585,6 +585,7 @@ COMMAND_MODULES = {
     "tropicalize": {"hybrid"},
 }
 
+
 @pytest.mark.parametrize("page", COMMAND_PAGES, ids=lambda p: p.stem)
 def test_worked_example_loads_only_the_modules_it_runs(tmp_path, page):
     command, path, _ = worked_example(page, tmp_path)

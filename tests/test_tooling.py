@@ -1,13 +1,9 @@
 import ast
 import os
-import subprocess
-import sys
 
 import pytest
 
-from helpers import COMMAND_PAGES, loaded_submodules, worked_example
-
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+from helpers import COMMAND_PAGES, SRC, loaded_submodules, run_probe, worked_example
 
 SUBMODULES = ("forms", "siegel", "limits", "tropical", "degen", "hybrid")
 
@@ -32,15 +28,6 @@ before = set(sys.modules)
 import troplab.cli
 print(" ".join(sorted(set(sys.modules) - before)))
 """
-
-
-def run_probe(code):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
-    )
-    return proc.stdout.split("\n")
 
 
 def test_import_loads_only_stdlib_and_troplab():
