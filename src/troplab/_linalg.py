@@ -1,9 +1,10 @@
-"""Small dense matrix helpers, generic over Fraction and float.
+"""Small dense matrix helpers over ints and Fractions.
 
-Everything here works on lists of lists and stays in whatever arithmetic
-the entries carry; integer literals are neutral in both exact and float
-modes.  Matrices are tiny (a handful of rows), so a cubic Gauss-Jordan
-pass is the right tool.
+Everything here works on lists of lists.  Callers pass only ints and
+Fractions (a float input is read at its exact value before it gets here),
+so every result is exact; int_matrix alone also takes an integral float.
+Matrices are tiny (a handful of rows), so a cubic Gauss-Jordan pass is the
+right tool.
 """
 
 from fractions import Fraction
@@ -44,9 +45,8 @@ def mat_add(a, b) -> Matrix:
 def solve(a, b) -> Matrix:
     """X with A X = B, by one Gauss-Jordan pass on [A | B].
 
-    Stays in the arithmetic of A (Fraction entries give the exact
-    solution); B = identity gives the inverse.  Raises ZeroDivisionError
-    on singular input.
+    Fraction entries give the exact solution; B = identity gives the
+    inverse.  Raises ZeroDivisionError on singular input.
     """
     n = len(a)
     aug = [list(ra) + list(rb) for ra, rb in zip(a, b)]

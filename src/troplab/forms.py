@@ -7,9 +7,9 @@ dimension are exact.  Float mode holds numerically sampled inputs, each
 entry read as its exact (dyadic) value.  A form is eliminated once, when
 it is built, fraction-free in integers; positive definiteness, det,
 jacobi_decompose, LLL and the covering radius all read those minors, and
-a float answer is the exact one rounded once.  Exact equivalence
-matches inner products on the integer Grams; with a tolerance the same
-search matches them in doubles.
+a float answer is the exact one rounded once.  Equivalence matches inner
+products on the integer Grams, exactly or, with a tolerance, within a
+slack scaled to the same integer units.
 
 Mixing modes silently would hide precision loss, so mixed-mode operations
 raise and callers convert explicitly (to_float is lossy and deliberate,
@@ -22,13 +22,11 @@ finite.
 import math
 import operator
 from fractions import Fraction
-from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from . import _linalg as la
 from .errors import ModeMixError, NotPositiveDefiniteError, PreconditionError, SchemaError
-from .rationals import coerce_matrix, format_scalar, parse_matrix
-
-Scalar = Union[Fraction, float]
+from .rationals import Scalar, coerce_matrix, format_scalar, parse_matrix
 
 
 class QuadraticForm:
@@ -88,15 +86,22 @@ class QuadraticForm:
         )
 
     def transform(self, u: Sequence[Sequence[int]]) -> "QuadraticForm":
-        """U^T F U for an integer matrix U (columns are new basis vectors)."""
-        ut = la.transpose(u)
-        m = la.mat_mul(ut, la.mat_mul([list(r) for r in self.entries], u))
-        return QuadraticForm(_symmetrized(m), self.mode)
+        """U^T F U for an integer matrix U (columns are new basis vectors).
+
+        Computed on the stored integer Gram; a float form gets the exact
+        product rounded once per entry.
+        """
+        m = la.mat_mul(la.transpose(u), la.mat_mul(self._gram, u))
+        rows = [[_quotient(self.mode, x, self._den) for x in r] for r in m]
+        return QuadraticForm(rows, self.mode)
 
     def to_float(self) -> "QuadraticForm":
         return QuadraticForm(self.entries, "float")
 
     def to_exact(self) -> "QuadraticForm":
+        """The form itself when exact; else its entries' exact values."""
+        if self.mode == "exact":
+            return self
         # float -> Fraction is the exact binary expansion, never lossy
         return QuadraticForm(
             [[Fraction(x) for x in row] for row in self.entries], "exact"
@@ -138,14 +143,6 @@ class QuadraticForm:
     @property
     def rows(self) -> List[list]:
         return [list(r) for r in self.entries]
-
-
-def _symmetrized(m):
-    n = len(m)
-    return [
-        [(m[i][j] + m[j][i]) / 2 if i != j else m[i][i] for j in range(n)]
-        for i in range(n)
-    ]
 
 
 def _integer_ldl(entries):
@@ -579,7 +576,7 @@ def covering_radius_sq(form: QuadraticForm) -> Scalar:
     <= 2 use the closed form; larger ones the Voronoi cell.  A float form
     is read exactly through to_exact and the exact answer rounded once.
     """
-    exact = form if form.mode == "exact" else form.to_exact()
+    exact = form.to_exact()
     total = Fraction(0)
     for comp in _orthogonal_components(exact):
         block = [[exact.entries[i][j] for j in comp] for i in comp]
@@ -614,28 +611,27 @@ def is_equivalent(
     candidate for vector i is tested against each chosen vector w with one
     dot product with the stored image of w under the Gram of f2.
 
-    Exact mode (both forms exact, tol omitted) certifies absence: the
-    candidate lists are complete, and the backtracking exhausts every
-    matching of pairwise inner products.  It runs on the integer Grams
-    g = den F stored with the forms: <v, w> = F1[i][j] in the reduced
-    forms is tested as v^T (den1 g2) w = den2 g1[i][j], and the witness as
-    U^T g1 U den2 = g2 den1.  With tol, the same search matches doubles
-    within tol times the largest entry, and None only means no match
-    within tolerance.
+    The search runs on the integer Grams g = den F stored with the forms:
+    <v, w> = F1[i][j] in the reduced forms is tested as
+    v^T (den1 g2) w = den2 g1[i][j].  Exact mode (both forms exact, tol
+    omitted) certifies absence: the candidate lists are complete, the
+    backtracking exhausts every matching of pairwise inner products, and
+    the witness is checked as U^T g1 U den2 = g2 den1.  With tol, the same
+    search accepts an inner product within slack = tol times the largest
+    entry, in integer units floor(slack den1 den2), and None only means no
+    match within tolerance.
     """
     if f1.n != f2.n:
         raise PreconditionError("dimension-match", "forms have different ranks")
     n = f1.n
     if n == 0:
         return []
-    exact = f1.mode == "exact" and f2.mode == "exact" and tol is None
-    if not exact:
-        if tol is None:
-            raise ModeMixError(
-                "float-mode equivalence needs an explicit tol; "
-                "exact certification requires two exact forms"
-            )
-        f1, f2 = f1.to_float(), f2.to_float()
+    exact = tol is None
+    if exact and not f1.mode == f2.mode == "exact":
+        raise ModeMixError(
+            "float-mode equivalence needs an explicit tol; "
+            "exact certification requires two exact forms"
+        )
 
     m1, u1 = lll_reduce(f1)
     m2, u2 = lll_reduce(f2)
@@ -653,13 +649,9 @@ def is_equivalent(
             return None
         cands.append(ci)
 
-    # <v, w> in m2 against m1[i][j]: exactly, in integers cross-multiplied
-    # by the two denominators; with tol, in doubles
-    if exact:
-        gram = [[m1._den * x for x in row] for row in m2._gram]
-        target = [[m2._den * x for x in row] for row in m1._gram]
-    else:
-        gram, target = m2.entries, m1.entries
+    gram = [[m1._den * x for x in row] for row in m2._gram]
+    target = [[m2._den * x for x in row] for row in m1._gram]
+    islack = math.floor(Fraction(slack) * m1._den * m2._den)
     chosen: List[Tuple[int, ...]] = []
     images: list = []  # gram v for each chosen v
 
@@ -669,7 +661,7 @@ def is_equivalent(
         row = target[i]
         for v in cands[i]:
             for image, t in zip(images, row):
-                if abs(sum(map(operator.mul, v, image)) - t) > slack:
+                if abs(sum(map(operator.mul, v, image)) - t) > islack:
                     break
             else:
                 chosen.append(v)
@@ -814,12 +806,8 @@ def product(t1: FlatTorus, t2: FlatTorus) -> FlatTorus:
     if t1.gram.mode != t2.gram.mode:
         raise ModeMixError("product of mixed-mode tori; convert one side")
     n1, n2 = t1.dimension, t2.dimension
-    zero = Fraction(0) if t1.gram.mode == "exact" else 0.0
-    rows = []
-    for i in range(n1):
-        rows.append(list(t1.gram.entries[i]) + [zero] * n2)
-    for i in range(n2):
-        rows.append([zero] * n1 + list(t2.gram.entries[i]))
+    rows = [list(r) + [0] * n2 for r in t1.gram.entries]
+    rows += [[0] * n1 + list(r) for r in t2.gram.entries]
     return FlatTorus(QuadraticForm(rows, t1.gram.mode))
 
 

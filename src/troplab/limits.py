@@ -10,14 +10,12 @@ injectivity radius limit (keeps every direction as a circle factor).
 """
 
 from fractions import Fraction
-from typing import Dict, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import PreconditionError, SchemaError
 from .forms import FlatTorus, JacobiDecomposition, LimitSpace, rescale_to_diameter_one
-from .rationals import coerce_matrix, format_rational, parse_rational
+from .rationals import Scalar, coerce_vector, format_rational, format_scalar, parse_rational
 from .siegel import SiegelPoint, default_u0, in_siegel_set, jacobi_decompose, metric_matrix
-
-Scalar = Union[Fraction, float]
 
 
 class _MonomialEntryFields(NamedTuple):
@@ -277,8 +275,6 @@ class CollapseResult(NamedTuple):
     report: Optional[NumericReport] = None
 
     def to_json_dict(self) -> dict:
-        from .rationals import format_scalar
-
         return {
             "r": self.r,
             "profile": [format_scalar(a) for a in self.profile],
@@ -425,7 +421,7 @@ def fixed_injrad_limit(
     fundamental-set style constraints 1 < u0 a_1 and a_i < u0 a_{i+1}.
     Any float entry makes the whole profile float.
     """
-    (a,), _ = coerce_matrix([a], None, "a")
+    a, _ = coerce_vector(a, None, "a")
     g = len(a)
     if g == 0:
         raise PreconditionError("positive-genus", "profile must be nonempty")
@@ -462,7 +458,7 @@ def product_collapse_reduce(
     blocks = list(blocks)
     if not blocks:
         raise PreconditionError("nonempty-product", "no factors given")
-    (exps,), _ = coerce_matrix([[e for _, e in blocks]], None, "exponents")
+    exps, _ = coerce_vector([e for _, e in blocks], None, "exponents")
     top = max(exps)
     winners = [i for i, e in enumerate(exps) if e == top]
     if len(winners) != 1:

@@ -55,32 +55,45 @@ def parse_matrix(raw, mode: str, pointer: str = "") -> List[List[Scalar]]:
     return rows
 
 
-def coerce_matrix(
-    rows: Sequence[Sequence], mode: Optional[str] = None, name: str = "entries"
-) -> Tuple[List[List[Scalar]], str]:
-    """The rows as new lists of Fractions ("exact") or floats ("float"), and the mode.
+def coerce_vector(
+    values: Sequence, mode: Optional[str] = None, name: str = "entries"
+) -> Tuple[List[Scalar], str]:
+    """The values as a new list of Fractions ("exact") or floats ("float"), and the mode.
 
     With no mode, any float entry makes it "float", else "exact".  A float
     in exact mode raises ModeMixError, since converting it silently would
     hide that it was rounded; a float entry must be finite, or it fails the
-    `finite` precondition naming name[i][j].
+    `finite` precondition naming name[j].
     """
-    has_float = any(isinstance(x, float) for r in rows for x in r)
+    has_float = any(isinstance(x, float) for x in values)
     if mode is None:
         mode = "float" if has_float else "exact"
     if mode == "exact":
         if has_float:
             raise ModeMixError(f"{name} has a float entry in exact mode; convert it explicitly")
         # a Fraction is immutable, so it is kept rather than copied
-        return [[x if type(x) is Fraction else Fraction(x) for x in r] for r in rows], mode
+        return [x if type(x) is Fraction else Fraction(x) for x in values], mode
     if mode != "float":
         raise PreconditionError("arithmetic-mode", f"unknown mode {mode!r}")
-    rows = [[float(x) for x in r] for r in rows]
-    for i, r in enumerate(rows):
-        if not all(map(math.isfinite, r)):
-            j = next(j for j, x in enumerate(r) if not math.isfinite(x))
-            raise PreconditionError("finite", f"{name}[{i}][{j}] is {r[j]!r}")
-    return rows, mode
+    values = [float(x) for x in values]
+    if not all(map(math.isfinite, values)):
+        j = next(j for j, x in enumerate(values) if not math.isfinite(x))
+        raise PreconditionError("finite", f"{name}[{j}] is {values[j]!r}")
+    return values, mode
+
+
+def coerce_matrix(
+    rows: Sequence[Sequence], mode: Optional[str] = None, name: str = "entries"
+) -> Tuple[List[List[Scalar]], str]:
+    """Each row through coerce_vector as name[i], all in one mode, and the mode.
+
+    With no mode, any float entry makes it "float", else "exact".
+    """
+    if mode is None:
+        mode = "float" if any(isinstance(x, float) for r in rows for x in r) else "exact"
+    elif mode not in ("exact", "float"):
+        raise PreconditionError("arithmetic-mode", f"unknown mode {mode!r}")
+    return [coerce_vector(r, mode, f"{name}[{i}]")[0] for i, r in enumerate(rows)], mode
 
 
 def format_rational(value: Fraction):

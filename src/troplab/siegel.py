@@ -5,25 +5,20 @@ A point Z = X + iY (X symmetric, Y positive definite) determines a real
 standard fundamental-set membership test and a best-effort reduction into
 it are provided; reduction steps act through integral symplectic matrices
 so the torus model's equivalence class is preserved.
+
+Every computation runs on exact values: a float point is read at the
+exact (dyadic) values of its entries, and its answer is the exact one
+rounded once per entry.
 """
 
 import math
 from fractions import Fraction
-from typing import List, Tuple, Union
+from typing import List, Tuple
 
 from . import _linalg as la
 from .errors import PreconditionError, SchemaError
-from .forms import (
-    FlatTorus,
-    QuadraticForm,
-    _nearest_int,
-    _symmetrized,
-    jacobi_decompose,
-    lll_reduce,
-)
+from .forms import FlatTorus, QuadraticForm, _nearest_int, jacobi_decompose, lll_reduce
 from .rationals import coerce_matrix, format_scalar, parse_matrix
-
-Scalar = Union[Fraction, float]
 
 
 def default_u0(g: int) -> int:
@@ -56,6 +51,12 @@ class SiegelPoint:
     @property
     def mode(self) -> str:
         return self.y.mode
+
+    def to_exact(self) -> "SiegelPoint":
+        """The point itself when exact; else its entries' exact values."""
+        if self.mode == "exact":
+            return self
+        return SiegelPoint([[Fraction(v) for v in r] for r in self.x], self.y.to_exact())
 
     def __eq__(self, other):
         return (
@@ -202,16 +203,18 @@ class SymplecticElement:
         return SymplecticElement._symplectic(la.mat_mul(self.mat, other.mat))
 
     def act(self, z: SiegelPoint) -> SiegelPoint:
-        """Z -> (AZ + B)(CZ + D)^{-1}, in the arithmetic of Z.
+        """Z -> (AZ + B)(CZ + D)^{-1}, returned in the mode of Z.
 
         W = gamma Z is symmetric, so W(CZ + D) = AZ + B transposes to
         (CZ + D)^T W = (AZ + B)^T.  With P = CX + D and Q = CY its real and
         imaginary parts form one real 2g x 2g system
         [[P^T, -Q^T], [Q^T, P^T]] [Re W; Im W] = [(AX + B)^T; (AY)^T],
-        solved by one elimination over Fractions or floats alike.
+        solved by one elimination on the exact values of Z; a float Z gets
+        W rounded once per entry.
         """
         a, b, c, d = self.blocks()
-        g, x, y = z.g, z.x, z.y.rows
+        exact = z.to_exact()
+        g, x, y = z.g, exact.x, exact.y.rows
         p = la.transpose(la.mat_add(la.mat_mul(c, x), d))
         q = la.transpose(la.mat_mul(c, y))
         lhs = [pr + [-v for v in qr] for pr, qr in zip(p, q)]
@@ -219,9 +222,7 @@ class SymplecticElement:
         rhs = la.transpose(la.mat_add(la.mat_mul(a, x), b))
         rhs += la.transpose(la.mat_mul(a, y))
         w = la.solve(lhs, rhs)
-        return SiegelPoint(
-            _symmetrized(w[:g]), QuadraticForm(_symmetrized(w[g:]), z.mode)
-        )
+        return SiegelPoint(w[:g], QuadraticForm(w[g:], z.mode))
 
     def __repr__(self):
         return f"SymplecticElement({[list(r) for r in self.mat]!r})"
@@ -230,21 +231,18 @@ class SymplecticElement:
 def metric_matrix(z: SiegelPoint) -> QuadraticForm:
     """Gram matrix of the 2g-torus attached to Z; determinant is 1.
 
-    Blocks: [[Y^{-1}, Y^{-1} X], [X Y^{-1}, X Y^{-1} X + Y]].
+    Blocks: [[Y^{-1}, Y^{-1} X], [X Y^{-1}, X Y^{-1} X + Y]], exact; a
+    float point gets the exact Gram rounded once per entry.
     """
-    g = z.g
-    y = z.y.rows
-    x = [list(r) for r in z.x]
-    y_inv = la.solve(y, la.identity(g))
+    exact = z.to_exact()
+    x, y = exact.x, exact.y.rows
+    y_inv = la.solve(y, la.identity(z.g))
     top_right = la.mat_mul(y_inv, x)
     bottom_left = la.mat_mul(x, y_inv)
     bottom_right = la.mat_add(la.mat_mul(x, la.mat_mul(y_inv, x)), y)
-    rows = []
-    for i in range(g):
-        rows.append(list(y_inv[i]) + list(top_right[i]))
-    for i in range(g):
-        rows.append(list(bottom_left[i]) + list(bottom_right[i]))
-    return QuadraticForm(_symmetrized(rows), z.mode)
+    rows = [r + s for r, s in zip(y_inv, top_right)]
+    rows += [r + s for r, s in zip(bottom_left, bottom_right)]
+    return QuadraticForm(rows, z.mode)
 
 
 def torus_model(z: SiegelPoint) -> FlatTorus:
@@ -286,7 +284,9 @@ def siegel_reduce(
     Each round lattice-reduces Y (Y -> U^T Y U, X -> U^T X U), translates
     X by an integral symmetric S into [-1/2, 1/2], and, if Z is still
     outside, applies the partial inversion in the first coordinate.  The
-    answer stays in the arithmetic of Z in every genus: exact in, exact out.
+    rounds run on the exact values of Z, so a float point takes the steps
+    of its exact copy and gets back that copy's witness and flag, with the
+    reduced point rounded once per entry; an exact point stays exact.
 
     Why the rounds end: after LLL and translation only 1 < u d_1 can
     fail.  Then |x_11| <= 1/2 and y_11 = d_1 <= 1/u <= 1/2, so
@@ -305,25 +305,26 @@ def siegel_reduce(
             f"u must be finite and >= configured default {default_u0(g)}, not {u!r}",
         )
     gamma = SymplecticElement.identity(g)
-    cur = z
+    cur = z.to_exact()
+    ok = in_siegel_set(cur, u)
     for _ in range(max_iterations):
-        if in_siegel_set(cur, u):
-            return cur, gamma, True
+        if ok:
+            break
         y, u_gl = lll_reduce(cur.y)
         x = cur.x
         if u_gl != la.identity(g):
             gamma = SymplecticElement.from_gl(u_gl).compose(gamma)
-            x = _symmetrized(la.mat_mul(la.transpose(u_gl), la.mat_mul(x, u_gl)))
+            x = la.mat_mul(la.transpose(u_gl), la.mat_mul(x, u_gl))
         # translate X into [-1/2, 1/2]; X symmetric, so S is too
         s = [[-_nearest_int(v) for v in r] for r in x]
         if any(v != 0 for r in s for v in r):
             gamma = SymplecticElement.translation(s).compose(gamma)
             x = la.mat_add(x, s)
         cur = SiegelPoint(x, y)
-        if in_siegel_set(cur, u):
-            return cur, gamma, True
-        if not 1 < u * jacobi_decompose(cur.y).d[0]:
+        ok = in_siegel_set(cur, u)
+        if not ok and not 1 < u * jacobi_decompose(cur.y).d[0]:
             step = SymplecticElement.partial_inversion(g, 0)
             cur = step.act(cur)
             gamma = step.compose(gamma)
-    return cur, gamma, in_siegel_set(cur, u)
+            ok = in_siegel_set(cur, u)
+    return SiegelPoint(cur.x, QuadraticForm(cur.y.entries, z.mode)), gamma, ok

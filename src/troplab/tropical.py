@@ -23,8 +23,8 @@ from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import ModeMixError, PreconditionError, SchemaError
-from .forms import FlatTorus, QuadraticForm, Scalar, rescale_to_diameter_one
-from .rationals import coerce_matrix, format_scalar, parse_matrix, parse_scalar
+from .forms import FlatTorus, QuadraticForm, rescale_to_diameter_one
+from .rationals import Scalar, coerce_vector, format_scalar, parse_matrix, parse_scalar
 
 
 class WeightedMetricGraph:
@@ -55,7 +55,7 @@ class WeightedMetricGraph:
                 raise PreconditionError("unique-vertex-ids", f"duplicate vertex id {vid!r}")
             pos[vid] = i
 
-        (lengths,), mode = coerce_matrix([[e[2] for e in edges]], mode, "lengths")
+        lengths, mode = coerce_vector([e[2] for e in edges], mode, "lengths")
         parsed = []
         for k, ((u, v, _), length) in enumerate(zip(edges, lengths)):
             if u not in pos or v not in pos:

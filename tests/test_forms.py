@@ -133,7 +133,7 @@ COERCING_CONSTRUCTORS = {
     ),
     "graph-lengths": (
         lambda v, mode: WeightedMetricGraph([("a", 0)], [("a", "a", 1), ("a", "a", v)], mode),
-        "lengths[0][1]",
+        "lengths[1]",
     ),
 }
 
@@ -586,6 +586,22 @@ class TestEquivalence:
         with pytest.raises(ModeMixError):
             is_equivalent(I2.to_float(), I2.to_float())
         assert is_equivalent(I2.to_float(), I2.to_float(), tol=1e-9) is not None
+
+    def test_tol_bounds_each_inner_product(self):
+        # the slack is tol times the largest entry of the reduced forms (5
+        # here): half of it on one inner product matches, five times it
+        # does not, since every form equivalent to f is integral
+        tol = 1e-6
+        f = QuadraticForm([[3.0, 1.0, 0.0], [1.0, 4.0, 1.0], [0.0, 1.0, 5.0]])
+
+        def perturbed(c):
+            rows = f.rows
+            rows[0][1] = rows[1][0] = 1 + c * tol * 5
+            return QuadraticForm(rows)
+
+        for f1 in (f, f.to_exact()):
+            assert is_equivalent(f1, perturbed(0.5), tol=tol) is not None
+            assert is_equivalent(f1, perturbed(5), tol=tol) is None
 
     def test_agrees_with_bounded_brute_force(self):
         rng = seeded(17)

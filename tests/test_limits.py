@@ -232,6 +232,7 @@ class TestFixedInjrad:
         with pytest.raises(PreconditionError) as info:
             fixed_injrad_limit([F(1), math.nan], 0)
         assert info.value.invariant == "finite"
+        assert "a[1] is nan" in str(info.value)
 
 
 class TestProductCollapse:
@@ -273,6 +274,7 @@ class TestProductCollapse:
         with pytest.raises(PreconditionError) as info:
             product_collapse_reduce([(a, F(1)), (b, math.nan)])
         assert info.value.invariant == "finite"
+        assert "exponents[1] is nan" in str(info.value)
 
 
 def frame_product(b, d):

@@ -74,6 +74,18 @@ def defining_identity_holds(gamma, z, w):
     return real and imag
 
 
+def float_point(x, y):
+    return SiegelPoint(
+        [[float(v) for v in r] for r in x],
+        QuadraticForm([[float(v) for v in r] for r in y], "float"),
+    )
+
+
+def rounded_once(z):
+    """The float point whose entries are those of z rounded to doubles."""
+    return float_point(z.x, z.y.entries)
+
+
 def dyadic_point(rng, g):
     """A point with dyadic entries: floats hold it exactly."""
     b = [
@@ -339,30 +351,46 @@ class TestReduce:
         assert defining_identity_holds(gamma, z, reduced)
 
     def test_float_copy_of_dyadic_point_takes_the_exact_steps(self):
-        # one rounding rule in both modes (half away from zero, floats read
-        # by their exact values), and LLL reads a float Gram exactly, so a
-        # float point holding a dyadic one exactly gets the same witness;
-        # with no inversion every float step is exact too, so the answer is
-        # the exact one rounded once per entry
+        # a float point is reduced at its exact value, so a float copy of a
+        # dyadic point gets the exact witness and flag, inversions included,
+        # and the exact answer rounded once per entry
         rng = seeded(41)
-        without_inversion = 0
-        for k in range(80):
+        with_inversion = 0
+        for k in range(240):
             g = 1 + k % 4
             x, y = dyadic_point(rng, g)
             exact, gamma, ok = siegel_reduce(point(x, y))
-            if has_inversion(gamma):
-                continue
-            without_inversion += 1
-            zf = SiegelPoint(
-                [[float(v) for v in r] for r in x],
-                QuadraticForm([[float(v) for v in r] for r in y], "float"),
-            )
+            with_inversion += has_inversion(gamma)
+            zf = float_point(x, y)
             rounded, gamma_f, ok_f = siegel_reduce(zf)
             assert (gamma_f.mat, ok_f) == (gamma.mat, ok)
-            assert rounded.mode == "float"
-            assert rounded.x == tuple(tuple(float(v) for v in r) for r in exact.x)
-            assert rounded.y == exact.y.to_float()
-        assert without_inversion >= 40
+            assert rounded == rounded_once(exact)
+            assert gamma.act(zf) == rounded
+            assert metric_matrix(zf) == metric_matrix(zf.to_exact()).to_float()
+        assert with_inversion == 86
+
+    @pytest.mark.parametrize("eps", [1e-3, 1e-9], ids=["1e-3", "1e-9"])
+    @pytest.mark.parametrize("g", [1, 2, 3, 4])
+    def test_float_inversions_round_the_exact_answer_once(self, g, eps):
+        # Y = eps (I + J) in doubles: every step acts on its exact value
+        rng = seeded(50 + g)
+        y = [[eps * (1 + (i == j)) for j in range(g)] for i in range(g)]
+        x = [[0.0] * g for _ in range(g)]
+        for i in range(g):
+            for j in range(i, g):
+                x[i][j] = x[j][i] = rng.randint(-20, 20) / 7
+        zf = float_point(x, y)
+        exact, gamma, ok = siegel_reduce(zf.to_exact())
+        assert ok and has_inversion(gamma)
+        rounded, gamma_f, ok_f = siegel_reduce(zf)
+        assert (gamma_f.mat, ok_f) == (gamma.mat, ok)
+        assert rounded == rounded_once(exact)
+        assert gamma.act(zf) == rounded_once(gamma.act(zf.to_exact()))
+        # at eps = 1e-9 the torus Gram of zf has entries near 1e9 and
+        # determinant 1, so its rounding to doubles need not stay positive
+        # definite
+        for w in (zf, rounded) if eps > 1e-6 else (rounded,):
+            assert metric_matrix(w) == metric_matrix(w.to_exact()).to_float()
 
     def test_float_half_rounds_away_from_zero(self):
         # -5/2 rounds to -3 in both modes, so X moves to +1/2

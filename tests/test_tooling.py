@@ -173,3 +173,34 @@ def test_every_private_definition_is_used():
                 ):
                     unused.append(f"{module}:{node.lineno} {node.name}")
     assert unused == [], unused
+
+
+
+def test_every_module_level_name_is_used():
+    # a module-level assignment that its own module never reads, and no
+    # other module imports or reads as an attribute, is dead; dunders such
+    # as __all__ are read by the import system
+    trees = library_trees()
+    used = set()  # (module, name)
+    attributes = set()
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add((module, node.id))
+            elif isinstance(node, ast.Attribute):
+                attributes.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                used.update((f"{node.module}.py", alias.name) for alias in node.names)
+    unused = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            else:
+                targets = [getattr(node, "target", None)]
+            for target in targets:
+                if not isinstance(target, ast.Name) or target.id.startswith("__"):
+                    continue
+                if (module, target.id) not in used and target.id not in attributes:
+                    unused.append(f"{module}:{node.lineno} {target.id}")
+    assert unused == [], unused
