@@ -4,10 +4,10 @@ Everything here works on lists of lists.  Callers pass only ints and
 Fractions (a float input is read at its exact value before it gets here),
 so every result is exact; int_matrix alone also takes an integral float.
 Matrices are tiny (a handful of rows), so a cubic Gauss-Jordan pass is the
-right tool.
+right tool: over Fractions in solve, fraction-free over ints in
+int_adjugate.
 """
 
-from fractions import Fraction
 from typing import List, Sequence
 
 Matrix = List[list]
@@ -79,12 +79,43 @@ def int_matrix(a) -> Matrix:
     return out
 
 
-def int_inverse(a) -> Matrix:
-    """Inverse of an integer matrix in GL(n, Z), in integers.
+def int_adjugate(a):
+    """(det A, adj A) of a square integer matrix, in integers.
 
-    Solved exactly over Fractions; raises ZeroDivisionError when A is
-    singular and ValueError when its inverse is not integral (det A is
-    not +-1).
+    Fraction-free Gauss-Jordan (Bareiss, Math. Comp. 22 (1968)) on
+    [A | I]: step k replaces each row i != k by (p_k a_i - a_ik a_k) / p_{k-1}
+    for the pivot p_k = a_kk, and every division is exact.  The left half
+    ends as p_n I and the right as p_n A^-1, with p_n = det A up to the
+    sign of the row swaps.  Raises ZeroDivisionError when A is singular.
     """
-    exact = [[Fraction(x) for x in row] for row in a]
-    return int_matrix(solve(exact, identity(len(a))))
+    n = len(a)
+    aug = [list(ra) + [int(i == j) for j in range(n)] for i, ra in enumerate(a)]
+    sign, prev = 1, 1
+    for k in range(n):
+        piv = next((r for r in range(k, n) if aug[r][k]), None)
+        if piv is None:
+            raise ZeroDivisionError("matrix is singular")
+        if piv != k:
+            aug[k], aug[piv] = aug[piv], aug[k]
+            sign = -sign
+        row = aug[k]
+        p = row[k]
+        for i in range(n):
+            if i != k:
+                ri = aug[i]
+                c = ri[k]
+                aug[i] = [(p * x - c * y) // prev for x, y in zip(ri, row)]
+        prev = p
+    return sign * prev, [[sign * x for x in r[n:]] for r in aug]
+
+
+def int_inverse(a) -> Matrix:
+    """Inverse of an integer matrix in GL(n, Z), as adj A / det A.
+
+    Raises ZeroDivisionError when A is singular and ValueError when it is
+    not unimodular (det A is not +-1), so its inverse is not integral.
+    """
+    det, adj = int_adjugate(a)
+    if abs(det) != 1:
+        raise ValueError(f"non-integral inverse: det {det} is not +-1")
+    return [[det * x for x in r] for r in adj]

@@ -11,19 +11,21 @@ integral measures the hyperbolic length across a plumbing annulus.
 
 import math
 from fractions import Fraction
-from typing import List, NamedTuple, Sequence
+from typing import TYPE_CHECKING, List, NamedTuple, Sequence
 
 from .errors import PreconditionError, SchemaError
 from .forms import FlatTorus, QuadraticForm, is_homothetic, rescale_to_diameter_one
-from .hybrid import GluingFunction
 from .rationals import parse_matrix
 from .tropical import (
     WeightedMetricGraph,
     first_betti,
     rescale_graph_to_diameter_one,
     torelli,
-    tropical_jacobian,
 )
+
+if TYPE_CHECKING:
+    # an annotation only; the hybrid module loads when a gluing is built
+    from .hybrid import GluingFunction
 
 TWO_PI = 2 * math.pi
 
@@ -205,7 +207,7 @@ def curve_family_gh_limit(fam: CurveFamily) -> WeightedMetricGraph:
 
 
 def curve_family_hybrid_limit(
-    fam: CurveFamily, gluing: GluingFunction
+    fam: CurveFamily, gluing: "GluingFunction"
 ) -> WeightedMetricGraph:
     """Limit dual graph with projectivized edge lengths (summing to 1).
 
@@ -262,7 +264,9 @@ def torelli_family_compare(fam: CurveFamily) -> TorelliComparison:
 
     The metric side rescales the Jacobian of the equal-length limit
     graph.  The abelian side weights each cycle by the multiplicities
-    (edge e contributes m_e to the valuation form) and rescales that.
+    (edge e contributes m_e to the valuation form) and rescales that,
+    which is av_family_limit of the form and the Torelli torus of the
+    graph with lengths m_e.
     They agree only for special multiplicity patterns.
     """
     if first_betti(fam.graph) < 1:
@@ -278,7 +282,6 @@ def torelli_family_compare(fam: CurveFamily) -> TorelliComparison:
         ],
         "exact",
     )
-    av_fam = AVFamily(tropical_jacobian(weighted).gram)
-    av_side = av_family_limit(av_fam)
+    av_side = torelli(weighted)
     continuous = is_homothetic(gh_side.gram, av_side.gram) is not None
     return TorelliComparison(gh_side, av_side, continuous)

@@ -4,7 +4,9 @@ A weighted metric graph is a connected finite graph with positive edge
 lengths and nonnegative integer vertex weights; loops and parallel edges
 are allowed.  The Jacobian is the lattice of integer cycles with the
 inner product that weighs each edge by its length, and the Torelli map
-sends the graph to the unit-diameter real torus of that lattice.
+sends the graph to the unit-diameter real torus of that lattice; its
+covering radius is read off the projected edge cube (torelli), not
+searched for as for a general form.
 
 Diameter means the diameter of the metric realization: the maximum
 distance between any two points, edge interiors included.  It is
@@ -19,11 +21,13 @@ peaks where the tent of u_f does; graph_diameter gives the derivation.
 """
 
 import math
+import operator
 from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import ModeMixError, PreconditionError, SchemaError
-from .forms import FlatTorus, QuadraticForm, rescale_to_diameter_one
+from . import _linalg as la
+from .forms import FlatTorus, QuadraticForm, _quotient
 from .rationals import Scalar, coerce_vector, format_scalar, parse_matrix, parse_scalar
 
 
@@ -389,5 +393,79 @@ def tropical_jacobian(graph: WeightedMetricGraph) -> TropicalAV:
 
 
 def torelli(graph: WeightedMetricGraph) -> FlatTorus:
-    """Unit-diameter flat torus of the tropical Jacobian."""
-    return rescale_to_diameter_one(tropical_jacobian(graph).gram)
+    """Unit-diameter flat torus of the tropical Jacobian: J / mu^2.
+
+    The Voronoi cell of the cycle lattice under the length-weighted inner
+    product is the orthogonal projection of the cube [-1/2, 1/2]^E
+    (Bacher, de la Harpe & Nagnibeda, Bull. SMF 125 (1997); Amini,
+    arXiv:1007.2456), so mu^2 is the largest |pi(s / 2)|^2 over sign
+    vectors s.  In the cycle basis, with c_e the column of edge e, that is
+        mu^2 = max_s b^T J^-1 b / 4,   b = sum_e s_e l_e c_e.
+    A bridge has c_e = 0 and drops out.  Edges whose columns agree up to
+    sign are in series; the maximum puts their terms in line, so they
+    merge into one class with the sum of their lengths.
+
+    As in graph_diameter, lengths are read with as_integer_ratio() and
+    scaled by the lcm den of their denominators to integers L_k, so the
+    integer Jacobian is Q = sum_k L_k c_k c_k^T = den J and
+        mu^2 = max_s b^T adj(Q) b / (4 det(Q) den),   b = sum_k s_k L_k c_k.
+    s and -s agree, so the first class keeps its sign and a Gray-code walk
+    flips one other sign per step, an O(g) integer update of adj(Q) b from
+    adj(Q) c_k.  The torus J / mu^2 = 4 det(Q) Q / max is formed once: an
+    exact Fraction, or for a float graph its exact copy's torus rounded
+    once per entry.
+    """
+    basis = cycle_basis(graph)
+    if not basis:
+        raise PreconditionError(
+            "positive-genus", "tropical Jacobian of a tree is a point"
+        )
+    ratios = [l.as_integer_ratio() for _, _, l in graph.edges]
+    den = math.lcm(*(q for _, q in ratios))
+    classes: Dict[Tuple[int, ...], int] = {}
+    for k, (p, q) in enumerate(ratios):
+        col = tuple(row[k] for row in basis)
+        lead = next((x for x in col if x), 0)
+        if lead:
+            key = col if lead > 0 else tuple(-x for x in col)
+            classes[key] = classes.get(key, 0) + p * (den // q)
+    g = len(basis)
+    gram = [
+        [sum(l * c[a] * c[b] for c, l in classes.items()) for b in range(g)]
+        for a in range(g)
+    ]
+    det, adj = la.int_adjugate(gram)
+    # per class: the rows where c_k is +1 and -1, 2 L_k adj(Q) c_k, 4 L_k
+    # and 4 L_k^2 c_k^T adj(Q) c_k
+    steps = []
+    b = [0] * g
+    for c, l in classes.items():
+        ac = la.mat_vec(adj, c)
+        steps.append((
+            [i for i, x in enumerate(c) if x > 0],
+            [i for i, x in enumerate(c) if x < 0],
+            [2 * l * x for x in ac],
+            4 * l,
+            4 * l * l * sum(map(operator.mul, c, ac)),
+        ))
+        b = [x + l * y for x, y in zip(b, c)]
+    w = la.mat_vec(adj, b)
+    value = best = sum(map(operator.mul, b, w))
+    signs = [1] * len(steps)
+    for i in range(1, 1 << (len(steps) - 1)):
+        k = (i & -i).bit_length()
+        plus, minus, step, coef, const = steps[k]
+        t = sum(w[j] for j in plus) - sum(w[j] for j in minus)
+        # flipping s_k adds d = 2 s_k' L_k c_k to b: the value gains
+        # 2 d^T adj(Q) b + d^T adj(Q) d
+        if signs[k] > 0:
+            value += const - coef * t
+            w = list(map(operator.sub, w, step))
+        else:
+            value += const + coef * t
+            w = list(map(operator.add, w, step))
+        signs[k] = -signs[k]
+        if value > best:
+            best = value
+    rows = [[_quotient(graph.mode, 4 * det * x, best) for x in r] for r in gram]
+    return FlatTorus(QuadraticForm(rows, graph.mode))

@@ -3,7 +3,9 @@
 The oracles here deliberately avoid the library's own algorithms: the
 covering radius is brute-forced on a grid, graph diameters are sampled
 densely along edges with a hand-rolled all-pairs shortest path, or taken
-exactly over every pair of quarter-grid points, equivalence witnesses are
+exactly over every pair of quarter-grid points, the covering radius of a
+graph's cycle lattice is the largest projection of a cube vertex, found
+over every sign vector with a grounded Laplacian, equivalence witnesses are
 searched over bounded-entry integer matrices, or found again by the
 backtracking search with Fraction inner products, the collar integral is
 summed by Simpson's rule, LLL output is compared with the textbook
@@ -16,6 +18,7 @@ here too, for the CLI tests.
 
 import itertools
 import math
+import operator
 import os
 import random
 import re
@@ -477,6 +480,52 @@ def grid_graph_diameter(vertices, edges) -> Fraction:
                 far = map(min, far, map(abs, range(x, x - lf - 1, -1)))
             worst = max(worst, max(far))
     return Fraction(worst, scale)
+
+
+def zonotope_covering_radius_sq(vertices, edges) -> Fraction:
+    """Exact covering radius squared of the cycle lattice of a metric graph.
+
+    Under <x, y> = sum_e l_e x_e y_e the Voronoi cell of H1(G, Z) is the
+    orthogonal projection pi of the cube [-1/2, 1/2]^E onto the cycle
+    space (Bacher, de la Harpe & Nagnibeda, Bull. SMF 125 (1997)), so
+    mu^2 = max |pi(s)|^2 / 4 over every sign vector s in {1, -1}^E.  No
+    cycle basis is used: s = pi(s) + y, where y_e = (phi_v - phi_u) / l_e
+    is the current of the vertex potentials phi with Lap phi = j, for the
+    boundary j = d s and the Laplacian Lap with conductances 1 / l_e;
+    |y|^2 = j^T phi, so |pi(s)|^2 = sum_e l_e - j^T Lap^+ j.  Lap is
+    grounded at the first vertex, inverted over Fractions and put over one
+    common denominator, so the loop over sign vectors adds integers.
+    """
+    index = {v[0]: i for i, v in enumerate(vertices)}
+    n = len(vertices)
+    ends = [(index[u], index[v]) for u, v, _ in edges]
+    lap = [[Fraction(0)] * n for _ in range(n)]
+    for (i, j), (_, _, length) in zip(ends, edges):
+        if i != j:
+            c = 1 / Fraction(length)
+            lap[i][i] += c
+            lap[j][j] += c
+            lap[i][j] -= c
+            lap[j][i] -= c
+    green = _fraction_inverse([row[1:] for row in lap[1:]])
+    den = math.lcm(*(x.denominator for row in green for x in row))
+    green = [[int(x * den) for x in row] for row in green]
+    least = None
+    seen = set()
+    # s and -s give the same value, so the first sign stays +1
+    for rest in itertools.product((1, -1), repeat=len(edges) - 1):
+        j = [0] * n
+        for s, (u, v) in zip((1,) + rest, ends):
+            j[u] -= s
+            j[v] += s
+        j = tuple(j[1:])
+        if j in seen:
+            continue
+        seen.add(j)
+        val = sum(a * sum(map(operator.mul, row, j)) for a, row in zip(j, green) if a)
+        if least is None or val < least:
+            least = val
+    return (sum(Fraction(e[2]) for e in edges) - Fraction(least, den)) / 4
 
 
 def random_multigraph(rng: random.Random, max_vertices: int = 5, max_extra: int = 5):

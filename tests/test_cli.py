@@ -569,7 +569,7 @@ def test_worked_example_output_is_byte_identical(capsys, tmp_path, page):
 # the library modules each command runs, with what they import
 _SIEGEL = {"forms", "siegel"}
 _LIMITS = {"forms", "siegel", "limits"}
-_DEGEN = {"forms", "tropical", "hybrid", "degen"}
+_DEGEN = {"forms", "tropical", "degen"}
 COMMAND_MODULES = {
     "reduce": _SIEGEL,
     "collapse": _LIMITS,

@@ -20,6 +20,7 @@ from troplab import (
     graph_diameter,
     is_homothetic,
     torelli_family_compare,
+    tropical_jacobian,
 )
 
 from helpers import (
@@ -273,6 +274,20 @@ class TestTorelliComparison:
         cmp = torelli_family_compare(CurveFamily(loop_graph(1), [4]))
         assert cmp.continuous
         assert cmp.gh_side.gram == QuadraticForm([[4]])
+
+    def test_av_side_is_the_limit_of_the_valuation_form(self):
+        # the abelian side is av_family_limit of the m-weighted Jacobian,
+        # whose covering radius the Voronoi search finds on its own
+        rng = seeded(52)
+        for graph in (k4_family([1] * 6).graph, theta_graph(1, 1, 1),
+                      handcuff_graph(1, 1, 1), loop_graph(1)):
+            for _ in range(3):
+                mult = [rng.randint(1, 9) for _ in graph.edges]
+                weighted = WeightedMetricGraph(
+                    graph.vertices, [(u, v, F(m)) for (u, v, _), m in zip(graph.edges, mult)]
+                )
+                cmp = torelli_family_compare(CurveFamily(graph, mult))
+                assert cmp.av_side == av_family_limit(AVFamily(tropical_jacobian(weighted).gram))
 
     def test_tree_rejected(self):
         g = WeightedMetricGraph(

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -48,3 +49,31 @@ def test_int_inverse_rejects_singular_and_non_unimodular():
         la.int_inverse([[1, 2], [2, 4]])
     with pytest.raises(ValueError, match="non-integral"):
         la.int_inverse([[2, 0], [0, 1]])
+
+
+def test_int_adjugate_matches_the_fraction_inverse():
+    rng = random.Random(51)
+    seen = 0
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        a = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+        exact = [[Fraction(x) for x in r] for r in a]
+        try:
+            det, adj = la.int_adjugate(a)
+        except ZeroDivisionError:
+            with pytest.raises(ZeroDivisionError):
+                la.solve(exact, la.identity(n))
+            continue
+        seen += 1
+        assert all(type(x) is int for r in adj for x in r)
+        assert la.mat_mul(a, adj) == [[det * (i == j) for j in range(n)] for i in range(n)]
+        assert adj == [[det * x for x in r] for r in la.solve(exact, la.identity(n))]
+    assert seen > 200
+
+
+def test_int_adjugate_sign_follows_row_swaps():
+    # a zero leading entry forces a swap; det [[0, 1], [1, 0]] is -1
+    assert la.int_adjugate([[0, 1], [1, 0]]) == (-1, [[0, -1], [-1, 0]])
+    assert la.int_adjugate([[0, 2, 0], [0, 0, 3], [5, 0, 0]]) == (
+        30, [[0, 0, 6], [15, 0, 0], [0, 10, 0]]
+    )

@@ -54,7 +54,7 @@ _BARE = {"cli", "errors"}
 _FORMS = _BARE | {"_linalg", "forms", "rationals"}
 _SIEGEL = _FORMS | {"siegel"}
 _LIMITS = _SIEGEL | {"limits"}
-_DEGEN = _FORMS | {"tropical", "hybrid", "degen"}
+_DEGEN = _FORMS | {"tropical", "degen"}
 COMMAND_SUBMODULES = {
     "reduce": _SIEGEL,
     "collapse": _LIMITS,

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from troplab import (
     PreconditionError,
     QuadraticForm,
     WeightedMetricGraph,
+    covering_radius_sq,
     cycle_basis,
     first_betti,
     genus_condition_counting_leaves,
@@ -31,6 +33,7 @@ from helpers import (
     seeded,
     segment_graph,
     theta_graph,
+    zonotope_covering_radius_sq,
 )
 
 F = Fraction
@@ -332,3 +335,115 @@ class TestTorelli:
     def test_scale_invariance(self):
         g = theta_graph(1, 2, 3)
         assert torelli(g).gram == torelli(g.scaled(F(7, 2))).gram
+
+
+# shapes whose cycle lattices the zonotope tests compare: K4, K3,3, the
+# triangular prism, the wheel W5 and K5, as (vertex count, edges)
+ZONOTOPE_SHAPES = {
+    "K4": (4, list(itertools.combinations(range(4), 2))),
+    "K33": (6, [(i, j) for i in range(3) for j in range(3, 6)]),
+    "prism": (6, _cycle(3) + [(3 + i, 3 + (i + 1) % 3) for i in range(3)]
+              + [(i, i + 3) for i in range(3)]),
+    "W5": (6, _cycle(5) + [(i, 5) for i in range(5)]),
+    "K5": (5, list(itertools.combinations(range(5), 2))),
+}
+
+
+def _shape(name, lengths=None):
+    n, pairs = ZONOTOPE_SHAPES[name]
+    lengths = lengths or [F(1)] * len(pairs)
+    return [(i, 0) for i in range(n)], [(u, v, l) for (u, v), l in zip(pairs, lengths)]
+
+
+def banana(n):
+    return WeightedMetricGraph([("p", 0), ("q", 0)], [("p", "q", F(1))] * n)
+
+
+def assert_torus(graph, mu_sq):
+    # the Torelli torus is the Jacobian over its covering radius squared
+    assert torelli(graph).gram == tropical_jacobian(graph).gram.scale(1 / mu_sq)
+
+
+class TestTorelliZonotope:
+    def test_closed_forms(self):
+        # Conway & Sloane, SPLAG ch. 4: a loop is a circle of length L, the
+        # theta graph's lattice is c A2, the dumbbell's Z + Z, and the
+        # banana graph of n unit edges has lattice A_{n-1}, whose mu^2 is
+        # a (n - a) / n with a = floor(n / 2)
+        cases = [(loop_graph(L), F(L) / 4) for L in (1, F(7, 3))]
+        cases += [(theta_graph(c, c, c), 2 * F(c) / 3) for c in (1, F(5, 2))]
+        cases += [(handcuff_graph(a, b, x), F(a + b) / 4)
+                  for a, b, x in [(1, 1, 1), (2, F(1, 3), 5)]]
+        cases += [(banana(n), F((n // 2) * (n - n // 2), n)) for n in range(2, 8)]
+        for g, mu_sq in cases:
+            assert zonotope_covering_radius_sq(g.vertices, g.edges) == mu_sq
+            assert_torus(g, mu_sq)
+        # the Voronoi search agrees where it is quick, A1 to A4
+        for n in range(2, 6):
+            assert covering_radius_sq(tropical_jacobian(banana(n)).gram) == (
+                F((n // 2) * (n - n // 2), n)
+            )
+
+    def test_oracle_voronoi_and_torelli_agree_on_random_lengths(self):
+        rng = seeded(48)
+        for name in ZONOTOPE_SHAPES:
+            for trial in range(5):
+                n, pairs = ZONOTOPE_SHAPES[name]
+                lengths = [F(rng.randint(1, 9), rng.randint(1, 4)) for _ in pairs]
+                vertices, edges = _shape(name, lengths)
+                g = WeightedMetricGraph(vertices, edges)
+                mu_sq = zonotope_covering_radius_sq(vertices, edges)
+                assert_torus(g, mu_sq)
+                # the Voronoi search takes about a second on K5
+                if name != "K5":
+                    assert covering_radius_sq(tropical_jacobian(g).gram) == mu_sq
+
+    def test_series_splits_and_hanging_trees_leave_the_torus(self):
+        rng = seeded(49)
+        for name in ("K4", "K33", "W5"):
+            n, pairs = ZONOTOPE_SHAPES[name]
+            lengths = [F(rng.randint(1, 9), rng.randint(1, 4)) for _ in pairs]
+            vertices, edges = _shape(name, lengths)
+            g = WeightedMetricGraph(vertices, edges)
+            torus = torelli(g).gram
+            # a tree of bridges hung on a vertex: new vertices come last,
+            # so the spanning tree and the cycle basis keep their rows
+            hung = WeightedMetricGraph(
+                vertices + [("t0", 0), ("t1", 0), ("t2", 0)],
+                edges + [(0, "t0", F(3)), ("t0", "t1", F(1, 5)), ("t0", "t2", F(7))],
+            )
+            assert torelli(hung).gram == torus
+            # edge k as a path of three edges of the same total length; the
+            # cycle basis may change, so the tori are compared through the
+            # witness that the Jacobians are equivalent
+            k = rng.randrange(len(edges))
+            u, v, length = edges[k]
+            cuts = [length * F(1, 5), length * F(1, 2)]
+            split = WeightedMetricGraph(
+                vertices + [("s0", 0), ("s1", 0)],
+                edges[:k] + [(u, "s0", cuts[0]), ("s0", "s1", cuts[1]),
+                             ("s1", v, length - sum(cuts))] + edges[k + 1:],
+            )
+            w = is_equivalent(tropical_jacobian(g).gram, tropical_jacobian(split).gram)
+            assert w is not None
+            assert torelli(split).gram == torus.transform(w)
+
+    def test_petersen_and_k6(self):
+        petersen, k6 = NAMED_GRAPHS[0], complete_graph(6)
+        assert zonotope_covering_radius_sq(*petersen) == F(31, 10)
+        assert zonotope_covering_radius_sq(*k6) == F(7, 2)
+        assert_torus(WeightedMetricGraph(*petersen), F(31, 10))
+        assert_torus(WeightedMetricGraph(*k6), F(7, 2))
+
+    def test_float_graph_gets_its_exact_torus_rounded_once(self):
+        rng = seeded(50)
+        for name in ("K4", "prism"):
+            n, pairs = ZONOTOPE_SHAPES[name]
+            # dyadic lengths, so the floats hold them exactly
+            lengths = [F(rng.randint(1, 9), 2 ** rng.randint(0, 3)) for _ in pairs]
+            vertices, edges = _shape(name, lengths)
+            exact = torelli(WeightedMetricGraph(vertices, edges)).gram
+            floats = [(u, v, float(l)) for u, v, l in edges]
+            rounded = torelli(WeightedMetricGraph(vertices, floats)).gram
+            assert rounded.mode == "float"
+            assert rounded.entries == tuple(tuple(map(float, r)) for r in exact.entries)
