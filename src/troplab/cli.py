@@ -137,8 +137,11 @@ def _cmd_collapse(doc, args, cfg: RunConfig):
     points = [
         siegel.SiegelPoint.from_json_dict(p, f"/samples/{i}") for i, p in enumerate(raw)
     ]
+    u = doc.get("u")
+    if u is not None and (isinstance(u, bool) or not isinstance(u, (int, float))):
+        raise SchemaError("'u' must be a number", "/u")
     tol = args.tol if args.tol is not None else 1e-3
-    result = limits.classify_collapse_numeric(points, tol=tol, u=doc.get("u"))
+    result = limits.classify_collapse_numeric(points, tol=tol, u=u)
     series = None
     if result.report is not None:
         rep = result.report

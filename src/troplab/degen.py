@@ -10,7 +10,6 @@ integral measures the hyperbolic length across a plumbing annulus.
 """
 
 import math
-from fractions import Fraction
 from typing import TYPE_CHECKING, List, NamedTuple, Sequence
 
 from .errors import PreconditionError, SchemaError
@@ -191,6 +190,15 @@ def _require_edges(fam: CurveFamily):
         )
 
 
+def _with_lengths(fam: CurveFamily, lengths: Sequence) -> WeightedMetricGraph:
+    """The dual graph of the family with exact edge lengths."""
+    return WeightedMetricGraph(
+        fam.graph.vertices,
+        [(u, v, l) for (u, v, _), l in zip(fam.graph.edges, lengths)],
+        "exact",
+    )
+
+
 def curve_family_gh_limit(fam: CurveFamily) -> WeightedMetricGraph:
     """Metric limit: all edges the same length, diameter 1.
 
@@ -198,12 +206,7 @@ def curve_family_gh_limit(fam: CurveFamily) -> WeightedMetricGraph:
     the answer depends only on the dual graph.
     """
     _require_edges(fam)
-    unit = WeightedMetricGraph(
-        fam.graph.vertices,
-        [(u, v, Fraction(1)) for u, v, _ in fam.graph.edges],
-        "exact",
-    )
-    return rescale_graph_to_diameter_one(unit)
+    return rescale_graph_to_diameter_one(_with_lengths(fam, [1] * len(fam.graph.edges)))
 
 
 def curve_family_hybrid_limit(
@@ -215,12 +218,7 @@ def curve_family_hybrid_limit(
     them and distributes length uniformly.
     """
     _require_edges(fam)
-    lengths = gluing.weights(fam.multiplicities)
-    return WeightedMetricGraph(
-        fam.graph.vertices,
-        [(u, v, l) for (u, v, _), l in zip(fam.graph.edges, lengths)],
-        "exact",
-    )
+    return _with_lengths(fam, gluing.weights(fam.multiplicities))
 
 
 def collar_length(t, c_star: float) -> float:
@@ -262,26 +260,20 @@ class TorelliComparison(NamedTuple):
 def torelli_family_compare(fam: CurveFamily) -> TorelliComparison:
     """Compare the metric-limit torus with the abelian-family limit torus.
 
-    The metric side rescales the Jacobian of the equal-length limit
-    graph.  The abelian side weights each cycle by the multiplicities
-    (edge e contributes m_e to the valuation form) and rescales that,
-    which is av_family_limit of the form and the Torelli torus of the
-    graph with lengths m_e.
+    The metric side is the Torelli torus of the metric limit, the graph
+    with all edges the same length; torelli is invariant under scaling,
+    so the graph with unit lengths gives it without first rescaling to
+    diameter 1.  The abelian side weights each cycle by the
+    multiplicities (edge e contributes m_e to the valuation form) and
+    rescales that, which is av_family_limit of the form and the Torelli
+    torus of the graph with lengths m_e.
     They agree only for special multiplicity patterns.
     """
     if first_betti(fam.graph) < 1:
         raise PreconditionError(
             "positive-genus", "tropical Jacobian of a tree is a point"
         )
-    gh_side = torelli(curve_family_gh_limit(fam))
-    weighted = WeightedMetricGraph(
-        fam.graph.vertices,
-        [
-            (u, v, Fraction(m))
-            for (u, v, _), m in zip(fam.graph.edges, fam.multiplicities)
-        ],
-        "exact",
-    )
-    av_side = torelli(weighted)
+    gh_side = torelli(_with_lengths(fam, [1] * len(fam.graph.edges)))
+    av_side = torelli(_with_lengths(fam, fam.multiplicities))
     continuous = is_homothetic(gh_side.gram, av_side.gram) is not None
     return TorelliComparison(gh_side, av_side, continuous)

@@ -26,7 +26,10 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from . import _linalg as la
 from .errors import ModeMixError, NotPositiveDefiniteError, PreconditionError, SchemaError
-from .rationals import Scalar, coerce_matrix, format_scalar, parse_matrix
+from .rationals import (
+    Scalar, as_integers, coerce_matrix, format_scalar, nearest_int, parse_matrix, quotient,
+    round_half_away,
+)
 
 
 class QuadraticForm:
@@ -66,7 +69,7 @@ class QuadraticForm:
 
     def det(self) -> Scalar:
         """d_n / den^n from the stored minors."""
-        return _quotient(self.mode, self._minors[-1], self._den**self.n)
+        return quotient(self.mode, self._minors[-1], self._den**self.n)
 
     def scale(self, c: Scalar) -> "QuadraticForm":
         if c <= 0:
@@ -92,7 +95,7 @@ class QuadraticForm:
         product rounded once per entry.
         """
         m = la.mat_mul(la.transpose(u), la.mat_mul(self._gram, u))
-        rows = [[_quotient(self.mode, x, self._den) for x in r] for r in m]
+        rows = [[quotient(self.mode, x, self._den) for x in r] for r in m]
         return QuadraticForm(rows, self.mode)
 
     def to_float(self) -> "QuadraticForm":
@@ -155,9 +158,8 @@ def _integer_ldl(entries):
     NotPositiveDefiniteError(i).
     """
     # the lower triangle is all the elimination reads
-    ratios = [[x.as_integer_ratio() for x in r[: i + 1]] for i, r in enumerate(entries)]
-    den = math.lcm(*(q for row in ratios for _, q in row))
-    low = [[p * (den // q) for p, q in row] for row in ratios]
+    flat, den = as_integers(x for i, r in enumerate(entries) for x in r[: i + 1])
+    low = [flat[i * (i + 1) // 2 : (i + 1) * (i + 2) // 2] for i in range(len(entries))]
     d, lam = [1], []
     for i, gi in enumerate(low):
         li = []
@@ -173,11 +175,6 @@ def _integer_ldl(entries):
     n = len(low)
     g = tuple(tuple(low[max(i, j)][min(i, j)] for j in range(n)) for i in range(n))
     return g, den, tuple(d), tuple(map(tuple, lam))
-
-
-def _quotient(mode: str, num: int, den: int) -> Scalar:
-    """num / den: a Fraction, or in float mode the double nearest to it."""
-    return Fraction(num, den) if mode == "exact" else num / den
 
 
 class JacobiDecomposition(NamedTuple):
@@ -213,12 +210,12 @@ def jacobi_decompose(form: QuadraticForm) -> JacobiDecomposition:
     n, mode, d, lam = form.n, form.mode, form._minors, form._lam
     b = tuple(
         tuple(
-            _quotient(mode, lam[j][i], d[i + 1]) if j > i else int(j == i)
+            quotient(mode, lam[j][i], d[i + 1]) if j > i else int(j == i)
             for j in range(n)
         )
         for i in range(n)
     )
-    dvec = tuple(_quotient(mode, d[i + 1], d[i] * form._den) for i in range(n))
+    dvec = tuple(quotient(mode, d[i + 1], d[i] * form._den) for i in range(n))
     return JacobiDecomposition(b=b, d=dvec)
 
 
@@ -248,7 +245,7 @@ def lll_reduce(
         raise PreconditionError("lll-delta", "delta must lie in (1/4, 1)")
     m = [list(r) for r in form._gram]
     u = _lll_integer(m, list(form._minors), [list(r) for r in form._lam], delta)
-    rows = [[_quotient(form.mode, x, form._den) for x in row] for row in m]
+    rows = [[quotient(form.mode, x, form._den) for x in row] for row in m]
     return QuadraticForm(rows, form.mode), u
 
 
@@ -283,7 +280,7 @@ def _lll_integer(m, d, lam, delta: Fraction) -> List[List[int]]:
     while k < n:
         lk = lam[k]
         for j in range(k - 1, -1, -1):
-            q = _round_half_away(lk[j], d[j + 1])
+            q = round_half_away(lk[j], d[j + 1])
             if q:
                 _translate(m, u, k, j, q)
                 lk[j] -= q * d[j + 1]
@@ -308,20 +305,6 @@ def _lll_integer(m, d, lam, delta: Fraction) -> List[List[int]]:
         d[k] = b
         k = max(k - 1, 1)
     return u
-
-
-def _round_half_away(num: int, den: int) -> int:
-    """num / den (den > 0) rounded to the nearest integer, half away from 0."""
-    q, r = divmod(abs(num), den)
-    if 2 * r >= den:
-        q += 1
-    return q if num >= 0 else -q
-
-
-def _nearest_int(x) -> int:
-    """x rounded half away from zero; a float is read by its exact value."""
-    num, den = x.as_integer_ratio()
-    return _round_half_away(num, den)
 
 
 # -- enumeration -----------------------------------------------------------
@@ -421,7 +404,7 @@ def _lagrange_reduce_2d(a):
             m[0][0], m[1][1] = m[1][1], m[0][0]
         if 2 * abs(m[0][1]) <= m[0][0]:
             return m
-        q = _nearest_int(m[0][1] / m[0][0])
+        q = nearest_int(m[0][1] / m[0][0])
         # b_1 <- b_1 - q b_0
         m11 = m[1][1] - 2 * q * m[0][1] + q * q * m[0][0]
         m[0][1] -= q * m[0][0]

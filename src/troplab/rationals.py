@@ -1,13 +1,18 @@
-"""Parsing and canonical serialization of exact rationals.
+"""Parsing, canonical serialization and the integer reading of scalars.
 
 JSON carries exact values as integers or "p/q" strings; floats stay JSON
 numbers.  Serialization is canonical (integer when the denominator is 1)
 so identical inputs produce byte-identical output documents.
+
+Exact work on scalars runs in integers: as_integers reads values by
+their exact values, a float by its dyadic one, over one common
+denominator, and quotient turns an integer answer back into the mode's
+scalar, a float rounded once.
 """
 
 import math
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import ModeMixError, PreconditionError, SchemaError
 
@@ -94,6 +99,32 @@ def coerce_matrix(
     elif mode not in ("exact", "float"):
         raise PreconditionError("arithmetic-mode", f"unknown mode {mode!r}")
     return [coerce_vector(r, mode, f"{name}[{i}]")[0] for i, r in enumerate(rows)], mode
+
+
+def as_integers(values: Iterable) -> Tuple[List[int], int]:
+    """(nums, den): den is the lcm of the denominators of the exact values
+    and nums[i] = den * values[i], so the integers hold the values exactly."""
+    ratios = [x.as_integer_ratio() for x in values]
+    den = math.lcm(*(q for _, q in ratios))
+    return [p * (den // q) for p, q in ratios], den
+
+
+def quotient(mode: str, num: int, den: int) -> Scalar:
+    """num / den: a Fraction, or in float mode the double nearest to it."""
+    return Fraction(num, den) if mode == "exact" else num / den
+
+
+def round_half_away(num: int, den: int) -> int:
+    """num / den (den > 0) rounded to the nearest integer, half away from 0."""
+    q, r = divmod(abs(num), den)
+    if 2 * r >= den:
+        q += 1
+    return q if num >= 0 else -q
+
+
+def nearest_int(x) -> int:
+    """x rounded half away from zero; a float is read by its exact value."""
+    return round_half_away(*x.as_integer_ratio())
 
 
 def format_rational(value: Fraction):

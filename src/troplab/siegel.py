@@ -17,8 +17,8 @@ from typing import List, Tuple
 
 from . import _linalg as la
 from .errors import PreconditionError, SchemaError
-from .forms import FlatTorus, QuadraticForm, _nearest_int, jacobi_decompose, lll_reduce
-from .rationals import coerce_matrix, format_scalar, parse_matrix
+from .forms import FlatTorus, QuadraticForm, jacobi_decompose, lll_reduce
+from .rationals import coerce_matrix, format_scalar, nearest_int, parse_matrix
 
 
 def default_u0(g: int) -> int:
@@ -316,7 +316,7 @@ def siegel_reduce(
             gamma = SymplecticElement.from_gl(u_gl).compose(gamma)
             x = la.mat_mul(la.transpose(u_gl), la.mat_mul(x, u_gl))
         # translate X into [-1/2, 1/2]; X symmetric, so S is too
-        s = [[-_nearest_int(v) for v in r] for r in x]
+        s = [[-nearest_int(v) for v in r] for r in x]
         if any(v != 0 for r in s for v in r):
             gamma = SymplecticElement.translation(s).compose(gamma)
             x = la.mat_add(x, s)

@@ -8,27 +8,32 @@ sends the graph to the unit-diameter real torus of that lattice; its
 covering radius is read off the projected edge cube (torelli), not
 searched for as for a general form.
 
+Every answer about a graph is computed in integers, on the lengths
+scaled to a common denominator (rationals.as_integers), and formed once
+at the end: an exact graph gets exact Fractions, so downstream rescaling
+stays exact, and a float graph gets its exact answer rounded once.  The
+Jacobian Gram and the Torelli torus both read one integer Jacobian
+(_integer_jacobian) over the fundamental cycles of a deterministic
+spanning tree, which also decides connectivity.
+
 Diameter means the diameter of the metric realization: the maximum
-distance between any two points, edge interiors included.  It is
-computed in integers, on the lengths scaled to a common denominator,
+distance between any two points, edge interiors included.  It comes
 from all-pairs vertex distances plus a closed form for each pair of
-edges; an exact graph gets an exact Fraction, so downstream rescaling
-stays exact, and a float graph gets its exact diameter rounded once.
-Seen from a point x of edge e, the farthest point
-of another edge f = (u_f, v_f, l_f) is (d(x, u_f) + d(x, v_f) + l_f) / 2
-away, and the sum d(x, u_f) + d(x, v_f) of two tent functions of x
-peaks where the tent of u_f does; graph_diameter gives the derivation.
+edges.  Seen from a point x of edge e, the farthest point of another
+edge f = (u_f, v_f, l_f) is (d(x, u_f) + d(x, v_f) + l_f) / 2 away, and
+the sum d(x, u_f) + d(x, v_f) of two tent functions of x peaks where
+the tent of u_f does; graph_diameter gives the derivation.
 """
 
-import math
 import operator
-from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import ModeMixError, PreconditionError, SchemaError
 from . import _linalg as la
-from .forms import FlatTorus, QuadraticForm, _quotient
-from .rationals import Scalar, coerce_vector, format_scalar, parse_matrix, parse_scalar
+from .forms import FlatTorus, QuadraticForm
+from .rationals import (
+    Scalar, as_integers, coerce_vector, format_scalar, parse_matrix, parse_scalar, quotient
+)
 
 
 class WeightedMetricGraph:
@@ -40,7 +45,7 @@ class WeightedMetricGraph:
     float ("float"), mirroring QuadraticForm.
     """
 
-    __slots__ = ("vertices", "edges", "mode", "_pos")
+    __slots__ = ("vertices", "edges", "mode", "_pos", "_tree")
 
     def __init__(self, vertices: Sequence[Tuple], edges: Sequence[Tuple], mode: Optional[str] = None):
         verts = []
@@ -68,26 +73,13 @@ class WeightedMetricGraph:
                 raise PreconditionError("positive-length", f"edge {k} has nonpositive length")
             parsed.append((u, v, length))
 
-        # connectivity over the undirected skeleton
-        if len(verts) > 1:
-            adj: Dict[object, list] = {vid: [] for vid in pos}
-            for u, v, _ in parsed:
-                adj[u].append(v)
-                adj[v].append(u)
-            seen = {verts[0][0]}
-            stack = [verts[0][0]]
-            while stack:
-                for w_ in adj[stack.pop()]:
-                    if w_ not in seen:
-                        seen.add(w_)
-                        stack.append(w_)
-            if len(seen) != len(verts):
-                raise PreconditionError("connected", "graph is not connected")
-
         self.vertices = tuple(verts)
         self.edges = tuple(parsed)
         self.mode = mode
         self._pos = pos
+        self._tree = _spanning_tree(self)
+        if len(self._tree) < len(verts) - 1:
+            raise PreconditionError("connected", "graph is not connected")
 
     def vertex_index(self, vid) -> int:
         return self._pos[vid]
@@ -181,8 +173,8 @@ def graph_diameter(graph: WeightedMetricGraph) -> Scalar:
     """Diameter of the metric realization: exact for an exact graph, and
     for a float graph its exact diameter rounded once.
 
-    Every length is read with as_integer_ratio(), exact for a Fraction
-    and for a float alike, and scaled by the lcm den of the denominators,
+    The lengths are read as integers over one denominator den
+    (rationals.as_integers), exact for a Fraction and for a float alike,
     so all of the work below runs on Python ints and the answer is
     formed once from four times the diameter of the scaled graph.
 
@@ -203,11 +195,10 @@ def graph_diameter(graph: WeightedMetricGraph) -> Scalar:
     a constant number of additions per edge pair; loops and parallel
     edges need no special case.
     """
-    ratios = [l.as_integer_ratio() for _, _, l in graph.edges]
-    den = math.lcm(*(q for _, q in ratios))
+    lengths, den = as_integers(l for _, _, l in graph.edges)
     ends = [
-        (graph.vertex_index(u), graph.vertex_index(v), p * (den // q))
-        for (u, v, _), (p, q) in zip(graph.edges, ratios)
+        (graph.vertex_index(u), graph.vertex_index(v), l)
+        for (u, v, _), l in zip(graph.edges, lengths)
     ]
     # all-pairs vertex distances (Floyd-Warshall); the graph is connected,
     # so no distance reaches far, the total length plus one
@@ -243,10 +234,7 @@ def graph_diameter(graph: WeightedMetricGraph) -> Scalar:
             )
             if val4 > best4:
                 best4 = val4
-    if graph.mode == "exact":
-        return Fraction(best4, 4 * den)
-    # int / int is correctly rounded: the exact diameter rounded once
-    return best4 / (4 * den)
+    return quotient(graph.mode, best4, 4 * den)
 
 
 def rescale_graph_to_diameter_one(graph: WeightedMetricGraph) -> WeightedMetricGraph:
@@ -262,7 +250,8 @@ def rescale_graph_to_diameter_one(graph: WeightedMetricGraph) -> WeightedMetricG
 
 
 def _spanning_tree(graph: WeightedMetricGraph) -> List[int]:
-    """Edge indices of the lexicographic-Kruskal spanning tree."""
+    """Edge indices of the lexicographic-Kruskal spanning tree; on a
+    disconnected graph, a forest with fewer than #vertices - 1 edges."""
     order = sorted(
         range(len(graph.edges)),
         key=lambda k: (
@@ -293,53 +282,35 @@ def cycle_basis(graph: WeightedMetricGraph) -> List[List[int]]:
 
     Rows are indexed by non-tree edges in input order; columns by all
     edges in input order, entries in {-1, 0, 1}.  Each non-tree edge
-    (u, v) is traversed u->v and closed through the tree.
+    k = (u, v) is traversed u->v and closed through the tree: with
+    to_root[w] the signed tree edges climbed from w to the root, row k is
+    e_k + to_root[v] - to_root[u], where the climb that u and v share
+    cancels.
     """
-    tree = set(_spanning_tree(graph))
+    tree = set(graph._tree)
     adj: Dict[object, list] = {vid: [] for vid, _ in graph.vertices}
     for k in tree:
         u, v, _ = graph.edges[k]
         adj[u].append((v, k, 1))
         adj[v].append((u, k, -1))
-
     root = graph.vertices[0][0]
-    # up[vid] = (parent vid, edge index, sign of the stored edge when
-    # traversed climbing vid -> parent)
-    up: Dict[object, Tuple] = {root: None}
-    queue = [root]
-    while queue:
-        cur = queue.pop()
+    # to_root[w][k]: the sign of edge k on the climb from w, -1 where it
+    # is climbed against its stored direction
+    to_root = {root: [0] * len(graph.edges)}
+    stack = [root]
+    while stack:
+        cur = stack.pop()
         for nxt, k, s in adj[cur]:
-            if nxt not in up:
-                up[nxt] = (cur, k, -s)
-                queue.append(nxt)
-
-    def chain(vid):
-        verts = [vid]
-        steps = []
-        while up[vid] is not None:
-            p, k, s = up[vid]
-            steps.append((k, s))
-            verts.append(p)
-            vid = p
-        return verts, steps
-
+            if nxt not in to_root:
+                to_root[nxt] = climb = list(to_root[cur])
+                climb[k] = -s
+                stack.append(nxt)
     rows = []
     for k, (u, v, _) in enumerate(graph.edges):
-        if k in tree:
-            continue
-        row = [0] * len(graph.edges)
-        row[k] = 1
-        if u != v:
-            v_verts, v_steps = chain(v)
-            u_verts, u_steps = chain(u)
-            u_depth = {vid: i for i, vid in enumerate(u_verts)}
-            lca_at = next(i for i, vid in enumerate(v_verts) if vid in u_depth)
-            for ek, s in v_steps[:lca_at]:
-                row[ek] += s
-            for ek, s in u_steps[: u_depth[v_verts[lca_at]]]:
-                row[ek] -= s
-        rows.append(row)
+        if k not in tree:
+            row = list(map(operator.sub, to_root[v], to_root[u]))
+            row[k] = 1
+            rows.append(row)
     return rows
 
 
@@ -374,22 +345,45 @@ class TropicalAV(_TropicalAVFields):
         return cls(obj.get("b1", gram.n), gram)
 
 
-def tropical_jacobian(graph: WeightedMetricGraph) -> TropicalAV:
-    """Cycle lattice with gram[a][b] = sum over edges of a_e * b_e * length."""
+def _integer_jacobian(graph: WeightedMetricGraph):
+    """(classes, Q, den): the cycle lattice in integers, with Q = den J.
+
+    The lengths are read as integers L_e over one denominator den.  The
+    column c_e of edge e in the cycle basis gives J = sum_e l_e c_e c_e^T;
+    a bridge has c_e = 0 and drops out, and edges whose columns agree up
+    to sign give the same term, so they merge into one class keyed by the
+    column with its first nonzero entry positive and weighted by the sum
+    of their lengths.  Then Q = sum_k L_k c_k c_k^T over the classes.
+    """
     basis = cycle_basis(graph)
     if not basis:
         raise PreconditionError(
             "positive-genus", "tropical Jacobian of a tree is a point"
         )
-    lengths = [l for _, _, l in graph.edges]
+    lengths, den = as_integers(l for _, _, l in graph.edges)
+    classes: Dict[Tuple[int, ...], int] = {}
+    for col, l in zip(zip(*basis), lengths):
+        lead = next((x for x in col if x), 0)
+        if lead:
+            key = col if lead > 0 else tuple(-x for x in col)
+            classes[key] = classes.get(key, 0) + l
+    g = len(basis)
     gram = [
-        [
-            sum(ra[e] * rb[e] * lengths[e] for e in range(len(lengths)))
-            for rb in basis
-        ]
-        for ra in basis
+        [sum(l * c[a] * c[b] for c, l in classes.items()) for b in range(g)]
+        for a in range(g)
     ]
-    return TropicalAV(len(basis), QuadraticForm(gram, graph.mode))
+    return classes, gram, den
+
+
+def tropical_jacobian(graph: WeightedMetricGraph) -> TropicalAV:
+    """Cycle lattice with gram[a][b] = sum over edges of a_e * b_e * length.
+
+    The Gram is Q / den of the integer Jacobian: exact for an exact graph,
+    and for a float graph its exact Jacobian rounded once per entry.
+    """
+    _, gram, den = _integer_jacobian(graph)
+    rows = [[quotient(graph.mode, x, den) for x in r] for r in gram]
+    return TropicalAV(len(rows), QuadraticForm(rows, graph.mode))
 
 
 def torelli(graph: WeightedMetricGraph) -> FlatTorus:
@@ -401,39 +395,20 @@ def torelli(graph: WeightedMetricGraph) -> FlatTorus:
     arXiv:1007.2456), so mu^2 is the largest |pi(s / 2)|^2 over sign
     vectors s.  In the cycle basis, with c_e the column of edge e, that is
         mu^2 = max_s b^T J^-1 b / 4,   b = sum_e s_e l_e c_e.
-    A bridge has c_e = 0 and drops out.  Edges whose columns agree up to
-    sign are in series; the maximum puts their terms in line, so they
-    merge into one class with the sum of their lengths.
-
-    As in graph_diameter, lengths are read with as_integer_ratio() and
-    scaled by the lcm den of their denominators to integers L_k, so the
-    integer Jacobian is Q = sum_k L_k c_k c_k^T = den J and
+    Edges in one class of the integer Jacobian (_integer_jacobian) are in
+    series, and the maximum puts their terms in line, so with Q = den J
+    and L_k the integer length of class k
         mu^2 = max_s b^T adj(Q) b / (4 det(Q) den),   b = sum_k s_k L_k c_k.
     s and -s agree, so the first class keeps its sign and a Gray-code walk
     flips one other sign per step, an O(g) integer update of adj(Q) b from
-    adj(Q) c_k.  The torus J / mu^2 = 4 det(Q) Q / max is formed once: an
-    exact Fraction, or for a float graph its exact copy's torus rounded
-    once per entry.
+    adj(Q) c_k.  The walk visits all 2^(k-1) sign vectors of the k
+    classes: on a 2-vCPU host K6 takes about 0.05 s, K7 about 3.2 s, and
+    each further class doubles the time.  The torus
+    J / mu^2 = 4 det(Q) Q / max is formed once: an exact Fraction, or for a
+    float graph its exact copy's torus rounded once per entry.
     """
-    basis = cycle_basis(graph)
-    if not basis:
-        raise PreconditionError(
-            "positive-genus", "tropical Jacobian of a tree is a point"
-        )
-    ratios = [l.as_integer_ratio() for _, _, l in graph.edges]
-    den = math.lcm(*(q for _, q in ratios))
-    classes: Dict[Tuple[int, ...], int] = {}
-    for k, (p, q) in enumerate(ratios):
-        col = tuple(row[k] for row in basis)
-        lead = next((x for x in col if x), 0)
-        if lead:
-            key = col if lead > 0 else tuple(-x for x in col)
-            classes[key] = classes.get(key, 0) + p * (den // q)
-    g = len(basis)
-    gram = [
-        [sum(l * c[a] * c[b] for c, l in classes.items()) for b in range(g)]
-        for a in range(g)
-    ]
+    classes, gram, _ = _integer_jacobian(graph)
+    g = len(gram)
     det, adj = la.int_adjugate(gram)
     # per class: the rows where c_k is +1 and -1, 2 L_k adj(Q) c_k, 4 L_k
     # and 4 L_k^2 c_k^T adj(Q) c_k
@@ -467,5 +442,5 @@ def torelli(graph: WeightedMetricGraph) -> FlatTorus:
         signs[k] = -signs[k]
         if value > best:
             best = value
-    rows = [[_quotient(graph.mode, 4 * det * x, best) for x in r] for r in gram]
+    rows = [[quotient(graph.mode, 4 * det * x, best) for x in r] for r in gram]
     return FlatTorus(QuadraticForm(rows, graph.mode))

@@ -58,6 +58,11 @@ HANDCUFF = {
 
 CURVE_FAMILY = {"graph": HANDCUFF, "multiplicities": [1, 2, 3]}
 
+# genus-1 samples whose one direction grows without bound
+DIVERGING_SAMPLES = [
+    {"g": 1, "X": [[0]], "Y": [[k]]} for k in (2, 4, 8, 16, 32, 64, 128, 256)
+]
+
 
 class TestReduce:
     def test_translation_with_integer_witness(self, capsys, tmp_path):
@@ -192,14 +197,11 @@ class TestCollapse:
         assert message in err
 
     def test_numeric_with_csv(self, capsys, tmp_path):
-        samples = [
-            {"g": 1, "X": [[0]], "Y": [[k]]} for k in (2, 4, 8, 16, 32, 64, 128, 256)
-        ]
         csv_path = tmp_path / "ratios.csv"
         code, out, _ = run_main(
             capsys,
             "collapse",
-            write_doc(tmp_path, "s.json", {"samples": samples}),
+            write_doc(tmp_path, "s.json", {"samples": DIVERGING_SAMPLES}),
             "--mode",
             "numeric",
             "--emit-csv",
@@ -213,6 +215,23 @@ class TestCollapse:
             rows = list(csv.reader(fh))
         assert rows[0] == ["sample", "d_top", "ratio_1"]
         assert len(rows) == 9
+
+    @pytest.mark.parametrize(
+        "u", ["x", [2], {"a": 1}, True], ids=["str", "list", "object", "bool"]
+    )
+    def test_numeric_slack_must_be_a_number(self, capsys, tmp_path, u):
+        doc = write_doc(tmp_path, "s.json", {"samples": DIVERGING_SAMPLES, "u": u})
+        code, out, err = run_main(capsys, "collapse", doc, "--mode", "numeric")
+        assert code == 2
+        assert out == ""
+        assert "'u' must be a number (at /u)" in err
+
+    @pytest.mark.parametrize("u", [4, 2.5, None])
+    def test_numeric_slack_number_is_read(self, capsys, tmp_path, u):
+        doc = write_doc(tmp_path, "s.json", {"samples": DIVERGING_SAMPLES, "u": u})
+        code, out, _ = run_main(capsys, "collapse", doc, "--mode", "numeric")
+        assert code == 0
+        assert json.loads(out)["r"] == 0
 
     def test_csv_refused_without_series(self, capsys, tmp_path):
         doc = {

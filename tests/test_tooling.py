@@ -123,6 +123,38 @@ def library_trees():
     return trees
 
 
+def test_no_module_imports_a_private_name_of_another():
+    # a private name is free to change with its own module; the _linalg
+    # module itself may be imported, as a module
+    found = []
+    for module, tree in library_trees().items():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            source = node.module or ""
+            if not (node.level or source.partition(".")[0] == "troplab"):
+                continue
+            package = source in ("", "troplab")
+            found += [
+                f"{module}:{node.lineno} {alias.name}"
+                for alias in node.names
+                if alias.name.startswith("_") and not (package and alias.name == "_linalg")
+            ]
+    assert found == [], found
+
+
+def test_only_rationals_reads_scalars_as_integer_ratios():
+    # one integer reading of exact and float scalars: rationals.as_integers
+    found = [
+        f"{module}:{node.lineno}"
+        for module, tree in library_trees().items()
+        if module != "rationals.py"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "as_integer_ratio"
+    ]
+    assert found == [], found
+
+
 def test_every_module_level_import_is_used():
     # an import that nothing in its module names is dead; __init__.py
     # imports to re-export

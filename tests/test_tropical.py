@@ -83,8 +83,17 @@ class TestGraphValidation:
             WeightedMetricGraph([("a", 0)], [("a", "a", F(0))])
 
     def test_disconnected_rejected(self):
-        with pytest.raises(PreconditionError):
-            WeightedMetricGraph([("a", 0), ("b", 0)], [])
+        # two points; two components that each have edges; a triangle and
+        # an isolated vertex
+        cases = [
+            ("ab", []),
+            ("abcd", [("a", "b"), ("c", "d"), ("c", "c")]),
+            ("abcd", [("a", "b"), ("b", "c"), ("c", "a")]),
+        ]
+        for vertices, edges in cases:
+            with pytest.raises(PreconditionError) as info:
+                WeightedMetricGraph([(v, 0) for v in vertices], [(u, v, F(1)) for u, v in edges])
+            assert info.value.invariant == "connected"
 
     def test_mode_mix_rejected(self):
         with pytest.raises(ModeMixError):
@@ -243,10 +252,14 @@ class TestCycleBasis:
 
     def test_rows_are_cycles(self):
         # every basis row has zero boundary: at each vertex the signed
-        # edge incidences cancel
+        # edge incidences cancel; each row has a non-tree edge of its own,
+        # in input order, and the other edges form a spanning tree
         rng = seeded(42)
-        for _ in range(10):
-            g = random_connected_graph(rng)
+        graphs = [random_connected_graph(rng) for _ in range(10)]
+        # loops and parallel edges
+        graphs += [WeightedMetricGraph(*random_multigraph(rng)) for _ in range(20)]
+        graphs += [banana(4), handcuff_graph(1, 2, 3), loop_graph(1)]
+        for g in graphs:
             rows = cycle_basis(g)
             assert len(rows) == first_betti(g)
             for row in rows:
@@ -255,6 +268,39 @@ class TestCycleBasis:
                     boundary[v] += row[k]
                     boundary[u] -= row[k]
                 assert all(c == 0 for c in boundary.values())
+            assert own_columns(g, rows) is not None
+
+
+def is_spanning_tree(g, edges):
+    parent = {vid: vid for vid, _ in g.vertices}
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for k in edges:
+        ru, rv = find(g.edges[k][0]), find(g.edges[k][1])
+        if ru == rv:
+            return False
+        parent[ru] = rv
+    return len(edges) == len(g.vertices) - 1
+
+
+def own_columns(g, rows):
+    """Increasing columns, one per row, where the rows read as the identity
+    and whose complement is a spanning tree, or None if there are none."""
+    n = len(g.edges)
+    single = [
+        [j for j in range(n) if row[j] == 1 and sum(abs(r[j]) for r in rows) == 1]
+        for row in rows
+    ]
+    for own in itertools.product(*single):
+        if list(own) == sorted(set(own)) and is_spanning_tree(
+            g, [k for k in range(n) if k not in own]
+        ):
+            return own
+    return None
 
 
 class TestJacobian:
@@ -447,3 +493,23 @@ class TestTorelliZonotope:
             rounded = torelli(WeightedMetricGraph(vertices, floats)).gram
             assert rounded.mode == "float"
             assert rounded.entries == tuple(tuple(map(float, r)) for r in exact.entries)
+
+    def test_float_graph_gets_its_exact_jacobian_rounded_once(self):
+        # the lengths are not dyadic, so summing float products would round
+        # each term; the oracle sums the exact values and rounds once
+        rng = seeded(51)
+        n, pairs = ZONOTOPE_SHAPES["K5"]
+        for _ in range(20):
+            g = WeightedMetricGraph(
+                [(i, 0) for i in range(n)],
+                [(u, v, rng.choice([0.1, 0.2, 0.3, 0.7, 1e-3, 1 / 3])) for u, v in pairs],
+            )
+            rows = cycle_basis(g)
+            want = [
+                [float(sum(F(l) * a[e] * b[e] for e, (_, _, l) in enumerate(g.edges)))
+                 for b in rows]
+                for a in rows
+            ]
+            gram = tropical_jacobian(g).gram
+            assert gram.mode == "float"
+            assert [list(r) for r in gram.entries] == want
