@@ -272,6 +272,10 @@ def _cmd_dual_complex(doc, args, cfg: RunConfig):
         raw = doc["action"]
         if not isinstance(raw, list) or any(not isinstance(p, list) for p in raw):
             raise SchemaError("action must be a list of permutations", "/action")
+        for i, p in enumerate(raw):
+            for j, x in enumerate(p):
+                if not isinstance(x, int) or isinstance(x, bool):
+                    raise SchemaError("permutation entry must be an integer", f"/action/{i}/{j}")
         action = hybrid.GroupAction.from_generators(inc, [tuple(p) for p in raw])
         _log("info", f"quotienting by a group of order {len(action.elements)}")
         complex_ = hybrid.quotient_complex(complex_, action)

@@ -85,6 +85,9 @@ class IncidenceComplex:
         for i, s in enumerate(raw):
             if not isinstance(s, list):
                 raise SchemaError("stratum must be a list", f"{pointer}/strata/{i}")
+            for j, x in enumerate(s):
+                if not isinstance(x, int) or isinstance(x, bool):
+                    raise SchemaError("divisor id must be an integer", f"{pointer}/strata/{i}/{j}")
             strata.append(s)
         return cls(n, strata)
 

@@ -29,8 +29,7 @@ import operator
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import ModeMixError, PreconditionError, SchemaError
-from . import _linalg as la
-from .forms import FlatTorus, QuadraticForm
+from .forms import FlatTorus, QuadraticForm, cube_sign_walk
 from .rationals import (
     Scalar, as_integers, coerce_vector, format_scalar, parse_matrix, parse_scalar, quotient
 )
@@ -130,7 +129,7 @@ class WeightedMetricGraph:
             here = f"{pointer}/vertices/{i}"
             if not isinstance(v, dict) or "id" not in v or "w" not in v:
                 raise SchemaError("vertex needs 'id' and 'w'", here)
-            if not isinstance(v["id"], (str, int)) or isinstance(v["id"], bool):
+            if not _is_vertex_id(v["id"]):
                 raise SchemaError("vertex id must be a string or integer", here + "/id")
             if not isinstance(v["w"], int) or isinstance(v["w"], bool) or v["w"] < 0:
                 raise SchemaError("weight must be a nonnegative integer", here + "/w")
@@ -140,8 +139,16 @@ class WeightedMetricGraph:
             here = f"{pointer}/edges/{i}"
             if not isinstance(e, dict) or any(k not in e for k in ("u", "v", "len")):
                 raise SchemaError("edge needs 'u', 'v', and 'len'", here)
+            for end in ("u", "v"):
+                if not _is_vertex_id(e[end]):
+                    raise SchemaError("edge endpoint must be a string or integer", f"{here}/{end}")
             edges.append((e["u"], e["v"], parse_scalar(e["len"], mode, here + "/len")))
         return cls(verts, edges, mode)
+
+
+def _is_vertex_id(x) -> bool:
+    """A JSON vertex id: a string or an integer, not a bool."""
+    return isinstance(x, (str, int)) and not isinstance(x, bool)
 
 
 def first_betti(graph: WeightedMetricGraph) -> int:
@@ -398,49 +405,16 @@ def torelli(graph: WeightedMetricGraph) -> FlatTorus:
     Edges in one class of the integer Jacobian (_integer_jacobian) are in
     series, and the maximum puts their terms in line, so with Q = den J
     and L_k the integer length of class k
-        mu^2 = max_s b^T adj(Q) b / (4 det(Q) den),   b = sum_k s_k L_k c_k.
-    s and -s agree, so the first class keeps its sign and a Gray-code walk
-    flips one other sign per step, an O(g) integer update of adj(Q) b from
-    adj(Q) c_k.  The walk visits all 2^(k-1) sign vectors of the k
-    classes: on a 2-vCPU host K6 takes about 0.05 s, K7 about 3.2 s, and
-    each further class doubles the time.  The torus
+        mu^2 = max_s b^T adj(Q) b / (4 det(Q) den),   b = sum_k s_k L_k c_k,
+    the edge-cube sign walk of forms.cube_sign_walk, which also gives
+    covering_radius_sq its blocks of dimension 3 (an obtuse superbase
+    makes such a block a weighted K4 Laplacian); the Voronoi cell serves
+    dimension >= 4 only.  The walk visits all 2^(k-1) sign vectors of the
+    k classes, so each further class doubles the time.  The torus
     J / mu^2 = 4 det(Q) Q / max is formed once: an exact Fraction, or for a
     float graph its exact copy's torus rounded once per entry.
     """
     classes, gram, _ = _integer_jacobian(graph)
-    g = len(gram)
-    det, adj = la.int_adjugate(gram)
-    # per class: the rows where c_k is +1 and -1, 2 L_k adj(Q) c_k, 4 L_k
-    # and 4 L_k^2 c_k^T adj(Q) c_k
-    steps = []
-    b = [0] * g
-    for c, l in classes.items():
-        ac = la.mat_vec(adj, c)
-        steps.append((
-            [i for i, x in enumerate(c) if x > 0],
-            [i for i, x in enumerate(c) if x < 0],
-            [2 * l * x for x in ac],
-            4 * l,
-            4 * l * l * sum(map(operator.mul, c, ac)),
-        ))
-        b = [x + l * y for x, y in zip(b, c)]
-    w = la.mat_vec(adj, b)
-    value = best = sum(map(operator.mul, b, w))
-    signs = [1] * len(steps)
-    for i in range(1, 1 << (len(steps) - 1)):
-        k = (i & -i).bit_length()
-        plus, minus, step, coef, const = steps[k]
-        t = sum(w[j] for j in plus) - sum(w[j] for j in minus)
-        # flipping s_k adds d = 2 s_k' L_k c_k to b: the value gains
-        # 2 d^T adj(Q) b + d^T adj(Q) d
-        if signs[k] > 0:
-            value += const - coef * t
-            w = list(map(operator.sub, w, step))
-        else:
-            value += const + coef * t
-            w = list(map(operator.add, w, step))
-        signs[k] = -signs[k]
-        if value > best:
-            best = value
+    det, best = cube_sign_walk(classes, gram)
     rows = [[quotient(graph.mode, 4 * det * x, best) for x in r] for r in gram]
     return FlatTorus(QuadraticForm(rows, graph.mode))

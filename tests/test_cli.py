@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -507,6 +508,38 @@ class TestExitCodes:
         assert out == ""
         assert f"(at {pointer})" in err
 
+    @pytest.mark.parametrize("end, bad", [("u", ["a"]), ("v", {"x": 1}), ("u", True)])
+    @pytest.mark.parametrize(
+        "command, where", [("trop-jac", ""), ("curve-limit", "/graph"), ("torelli-check", "/graph")]
+    )
+    def test_bad_edge_endpoint_is_schema_error(self, capsys, tmp_path, command, where, end, bad):
+        graph = json.loads(json.dumps(HANDCUFF))
+        graph["edges"][1][end] = bad
+        doc = graph if not where else {"graph": graph, "multiplicities": [1, 2, 3]}
+        code, out, err = run_main(capsys, command, write_doc(tmp_path, "g.json", doc))
+        assert code == 2
+        assert out == ""
+        assert f"(at {where}/edges/1/{end})" in err
+
+    @pytest.mark.parametrize(
+        "doc, pointer",
+        [
+            ({"n": 2, "strata": [[[1]], [2], [1, 2]]}, "/strata/0/0"),
+            ({"n": 2, "strata": [[1], [2], [1, {"x": 1}]]}, "/strata/2/1"),
+            ({"n": 2, "strata": [[1], [2], [1, True]]}, "/strata/2/1"),
+            ({"n": 2, "strata": [[1], [2], [1, 2]], "action": [["x", 1]]}, "/action/0/0"),
+            ({"n": 2, "strata": [[1], [2], [1, 2]], "action": [[2, [1]]]}, "/action/0/1"),
+            ({"n": 2, "strata": [[1], [2], [1, 2]], "action": [[2, 1.0]]}, "/action/0/1"),
+        ],
+        ids=["stratum-list", "stratum-object", "stratum-bool", "action-string",
+             "action-list", "action-float"],
+    )
+    def test_bad_divisor_id_is_schema_error(self, capsys, tmp_path, doc, pointer):
+        code, out, err = run_main(capsys, "dual-complex", write_doc(tmp_path, "c.json", doc))
+        assert code == 2
+        assert out == ""
+        assert f"(at {pointer})" in err
+
     def test_csv_flag_only_on_series_commands(self):
         proc = run_proc(
             ["trop-jac", "--emit-csv", "x.csv"], stdin_text=json.dumps(HANDCUFF)
@@ -583,6 +616,49 @@ def test_worked_example_output_is_byte_identical(capsys, tmp_path, page):
     code, out, _ = run_main(capsys, command, path)
     assert code == 0
     assert out == expected
+
+
+# what replaces each node of a worked example's input in the mutation sweep
+MUTANTS = [None, "x", [], {}, [[1]], {"x": 1}, math.nan]
+
+
+def _mutations(node):
+    """(description, document) for every way to replace one node of the
+    JSON document node by a MUTANTS value or to delete one key.
+
+    Lists hold entries of one kind, so only the first entry of each list
+    is descended into: it stands for the rest and keeps the sweep short.
+    """
+    yield from ((f"/ -> {m!r}", m) for m in MUTANTS)
+    if isinstance(node, dict):
+        for k, child in node.items():
+            rest = {j: v for j, v in node.items() if j != k}
+            yield f"del /{k}", rest
+            for where, sub in _mutations(child):
+                yield f"/{k}{where}", {**node, k: sub}
+    elif isinstance(node, list) and node:
+        for where, sub in _mutations(node[0]):
+            yield f"/0{where}", [sub] + node[1:]
+
+
+@pytest.mark.parametrize("page", COMMAND_PAGES, ids=lambda p: p.stem)
+def test_mutated_worked_example_never_crashes(capsys, tmp_path, page):
+    # a malformed input exits 2 (schema) or 3 (precondition), never with
+    # a traceback
+    command, path, _ = worked_example(page, tmp_path)
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    crashed = []
+    for where, mutant in _mutations(doc):
+        case = write_doc(tmp_path, "case.json", mutant)
+        try:
+            code = main([command, case])
+        except Exception as exc:  # a traceback: what the sweep looks for
+            code = repr(exc)
+        capsys.readouterr()
+        if code not in (0, 2, 3):
+            crashed.append((where, code))
+    assert crashed == []
 
 
 # the library modules each command runs, with what they import

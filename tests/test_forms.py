@@ -27,7 +27,10 @@ from troplab import (
     product,
     rescale_to_diameter_one,
     shortest_vector,
+    torelli,
+    tropical_jacobian,
 )
+from troplab import forms
 
 from helpers import (
     a_n_gram,
@@ -45,6 +48,7 @@ from helpers import (
     reference_lll,
     sampled_covering_radius,
     seeded,
+    zonotope_covering_radius_sq,
 )
 
 F = Fraction
@@ -52,6 +56,8 @@ I2 = QuadraticForm([[1, 0], [0, 1]])
 I3 = QuadraticForm([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
 # U^T I3 U has no zero coupling: Z^3 as one block
 SHEAR3 = [[1, 1, 1], [0, 1, 1], [0, 0, 1]]
+# the unit-length K4 Jacobian: the body-centred cubic lattice, mu^2 = 5/4
+K4_JACOBIAN = [[3, 1, -1], [1, 3, 1], [-1, 1, 3]]
 DELTAS = [pytest.param(d, id=str(d)) for d in (F(1, 2), F(3, 4), F(99, 100))]
 # positive definite to an LDL^T in doubles, but read exactly its leading
 # minor 3 is <= 0
@@ -529,8 +535,7 @@ class TestVoronoiCoveringRadius:
             (a_n_gram(5), F(3, 2)),
             (d_n_gram(4), F(1)),
             (d_n_gram(5), F(5, 4)),
-            # unit-length K4 Jacobian: the body-centred cubic lattice
-            ([[3, 1, -1], [1, 3, 1], [-1, 1, 3]], F(5, 4)),
+            (K4_JACOBIAN, F(5, 4)),
             # Z^3 in a basis with no orthogonal split
             (I3.transform(SHEAR3).rows, F(3, 4)),
         ],
@@ -558,6 +563,49 @@ class TestVoronoiCoveringRadius:
             got = covering_radius_sq(f)
             assert isinstance(got, float)
             assert got == float(covering_radius_sq(f.to_exact()))
+
+
+class TestSellingCoveringRadius:
+    # blocks of dimension 3 go through an obtuse superbase and the sign
+    # walk; the Voronoi search, called directly, is the oracle
+    def test_matches_voronoi_on_random_rational_forms(self):
+        rng = seeded(25)
+        for _ in range(200):
+            f = random_rational_form(rng, 3)
+            assert covering_radius_sq(f) == forms._voronoi_covering_radius_sq(f)
+
+    @pytest.mark.parametrize("rows", [a_n_gram(3), K4_JACOBIAN], ids=["A3", "K4"])
+    def test_matches_voronoi_on_float_blocks(self, rows):
+        # a period matrix log-scaled as in a degenerating family, t -> 0
+        for k in range(2, 13):
+            f = QuadraticForm(rows).to_float().scale(-math.log(10.0**-k) / (2 * math.pi))
+            exact = forms._voronoi_covering_radius_sq(f.to_exact())
+            got = covering_radius_sq(f)
+            assert isinstance(got, float)
+            assert got == float(exact)
+            assert covering_radius_sq(f.to_exact()) == exact
+
+    def test_closed_forms_without_the_voronoi_search(self, monkeypatch):
+        def refuse(form):
+            raise AssertionError(f"Voronoi search on a block of dimension {form.n}")
+
+        monkeypatch.setattr(forms, "_voronoi_covering_radius_sq", refuse)
+        assert covering_radius_sq(QuadraticForm(a_n_gram(3))) == 1
+        assert covering_radius_sq(I3.transform(SHEAR3)) == F(3, 4)
+        assert covering_radius_sq(QuadraticForm(K4_JACOBIAN)) == F(5, 4)
+        with pytest.raises(AssertionError):
+            covering_radius_sq(QuadraticForm(a_n_gram(4)))
+
+    def test_k4_jacobians_meet_the_zonotope_oracle(self):
+        rng = seeded(26)
+        pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+        for _ in range(20):
+            vertices = [(i, 0) for i in range(4)]
+            edges = [(u, v, F(rng.randint(1, 9), rng.randint(1, 4))) for u, v in pairs]
+            g = WeightedMetricGraph(vertices, edges)
+            mu_sq = zonotope_covering_radius_sq(vertices, edges)
+            assert covering_radius_sq(tropical_jacobian(g).gram) == mu_sq
+            assert torelli(g).gram == tropical_jacobian(g).gram.scale(1 / mu_sq)
 
 
 class TestEquivalence:
