@@ -15,7 +15,6 @@ import os
 import re
 import sys
 from fractions import Fraction
-from typing import NamedTuple, Optional
 
 from .errors import PreconditionError, SchemaError
 
@@ -35,32 +34,16 @@ def _log(level: str, message: str):
         print(f"troplab {level.upper()}: {message}", file=sys.stderr)
 
 
-class RunConfig(NamedTuple):
-    """Per-invocation knobs shared by the subcommands.
-
-    rng_seed is accepted for reproducibility bookkeeping but none of the
-    bundled commands draw randomness; it is recorded for forward
-    compatibility with property-style commands.
-    """
-
-    tolerance: float = 1e-6
-    max_iterations: int = 64
-    rng_seed: Optional[int] = None
-
-
-def _config(args) -> RunConfig:
-    """The run config from the common flags, which are checked here; a
-    value that fails its check exits 2 before any input is read."""
-    tol = args.tol if getattr(args, "tol", None) is not None else 1e-6
-    if not 0 < tol < math.inf:
+def _check_flags(args):
+    """A flag value out of range exits 2 at the flag, before any input is
+    read; a command that does not take a flag has no attribute for it."""
+    if not 0 < getattr(args, "tol", 1) < math.inf:
         raise SchemaError("tolerance must be positive and finite", "/--tol")
-    max_iter = args.max_iter if getattr(args, "max_iter", None) is not None else 64
-    if max_iter < 1:
+    if getattr(args, "max_iter", 1) < 1:
         raise SchemaError("max iterations must be >= 1", "/--max-iter")
     u = getattr(args, "u", None)
     if u is not None and not math.isfinite(u):
         raise SchemaError("slack must be finite", "/--u")
-    return RunConfig(tol, max_iter, getattr(args, "seed", None))
 
 
 def _load_doc(source: str):
@@ -104,13 +87,11 @@ def _write_csv(path: str, header, rows):
 # the library modules it runs, so one call loads only those
 
 
-def _cmd_reduce(doc, args, cfg: RunConfig):
+def _cmd_reduce(doc, args):
     from . import siegel
 
     z = siegel.SiegelPoint.from_json_dict(doc)
-    point, gamma, ok = siegel.siegel_reduce(
-        z, u=args.u, max_iterations=cfg.max_iterations
-    )
+    point, gamma, ok = siegel.siegel_reduce(z, u=args.u, max_iterations=args.max_iter)
     used_u = args.u if args.u is not None else siegel.default_u0(z.g)
     return (
         {
@@ -123,7 +104,7 @@ def _cmd_reduce(doc, args, cfg: RunConfig):
     )
 
 
-def _cmd_collapse(doc, args, cfg: RunConfig):
+def _cmd_collapse(doc, args):
     from . import limits, siegel
 
     if args.mode == "symbolic":
@@ -140,8 +121,7 @@ def _cmd_collapse(doc, args, cfg: RunConfig):
     u = doc.get("u")
     if u is not None and (isinstance(u, bool) or not isinstance(u, (int, float))):
         raise SchemaError("'u' must be a number", "/u")
-    tol = args.tol if args.tol is not None else 1e-3
-    result = limits.classify_collapse_numeric(points, tol=tol, u=u)
+    result = limits.classify_collapse_numeric(points, tol=args.tol, u=u)
     series = None
     if result.report is not None:
         rep = result.report
@@ -155,14 +135,14 @@ def _cmd_collapse(doc, args, cfg: RunConfig):
     return result.to_json_dict(), series
 
 
-def _cmd_volume_limit(doc, args, cfg: RunConfig):
+def _cmd_volume_limit(doc, args):
     from . import limits
 
     path = limits.SymbolicSiegelPath.from_json_dict(doc)
     return limits.fixed_volume_limit(path).to_json_dict(), None
 
 
-def _cmd_injrad_limit(doc, args, cfg: RunConfig):
+def _cmd_injrad_limit(doc, args):
     from . import limits
     from .rationals import parse_rational
 
@@ -198,7 +178,7 @@ def _monomial_order(text, pointer: str) -> Fraction:
     raise SchemaError(f"cannot parse monomial {text!r}", pointer)
 
 
-def _cmd_av_limit(doc, args, cfg: RunConfig):
+def _cmd_av_limit(doc, args):
     from . import degen
     from .rationals import format_scalar
 
@@ -238,7 +218,7 @@ def _cmd_av_limit(doc, args, cfg: RunConfig):
     return result, series
 
 
-def _cmd_curve_limit(doc, args, cfg: RunConfig):
+def _cmd_curve_limit(doc, args):
     from . import degen
 
     fam = degen.CurveFamily.from_json_dict(doc)
@@ -246,7 +226,7 @@ def _cmd_curve_limit(doc, args, cfg: RunConfig):
     return {"graph": graph.to_json_dict()}, None
 
 
-def _cmd_trop_jac(doc, args, cfg: RunConfig):
+def _cmd_trop_jac(doc, args):
     from . import tropical
 
     graph = tropical.WeightedMetricGraph.from_json_dict(doc)
@@ -256,14 +236,14 @@ def _cmd_trop_jac(doc, args, cfg: RunConfig):
     return out, None
 
 
-def _cmd_torelli_check(doc, args, cfg: RunConfig):
+def _cmd_torelli_check(doc, args):
     from . import degen
 
     fam = degen.CurveFamily.from_json_dict(doc)
     return degen.torelli_family_compare(fam).to_json_dict(), None
 
 
-def _cmd_dual_complex(doc, args, cfg: RunConfig):
+def _cmd_dual_complex(doc, args):
     from . import hybrid
 
     inc = hybrid.IncidenceComplex.from_json_dict(doc)
@@ -282,7 +262,7 @@ def _cmd_dual_complex(doc, args, cfg: RunConfig):
     return complex_.to_json_dict(), None
 
 
-def _cmd_hybrid_limit(doc, args, cfg: RunConfig):
+def _cmd_hybrid_limit(doc, args):
     from . import hybrid
     from .rationals import parse_rational
 
@@ -304,7 +284,7 @@ def _cmd_hybrid_limit(doc, args, cfg: RunConfig):
     return hybrid.hybrid_limit(chart, gluing).to_json_dict(), None
 
 
-def _cmd_tropicalize(doc, args, cfg: RunConfig):
+def _cmd_tropicalize(doc, args):
     from . import hybrid
 
     _require_object(doc, ["points"])
@@ -331,10 +311,10 @@ def _cmd_tropicalize(doc, args, cfg: RunConfig):
             else:
                 raise SchemaError("coordinates are numbers or [re, im]", here)
         points.append(coords)
-    return hybrid.tropicalize(points, tol=cfg.tolerance).to_json_dict(), None
+    return hybrid.tropicalize(points, tol=args.tol).to_json_dict(), None
 
 
-def _cmd_collar(doc, args, cfg: RunConfig):
+def _cmd_collar(doc, args):
     from . import degen
 
     _require_object(doc, ["t", "c_star"])
@@ -357,22 +337,42 @@ def _cmd_collar(doc, args, cfg: RunConfig):
     return result, (["t", "length"], series_rows)
 
 
-_HANDLERS = {
-    "reduce": _cmd_reduce,
-    "collapse": _cmd_collapse,
-    "volume-limit": _cmd_volume_limit,
-    "injrad-limit": _cmd_injrad_limit,
-    "av-limit": _cmd_av_limit,
-    "curve-limit": _cmd_curve_limit,
-    "trop-jac": _cmd_trop_jac,
-    "torelli-check": _cmd_torelli_check,
-    "dual-complex": _cmd_dual_complex,
-    "hybrid-limit": _cmd_hybrid_limit,
-    "tropicalize": _cmd_tropicalize,
-    "collar": _cmd_collar,
+# every flag a command may take, as argparse reads it; the default is the
+# command's own, in _COMMANDS
+_FLAGS = {
+    "--tol": dict(type=float, metavar="X", help="numeric tolerance (default %(default)s)"),
+    "--max-iter": dict(type=int, metavar="N", help="most reduction rounds (default %(default)s)"),
+    "--u": dict(type=float, metavar="X", help="fundamental-set slack (default 2, 2^g if g > 1)"),
+    "--mode": dict(choices=("symbolic", "numeric"), help="input kind (default %(default)s)"),
+    "--gluing": dict(choices=("log", "loglog"), help="gluing function (default %(default)s)"),
+    "--emit-csv": dict(metavar="PATH", help="also write the tabular series as CSV"),
+    "--seed": dict(type=int, metavar="N", help="accepted and ignored: nothing draws randomness"),
 }
 
-_CSV_COMMANDS = {"collapse", "av-limit", "collar"}
+# name -> (handler, help, {flag: default} for the flags the handler reads);
+# every command also takes --seed
+_COMMANDS = {
+    "reduce": (_cmd_reduce, "move a point into the fundamental set, with witness",
+               {"--max-iter": 64, "--u": None}),
+    "collapse": (_cmd_collapse, "classify the collapse of a path of tori",
+                 {"--tol": 1e-3, "--mode": "symbolic", "--emit-csv": None}),
+    "volume-limit": (_cmd_volume_limit, "volume-normalized limit space of a symbolic path", {}),
+    "injrad-limit": (_cmd_injrad_limit, "injectivity-radius-normalized limit space", {}),
+    "av-limit": (_cmd_av_limit, "limit torus of a degenerating abelian family",
+                 {"--emit-csv": None}),
+    "curve-limit": (_cmd_curve_limit, "metric limit graph of a nodal curve family", {}),
+    "trop-jac": (_cmd_trop_jac, "tropical Jacobian of a weighted metric graph", {}),
+    "torelli-check": (_cmd_torelli_check,
+                      "compare metric and abelian limits of a curve family", {}),
+    "dual-complex": (_cmd_dual_complex,
+                     "dual complex of incidence data, optionally quotiented", {}),
+    "hybrid-limit": (_cmd_hybrid_limit, "boundary coordinates of a monomial path",
+                     {"--gluing": "log"}),
+    "tropicalize": (_cmd_tropicalize, "coordinatewise -log|z| with limit direction",
+                    {"--tol": 1e-6}),
+    "collar": (_cmd_collar, "hyperbolic collar length across a plumbing annulus",
+               {"--emit-csv": None}),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -382,71 +382,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "reduction, collapse classification, tropical Jacobians, hybrid limits.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    helps = {
-        "reduce": "move a point into the fundamental set, with witness",
-        "collapse": "classify the collapse of a path of tori",
-        "volume-limit": "volume-normalized limit space of a symbolic path",
-        "injrad-limit": "injectivity-radius-normalized limit space",
-        "av-limit": "limit torus of a degenerating abelian family",
-        "curve-limit": "metric limit graph of a nodal curve family",
-        "trop-jac": "tropical Jacobian of a weighted metric graph",
-        "torelli-check": "compare metric and abelian limits of a curve family",
-        "dual-complex": "dual complex of incidence data, optionally quotiented",
-        "hybrid-limit": "boundary coordinates of a monomial path",
-        "tropicalize": "coordinatewise -log|z| with limit direction",
-        "collar": "hyperbolic collar length across a plumbing annulus",
-    }
-    for name in _HANDLERS:
-        p = sub.add_parser(name, help=helps[name])
-        p.add_argument(
-            "input",
-            nargs="?",
-            default="-",
-            help="path to a JSON document, or - for stdin (default)",
-        )
-        p.add_argument(
-            "--tol",
-            type=float,
-            default=None,
-            help="tolerance of collapse --mode numeric (default 1e-3) and "
-            "tropicalize (default 1e-6); the other commands ignore it",
-        )
-        p.add_argument(
-            "--max-iter",
-            type=int,
-            default=None,
-            help="rounds of Siegel reduction in reduce (default 64); "
-            "the other commands ignore it",
-        )
-        p.add_argument(
-            "--seed", type=int, default=None, help="seed recorded in the run config"
-        )
-        if name in _CSV_COMMANDS:
-            p.add_argument(
-                "--emit-csv",
-                metavar="PATH",
-                default=None,
-                help="also write the tabular series as CSV",
-            )
-        if name == "reduce":
-            p.add_argument(
-                "--u", type=float, default=None, help="fundamental-set slack parameter"
-            )
-        if name == "collapse":
-            p.add_argument(
-                "--mode",
-                choices=("symbolic", "numeric"),
-                default="symbolic",
-                help="symbolic path document or numeric sample list",
-            )
-        if name == "hybrid-limit":
-            p.add_argument(
-                "--gluing",
-                choices=("log", "loglog"),
-                default="log",
-                help="gluing function used to read off coordinates",
-            )
+    for name, (_, help_, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_)
+        p.add_argument("input", nargs="?", default="-", help="JSON document path, or - for stdin")
+        for flag, default in {**flags, "--seed": None}.items():
+            p.add_argument(flag, default=default, **_FLAGS[flag])
     return parser
 
 
@@ -456,17 +396,15 @@ def main(argv=None) -> int:
     if level_name not in _LOG_LEVELS:
         _log("error", f"unknown TROPLAB_LOG level {level_name!r}; using 'error'")
     try:
-        cfg = _config(args)
+        _check_flags(args)
         doc = _load_doc(args.input)
-        _log("debug", f"run config: {cfg}")
-        result, series = _HANDLERS[args.command](doc, args, cfg)
+        _log("debug", f"arguments: {vars(args)}")
+        result, series = _COMMANDS[args.command][0](doc, args)
         emit_csv = getattr(args, "emit_csv", None)
         if emit_csv:
             if series is None:
-                raise SchemaError(
-                    "this invocation produced no tabular series", "/--emit-csv"
-                )
-            _write_csv(emit_csv, series[0], series[1])
+                raise SchemaError("this invocation produced no tabular series", "/--emit-csv")
+            _write_csv(emit_csv, *series)
         print(json.dumps(result, indent=2, sort_keys=True))
         return 0
     except SchemaError as exc:

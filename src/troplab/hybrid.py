@@ -46,7 +46,12 @@ class IncidenceComplex:
             raise PreconditionError("divisor-count", "n must be a positive integer")
         packed = set()
         for s in strata:
-            fs = frozenset(s)
+            try:
+                fs = frozenset(s)
+            except TypeError:
+                raise PreconditionError(
+                    "divisor-range", f"stratum {s!r} is not a set of divisor ids in 1..{n}"
+                )
             if not fs:
                 raise PreconditionError("nonempty-stratum", "strata must be nonempty")
             for i in fs:
@@ -194,11 +199,7 @@ class GroupAction:
         elems = []
         seen = set()
         for p in elements:
-            t = tuple(p)
-            if sorted(t) != list(range(1, n + 1)):
-                raise PreconditionError(
-                    "permutation", f"{p!r} is not a permutation of 1..{n}"
-                )
+            t = _permutation(p, n)
             if t not in seen:
                 seen.add(t)
                 elems.append(t)
@@ -240,12 +241,7 @@ class GroupAction:
     def from_generators(cls, inc: IncidenceComplex, generators: Iterable[Sequence[int]]) -> "GroupAction":
         n = inc.n
         ident = tuple(range(1, n + 1))
-        gens = [tuple(g) for g in generators]
-        for g in gens:
-            if sorted(g) != list(range(1, n + 1)):
-                raise PreconditionError(
-                    "permutation", f"{g!r} is not a permutation of 1..{n}"
-                )
+        gens = [_permutation(g, n) for g in generators]
         closure = {ident}
         for _ in _grow(closure, gens):
             if len(closure) >= 40320:  # 8! guard against huge groups
@@ -253,6 +249,17 @@ class GroupAction:
                     "group-size", "group closure exceeds the supported size"
                 )
         return cls(inc, sorted(closure))
+
+
+def _permutation(p, n: int) -> Tuple[int, ...]:
+    """p as a tuple, if it is a permutation of 1..n."""
+    try:
+        t = tuple(p)
+        if sorted(t) == list(range(1, n + 1)):
+            return t
+    except TypeError:  # p is not iterable, or an entry does not compare with integers
+        pass
+    raise PreconditionError("permutation", f"{p!r} is not a permutation of 1..{n}")
 
 
 def _grow(group: set, gens: Sequence[Tuple[int, ...]]) -> Iterator[Tuple[int, ...]]:
@@ -408,7 +415,12 @@ class MonomialPathChart(_MonomialPathChartFields):
                 raise PreconditionError(
                     "exact-exponents", "exponents must be exact rationals"
                 )
-            m = Fraction(m)
+            try:
+                m = Fraction(m)
+            except (TypeError, ValueError):
+                raise PreconditionError(
+                    "exact-exponents", f"exponent {i + 1} is not an exact rational: {m!r}"
+                )
             if m < 0:
                 raise PreconditionError(
                     "nonnegative-exponents", f"exponent {i + 1} is negative"

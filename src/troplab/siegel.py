@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import List, Tuple
 
 from . import _linalg as la
-from .errors import PreconditionError, SchemaError
+from .errors import NotPositiveDefiniteError, PreconditionError, SchemaError
 from .forms import FlatTorus, QuadraticForm, jacobi_decompose, lll_reduce
 from .rationals import coerce_matrix, format_scalar, nearest_int, parse_matrix
 
@@ -232,7 +232,9 @@ def metric_matrix(z: SiegelPoint) -> QuadraticForm:
     """Gram matrix of the 2g-torus attached to Z; determinant is 1.
 
     Blocks: [[Y^{-1}, Y^{-1} X], [X Y^{-1}, X Y^{-1} X + Y]], exact; a
-    float point gets the exact Gram rounded once per entry.
+    float point gets the exact Gram rounded once per entry.  That Gram is
+    positive definite because Y is, but its rounding need not be when Y is
+    nearly singular: such a point fails `well-conditioned`.
     """
     exact = z.to_exact()
     x, y = exact.x, exact.y.rows
@@ -242,7 +244,14 @@ def metric_matrix(z: SiegelPoint) -> QuadraticForm:
     bottom_right = la.mat_add(la.mat_mul(x, la.mat_mul(y_inv, x)), y)
     rows = [r + s for r, s in zip(y_inv, top_right)]
     rows += [r + s for r, s in zip(bottom_left, bottom_right)]
-    return QuadraticForm(rows, z.mode)
+    try:
+        return QuadraticForm(rows, z.mode)
+    except NotPositiveDefiniteError as exc:  # only a float point's rounding
+        raise PreconditionError(
+            "well-conditioned",
+            "the exact Gram of this point is positive definite but its rounding to "
+            f"doubles is not ({exc}); give the point in mode exact",
+        )
 
 
 def torus_model(z: SiegelPoint) -> FlatTorus:

@@ -58,19 +58,27 @@ class WeightedMetricGraph:
         if not verts:
             raise PreconditionError("nonempty-graph", "a graph needs at least one vertex")
         pos = {}
-        for i, (vid, _) in enumerate(verts):
-            if vid in pos:
-                raise PreconditionError("unique-vertex-ids", f"duplicate vertex id {vid!r}")
-            pos[vid] = i
+        try:
+            for i, (vid, _) in enumerate(verts):
+                if vid in pos:
+                    raise PreconditionError("unique-vertex-ids", f"duplicate vertex id {vid!r}")
+                pos[vid] = i
+        except TypeError:
+            raise PreconditionError("unique-vertex-ids", f"vertex id {vid!r} is not hashable")
 
         lengths, mode = coerce_vector([e[2] for e in edges], mode, "lengths")
         parsed = []
-        for k, ((u, v, _), length) in enumerate(zip(edges, lengths)):
-            if u not in pos or v not in pos:
-                raise PreconditionError("edge-endpoints", f"edge {k} references an unknown vertex")
-            if length <= 0:
-                raise PreconditionError("positive-length", f"edge {k} has nonpositive length")
-            parsed.append((u, v, length))
+        try:
+            for k, ((u, v, _), length) in enumerate(zip(edges, lengths)):
+                if u not in pos or v not in pos:
+                    raise PreconditionError(
+                        "edge-endpoints", f"edge {k} references an unknown vertex"
+                    )
+                if length <= 0:
+                    raise PreconditionError("positive-length", f"edge {k} has nonpositive length")
+                parsed.append((u, v, length))
+        except TypeError:  # an unhashable endpoint
+            raise PreconditionError("edge-endpoints", f"edge {k} has an unhashable endpoint")
 
         self.vertices = tuple(verts)
         self.edges = tuple(parsed)

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -480,10 +481,18 @@ class TestExitCodes:
         assert "stable-dual-graph" in proc.stderr
 
     def test_bad_tolerance_is_schema_error(self):
-        proc = run_proc(
-            ["av-limit", "--tol", "0"], stdin_text='{"M": [[1]]}'
-        )
+        proc = run_proc(["collapse", "--tol", "0"], stdin_text="{}")
         assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "(at /--tol)" in proc.stderr
+
+    def test_flag_the_command_does_not_take_is_usage_error(self):
+        # av-limit computes exactly and takes no --tol
+        proc = run_proc(["av-limit", "--tol", "0"], stdin_text='{"M": [[1]]}')
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "unrecognized arguments: --tol" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize(
         "command, flags, pointer",
@@ -491,11 +500,11 @@ class TestExitCodes:
             ("reduce", ["--max-iter", "0"], "/--max-iter"),
             ("reduce", ["--u", "nan"], "/--u"),
             ("reduce", ["--u", "inf"], "/--u"),
-            ("reduce", ["--tol", "nan"], "/--tol"),
+            ("collapse", ["--tol", "nan"], "/--tol"),
             ("tropicalize", ["--tol", "nan"], "/--tol"),
             ("tropicalize", ["--tol", "inf"], "/--tol"),
         ],
-        ids=["max-iter-0", "u-nan", "u-inf", "reduce-tol-nan", "tol-nan", "tol-inf"],
+        ids=["max-iter-0", "u-nan", "u-inf", "collapse-tol-nan", "tol-nan", "tol-inf"],
     )
     def test_flag_out_of_range_is_schema_error(
         self, capsys, tmp_path, command, flags, pointer
@@ -583,9 +592,17 @@ class TestDeterminismAndLogging:
         assert proc.returncode == 0
         assert proc.stderr == (
             "troplab INFO: reading JSON from stdin\n"
-            "troplab DEBUG: run config: "
-            "RunConfig(tolerance=1e-06, max_iterations=64, rng_seed=None)\n"
+            "troplab DEBUG: arguments: "
+            "{'command': 'trop-jac', 'input': '-', 'seed': None}\n"
         )
+
+    def test_debug_line_reports_the_tolerance_the_command_runs_at(self, tmp_path):
+        path = write_doc(tmp_path, "s.json", {"samples": DIVERGING_SAMPLES})
+        proc = run_proc(
+            ["collapse", "--mode", "numeric", path], env_extra={"TROPLAB_LOG": "debug"}
+        )
+        assert proc.returncode == 0
+        assert "'tol': 0.001," in proc.stderr
 
     def test_stdin_default(self):
         proc = run_proc(["av-limit"], stdin_text='{"M": [[1]]}')
@@ -616,6 +633,76 @@ def test_worked_example_output_is_byte_identical(capsys, tmp_path, page):
     code, out, _ = run_main(capsys, command, path)
     assert code == 0
     assert out == expected
+
+
+@pytest.mark.parametrize("page", COMMAND_PAGES, ids=lambda p: p.stem)
+def test_worked_example_ignores_the_seed(capsys, tmp_path, page):
+    # the cli-cold benchmark (make_cli in bench/calls.py) passes --seed N
+    # on every call, so every command must take it and print the same bytes
+    command, path, expected = worked_example(page, tmp_path)
+    code, out, _ = run_main(capsys, command, path, "--seed", "1")
+    assert code == 0
+    assert out == expected
+
+
+def help_flags(capsys, command):
+    """The --options that `troplab command --help` lists, but --help."""
+    with pytest.raises(SystemExit) as info:
+        main([command, "--help"])
+    assert info.value.code == 0
+    listed = re.findall(r"^  (?:-\w, )?(--[\w-]+)", capsys.readouterr().out, re.M)
+    return set(listed) - {"--help"}
+
+
+# the flags each command reads, besides --seed, which every command takes
+COMMAND_FLAGS = {
+    "reduce": {"--max-iter", "--u"},
+    "collapse": {"--tol", "--mode", "--emit-csv"},
+    "volume-limit": set(),
+    "injrad-limit": set(),
+    "av-limit": {"--emit-csv"},
+    "curve-limit": set(),
+    "trop-jac": set(),
+    "torelli-check": set(),
+    "dual-complex": set(),
+    "hybrid-limit": {"--gluing"},
+    "tropicalize": {"--tol"},
+    "collar": {"--emit-csv"},
+}
+
+FLAG_VALUES = {
+    "--tol": "0.5",
+    "--max-iter": "8",
+    "--u": "4",
+    "--mode": "numeric",
+    "--gluing": "loglog",
+    "--emit-csv": "out.csv",
+    "--seed": "1",
+}
+
+
+@pytest.mark.parametrize("page", COMMAND_PAGES, ids=lambda p: p.stem)
+def test_each_command_takes_only_its_flags(capsys, tmp_path, page):
+    command, path, _ = worked_example(page, tmp_path)
+    assert help_flags(capsys, command) == COMMAND_FLAGS[command] | {"--seed"}
+    for flag in sorted(set(FLAG_VALUES) - COMMAND_FLAGS[command] - {"--seed"}):
+        with pytest.raises(SystemExit) as info:
+            main([command, path, flag, FLAG_VALUES[flag]])
+        captured = capsys.readouterr()
+        assert info.value.code == 2, flag
+        assert captured.out == ""
+        assert f"unrecognized arguments: {flag}" in captured.err
+        assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("page", COMMAND_PAGES, ids=lambda p: p.stem)
+def test_flags_section_lists_the_flags_the_parser_takes(capsys, page):
+    text = page.read_text(encoding="utf-8")
+    section = text.split("## Flags", 1)[1].split("\n## ", 1)[0]
+    documented = re.findall(r"^- `(--[\w-]+)", section, re.M)
+    assert len(documented) == len(set(documented))
+    command = page.stem
+    assert set(documented) == help_flags(capsys, command)
 
 
 # what replaces each node of a worked example's input in the mutation sweep

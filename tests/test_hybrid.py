@@ -5,6 +5,7 @@ import pytest
 
 from troplab import (
     GluingFunction,
+    WeightedMetricGraph,
     GroupAction,
     HybridLimit,
     IncidenceComplex,
@@ -132,6 +133,25 @@ class TestGroupAction:
     def test_malformed_permutation(self):
         with pytest.raises(PreconditionError):
             GroupAction.from_generators(segment(), [(1, 1)])
+
+
+@pytest.mark.parametrize(
+    "build, invariant",
+    [
+        (lambda: WeightedMetricGraph([("a", 0)], [(["a"], "a", 1)]), "edge-endpoints"),
+        (lambda: WeightedMetricGraph([(["a"], 0)], [("a", "a", 1)]), "unique-vertex-ids"),
+        (lambda: IncidenceComplex(2, [[[1]]]), "divisor-range"),
+        (lambda: GroupAction(segment(), [[1, [2]]]), "permutation"),
+        (lambda: GroupAction.from_generators(segment(), [[1, [2]]]), "permutation"),
+        (lambda: MonomialPathChart(segment(), [[1], 0]), "exact-exponents"),
+    ],
+    ids=["graph-endpoint", "graph-vertex", "stratum", "action", "generators", "exponent"],
+)
+def test_malformed_constructor_entry_is_a_precondition_failure(build, invariant):
+    # each used to escape as a TypeError from hashing or comparing the entry
+    with pytest.raises(PreconditionError) as info:
+        build()
+    assert info.value.invariant == invariant
 
 
 class TestQuotient:

@@ -20,7 +20,6 @@ from troplab import (
     TropicalAV,
     Tropicalization,
 )
-from troplab.cli import RunConfig
 
 F = Fraction
 
@@ -30,7 +29,6 @@ COMPLEX = IncidenceComplex(2, [frozenset({1}), frozenset({2}), frozenset({1, 2})
 
 # class -> field values in declaration order, as the record stores them
 RECORDS = [
-    (RunConfig, {"tolerance": 1e-3, "max_iterations": 8, "rng_seed": 5}),
     (JacobiDecomposition, {"b": ((1, F(1, 2)), (0, 1)), "d": (2, F(3, 2))}),
     (LimitSpace, {"circle_circumferences": (F(1),), "euclidean_rank": 1, "torus_part": TORUS}),
     (MonomialEntry, {"coefficient": F(3), "exponent": F(-2)}),
@@ -51,7 +49,6 @@ RECORDS = [
 
 # class -> (fields left out, the values their defaults take)
 DEFAULTS = {
-    RunConfig: ({}, {"tolerance": 1e-6, "max_iterations": 64, "rng_seed": None}),
     LimitSpace: ({"circle_circumferences": (), "euclidean_rank": 0}, {"torus_part": None}),
     MonomialEntry: ({}, {"coefficient": F(0), "exponent": F(0)}),
     CollapseResult: (

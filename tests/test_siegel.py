@@ -243,6 +243,23 @@ class TestMetricMatrix:
             assert m.det() == 1
             assert m.n == 2 * g
 
+    @pytest.mark.parametrize("g", [1, 4])
+    def test_nearly_singular_float_point(self, g):
+        # Y = 1e-9 (I + J): the exact Gram has determinant 1 and entries
+        # near 1e9, and in genus 1 its rounding to doubles is not positive
+        # definite
+        x = [[3 / 7 if i == j else 1 / 7 for j in range(g)] for i in range(g)]
+        y = [[1e-9 * (1 + (i == j)) for j in range(g)] for i in range(g)]
+        z = SiegelPoint(x, y)
+        assert metric_matrix(z.to_exact()).det() == 1
+        if g == 4:
+            assert metric_matrix(z) == metric_matrix(z.to_exact()).to_float()
+            return
+        with pytest.raises(PreconditionError) as info:
+            metric_matrix(z)
+        assert info.value.invariant == "well-conditioned"
+        assert "mode exact" in str(info.value)
+
 
 class TestMembership:
     def test_interior_point_accepted(self):
