@@ -3,12 +3,15 @@
 Everything here works on lists of lists.  Callers pass only ints and
 Fractions (a float input is read at its exact value before it gets here),
 so every result is exact; int_matrix alone also takes an integral float.
-Matrices are tiny (a handful of rows), so a cubic Gauss-Jordan pass is the
-right tool: over Fractions in solve, fraction-free over ints in
-int_adjugate.
+Matrices are tiny (a handful of rows), so one cubic elimination serves
+them all: the fraction-free Gauss-Jordan pass of int_adjugate, which
+solve reads after scaling its input to integers.
 """
 
+from fractions import Fraction
 from typing import List, Sequence
+
+from .rationals import as_integers
 
 Matrix = List[list]
 
@@ -43,26 +46,23 @@ def mat_add(a, b) -> Matrix:
 
 
 def solve(a, b) -> Matrix:
-    """X with A X = B, by one Gauss-Jordan pass on [A | B].
+    """X with A X = B, exact, for A and B of ints and Fractions.
 
-    Fraction entries give the exact solution; B = identity gives the
-    inverse.  Raises ZeroDivisionError on singular input.
+    Over common denominators N = p A and M = q B are integer matrices
+    (rationals.as_integers), so X = p adj(N) M / (q det N): one Bareiss
+    pass and one Fraction per entry.  B = identity gives the inverse.
+    Raises ZeroDivisionError on singular input.
     """
-    n = len(a)
-    aug = [list(ra) + list(rb) for ra, rb in zip(a, b)]
-    for col in range(n):
-        pivot_row = max(range(col, n), key=lambda r: abs(aug[r][col]))
-        if aug[pivot_row][col] == 0:
-            raise ZeroDivisionError("matrix is singular")
-        aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-        pivot = aug[col][col]
-        aug[col] = [x / pivot for x in aug[col]]
-        for r in range(n):
-            if r == col or aug[r][col] == 0:
-                continue
-            factor = aug[r][col]
-            aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+    (p, n), (q, m) = _integer_rows(a), _integer_rows(b)
+    det, adj = int_adjugate(n)
+    return [[Fraction(p * x, q * det) for x in r] for r in mat_mul(adj, m)]
+
+
+def _integer_rows(a):
+    """(den, den * A): A over the lcm of its entries' denominators."""
+    nums, den = as_integers(x for r in a for x in r)
+    it = iter(nums)
+    return den, [[next(it) for _ in r] for r in a]
 
 
 def int_matrix(a) -> Matrix:

@@ -884,15 +884,19 @@ class FlatTorus:
 def rescale_to_diameter_one(torus) -> FlatTorus:
     """Scale the metric so the diameter is 1.
 
-    The Gram is divided by its covering radius squared, which is rational
-    for an exact form, so the result keeps the mode of the input.
+    The integer Gram g = den F is divided by den mu^2, with mu^2 the exact
+    covering radius squared, so the result keeps the mode of the input:
+    exact, or on a float form the exact answer rounded once per entry.
     """
     form = torus.gram if isinstance(torus, FlatTorus) else torus
     if not isinstance(form, QuadraticForm):
         form = QuadraticForm(form)
     if form.n == 0:
         raise PreconditionError("positive-dimension", "cannot rescale a point")
-    return FlatTorus(form.scale(1 / covering_radius_sq(form)))
+    mu2 = covering_radius_sq(form.to_exact())
+    den = form._den * mu2.numerator
+    rows = [[quotient(form.mode, mu2.denominator * x, den) for x in r] for r in form._gram]
+    return FlatTorus(QuadraticForm(rows, form.mode))
 
 
 def product(t1: FlatTorus, t2: FlatTorus) -> FlatTorus:
@@ -914,29 +918,21 @@ def join_path(x: FlatTorus, t) -> FlatTorus:
 
     At parameter t the Gram is blockdiag((1-t)^2 X, [t^2]) rescaled to
     diameter one; t = 0 returns the rescaled torus itself and t = 1 the
-    circle [4].
+    circle [4].  It is computed on the exact values of X and t; when
+    either is float, the answer is the exact one rounded once per entry.
     """
-    if isinstance(t, float):
-        tq: Scalar = t
-    else:
-        tq = Fraction(t)
-    if tq < 0 or tq > 1:
+    tq = t if isinstance(t, float) else Fraction(t)
+    if not 0 <= tq <= 1:  # a NaN fails here too
         raise PreconditionError("join-parameter", "t must lie in [0, 1]")
-    exact = x.gram.mode == "exact" and not isinstance(tq, float)
-    if tq == 0:
-        return rescale_to_diameter_one(x)
+    joined, tq = x.gram.to_exact(), Fraction(tq)
     if tq == 1:
-        one = Fraction(4) if exact else 4.0
-        return FlatTorus(QuadraticForm([[one]]))
-    if exact:
-        shrunk = x.gram.scale((1 - tq) ** 2)
-        circle = QuadraticForm([[tq * tq]])
-    else:
-        tf = float(tq)
-        shrunk = x.gram.to_float().scale((1 - tf) ** 2)
-        circle = QuadraticForm([[tf * tf]], "float")
-    joined = product(FlatTorus(shrunk), FlatTorus(circle))
-    return rescale_to_diameter_one(joined)
+        joined = QuadraticForm([[1]])
+    elif tq > 0:
+        shrunk = FlatTorus(joined.scale((1 - tq) ** 2))
+        joined = product(shrunk, FlatTorus(QuadraticForm([[tq * tq]]))).gram
+    out = rescale_to_diameter_one(joined)
+    exact = x.gram.mode == "exact" and not isinstance(t, float)
+    return out if exact else FlatTorus(out.gram.to_float())
 
 
 class _LimitSpaceFields(NamedTuple):

@@ -411,14 +411,12 @@ def fixed_volume_limit(path: SymbolicSiegelPath) -> LimitSpace:
     return LimitSpace((), g - r, FlatTorus(metric_matrix(path._converging_point(r))))
 
 
-def fixed_injrad_limit(
-    a: Sequence, r: int, u0=None, x=None, b=None
-) -> LimitSpace:
+def fixed_injrad_limit(a: Sequence, r: int, u0=None) -> LimitSpace:
     """Circle factors with circumferences a_g / a_j, j > r, plus R^{g+r}.
 
-    Only the split frame (X = 0, B = I) is supported; passing a
-    nontrivial frame is rejected.  The profile must satisfy the
-    fundamental-set style constraints 1 < u0 a_1 and a_i < u0 a_{i+1}.
+    Only the split frame (X = 0, B = I) is covered.  The profile must
+    satisfy the fundamental-set style constraints 1 < u0 a_1 and
+    a_i < u0 a_{i+1}.
     Any float entry makes the whole profile float.
     """
     a, _ = coerce_vector(a, None, "a")
@@ -427,16 +425,6 @@ def fixed_injrad_limit(
         raise PreconditionError("positive-genus", "profile must be nonempty")
     if not 0 <= r < g:
         raise PreconditionError("rank-range", "need 0 <= r < g")
-    if x is not None or b is not None:
-        trivial_x = x is None or all(v == 0 for row in x for v in row)
-        trivial_b = b is None or all(
-            v == (1 if i == j else 0) for i, row in enumerate(b) for j, v in enumerate(row)
-        )
-        if not (trivial_x and trivial_b):
-            raise PreconditionError(
-                "simplified-case",
-                "only the split frame X = 0, B = I is supported here",
-            )
     if u0 is None:
         u0 = default_u0(g)
     if not 1 < u0 * a[0]:

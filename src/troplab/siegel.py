@@ -331,7 +331,7 @@ def siegel_reduce(
             x = la.mat_add(x, s)
         cur = SiegelPoint(x, y)
         ok = in_siegel_set(cur, u)
-        if not ok and not 1 < u * jacobi_decompose(cur.y).d[0]:
+        if not ok and not 1 < u * cur.y.entries[0][0]:
             step = SymplecticElement.partial_inversion(g, 0)
             cur = step.act(cur)
             gamma = step.compose(gamma)

@@ -22,7 +22,7 @@ from all-pairs vertex distances plus a closed form for each pair of
 edges.  Seen from a point x of edge e, the farthest point of another
 edge f = (u_f, v_f, l_f) is (d(x, u_f) + d(x, v_f) + l_f) / 2 away, and
 the sum d(x, u_f) + d(x, v_f) of two tent functions of x peaks where
-the tent of u_f does; graph_diameter gives the derivation.
+the tent of u_f does; _integer_diameter gives the derivation.
 """
 
 import operator
@@ -184,14 +184,11 @@ def genus_condition_counting_leaves(graph: WeightedMetricGraph, g: int) -> bool:
 # -- metric realization ----------------------------------------------------
 
 
-def graph_diameter(graph: WeightedMetricGraph) -> Scalar:
-    """Diameter of the metric realization: exact for an exact graph, and
-    for a float graph its exact diameter rounded once.
-
-    The lengths are read as integers over one denominator den
-    (rationals.as_integers), exact for a Fraction and for a float alike,
-    so all of the work below runs on Python ints and the answer is
-    formed once from four times the diameter of the scaled graph.
+def _integer_diameter(graph: WeightedMetricGraph) -> Tuple[List[int], int, int]:
+    """(lengths, den, best4): the lengths as integers L_e over one
+    denominator den (rationals.as_integers), exact for a Fraction and for
+    a float alike, and best4 = 4 den diam, four times the diameter of the
+    scaled graph; all of the work runs on Python ints.
 
     Vertex pairs and pairs of points on one edge e = (u, v, l) come from
     the vertex distances d; the farthest two points of e are min(l,
@@ -249,16 +246,30 @@ def graph_diameter(graph: WeightedMetricGraph) -> Scalar:
             )
             if val4 > best4:
                 best4 = val4
+    return lengths, den, best4
+
+
+def graph_diameter(graph: WeightedMetricGraph) -> Scalar:
+    """Diameter of the metric realization: exact for an exact graph, and
+    for a float graph its exact diameter rounded once."""
+    _, den, best4 = _integer_diameter(graph)
     return quotient(graph.mode, best4, 4 * den)
 
 
 def rescale_graph_to_diameter_one(graph: WeightedMetricGraph) -> WeightedMetricGraph:
-    diam = graph_diameter(graph)
-    if diam <= 0:
+    """The graph with every length divided by the diameter.
+
+    Each length l_e = L_e / den becomes 4 L_e / best4 (_integer_diameter),
+    formed once: exact, or for a float graph the exact length rounded once.
+    """
+    lengths, _, best4 = _integer_diameter(graph)
+    if not best4:
         raise PreconditionError(
             "positive-diameter", "cannot rescale a graph with no edges"
         )
-    return graph.scaled(1 / diam)
+    edges = [(u, v, quotient(graph.mode, 4 * l, best4))
+             for (u, v, _), l in zip(graph.edges, lengths)]
+    return WeightedMetricGraph(graph.vertices, edges, graph.mode)
 
 
 # -- cycle space -------------------------------------------------------------

@@ -856,6 +856,12 @@ class TestJoinPath:
         with pytest.raises(PreconditionError):
             join_path(FlatTorus(I2), 2)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameter_fails_the_range(self, t):
+        with pytest.raises(PreconditionError) as info:
+            join_path(FlatTorus(I2), t)
+        assert info.value.invariant == "join-parameter"
+
     def test_diameter_one_along_path(self):
         x = FlatTorus(QuadraticForm([[3, 1], [1, 2]]))
         for t in (F(1, 10), F(1, 3), F(9, 10)):

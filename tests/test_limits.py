@@ -207,17 +207,6 @@ class TestFixedInjrad:
         with pytest.raises(PreconditionError):
             fixed_injrad_limit([F(8), F(1)], 0, u0=2)
 
-    def test_only_split_frame_supported(self):
-        with pytest.raises(PreconditionError) as info:
-            fixed_injrad_limit([F(1), F(2)], 0, x=[[0, 1], [1, 0]])
-        assert info.value.invariant == "simplified-case"
-
-    def test_trivial_frame_arguments_accepted(self):
-        space = fixed_injrad_limit(
-            [F(1), F(2)], 0, x=[[0, 0], [0, 0]], b=[[1, 0], [0, 1]]
-        )
-        assert space.circle_circumferences == (F(2), F(1))
-
     def test_exact_profile_stays_exact(self):
         space = fixed_injrad_limit([1, F(3, 2), 3], 0)
         assert space.circle_circumferences == (F(3), F(2), F(1))
