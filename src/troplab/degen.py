@@ -234,9 +234,10 @@ def collar_length(t, c_star: float) -> float:
     if not isinstance(c_star, (int, float)) or isinstance(c_star, bool):
         raise PreconditionError("collar-range", "c_star must be a real number")
     c_star = float(c_star)
-    if not (0.0 < at < c_star**4 < 1.0):
+    # c_star < 1 first: the 4th power of a large c_star overflows
+    if not (0.0 < c_star < 1.0 and 0.0 < at < c_star**4):
         raise PreconditionError(
-            "collar-range", "need 0 < |t| < c_star^4 < 1"
+            "collar-range", "need 0 < c_star < 1 and 0 < |t| < c_star^4"
         )
     eps = math.log(c_star) / math.log(at)
     return -2.0 * math.log(math.tan(math.pi * eps / 2.0))

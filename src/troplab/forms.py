@@ -9,11 +9,13 @@ it is built, fraction-free in integers; positive definiteness, det,
 jacobi_decompose, LLL and the covering radius all read those minors, and
 a float answer is the exact one rounded once.  Equivalence matches inner
 products on the integer Grams, exactly or, with a tolerance, within a
-slack scaled to the same integer units.  The covering radius splits a
-form into orthogonal blocks: blocks of dimension <= 2 have a closed form,
-blocks of dimension 3 use an obtuse superbase and the edge-cube sign walk
-(cube_sign_walk, which also serves tropical.torelli), and the Voronoi cell
-serves dimension >= 4.
+slack scaled to the same integer units.  The covering radius splits the
+integer Gram into orthogonal blocks, a float Gram read on its integers
+without conversion, and LLL-reduces every block of dimension >= 2 once in
+integers: a 2-dimensional block reads its closed form off the reduced
+basis, with no separate Gauss reduction, a 3-dimensional one goes to an
+obtuse superbase and the edge-cube sign walk (cube_sign_walk, which also
+serves tropical.torelli), and the Voronoi cell serves dimension >= 4.
 
 Mixing modes silently would hide precision loss, so mixed-mode operations
 raise and callers convert explicitly (to_float is lossy and deliberate,
@@ -31,8 +33,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 from . import _linalg as la
 from .errors import ModeMixError, NotPositiveDefiniteError, PreconditionError, SchemaError
 from .rationals import (
-    Scalar, as_integers, coerce_matrix, format_scalar, nearest_int, parse_matrix, quotient,
-    round_half_away,
+    Scalar, as_integers, coerce_matrix, format_scalar, parse_matrix, quotient, round_half_away,
 )
 
 
@@ -211,7 +212,12 @@ def jacobi_decompose(form: QuadraticForm) -> JacobiDecomposition:
     stored with the form: b_ij = lambda_ji / d_{i+1} for i < j and
     d_i = d_{i+1} / (d_i den), exact, or on a float form rounded once.
     """
-    n, mode, d, lam = form.n, form.mode, form._minors, form._lam
+    return _jacobi(form.mode, form._den, form._minors, form._lam)
+
+
+def _jacobi(mode: str, den: int, d, lam) -> JacobiDecomposition:
+    """The Jacobi factors of the integer Gram with minors d and lam, over den."""
+    n = len(lam)
     b = tuple(
         tuple(
             quotient(mode, lam[j][i], d[i + 1]) if j > i else int(j == i)
@@ -219,7 +225,7 @@ def jacobi_decompose(form: QuadraticForm) -> JacobiDecomposition:
         )
         for i in range(n)
     )
-    dvec = tuple(quotient(mode, d[i + 1], d[i] * form._den) for i in range(n))
+    dvec = tuple(quotient(mode, d[i + 1], d[i] * den) for i in range(n))
     return JacobiDecomposition(b=b, d=dvec)
 
 
@@ -379,9 +385,9 @@ def shortest_vector(form: QuadraticForm) -> Tuple[Tuple[int, ...], Scalar]:
 # -- covering radius -------------------------------------------------------
 
 
-def _orthogonal_components(form: QuadraticForm) -> List[List[int]]:
-    """Connected components of the off-diagonal support graph."""
-    n = form.n
+def _orthogonal_components(g) -> List[List[int]]:
+    """Connected components of the off-diagonal support graph of g."""
+    n = len(g)
     seen = [False] * n
     comps = []
     for s in range(n):
@@ -393,46 +399,11 @@ def _orthogonal_components(form: QuadraticForm) -> List[List[int]]:
             i = stack.pop()
             comp.append(i)
             for j in range(n):
-                if not seen[j] and form.entries[i][j] != 0:
+                if not seen[j] and g[i][j] != 0:
                     seen[j] = True
                     stack.append(j)
         comps.append(sorted(comp))
     return comps
-
-
-def _lagrange_reduce_2d(a):
-    """Gauss reduction of an exact 2x2 Gram matrix."""
-    m = [list(r) for r in a]
-    while True:
-        if m[0][0] > m[1][1]:
-            m[0][0], m[1][1] = m[1][1], m[0][0]
-        if 2 * abs(m[0][1]) <= m[0][0]:
-            return m
-        q = nearest_int(m[0][1] / m[0][0])
-        # b_1 <- b_1 - q b_0
-        m11 = m[1][1] - 2 * q * m[0][1] + q * q * m[0][0]
-        m[0][1] -= q * m[0][0]
-        m[1][0] = m[0][1]
-        m[1][1] = m11
-
-
-def _covering_radius_sq_small(block) -> Fraction:
-    """Exact covering radius squared of a positive-definite block, n <= 2.
-
-    n = 1 is half the circle.  n = 2 reduces to an obtuse superbase; the
-    Delaunay triangles are then non-obtuse and congruent, so the covering
-    radius is their circumradius: R^2 = q1 q2 q3 / (4 det).
-    """
-    if len(block) == 1:
-        return block[0][0] / 4
-    m = _lagrange_reduce_2d(block)
-    if m[0][1] > 0:
-        m[0][1] = -m[0][1]
-        m[1][0] = m[0][1]
-    q1, q2 = m[0][0], m[1][1]
-    q3 = q1 + 2 * m[0][1] + q2
-    detval = q1 * q2 - m[0][1] ** 2
-    return (q1 * q2 * q3) / (4 * detval)
 
 
 def _echelon_add(echelon, row):
@@ -462,25 +433,26 @@ def _echelon_add(echelon, row):
     return out
 
 
-def _voronoi_covering_radius_sq(form: QuadraticForm) -> Fraction:
-    """Covering radius squared of an exact form from its Voronoi cell.
+def _voronoi_covering_radius_sq(g, d, lam, den: int) -> Fraction:
+    """Covering radius squared of the form g / den from its Voronoi cell.
 
-    mu^2 is the largest norm of a vertex of the Voronoi cell of 0 (Conway
-    & Sloane, SPLAG ch. 2).  Once every nonzero class of L/2L has a vector
-    of norm <= bound, the vectors of norm <= bound include all the
-    shortest ones of each class: these are the Voronoi vectors, and a
-    class whose only shortest vectors are +-v makes v relevant.  The cell is
-    {x : 2<x, v> <= Q(v) for every relevant v}, and a vertex lies on n
-    independent of these bisectors.  The lattice points nearest a vertex
+    g is an integer Gram with its minors d and lam as _integer_ldl gives
+    them, LLL-reduced so that the enumeration stays small; the search runs
+    in the units of g.  mu^2 is the largest norm of a vertex of the Voronoi
+    cell of 0 (Conway & Sloane, SPLAG ch. 2).  Once every nonzero class of
+    L/2L has a vector of norm <= bound, the vectors of norm <= bound
+    include all the shortest ones of each class: these are the Voronoi
+    vectors, and a class whose only shortest vectors are +-v makes v
+    relevant.  The cell is {x : 2<x, v> <= Q(v) for every relevant v},
+    and a vertex lies on n independent of these bisectors.  The lattice points nearest a vertex
     (0 and the v on its bisectors) pairwise differ by Voronoi vectors, by
     the parallelogram law, so only such n-sets of relevant vectors are
     solved, and a solution counts if it satisfies every inequality.
     """
-    reduced, _ = lll_reduce(form)
-    n, g, den = reduced.n, reduced._gram, reduced._den
-    dec = jacobi_decompose(reduced)
+    n = len(g)
+    dec = _jacobi("exact", 1, d, lam)
     # a class c in {0,1}^n has a vector of norm Q(c), so the doubling ends
-    bound = max(reduced.entries[i][i] for i in range(n))
+    bound = max(g[i][i] for i in range(n))
     while True:
         shortest = {}
         for vec, val in _enumerate_up_to(dec.b, dec.d, bound):
@@ -614,14 +586,14 @@ def cube_sign_walk(classes: Dict[Tuple[int, ...], int], gram) -> Tuple[int, int]
 _PAIRS = [(i, j) for i in range(4) for j in range(i + 1, 4)]
 
 
-def _selling_covering_radius_sq(form: QuadraticForm) -> Fraction:
-    """Covering radius squared of an exact 3-dimensional form by Selling
+def _selling_covering_radius_sq(g, den: int) -> Fraction:
+    """Covering radius squared of the 3-dimensional form g / den by Selling
     reduction (Conway & Sloane, "Low-dimensional lattices VI", Proc. R.
     Soc. A 436 (1992)).
 
-    On the LLL-reduced integer Gram g = den F with basis v_1, v_2, v_3,
-    v_0 = -(v_1 + v_2 + v_3) completes a superbase.  While some
-    <v_i, v_j> = t > 0, the step v_i -> -v_i, v_k -> v_k + v_i for the two
+    On the integer Gram g, LLL-reduced so that few steps remain, with
+    basis v_1, v_2, v_3, v_0 = -(v_1 + v_2 + v_3) completes a superbase.
+    While some <v_i, v_j> = t > 0, the step v_i -> -v_i, v_k -> v_k + v_i for the two
     other k keeps the sum zero and changes sum_k N(v_k) by
     2 <v_i, v_k + v_l> + 2 N(v_i) = -2 <v_i, v_i + v_j> + 2 N(v_i) = -2t.
     That sum is a positive integer and each step lowers it by a positive
@@ -632,8 +604,6 @@ def _selling_covering_radius_sq(form: QuadraticForm) -> Fraction:
     step changes only the six inner products off the diagonal, each from
     the old ones, as the diagonal is minus the rest of its row.
     """
-    reduced, _ = lll_reduce(form)
-    g = reduced._gram
     # s[i][j] = <v_i, v_j>; the steps keep only the entries off the diagonal
     s = [[0] * 4 for _ in range(4)]
     for a in range(3):
@@ -659,30 +629,43 @@ def _selling_covering_radius_sq(form: QuadraticForm) -> Fraction:
     }
     q = [[sum(w * f[a] * f[b] for f, w in classes.items()) for b in range(3)] for a in range(3)]
     det, best = cube_sign_walk(classes, q)
-    return Fraction(best, 4 * det * reduced._den)
+    return Fraction(best, 4 * det * den)
 
 
 def covering_radius_sq(form: QuadraticForm) -> Scalar:
     """Covering radius squared: a Fraction for exact forms.
 
-    Splits the form into orthogonal blocks (zero off-diagonal couplings)
-    and adds their values by the Pythagorean law.  Blocks of dimension
-    <= 2 use the closed form; blocks of dimension 3 use an obtuse
-    superbase and the edge-cube sign walk; the Voronoi cell serves
-    dimension >= 4.  A float form is read exactly through to_exact and
-    the exact answer rounded once.
+    Splits the integer Gram g = den F stored with the form into orthogonal
+    blocks (zero off-diagonal couplings) and adds their values by the
+    Pythagorean law; a float form is read on the same integers, and its
+    exact answer rounded once.  A block of dimension 1 is half the circle,
+    g / (4 den).  Every larger block is LLL-reduced once in integers, and
+    the reduced block with its minors goes to the reader for its size.  In
+    dimension 2, LLL with delta = 3/4 leaves |b12| <= b11 / 2 and
+    b22 >= 3/4 b11, so with b12 made <= 0 the reduced basis is an obtuse
+    superbase; the Delaunay triangles are then non-obtuse and congruent,
+    and mu^2 is their circumradius, q1 q2 q3 / (4 det den).  Dimension 3
+    uses the obtuse superbase of Selling reduction and the edge-cube sign
+    walk; the Voronoi cell serves dimension >= 4.
     """
-    exact = form.to_exact()
+    gram, den = form._gram, form._den
     total = Fraction(0)
-    for comp in _orthogonal_components(exact):
-        block = [[exact.entries[i][j] for j in comp] for i in comp]
-        if len(comp) <= 2:
-            total += _covering_radius_sq_small(block)
-        elif len(comp) == 3:
-            total += _selling_covering_radius_sq(QuadraticForm(block))
+    for comp in _orthogonal_components(gram):
+        g = [[gram[i][j] for j in comp] for i in comp]
+        if len(g) == 1:
+            total += Fraction(g[0][0], 4 * den)
+            continue
+        _, _, d, lam = _integer_ldl(g)
+        d, lam = list(d), [list(r) for r in lam]
+        _lll_integer(g, d, lam, Fraction(3, 4))
+        if len(g) == 2:
+            q1, q2, b = g[0][0], g[1][1], -abs(g[0][1])
+            total += Fraction(q1 * q2 * (q1 + 2 * b + q2), 4 * d[2] * den)
+        elif len(g) == 3:
+            total += _selling_covering_radius_sq(g, den)
         else:
-            total += _voronoi_covering_radius_sq(QuadraticForm(block))
-    return total if form.mode == "exact" else float(total)
+            total += _voronoi_covering_radius_sq(g, d, lam, den)
+    return quotient(form.mode, total.numerator, total.denominator)
 
 
 def covering_radius(form: QuadraticForm) -> float:
@@ -693,10 +676,7 @@ def covering_radius(form: QuadraticForm) -> float:
 
 
 def _match_scale(m1: QuadraticForm, m2: QuadraticForm) -> float:
-    vals = [1.0]
-    for f in (m1, m2):
-        vals.extend(abs(float(x)) for row in f.entries for x in row)
-    return max(vals)
+    return max(abs(float(x)) for f in (m1, m2) for row in f.entries for x in row)
 
 
 def is_equivalent(
@@ -716,8 +696,10 @@ def is_equivalent(
     backtracking exhausts every matching of pairwise inner products, and
     the witness is checked as U^T g1 U den2 = g2 den1.  With tol, the same
     search accepts an inner product within slack = tol times the largest
-    entry, in integer units floor(slack den1 den2), and None only means no
-    match within tolerance.
+    entry of the reduced forms, in integer units floor(slack den1 den2),
+    and None only means no match within tolerance.  The slack is relative
+    to that entry at every scale, so forms scaled by any s > 0 match as
+    the unscaled ones do.
     """
     if f1.n != f2.n:
         raise PreconditionError("dimension-match", "forms have different ranks")
@@ -820,24 +802,28 @@ def is_homothetic(
 ) -> Optional[Tuple[Scalar, List[List[int]]]]:
     """Equality up to positive scale: returns (c, U) with U^T (c f1) U = f2.
 
-    The determinant pins the only possible scale, c = (det f2 / det f1)^(1/n).
-    When both forms are exact the test is exact: a ratio that is no
+    The determinant pins the only possible scale, c = (det f2 / det f1)^(1/n),
+    with the ratio read exactly from the stored minors (d_n / den^n of each
+    form).  When both forms are exact the test is exact: a ratio that is no
     rational n-th power proves them not homothetic.  Otherwise the float
-    path with tol decides.
+    path with tol decides, on c = 2^k (ratio / 2^(kn))^(1/n) with k chosen
+    so that the root is taken in floats on a ratio near 1 and no scale
+    overflows a double before the answer does.
     """
     if f1.n != f2.n:
         raise PreconditionError("dimension-match", "forms have different ranks")
     n = f1.n
     if n == 0:
         return (Fraction(1), []) if f1.mode == "exact" else (1.0, [])
+    ratio = Fraction(f2._minors[-1] * f1._den**n, f1._minors[-1] * f2._den**n)
     if f1.mode == "exact" and f2.mode == "exact":
-        ratio = Fraction(f2.det()) / Fraction(f1.det())
         c = _fraction_nth_root(ratio, n)
         if c is None:
             return None
         u = is_equivalent(f1.scale(c), f2)
         return (c, u) if u is not None else None
-    c = (float(f2.det()) / float(f1.det())) ** (1.0 / n)
+    k = (ratio.numerator.bit_length() - ratio.denominator.bit_length()) // n
+    c = math.ldexp(float(ratio / Fraction(2) ** (k * n)) ** (1.0 / n), k)
     u = is_equivalent(f1.to_float().scale(c), f2.to_float(), tol=tol)
     return (c, u) if u is not None else None
 

@@ -11,6 +11,7 @@ scalar, a float rounded once.
 """
 
 import math
+import sys
 from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -68,7 +69,8 @@ def coerce_vector(
     With no mode, any float entry makes it "float", else "exact".  A float
     in exact mode raises ModeMixError, since converting it silently would
     hide that it was rounded; a float entry must be finite, or it fails the
-    `finite` precondition naming name[j].
+    `finite` precondition naming name[j], as does an exact value past the
+    double range.
     """
     has_float = any(isinstance(x, float) for x in values)
     if mode is None:
@@ -80,7 +82,11 @@ def coerce_vector(
         return [x if type(x) is Fraction else Fraction(x) for x in values], mode
     if mode != "float":
         raise PreconditionError("arithmetic-mode", f"unknown mode {mode!r}")
-    values = [float(x) for x in values]
+    try:
+        values = [float(x) for x in values]
+    except OverflowError:
+        j, x = next((j, x) for j, x in enumerate(values) if abs(x) > sys.float_info.max)
+        raise _past_double(f"{name}[{j}]", Fraction(x)) from None
     if not all(map(math.isfinite, values)):
         j = next(j for j, x in enumerate(values) if not math.isfinite(x))
         raise PreconditionError("finite", f"{name}[{j}] is {values[j]!r}")
@@ -110,8 +116,27 @@ def as_integers(values: Iterable) -> Tuple[List[int], int]:
 
 
 def quotient(mode: str, num: int, den: int) -> Scalar:
-    """num / den: a Fraction, or in float mode the double nearest to it."""
-    return Fraction(num, den) if mode == "exact" else num / den
+    """num / den: a Fraction, or in float mode the double nearest to it.
+
+    A float answer past the double range fails the `finite` precondition.
+    """
+    if mode == "exact":
+        return Fraction(num, den)
+    try:
+        return num / den
+    except OverflowError:
+        raise _past_double("a float answer", Fraction(num, den)) from None
+
+
+def _past_double(what: str, x: Fraction) -> PreconditionError:
+    # log10 reads integers of any size, where float(x) would overflow
+    e = math.log10(abs(x.numerator)) - math.log10(x.denominator)
+    sign = "-" if x < 0 else ""
+    return PreconditionError(
+        "finite",
+        f"{what} is {sign}{10 ** (e % 1):.3g}e+{math.floor(e)}, past the double range; "
+        "use mode exact",
+    )
 
 
 def round_half_away(num: int, den: int) -> int:

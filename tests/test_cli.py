@@ -549,6 +549,27 @@ class TestExitCodes:
         assert out == ""
         assert f"(at {pointer})" in err
 
+    @pytest.mark.parametrize(
+        "command, doc, reason",
+        [
+            # the exact Jacobian entry 2e308 has no double
+            ("trop-jac", {"mode": "float", "vertices": [{"id": 0, "w": 0}, {"id": 1, "w": 0}],
+                          "edges": [{"u": 0, "v": 1, "len": 1e308}] * 3}, "finite"),
+            # the reduced Y is about 6e318
+            ("reduce", {"g": 1, "mode": "float", "X": [[0.25]], "Y": [[1e-320]]}, "finite"),
+            ("collar", {"t": 0.001, "c_star": 1e308}, "collar-range"),
+            ("collar", {"t": 0.001, "c_star": -0.5}, "collar-range"),
+        ],
+        ids=["trop-jac", "reduce", "collar-huge", "collar-negative"],
+    )
+    def test_float_past_the_double_range_is_precondition_failure(
+        self, capsys, tmp_path, command, doc, reason
+    ):
+        code, out, err = run_main(capsys, command, write_doc(tmp_path, "d.json", doc))
+        assert code == 3
+        assert out == ""
+        assert f"precondition failed: {reason}:" in err
+
     def test_csv_flag_only_on_series_commands(self):
         proc = run_proc(
             ["trop-jac", "--emit-csv", "x.csv"], stdin_text=json.dumps(HANDCUFF)
@@ -706,7 +727,7 @@ def test_flags_section_lists_the_flags_the_parser_takes(capsys, page):
 
 
 # what replaces each node of a worked example's input in the mutation sweep
-MUTANTS = [None, "x", [], {}, [[1]], {"x": 1}, math.nan]
+MUTANTS = [None, "x", [], {}, [[1]], {"x": 1}, math.nan, 1e308]
 
 
 def _mutations(node):

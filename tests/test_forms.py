@@ -59,6 +59,9 @@ SHEAR3 = [[1, 1, 1], [0, 1, 1], [0, 0, 1]]
 # the unit-length K4 Jacobian: the body-centred cubic lattice, mu^2 = 5/4
 K4_JACOBIAN = [[3, 1, -1], [1, 3, 1], [-1, 1, 3]]
 DELTAS = [pytest.param(d, id=str(d)) for d in (F(1, 2), F(3, 4), F(99, 100))]
+# scales at which a tolerance relative to the largest entry must decide as
+# it does at 1
+SCALES = [1e-200, 1e-8, 1e-6, 1.0, 1e160, 1e200]
 # positive definite to an LDL^T in doubles, but read exactly its leading
 # minor 3 is <= 0
 FLOAT_ROUNDED_PD = [
@@ -565,6 +568,52 @@ class TestVoronoiCoveringRadius:
             assert got == float(covering_radius_sq(f.to_exact()))
 
 
+def voronoi_search(form):
+    """The Voronoi search run directly on the form's integer Gram, unreduced."""
+    return forms._voronoi_covering_radius_sq(form._gram, form._minors, form._lam, form._den)
+
+
+class TestPlanarCoveringRadius:
+    # blocks of dimension 2 read q1 q2 q3 / (4 det) off the LLL-reduced
+    # basis; the Voronoi search and the closed forms of A2 and Z2 are the
+    # oracles
+    SKEWED = [
+        [[3, F(17, 2)], [F(17, 2), 25]],
+        [[1, F(99, 2)], [F(99, 2), 2452]],
+        [[F(1, 3), F(-7, 5)], [F(-7, 5), 6]],
+    ]
+
+    def test_matches_voronoi_on_random_rational_forms(self):
+        rng = seeded(27)
+        cases = [QuadraticForm(rows) for rows in self.SKEWED]
+        cases += [random_rational_form(rng, 2) for _ in range(200)]
+        for f in cases:
+            got = covering_radius_sq(f)
+            assert isinstance(got, Fraction)
+            assert got == voronoi_search(f)
+
+    @pytest.mark.parametrize("rows, want", [(a_n_gram(2), F(2, 3)), (I2.rows, F(1, 2))],
+                             ids=["A2", "Z2"])
+    def test_closed_forms_in_skewed_bases(self, rows, want):
+        rng = seeded(28)
+        for _ in range(50):
+            c = F(rng.randint(1, 9), rng.randint(1, 9))
+            u = random_unimodular(rng, 2, steps=12)
+            f = QuadraticForm(rows).scale(c).transform(u)
+            assert covering_radius_sq(f) == c * want
+
+    def test_float_blocks_round_the_exact_answer_once(self):
+        rng = seeded(29)
+        cases = [dyadic_pd_form(rng, n) for n in (2, 2, 2, 3, 3, 3)]
+        cases += [QuadraticForm(rows).to_float().scale(0.1) for rows in self.SKEWED]
+        cases += [random_rational_form(rng, n).to_float() for n in (2, 3)]
+        for f in cases:
+            got = covering_radius_sq(f)
+            assert isinstance(got, float)
+            assert got == float(covering_radius_sq(f.to_exact()))
+            assert got == float(voronoi_search(f))
+
+
 class TestSellingCoveringRadius:
     # blocks of dimension 3 go through an obtuse superbase and the sign
     # walk; the Voronoi search, called directly, is the oracle
@@ -572,22 +621,22 @@ class TestSellingCoveringRadius:
         rng = seeded(25)
         for _ in range(200):
             f = random_rational_form(rng, 3)
-            assert covering_radius_sq(f) == forms._voronoi_covering_radius_sq(f)
+            assert covering_radius_sq(f) == voronoi_search(f)
 
     @pytest.mark.parametrize("rows", [a_n_gram(3), K4_JACOBIAN], ids=["A3", "K4"])
     def test_matches_voronoi_on_float_blocks(self, rows):
         # a period matrix log-scaled as in a degenerating family, t -> 0
         for k in range(2, 13):
             f = QuadraticForm(rows).to_float().scale(-math.log(10.0**-k) / (2 * math.pi))
-            exact = forms._voronoi_covering_radius_sq(f.to_exact())
+            exact = voronoi_search(f.to_exact())
             got = covering_radius_sq(f)
             assert isinstance(got, float)
             assert got == float(exact)
             assert covering_radius_sq(f.to_exact()) == exact
 
     def test_closed_forms_without_the_voronoi_search(self, monkeypatch):
-        def refuse(form):
-            raise AssertionError(f"Voronoi search on a block of dimension {form.n}")
+        def refuse(g, d, lam, den):
+            raise AssertionError(f"Voronoi search on a block of dimension {len(g)}")
 
         monkeypatch.setattr(forms, "_voronoi_covering_radius_sq", refuse)
         assert covering_radius_sq(QuadraticForm(a_n_gram(3))) == 1
@@ -650,6 +699,16 @@ class TestEquivalence:
         for f1 in (f, f.to_exact()):
             assert is_equivalent(f1, perturbed(0.5), tol=tol) is not None
             assert is_equivalent(f1, perturbed(5), tol=tol) is None
+
+    @pytest.mark.parametrize("s", SCALES)
+    def test_tol_is_relative_at_every_scale(self, s):
+        a2 = QuadraticForm([[2 * s, -s], [-s, 2 * s]])
+        u = is_equivalent(a2, QuadraticForm([[2 * s, s], [s, 2 * s]]), tol=1e-6)
+        assert u is not None
+        assert is_unimodular(u)
+        # off by 5 tol times the largest entry, 2 s
+        far = QuadraticForm([[2 * s, s * (1 + 1e-5)], [s * (1 + 1e-5), 2 * s]])
+        assert is_equivalent(a2, far, tol=1e-6) is None
 
     def test_agrees_with_bounded_brute_force(self):
         rng = seeded(17)
@@ -787,6 +846,18 @@ class TestHomothety:
         assert got[0] == F(3, 7)
         loose = is_homothetic(I2, QuadraticForm([[1, 0], [0, 2]]), tol=1e-6)
         assert loose is None
+
+
+    @pytest.mark.parametrize("s", SCALES)
+    def test_float_scale_at_every_magnitude(self, s):
+        a2 = QuadraticForm(a_n_gram(2))
+        target = QuadraticForm([[2 * s, s], [s, 2 * s]])
+        for f in (a2, a2.to_float()):
+            got = is_homothetic(f, target)
+            assert got is not None
+            c, u = got
+            assert c == pytest.approx(s, rel=1e-12)
+            assert is_unimodular(u)
 
 
 class TestTorus:
