@@ -33,7 +33,8 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 from . import _linalg as la
 from .errors import ModeMixError, NotPositiveDefiniteError, PreconditionError, SchemaError
 from .rationals import (
-    Scalar, as_integers, coerce_matrix, format_scalar, parse_matrix, quotient, round_half_away,
+    Scalar, as_integers, coerce_matrix, format_scalar, parse_matrix, past_double, quotient,
+    round_half_away,
 )
 
 
@@ -669,14 +670,37 @@ def covering_radius_sq(form: QuadraticForm) -> Scalar:
 
 
 def covering_radius(form: QuadraticForm) -> float:
-    return math.sqrt(float(covering_radius_sq(form)))
+    """The covering radius as a float, the root of the exact square taken
+    so that only a radius itself past the double range fails `finite`."""
+    mu2 = covering_radius_sq(form)
+    if form.mode == "float":
+        return math.sqrt(mu2)
+    y, k = _exponent_split(mu2, 2)
+    try:
+        return math.ldexp(math.sqrt(y), k)
+    except OverflowError:
+        raise past_double(
+            "the covering radius", mu2, 2, "covering_radius_sq gives its square exactly"
+        ) from None
+
+
+def _exponent_split(x: Fraction, n: int) -> Tuple[float, int]:
+    """(y, k) with x = 2^(kn) y and y a double near 1, for an exact x > 0
+    of any size: 2^k y^(1/n) is then the n-th root of x, with the root
+    taken in floats and only the final ldexp able to overflow."""
+    k = (x.numerator.bit_length() - x.denominator.bit_length()) // n
+    return float(x / Fraction(2) ** (k * n)), k
 
 
 # -- equivalence and homothety ----------------------------------------------
 
 
-def _match_scale(m1: QuadraticForm, m2: QuadraticForm) -> float:
-    return max(abs(float(x)) for f in (m1, m2) for row in f.entries for x in row)
+def _match_scale(m1: QuadraticForm, m2: QuadraticForm) -> Tuple[int, int]:
+    """(a, den) with a / den the largest absolute entry of the two forms,
+    read exactly from their integer Grams, so an exact form past the
+    double range has one too."""
+    a1, a2 = (max(abs(x) for row in f._gram for x in row) for f in (m1, m2))
+    return (a1, m1._den) if a1 * m2._den >= a2 * m1._den else (a2, m2._den)
 
 
 def is_equivalent(
@@ -699,7 +723,9 @@ def is_equivalent(
     entry of the reduced forms, in integer units floor(slack den1 den2),
     and None only means no match within tolerance.  The slack is relative
     to that entry at every scale, so forms scaled by any s > 0 match as
-    the unscaled ones do.
+    the unscaled ones do; the entry is read from the integer Grams, and
+    the slack of two exact forms is exact, so they may lie past the
+    double range.
     """
     if f1.n != f2.n:
         raise PreconditionError("dimension-match", "forms have different ranks")
@@ -712,12 +738,23 @@ def is_equivalent(
             "float-mode equivalence needs an explicit tol; "
             "exact certification requires two exact forms"
         )
+    if not exact and not 0 <= tol < math.inf:
+        raise PreconditionError(
+            "nonnegative-tolerance", f"tol must be finite and >= 0, not {tol!r}"
+        )
 
     m1, u1 = lll_reduce(f1)
     m2, u2 = lll_reduce(f2)
     if exact and m1.det() != m2.det():
         return None
-    slack = 0 if exact else tol * _match_scale(m1, m2)
+    if exact:
+        slack = 0
+    else:
+        a, den = _match_scale(m1, m2)
+        if "float" in (m1.mode, m2.mode):
+            slack = tol * quotient("float", a, den)
+        else:
+            slack = Fraction(tol) * Fraction(a, den)
     dec2 = jacobi_decompose(m2)
     need = [m1.entries[i][i] for i in range(n)]
     maxnorm = max(need) + slack
@@ -822,8 +859,8 @@ def is_homothetic(
             return None
         u = is_equivalent(f1.scale(c), f2)
         return (c, u) if u is not None else None
-    k = (ratio.numerator.bit_length() - ratio.denominator.bit_length()) // n
-    c = math.ldexp(float(ratio / Fraction(2) ** (k * n)) ** (1.0 / n), k)
+    y, k = _exponent_split(ratio, n)
+    c = math.ldexp(y ** (1.0 / n), k)
     u = is_equivalent(f1.to_float().scale(c), f2.to_float(), tol=tol)
     return (c, u) if u is not None else None
 

@@ -190,9 +190,16 @@ class GroupAction:
     Permutations are stored one-indexed: perm[i-1] is the image of
     divisor i.  The element list must contain the identity and be closed
     under composition and inverse; from_generators builds that closure.
+
+    `generators` is a generating set picked greedily from the element
+    list, in its order: each element not in the subgroup of those before
+    it is kept.  Each kept one at least doubles that subgroup, so there
+    are at most log2 |G| of them.  from_generators lists the caller's
+    generators first, so those are the ones kept, less any redundant ones
+    and the identity.  quotient_complex closes orbits under them.
     """
 
-    __slots__ = ("complex", "elements")
+    __slots__ = ("complex", "elements", "generators")
 
     def __init__(self, inc: IncidenceComplex, elements: Iterable[Sequence[int]]):
         n = inc.n
@@ -232,6 +239,7 @@ class GroupAction:
                     )
         self.complex = inc
         self.elements = tuple(elems)
+        self.generators = tuple(gens)
 
     @classmethod
     def trivial(cls, inc: IncidenceComplex) -> "GroupAction":
@@ -239,6 +247,8 @@ class GroupAction:
 
     @classmethod
     def from_generators(cls, inc: IncidenceComplex, generators: Iterable[Sequence[int]]) -> "GroupAction":
+        """The group the generators generate: the generators first, in
+        their order, then the rest of the closure sorted."""
         n = inc.n
         ident = tuple(range(1, n + 1))
         gens = [_permutation(g, n) for g in generators]
@@ -248,14 +258,15 @@ class GroupAction:
                 raise PreconditionError(
                     "group-size", "group closure exceeds the supported size"
                 )
-        return cls(inc, sorted(closure))
+        return cls(inc, gens + sorted(closure))
 
 
 def _permutation(p, n: int) -> Tuple[int, ...]:
-    """p as a tuple, if it is a permutation of 1..n."""
+    """p as a tuple, if it is a permutation of 1..n by integer entries."""
     try:
         t = tuple(p)
-        if sorted(t) == list(range(1, n + 1)):
+        # True and 1.0 sort and compare like 1, so the entries' type is checked too
+        if sorted(t) == list(range(1, n + 1)) and all(type(x) is int for x in t):
             return t
     except TypeError:  # p is not iterable, or an entry does not compare with integers
         pass
@@ -290,13 +301,17 @@ def quotient_complex(c: DualComplex, a: GroupAction) -> DualComplex:
     increasing sizes, hence a group element fixing a chain fixes it
     pointwise and the orbit complex is again a well-formed cell complex.
 
-    Chains are walked dimension by dimension in the order of the sorted
-    keys of their strata, so the first chain met of each orbit is its
-    least member, the representative.  Its label goes to the whole orbit
-    at once, mapped through a table of every stratum's image under every
-    group element.  A cell's facets are then the labels of its
-    representative's subchains, looked up, so each orbit costs one pass
-    over the group instead of one per chain and per facet.
+    Chains compare by the sorted keys of their strata, and each orbit is
+    labelled by its least member, the representative.  The least chain of
+    an orbit has the least prefix of its orbit (a smaller image of the
+    prefix would extend to a smaller image of the chain), so the
+    representatives of one dimension are among the extensions of those of
+    the dimension below, and only those are built.  Walked in sorted
+    order, they meet each orbit first at its least member.  Its label
+    goes to the whole orbit at once, found by closing the representative
+    under the action's generators, and a cell's facets are then the
+    labels of its representative's subchains, looked up.  The cost is
+    |chains| x |generators| image tuples, not |orbits| x |G|.
     """
     strata = []
     for d, labels in c.cells.items():
@@ -323,37 +338,42 @@ def quotient_complex(c: DualComplex, a: GroupAction) -> DualComplex:
     names = [tuple(sorted(s)) for s in ordered]
     rank = {s: r for r, s in enumerate(ordered)}
     above = [[rank[t] for t in ordered if s < t] for s in ordered]
-    # chains of strictly nested strata, one (len-1)-cell each.  Extending
-    # the sorted chains of one dimension by the ranks above their tops, in
-    # increasing order, lists the next dimension's chains sorted too.
-    chains = [[(r,) for r in range(len(ordered))]]
-    while True:
-        nxt = [ch + (t,) for ch in chains[-1] for t in above[ch[-1]]]
-        if not nxt:
-            break
-        chains.append(nxt)
-
-    # the image of every stratum under every group element, as ranks
-    images = [
-        [rank[frozenset(p[i - 1] for i in s)] for s in ordered] for p in a.elements
+    # the image of every stratum under each generator, as ranks
+    moves = [
+        [rank[frozenset(p[i - 1] for i in s)] for s in ordered] for p in a.generators
     ]
     cells: Dict[int, list] = {}
     facets: Dict[object, tuple] = {}
     label = {}
-    for d, level in enumerate(chains):
+    # chains of strictly nested strata, one (len-1)-cell each.  Extending
+    # sorted representatives by the ranks above their tops, in increasing
+    # order, lists the next dimension's candidates sorted too.
+    level = [(r,) for r in range(len(ordered))]
+    d = 0
+    while level:
         labels = []
+        reps = []
         for ch in level:
             if ch in label:
                 continue
-            # the first chain met of an orbit is its least member, as the
-            # chains are walked in sorted order: it labels the whole orbit
+            # the first chain met of an orbit is its least member: it
+            # labels the orbit, which grows as it is walked
             lab = tuple([names[r] for r in ch])
-            for img in images:
-                label[tuple([img[r] for r in ch])] = lab
+            label[ch] = lab
+            orbit = [ch]
+            for cur in orbit:
+                for m in moves:
+                    img = tuple([m[r] for r in cur])
+                    if img not in label:
+                        label[img] = lab
+                        orbit.append(img)
+            reps.append(ch)
             labels.append(lab)
             if d > 0:
                 facets[lab] = tuple(label[ch[:i] + ch[i + 1 :]] for i in range(len(ch)))
         cells[d] = labels
+        level = [ch + (t,) for ch in reps for t in above[ch[-1]]]
+        d += 1
     return DualComplex(cells, facets)
 
 

@@ -11,7 +11,6 @@ scalar, a float rounded once.
 """
 
 import math
-import sys
 from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -70,7 +69,7 @@ def coerce_vector(
     in exact mode raises ModeMixError, since converting it silently would
     hide that it was rounded; a float entry must be finite, or it fails the
     `finite` precondition naming name[j], as does an exact value past the
-    double range.
+    double range.  An entry that is no number fails `numeric-entries`.
     """
     has_float = any(isinstance(x, float) for x in values)
     if mode is None:
@@ -78,19 +77,33 @@ def coerce_vector(
     if mode == "exact":
         if has_float:
             raise ModeMixError(f"{name} has a float entry in exact mode; convert it explicitly")
-        # a Fraction is immutable, so it is kept rather than copied
-        return [x if type(x) is Fraction else Fraction(x) for x in values], mode
+        try:
+            # a Fraction is immutable, so it is kept rather than copied
+            return [x if type(x) is Fraction else Fraction(x) for x in values], mode
+        except (TypeError, ValueError, ZeroDivisionError):
+            raise _bad_entry(values, Fraction, name) from None
     if mode != "float":
         raise PreconditionError("arithmetic-mode", f"unknown mode {mode!r}")
     try:
         values = [float(x) for x in values]
-    except OverflowError:
-        j, x = next((j, x) for j, x in enumerate(values) if abs(x) > sys.float_info.max)
-        raise _past_double(f"{name}[{j}]", Fraction(x)) from None
+    except (TypeError, ValueError, OverflowError):
+        raise _bad_entry(values, float, name) from None
     if not all(map(math.isfinite, values)):
         j = next(j for j, x in enumerate(values) if not math.isfinite(x))
         raise PreconditionError("finite", f"{name}[{j}] is {values[j]!r}")
     return values, mode
+
+
+def _bad_entry(values: Sequence, convert, name: str) -> PreconditionError:
+    """The failure of the first value that convert (Fraction or float) rejects."""
+    for j, x in enumerate(values):
+        try:
+            convert(x)
+        except OverflowError:
+            return past_double(f"{name}[{j}]", Fraction(x))
+        except (TypeError, ValueError, ZeroDivisionError):
+            return PreconditionError("numeric-entries", f"{name}[{j}] is {x!r}, not a number")
+    raise AssertionError("no entry fails to convert")
 
 
 def coerce_matrix(
@@ -125,17 +138,19 @@ def quotient(mode: str, num: int, den: int) -> Scalar:
     try:
         return num / den
     except OverflowError:
-        raise _past_double("a float answer", Fraction(num, den)) from None
+        raise past_double("a float answer", Fraction(num, den)) from None
 
 
-def _past_double(what: str, x: Fraction) -> PreconditionError:
+def past_double(
+    what: str, x: Fraction, root: int = 1, remedy: str = "use mode exact"
+) -> PreconditionError:
+    """The `finite` failure of a float answer x^(1/root) past the double range."""
     # log10 reads integers of any size, where float(x) would overflow
-    e = math.log10(abs(x.numerator)) - math.log10(x.denominator)
+    e = (math.log10(abs(x.numerator)) - math.log10(x.denominator)) / root
     sign = "-" if x < 0 else ""
     return PreconditionError(
         "finite",
-        f"{what} is {sign}{10 ** (e % 1):.3g}e+{math.floor(e)}, past the double range; "
-        "use mode exact",
+        f"{what} is {sign}{10 ** (e % 1):.3g}e+{math.floor(e)}, past the double range; {remedy}",
     )
 
 

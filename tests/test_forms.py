@@ -527,6 +527,46 @@ class TestCoveringRadius:
             assert covering_radius_sq(f.scale(c)) == c * covering_radius_sq(f)
 
 
+class TestPastTheDoubleRange:
+    # mu^2 = 10^400 / 2 is no double, but its root 7.07e199 is one
+    BIG = QuadraticForm([[10**400, 0], [0, 10**400]])
+
+    def test_covering_radius_of_a_huge_exact_form(self):
+        mu = math.sqrt(0.5) * 1e200
+        assert covering_radius(self.BIG) == pytest.approx(mu, rel=1e-15)
+        assert FlatTorus(self.BIG).diameter() == covering_radius(self.BIG)
+
+    def test_root_is_the_rounded_square_root_in_range(self):
+        rng = seeded(23)
+        for _ in range(20):
+            f = random_pd_form(rng, rng.randint(1, 3))
+            assert covering_radius(f) == math.sqrt(float(covering_radius_sq(f)))
+            tiny = f.scale(F(1, 10**200))
+            assert covering_radius(tiny) == pytest.approx(covering_radius(f) * 1e-100, rel=1e-14)
+
+    def test_a_radius_past_the_double_range_fails_finite(self):
+        huge = QuadraticForm([[10**700, 0], [0, 10**700]])
+        for call in (covering_radius, lambda f: FlatTorus(f).diameter()):
+            with pytest.raises(PreconditionError) as info:
+                call(huge)
+            assert info.value.invariant == "finite"
+            assert "7.07e+349" in str(info.value)
+
+    def test_tolerant_equivalence_of_a_huge_exact_form(self):
+        u = is_equivalent(self.BIG, self.BIG, tol=1e-6)
+        assert u is not None
+        assert self.BIG.transform(u) == self.BIG
+        other = QuadraticForm([[10**400, 10**400], [10**400, 2 * 10**400]])
+        assert is_equivalent(self.BIG, other, tol=1e-6) is not None
+        assert is_equivalent(self.BIG, other.scale(2), tol=1e-6) is None
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-6])
+    def test_tolerance_must_be_finite_and_nonnegative(self, tol):
+        with pytest.raises(PreconditionError) as info:
+            is_equivalent(I2.to_float(), I2.to_float(), tol=tol)
+        assert info.value.invariant == "nonnegative-tolerance"
+
+
 class TestVoronoiCoveringRadius:
     # closed forms (Conway & Sloane, SPLAG ch. 4): A_n has
     # mu^2 = a(n+1-a)/(n+1) with a = floor((n+1)/2); D_n has max(1, n/4)

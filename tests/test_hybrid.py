@@ -11,7 +11,9 @@ from troplab import (
     IncidenceComplex,
     MonomialPathChart,
     PreconditionError,
+    QuadraticForm,
     SchemaError,
+    SiegelPoint,
     downward_closure,
     dual_complex,
     hybrid_limit,
@@ -144,14 +146,71 @@ class TestGroupAction:
         (lambda: GroupAction(segment(), [[1, [2]]]), "permutation"),
         (lambda: GroupAction.from_generators(segment(), [[1, [2]]]), "permutation"),
         (lambda: MonomialPathChart(segment(), [[1], 0]), "exact-exponents"),
+        (lambda: GroupAction(segment(), [(1, 2), (2.0, 1.0)]), "permutation"),
+        (lambda: GroupAction.from_generators(segment(), [(2.0, 1.0)]), "permutation"),
+        (lambda: GroupAction(segment(), [(True, 2)]), "permutation"),
+        (lambda: QuadraticForm([[None, 0], [0, 1]]), "numeric-entries"),
+        (lambda: SiegelPoint([[None]], [[1]]), "numeric-entries"),
+        (lambda: WeightedMetricGraph([("a", 0)], [("a", "a", "x")]), "numeric-entries"),
     ],
-    ids=["graph-endpoint", "graph-vertex", "stratum", "action", "generators", "exponent"],
+    ids=["graph-endpoint", "graph-vertex", "stratum", "action", "generators", "exponent",
+         "action-float", "generators-float", "action-bool", "form", "siegel", "graph-length"],
 )
 def test_malformed_constructor_entry_is_a_precondition_failure(build, invariant):
-    # each used to escape as a TypeError from hashing or comparing the entry
+    # each used to escape as a TypeError or ValueError from hashing,
+    # comparing, indexing by or converting the entry
     with pytest.raises(PreconditionError) as info:
         build()
     assert info.value.invariant == invariant
+
+
+# each public constructor with valid arguments, as nested lists whose
+# leaves the sweep below replaces one at a time
+CONSTRUCTORS = {
+    "QuadraticForm": (QuadraticForm, ([[2, 1], [1, 2]],)),
+    "QuadraticForm-float": (QuadraticForm, ([[2.0, 1.0], [1.0, 2.0]],)),
+    "SiegelPoint": (SiegelPoint, ([[0, 1], [1, 0]], [[2, 1], [1, 2]])),
+    "WeightedMetricGraph": (
+        WeightedMetricGraph, ([["a", 0], ["b", 1]], [["a", "b", 1], ["b", "a", 2]])
+    ),
+    "IncidenceComplex": (IncidenceComplex, (2, [[1], [2], [1, 2]])),
+    "GroupAction": (lambda e: GroupAction(segment(), e), ([[1, 2], [2, 1]],)),
+    "GroupAction.from_generators": (
+        lambda g: GroupAction.from_generators(segment(), g), ([[2, 1]],)
+    ),
+    "MonomialPathChart": (lambda m: MonomialPathChart(segment(), m), ([1, 2],)),
+}
+BAD_ENTRIES = [None, [1], "x", 2.5, True, math.nan]
+
+
+def _leaf_paths(tree, path=()):
+    if isinstance(tree, (list, tuple)):
+        for i, sub in enumerate(tree):
+            yield from _leaf_paths(sub, path + (i,))
+    else:
+        yield path
+
+
+def _replaced(tree, path, value):
+    if not path:
+        return value
+    out = list(tree)
+    out[path[0]] = _replaced(tree[path[0]], path[1:], value)
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(CONSTRUCTORS))
+def test_no_malformed_entry_escapes_as_a_bare_error(name):
+    # every leaf of the arguments replaced by each bad value: the
+    # constructor accepts it or fails a named invariant or the schema
+    build, args = CONSTRUCTORS[name]
+    build(*args)
+    for path in _leaf_paths(args):
+        for bad in BAD_ENTRIES:
+            try:
+                build(*_replaced(args, path, bad))
+            except (PreconditionError, SchemaError):
+                pass
 
 
 class TestQuotient:
@@ -213,13 +272,104 @@ class TestQuotient:
         assert q.facets == facets
         assert q.counts() == {d: math.comb(n, d + 1) for d in range(n)}
 
+    def test_generators_close_to_the_elements(self):
+        rot = (2, 3, 4, 5, 6, 1)
+        r2 = (3, 4, 5, 6, 1, 2)
+        r3 = (4, 5, 6, 1, 2, 3)
+        ident = tuple(range(1, 7))
+        inc = simplex(6)
+        for gens, kept in [
+            ([rot, r2, r3], (rot,)),
+            ([ident, r3, r2, rot], (r3, r2)),
+            ([r2, ident, r3], (r2, r3)),
+        ]:
+            act = GroupAction.from_generators(inc, gens)
+            assert act.generators == kept
+            assert self._closure(act.generators, 6) == set(act.elements)
+        for kind, n in [("C", 5), ("S", 5), ("D", 6), ("K", 5)]:
+            full = GroupAction.from_generators(simplex(n), self._generators(kind, n))
+            elems = list(full.elements)
+            seeded(64).shuffle(elems)
+            for act in (full, GroupAction(simplex(n), elems)):
+                assert self._closure(act.generators, n) == set(act.elements)
+                assert 2 ** len(act.generators) <= len(act.elements)
+
+    @pytest.mark.parametrize(
+        "kind, n", [("C", 4), ("S", 4), ("D", 4), ("K", 4), ("D", 5), ("K", 5)]
+    )
+    def test_any_presentation_matches_the_per_chain_minimum(self, kind, n):
+        # the same group from its generators, from redundant generators
+        # with the identity among them, and from a shuffled element list
+        inc = simplex(n)
+        dc = dual_complex(inc)
+        gens = self._generators(kind, n)
+        act = GroupAction.from_generators(inc, gens)
+        cells, facets = reference_quotient(dc, act.elements)
+        powers = [self._compose(g, g) for g in gens]
+        elems = list(act.elements)
+        seeded(65).shuffle(elems)
+        for other in (
+            act,
+            GroupAction.from_generators(inc, powers + [tuple(range(1, n + 1))] + gens),
+            GroupAction(inc, elems),
+        ):
+            assert set(other.elements) == set(act.elements)
+            q = quotient_complex(dc, other)
+            assert q.cells == cells
+            assert q.facets == facets
+
+    @pytest.mark.parametrize(
+        "kind, n", [("C", 4), ("S", 4), ("D", 4), ("K", 4), ("C", 5), ("D", 5), ("C", 6), ("D", 6)]
+    )
+    def test_invariant_subcomplex_matches_the_per_chain_minimum(self, kind, n):
+        # the orbits of a few random faces of the simplex, closed downward
+        rng = seeded(66 + n)
+        gens = self._generators(kind, n)
+        full = GroupAction.from_generators(simplex(n), gens)
+        for _ in range(3):
+            faces = [rng.sample(range(1, n + 1), rng.randint(2, n - 1)) for _ in range(2)]
+            orbit = {tuple(sorted(p[i - 1] for i in f)) for f in faces for p in full.elements}
+            inc = IncidenceComplex(n, downward_closure(orbit))
+            assert inc.strata != simplex(n).strata
+            dc = dual_complex(inc)
+            act = GroupAction.from_generators(inc, gens)
+            q = quotient_complex(dc, act)
+            cells, facets = reference_quotient(dc, act.elements)
+            assert q.cells == cells
+            assert q.facets == facets
+
     def test_cyclic_six_counts(self):
         assert cyclic_quotient_counts(6) == {0: 13, 1: 103, 2: 351, 3: 560, 4: 420, 5: 120}
 
     @staticmethod
     def _generators(kind, n):
+        """C_n and S_n, the dihedral group of the n-gon 1..n, and the
+        Klein four-group on 1..4."""
         rot = tuple(range(2, n + 1)) + (1,)
-        return [rot] if kind == "C" else [rot, (2, 1) + tuple(range(3, n + 1))]
+        rest = tuple(range(5, n + 1))
+        return {
+            "C": [rot],
+            "S": [rot, (2, 1) + tuple(range(3, n + 1))],
+            "D": [rot, tuple(range(n, 0, -1))],
+            "K": [(2, 1, 4, 3) + rest, (3, 4, 1, 2) + rest],
+        }[kind]
+
+    @staticmethod
+    def _compose(p, q):
+        return tuple(p[q[i] - 1] for i in range(len(p)))
+
+    @classmethod
+    def _closure(cls, gens, n):
+        group = {tuple(range(1, n + 1))}
+        frontier = list(group)
+        while frontier:
+            cur = frontier.pop()
+            for g in gens:
+                nxt = cls._compose(g, cur)
+                if nxt not in group:
+                    group.add(nxt)
+                    frontier.append(nxt)
+        return group
 
     def test_action_must_match_complex(self):
         dc = dual_complex(segment())
