@@ -62,6 +62,8 @@ def _load_doc(source: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON: {exc.msg}", f"/line/{exc.lineno}")
+    except ValueError as exc:  # an integer of more digits than Python reads
+        raise SchemaError(f"unreadable JSON number: {exc}", "/")
 
 
 def _require_object(doc, keys, pointer: str = ""):
@@ -72,19 +74,16 @@ def _require_object(doc, keys, pointer: str = ""):
             raise SchemaError(f"missing required key {k!r}", f"{pointer}/{k}")
 
 
-def _write_csv(path: str, header, rows):
-    import csv
-
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-    _log("info", f"wrote {len(rows)} CSV rows to {path}")
+def _nonempty(raw, pointer: str) -> list:
+    """raw, if it is a nonempty array."""
+    if not isinstance(raw, list) or not raw:
+        raise SchemaError("expected a nonempty array", pointer)
+    return raw
 
 
 # -- subcommand handlers -----------------------------------------------------
-# each returns (result dict, optional (csv header, csv rows)); each imports
-# the library modules it runs, so one call loads only those
+# each returns its result dict and imports the library modules it runs, so
+# one call loads only those
 
 
 def _cmd_reduce(doc, args):
@@ -93,25 +92,22 @@ def _cmd_reduce(doc, args):
     z = siegel.SiegelPoint.from_json_dict(doc)
     point, gamma, ok = siegel.siegel_reduce(z, u=args.u, max_iterations=args.max_iter)
     used_u = args.u if args.u is not None else siegel.default_u0(z.g)
-    return (
-        {
-            "point": point.to_json_dict(),
-            "transform": [[int(v) for v in row] for row in gamma.mat],
-            "in_siegel_set": ok,
-            "u": used_u,
-        },
-        None,
-    )
+    return {
+        "point": point.to_json_dict(),
+        "transform": gamma.mat,
+        "in_siegel_set": ok,
+        "u": used_u,
+    }
 
 
 def _cmd_collapse(doc, args):
+    """A document with `samples` is sampled; any other is a symbolic path."""
     from . import limits, siegel
+    from .rationals import parse_scalar
 
-    if args.mode == "symbolic":
+    if not (isinstance(doc, dict) and "samples" in doc):
         path = limits.SymbolicSiegelPath.from_json_dict(doc)
-        result = limits.classify_collapse_symbolic(path)
-        return result.to_json_dict(), None
-    _require_object(doc, ["samples"])
+        return limits.classify_collapse_symbolic(path).to_json_dict()
     raw = doc["samples"]
     if not isinstance(raw, list):
         raise SchemaError("samples must be a list of points", "/samples")
@@ -119,45 +115,29 @@ def _cmd_collapse(doc, args):
         siegel.SiegelPoint.from_json_dict(p, f"/samples/{i}") for i, p in enumerate(raw)
     ]
     u = doc.get("u")
-    if u is not None and (isinstance(u, bool) or not isinstance(u, (int, float))):
-        raise SchemaError("'u' must be a number", "/u")
-    result = limits.classify_collapse_numeric(points, tol=args.tol, u=u)
-    series = None
-    if result.report is not None:
-        rep = result.report
-        g = len(rep.ratios)
-        header = ["sample", "d_top"] + [f"ratio_{j}" for j in range(1, g + 1)]
-        rows = [
-            [k, rep.d_top[k]] + [rep.ratios[j][k] for j in range(1, g + 1)]
-            for k in range(len(rep.d_top))
-        ]
-        series = (header, rows)
-    return result.to_json_dict(), series
+    if u is not None:
+        u = parse_scalar(u, "float", "/u")
+    return limits.classify_collapse_numeric(points, tol=args.tol, u=u).to_json_dict()
 
 
 def _cmd_volume_limit(doc, args):
     from . import limits
 
     path = limits.SymbolicSiegelPath.from_json_dict(doc)
-    return limits.fixed_volume_limit(path).to_json_dict(), None
+    return limits.fixed_volume_limit(path).to_json_dict()
 
 
 def _cmd_injrad_limit(doc, args):
     from . import limits
-    from .rationals import parse_rational
+    from .rationals import parse_integer, parse_rational, parse_vector
 
     _require_object(doc, ["a", "r"])
-    if not isinstance(doc["a"], list) or not doc["a"]:
-        raise SchemaError("'a' must be a nonempty list of rationals", "/a")
-    a = [parse_rational(v, f"/a/{j}") for j, v in enumerate(doc["a"])]
-    r = doc["r"]
-    if not isinstance(r, int) or isinstance(r, bool):
-        raise SchemaError("'r' must be an integer", "/r")
+    a = parse_vector(_nonempty(doc["a"], "/a"), "exact", "/a")
+    r = parse_integer(doc["r"], "/r")
     u0 = None
     if doc.get("u0") is not None:
         u0 = parse_rational(doc["u0"], "/u0")
-    space = limits.fixed_injrad_limit(a, r, u0=u0)
-    return space.to_json_dict(), None
+    return limits.fixed_injrad_limit(a, r, u0=u0).to_json_dict()
 
 
 _MONOMIAL = re.compile(
@@ -180,7 +160,7 @@ def _monomial_order(text, pointer: str) -> Fraction:
 
 def _cmd_av_limit(doc, args):
     from . import degen
-    from .rationals import format_scalar
+    from .rationals import format_scalar, parse_vector
 
     _require_object(doc, [])
     if "periods" in doc:
@@ -196,55 +176,39 @@ def _cmd_av_limit(doc, args):
         doc = {**doc, "M": [[format_scalar(v) for v in row] for row in m]}
     fam = degen.AVFamily.from_json_dict(doc)
     result = {"limit": degen.av_family_limit(fam).to_json_dict()}
-    series = None
     if doc.get("t_samples") is not None:
-        raw_ts = doc["t_samples"]
-        if not isinstance(raw_ts, list):
-            raise SchemaError("t_samples must be a list", "/t_samples")
-        ts = []
-        for j, t in enumerate(raw_ts):
-            if isinstance(t, bool) or not isinstance(t, (int, float)):
-                raise SchemaError("t_samples entries must be numbers", f"/t_samples/{j}")
-            ts.append(float(t))
+        ts = parse_vector(doc["t_samples"], "float", "/t_samples")
         tori = degen.av_family_numeric_oracle(fam, ts)
         result["samples"] = [torus.to_json_dict() for torus in tori]
-        g = fam.torus_rank
-        header = ["t"] + [f"gram_{i}_{j}" for i in range(g) for j in range(g)]
-        rows = [
-            [t] + [torus.gram.entries[i][j] for i in range(g) for j in range(g)]
-            for t, torus in zip(ts, tori)
-        ]
-        series = (header, rows)
-    return result, series
+    return result
 
 
 def _cmd_curve_limit(doc, args):
     from . import degen
 
     fam = degen.CurveFamily.from_json_dict(doc)
-    graph = degen.curve_family_gh_limit(fam)
-    return {"graph": graph.to_json_dict()}, None
+    return {"graph": degen.curve_family_gh_limit(fam).to_json_dict()}
 
 
 def _cmd_trop_jac(doc, args):
     from . import tropical
 
     graph = tropical.WeightedMetricGraph.from_json_dict(doc)
-    tav = tropical.tropical_jacobian(graph)
-    out = tav.to_json_dict()
+    out = tropical.tropical_jacobian(graph).to_json_dict()
     out["basis"] = tropical.cycle_basis(graph)
-    return out, None
+    return out
 
 
 def _cmd_torelli_check(doc, args):
     from . import degen
 
     fam = degen.CurveFamily.from_json_dict(doc)
-    return degen.torelli_family_compare(fam).to_json_dict(), None
+    return degen.torelli_family_compare(fam).to_json_dict()
 
 
 def _cmd_dual_complex(doc, args):
     from . import hybrid
+    from .rationals import parse_integer
 
     inc = hybrid.IncidenceComplex.from_json_dict(doc)
     complex_ = hybrid.dual_complex(inc)
@@ -252,27 +216,23 @@ def _cmd_dual_complex(doc, args):
         raw = doc["action"]
         if not isinstance(raw, list) or any(not isinstance(p, list) for p in raw):
             raise SchemaError("action must be a list of permutations", "/action")
-        for i, p in enumerate(raw):
-            for j, x in enumerate(p):
-                if not isinstance(x, int) or isinstance(x, bool):
-                    raise SchemaError("permutation entry must be an integer", f"/action/{i}/{j}")
-        action = hybrid.GroupAction.from_generators(inc, [tuple(p) for p in raw])
+        gens = [
+            tuple(parse_integer(x, f"/action/{i}/{j}") for j, x in enumerate(p))
+            for i, p in enumerate(raw)
+        ]
+        action = hybrid.GroupAction.from_generators(inc, gens)
         _log("info", f"quotienting by a group of order {len(action.elements)}")
         complex_ = hybrid.quotient_complex(complex_, action)
-    return complex_.to_json_dict(), None
+    return complex_.to_json_dict()
 
 
 def _cmd_hybrid_limit(doc, args):
     from . import hybrid
-    from .rationals import parse_rational
+    from .rationals import parse_integer, parse_vector
 
     _require_object(doc, ["m"])
-    if not isinstance(doc["m"], list) or not doc["m"]:
-        raise SchemaError("'m' must be a nonempty list of rationals", "/m")
-    m = [parse_rational(v, f"/m/{j}") for j, v in enumerate(doc["m"])]
-    n = doc.get("n", len(m))
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise SchemaError("'n' must be an integer", "/n")
+    m = parse_vector(_nonempty(doc["m"], "/m"), "exact", "/m")
+    n = parse_integer(doc.get("n", len(m)), "/n")
     if doc.get("strata") is not None:
         inc = hybrid.IncidenceComplex.from_json_dict({"n": n, "strata": doc["strata"]})
     else:
@@ -281,60 +241,37 @@ def _cmd_hybrid_limit(doc, args):
         inc = hybrid.IncidenceComplex(n, strata)
     chart = hybrid.MonomialPathChart(inc, m)
     gluing = hybrid.GluingFunction.from_string(args.gluing)
-    return hybrid.hybrid_limit(chart, gluing).to_json_dict(), None
+    return hybrid.hybrid_limit(chart, gluing).to_json_dict()
 
 
 def _cmd_tropicalize(doc, args):
+    """Each coordinate is a number or [re, im]."""
     from . import hybrid
+    from .rationals import parse_scalar
 
     _require_object(doc, ["points"])
-    raw = doc["points"]
-    if not isinstance(raw, list) or not raw:
-        raise SchemaError("'points' must be a nonempty list", "/points")
     points = []
-    for k, p in enumerate(raw):
+    for k, p in enumerate(_nonempty(doc["points"], "/points")):
         if not isinstance(p, list):
             raise SchemaError("each point is a list of coordinates", f"/points/{k}")
         coords = []
         for i, z in enumerate(p):
-            here = f"/points/{k}/{i}"
-            if isinstance(z, bool):
-                raise SchemaError("coordinates are numbers or [re, im]", here)
-            if isinstance(z, (int, float)):
-                coords.append(complex(float(z), 0.0))
-            elif (
-                isinstance(z, list)
-                and len(z) == 2
-                and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in z)
-            ):
-                coords.append(complex(float(z[0]), float(z[1])))
-            else:
-                raise SchemaError("coordinates are numbers or [re, im]", here)
+            parts = z if isinstance(z, list) and len(z) == 2 else [z]
+            coords.append(complex(*(parse_scalar(v, "float", f"/points/{k}/{i}") for v in parts)))
         points.append(coords)
-    return hybrid.tropicalize(points, tol=args.tol).to_json_dict(), None
+    return hybrid.tropicalize(points, tol=args.tol).to_json_dict()
 
 
 def _cmd_collar(doc, args):
     from . import degen
+    from .rationals import parse_scalar, parse_vector
 
     _require_object(doc, ["t", "c_star"])
-    c_star = doc["c_star"]
-    if isinstance(c_star, bool) or not isinstance(c_star, (int, float)):
-        raise SchemaError("'c_star' must be a number", "/c_star")
-    raw_t = doc["t"]
-    ts = raw_t if isinstance(raw_t, list) else [raw_t]
-    if not ts:
-        raise SchemaError("'t' must be a number or nonempty list", "/t")
-    series_rows = []
-    out = []
-    for j, t in enumerate(ts):
-        if isinstance(t, bool) or not isinstance(t, (int, float)):
-            raise SchemaError("'t' entries must be numbers", f"/t/{j}")
-        value = degen.collar_length(float(t), float(c_star))
-        out.append({"t": float(t), "length": value})
-        series_rows.append([float(t), value])
-    result = {"c_star": float(c_star), "series": out}
-    return result, (["t", "length"], series_rows)
+    c_star = parse_scalar(doc["c_star"], "float", "/c_star")
+    raw_t = doc["t"] if isinstance(doc["t"], list) else [doc["t"]]
+    ts = parse_vector(_nonempty(raw_t, "/t"), "float", "/t")
+    series = [{"t": t, "length": degen.collar_length(t, c_star)} for t in ts]
+    return {"c_star": c_star, "series": series}
 
 
 # every flag a command may take, as argparse reads it; the default is the
@@ -343,9 +280,7 @@ _FLAGS = {
     "--tol": dict(type=float, metavar="X", help="numeric tolerance (default %(default)s)"),
     "--max-iter": dict(type=int, metavar="N", help="most reduction rounds (default %(default)s)"),
     "--u": dict(type=float, metavar="X", help="fundamental-set slack (default 2, 2^g if g > 1)"),
-    "--mode": dict(choices=("symbolic", "numeric"), help="input kind (default %(default)s)"),
     "--gluing": dict(choices=("log", "loglog"), help="gluing function (default %(default)s)"),
-    "--emit-csv": dict(metavar="PATH", help="also write the tabular series as CSV"),
     "--seed": dict(type=int, metavar="N", help="accepted and ignored: nothing draws randomness"),
 }
 
@@ -355,11 +290,10 @@ _COMMANDS = {
     "reduce": (_cmd_reduce, "move a point into the fundamental set, with witness",
                {"--max-iter": 64, "--u": None}),
     "collapse": (_cmd_collapse, "classify the collapse of a path of tori",
-                 {"--tol": 1e-3, "--mode": "symbolic", "--emit-csv": None}),
+                 {"--tol": 1e-3}),
     "volume-limit": (_cmd_volume_limit, "volume-normalized limit space of a symbolic path", {}),
     "injrad-limit": (_cmd_injrad_limit, "injectivity-radius-normalized limit space", {}),
-    "av-limit": (_cmd_av_limit, "limit torus of a degenerating abelian family",
-                 {"--emit-csv": None}),
+    "av-limit": (_cmd_av_limit, "limit torus of a degenerating abelian family", {}),
     "curve-limit": (_cmd_curve_limit, "metric limit graph of a nodal curve family", {}),
     "trop-jac": (_cmd_trop_jac, "tropical Jacobian of a weighted metric graph", {}),
     "torelli-check": (_cmd_torelli_check,
@@ -370,8 +304,7 @@ _COMMANDS = {
                      {"--gluing": "log"}),
     "tropicalize": (_cmd_tropicalize, "coordinatewise -log|z| with limit direction",
                     {"--tol": 1e-6}),
-    "collar": (_cmd_collar, "hyperbolic collar length across a plumbing annulus",
-               {"--emit-csv": None}),
+    "collar": (_cmd_collar, "hyperbolic collar length across a plumbing annulus", {}),
 }
 
 
@@ -399,12 +332,7 @@ def main(argv=None) -> int:
         _check_flags(args)
         doc = _load_doc(args.input)
         _log("debug", f"arguments: {vars(args)}")
-        result, series = _COMMANDS[args.command][0](doc, args)
-        emit_csv = getattr(args, "emit_csv", None)
-        if emit_csv:
-            if series is None:
-                raise SchemaError("this invocation produced no tabular series", "/--emit-csv")
-            _write_csv(emit_csv, *series)
+        result = _COMMANDS[args.command][0](doc, args)
         print(json.dumps(result, indent=2, sort_keys=True))
         return 0
     except SchemaError as exc:

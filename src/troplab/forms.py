@@ -53,12 +53,10 @@ class QuadraticForm:
     __slots__ = ("n", "entries", "mode", "_gram", "_den", "_minors", "_lam")
 
     def __init__(self, entries: Sequence[Sequence], mode: Optional[str] = None):
-        rows = [list(r) for r in entries]
+        rows, mode = coerce_matrix(entries, mode)
         n = len(rows)
-        for r in rows:
-            if len(r) != n:
-                raise PreconditionError("square-matrix", "entries must be n x n")
-        rows, mode = coerce_matrix(rows, mode)
+        if any(len(r) != n for r in rows):
+            raise PreconditionError("square-matrix", "entries must be n x n")
         for i in range(n):
             for j in range(i + 1, n):
                 if rows[i][j] != rows[j][i]:

@@ -19,6 +19,7 @@ from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import PreconditionError, SchemaError
+from .rationals import as_list, format_rational
 
 
 def downward_closure(sets: Iterable[Iterable[int]]) -> FrozenSet[FrozenSet[int]]:
@@ -45,7 +46,7 @@ class IncidenceComplex:
         if not isinstance(n, int) or isinstance(n, bool) or n < 1:
             raise PreconditionError("divisor-count", "n must be a positive integer")
         packed = set()
-        for s in strata:
+        for s in as_list(strata, "divisor-range", "strata must be an array of divisor id sets"):
             try:
                 fs = frozenset(s)
             except TypeError:
@@ -205,7 +206,7 @@ class GroupAction:
         n = inc.n
         elems = []
         seen = set()
-        for p in elements:
+        for p in as_list(elements, "permutation", "elements must be an array of permutations"):
             t = _permutation(p, n)
             if t not in seen:
                 seen.add(t)
@@ -250,9 +251,9 @@ class GroupAction:
         """The group the generators generate: the generators first, in
         their order, then the rest of the closure sorted."""
         n = inc.n
-        ident = tuple(range(1, n + 1))
-        gens = [_permutation(g, n) for g in generators]
-        closure = {ident}
+        given = as_list(generators, "permutation", "generators must be an array of permutations")
+        gens = [_permutation(g, n) for g in given]
+        closure = {tuple(range(1, n + 1))}
         for _ in _grow(closure, gens):
             if len(closure) >= 40320:  # 8! guard against huge groups
                 raise PreconditionError(
@@ -265,8 +266,9 @@ def _permutation(p, n: int) -> Tuple[int, ...]:
     """p as a tuple, if it is a permutation of 1..n by integer entries."""
     try:
         t = tuple(p)
-        # True and 1.0 sort and compare like 1, so the entries' type is checked too
-        if sorted(t) == list(range(1, n + 1)) and all(type(x) is int for x in t):
+        # the length first, so a huge n builds no list; True and 1.0 sort
+        # and compare like 1, so the entries' type is checked too
+        if len(t) == n and sorted(t) == list(range(1, n + 1)) and all(type(x) is int for x in t):
             return t
     except TypeError:  # p is not iterable, or an entry does not compare with integers
         pass
@@ -430,7 +432,7 @@ class MonomialPathChart(_MonomialPathChartFields):
 
     def __new__(cls, complex: IncidenceComplex, exponents: Sequence):
         exps = []
-        for i, m in enumerate(exponents):
+        for i, m in enumerate(as_list(exponents, "exact-exponents", "exponents must be an array")):
             if isinstance(m, float):
                 raise PreconditionError(
                     "exact-exponents", "exponents must be exact rationals"
@@ -469,8 +471,6 @@ class HybridLimit(NamedTuple):
     coordinates: Tuple[Fraction, ...]
 
     def to_json_dict(self) -> dict:
-        from .rationals import format_rational
-
         return {
             "support": list(self.support),
             "coords": [format_rational(c) for c in self.coordinates],
@@ -511,7 +511,7 @@ def tropicalize(points: Sequence[Sequence[complex]], tol: float = 1e-6) -> Tropi
     vectors blow up, the last three norms strictly increase with the
     final norm at least twice the first sample's, and the normalized
     tail has settled to within tol in the max norm, which must be finite
-    and > 0.
+    and > 0.  Each coordinate must be nonzero with -log|z| finite.
     """
     if not 0 < tol < math.inf:
         raise PreconditionError(
@@ -531,12 +531,18 @@ def tropicalize(points: Sequence[Sequence[complex]], tol: float = 1e-6) -> Tropi
             )
         v = []
         for i, z in enumerate(coords):
-            az = abs(z)
+            try:
+                az = abs(z)
+            except OverflowError:  # a complex z whose modulus has no double
+                az = math.inf
             if az == 0:
                 raise PreconditionError(
                     "nonzero-coordinates", f"point {k} has a zero coordinate {i}"
                 )
-            v.append(-math.log(az))
+            x = -math.log(az)
+            if not math.isfinite(x):
+                raise PreconditionError("finite", f"point {k} has |z| = {az!r} at coordinate {i}")
+            v.append(x)
         vectors.append(tuple(v))
 
     direction = None

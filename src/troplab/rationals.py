@@ -36,12 +36,32 @@ def parse_rational(value, pointer: str = "/") -> Fraction:
     raise SchemaError(f"cannot parse rational from {type(value).__name__}", pointer)
 
 
+def parse_integer(value, pointer: str = "/") -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SchemaError("expected an integer", pointer)
+    return value
+
+
 def parse_scalar(value, mode: str, pointer: str = "/") -> Scalar:
+    """An exact value (parse_rational) or, in any other mode, a JSON number
+    as a float; an integer past the double range fails `finite`."""
     if mode == "exact":
         return parse_rational(value, pointer)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError("expected a number in float mode", pointer)
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise past_double(
+            f"the number at {pointer}", Fraction(value), remedy="it is read as a float here"
+        ) from None
+
+
+def parse_vector(raw, mode: str, pointer: str = "") -> List[Scalar]:
+    """An array of scalars in one arithmetic mode (parse_scalar)."""
+    if not isinstance(raw, list):
+        raise SchemaError("expected an array", pointer or "/")
+    return [parse_scalar(x, mode, f"{pointer}/{j}") for j, x in enumerate(raw)]
 
 
 def parse_matrix(raw, mode: str, pointer: str = "") -> List[List[Scalar]]:
@@ -54,10 +74,17 @@ def parse_matrix(raw, mode: str, pointer: str = "") -> List[List[Scalar]]:
     for i, row in enumerate(raw):
         if not isinstance(row, list):
             raise SchemaError("matrix rows must be arrays", f"{pointer}/{i}")
-        rows.append(
-            [parse_scalar(x, mode, f"{pointer}/{i}/{j}") for j, x in enumerate(row)]
-        )
+        rows.append(parse_vector(row, mode, f"{pointer}/{i}"))
     return rows
+
+
+def as_list(values, invariant: str, what: str) -> list:
+    """values as a new list; values that are not iterable fail the
+    invariant, with what saying what they must be."""
+    try:
+        return list(values)
+    except TypeError:
+        raise PreconditionError(invariant, f"{what}, not a {type(values).__name__}") from None
 
 
 def coerce_vector(
@@ -111,8 +138,13 @@ def coerce_matrix(
 ) -> Tuple[List[List[Scalar]], str]:
     """Each row through coerce_vector as name[i], all in one mode, and the mode.
 
-    With no mode, any float entry makes it "float", else "exact".
+    With no mode, any float entry makes it "float", else "exact".  Rows
+    that are not arrays fail `numeric-entries`.
     """
+    rows = [
+        as_list(r, "numeric-entries", f"{name}[{i}] must be an array")
+        for i, r in enumerate(as_list(rows, "numeric-entries", f"{name} must be an array"))
+    ]
     if mode is None:
         mode = "float" if any(isinstance(x, float) for r in rows for x in r) else "exact"
     elif mode not in ("exact", "float"):

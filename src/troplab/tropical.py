@@ -47,14 +47,18 @@ class WeightedMetricGraph:
     __slots__ = ("vertices", "edges", "mode", "_pos", "_tree")
 
     def __init__(self, vertices: Sequence[Tuple], edges: Sequence[Tuple], mode: Optional[str] = None):
-        verts = []
-        for v in vertices:
-            vid, w = v
+        try:
+            verts = [(vid, w) for vid, w in vertices]
+            edges = [(u, v, length) for u, v, length in edges]
+        except (TypeError, ValueError):  # not iterable, or of the wrong length
+            raise PreconditionError(
+                "graph-shape", "vertices must be (id, weight) pairs, edges (u, v, length) triples"
+            ) from None
+        for vid, w in verts:
             if isinstance(w, bool) or not isinstance(w, int) or w < 0:
                 raise PreconditionError(
                     "vertex-weight", f"weight of vertex {vid!r} must be a nonnegative integer"
                 )
-            verts.append((vid, w))
         if not verts:
             raise PreconditionError("nonempty-graph", "a graph needs at least one vertex")
         pos = {}

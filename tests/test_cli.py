@@ -1,4 +1,3 @@
-import csv
 import json
 import math
 import os
@@ -199,58 +198,46 @@ class TestCollapse:
         assert message in err
 
     def test_numeric_with_csv(self, capsys, tmp_path):
-        csv_path = tmp_path / "ratios.csv"
+        # a document with samples is read as sampled, and its report
+        # carries each cell of the per-sample table
         code, out, _ = run_main(
             capsys,
             "collapse",
             write_doc(tmp_path, "s.json", {"samples": DIVERGING_SAMPLES}),
-            "--mode",
-            "numeric",
-            "--emit-csv",
-            str(csv_path),
         )
         assert code == 0
         result = json.loads(out)
         assert result["r"] == 0
         assert result["report"]["diverging"] is True
-        with open(csv_path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["sample", "d_top", "ratio_1"]
-        assert len(rows) == 9
+        assert len(result["report"]["d_top"]) == 8
+        assert list(result["report"]["ratios"]) == ["1"]
+        assert len(result["report"]["ratios"]["1"]) == 8
+
+    @pytest.mark.parametrize("doc", [{}, {"g": 1}, [], "x"], ids=["empty", "no-X", "list", "str"])
+    def test_document_of_neither_kind_is_schema_error(self, capsys, tmp_path, doc):
+        # without samples a document is read as a symbolic path
+        code, out, err = run_main(capsys, "collapse", write_doc(tmp_path, "p.json", doc))
+        assert code == 2
+        assert out == ""
+        pointer = "/X" if isinstance(doc, dict) else "/"
+        assert f"(at {pointer})" in err
 
     @pytest.mark.parametrize(
         "u", ["x", [2], {"a": 1}, True], ids=["str", "list", "object", "bool"]
     )
     def test_numeric_slack_must_be_a_number(self, capsys, tmp_path, u):
         doc = write_doc(tmp_path, "s.json", {"samples": DIVERGING_SAMPLES, "u": u})
-        code, out, err = run_main(capsys, "collapse", doc, "--mode", "numeric")
+        code, out, err = run_main(capsys, "collapse", doc)
         assert code == 2
         assert out == ""
-        assert "'u' must be a number (at /u)" in err
+        assert "expected a number in float mode (at /u)" in err
 
     @pytest.mark.parametrize("u", [4, 2.5, None])
     def test_numeric_slack_number_is_read(self, capsys, tmp_path, u):
         doc = write_doc(tmp_path, "s.json", {"samples": DIVERGING_SAMPLES, "u": u})
-        code, out, _ = run_main(capsys, "collapse", doc, "--mode", "numeric")
+        code, out, _ = run_main(capsys, "collapse", doc)
         assert code == 0
         assert json.loads(out)["r"] == 0
-
-    def test_csv_refused_without_series(self, capsys, tmp_path):
-        doc = {
-            "g": 1,
-            "X": [[{"c": 0}]],
-            "B": [[{"c": 1}]],
-            "D": [{"c": 1, "e": 1}],
-        }
-        code, _, err = run_main(
-            capsys,
-            "collapse",
-            write_doc(tmp_path, "p.json", doc),
-            "--emit-csv",
-            str(tmp_path / "never.csv"),
-        )
-        assert code == 2
-        assert "schema error" in err
 
 
 class TestVolumeAndInjrad:
@@ -301,22 +288,14 @@ class TestAVLimit:
         assert torus.gram.entries[1][1] == F(8, 3)
 
     def test_samples_and_csv(self, capsys, tmp_path):
-        csv_path = tmp_path / "grams.csv"
+        # each sample carries the Gram entries of one row of the table
         doc = {"M": [[1, 0], [0, 2]], "t_samples": [1e-6, 1e-8]}
-        code, out, _ = run_main(
-            capsys,
-            "av-limit",
-            write_doc(tmp_path, "m.json", doc),
-            "--emit-csv",
-            str(csv_path),
-        )
+        code, out, _ = run_main(capsys, "av-limit", write_doc(tmp_path, "m.json", doc))
         assert code == 0
         result = json.loads(out)
         assert len(result["samples"]) == 2
-        with open(csv_path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["t", "gram_0_0", "gram_0_1", "gram_1_0", "gram_1_1"]
-        assert len(rows) == 3
+        for sample in result["samples"]:
+            assert len(FlatTorus.from_json_dict(sample).gram.entries) == 2
 
 
 class TestCurveCommands:
@@ -387,6 +366,28 @@ class TestComplexCommands:
         assert code == 0
         assert json.loads(out)["support"] == [1]
 
+    def test_dual_complex_huge_n_with_an_action(self, capsys, tmp_path):
+        # each generator's length is checked before 1..n is built
+        doc = {"n": 10**400, "strata": [[1]], "action": [[1]]}
+        code, out, err = run_main(capsys, "dual-complex", write_doc(tmp_path, "c.json", doc))
+        assert code == 3
+        assert out == ""
+        assert "precondition failed: permutation:" in err
+
+    @pytest.mark.parametrize(
+        "coordinate, code",
+        [("NaN", 3), ("Infinity", 3), ("-Infinity", 3), ("1" * 400, 3), ("[1, NaN]", 3),
+         ("[1, %s]" % ("1" * 400), 3), ("true", 2), ("[1]", 2), ("[1, 2, 3]", 2)],
+        ids=["nan", "inf", "-inf", "huge", "im-nan", "im-huge", "bool", "one-part", "three-parts"],
+    )
+    def test_tropicalize_bad_coordinate(self, capsys, tmp_path, coordinate, code):
+        path = tmp_path / "z.json"
+        path.write_text('{"points": [[0.5, 0.5], [0.5, %s]]}' % coordinate)
+        got, out, err = run_main(capsys, "tropicalize", str(path))
+        assert got == code
+        assert out == ""
+        assert ("finite:" if code == 3 else "(at /points/1/1)") in err
+
     def test_tropicalize(self, capsys, tmp_path):
         doc = {
             "points": [
@@ -408,24 +409,14 @@ class TestComplexCommands:
 
 class TestCollarCommand:
     def test_series_and_csv(self, capsys, tmp_path):
-        csv_path = tmp_path / "collar.csv"
+        # the series holds each (t, length) row of the table
         doc = {"t": [1e-4, 1e-5, 1e-6], "c_star": 0.5}
-        code, out, _ = run_main(
-            capsys,
-            "collar",
-            write_doc(tmp_path, "c.json", doc),
-            "--emit-csv",
-            str(csv_path),
-        )
+        code, out, _ = run_main(capsys, "collar", write_doc(tmp_path, "c.json", doc))
         assert code == 0
         result = json.loads(out)
-        assert len(result["series"]) == 3
+        assert [row["t"] for row in result["series"]] == doc["t"]
         lengths = [row["length"] for row in result["series"]]
         assert lengths == sorted(lengths)
-        with open(csv_path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["t", "length"]
-        assert len(rows) == 4
 
     def test_scalar_t(self, capsys, tmp_path):
         doc = {"t": 1e-6, "c_star": 0.5}
@@ -441,6 +432,16 @@ class TestExitCodes:
         proc = run_proc(["trop-jac"], stdin_text="{nope")
         assert proc.returncode == 2
         assert "schema error" in proc.stderr
+
+    def test_integer_past_the_digit_limit_is_schema_error(self, capsys, tmp_path):
+        # json.loads refuses an integer of more than 4300 digits with a
+        # plain ValueError, not a JSONDecodeError
+        path = tmp_path / "c.json"
+        path.write_text('{"n": %s, "strata": [[1]]}' % ("1" * 5000))
+        code, out, err = run_main(capsys, "dual-complex", str(path))
+        assert code == 2
+        assert out == ""
+        assert "(at /)" in err
 
     def test_missing_key_is_schema_error(self):
         proc = run_proc(["trop-jac"], stdin_text='{"edges": []}')
@@ -559,8 +560,15 @@ class TestExitCodes:
             ("reduce", {"g": 1, "mode": "float", "X": [[0.25]], "Y": [[1e-320]]}, "finite"),
             ("collar", {"t": 0.001, "c_star": 1e308}, "collar-range"),
             ("collar", {"t": 0.001, "c_star": -0.5}, "collar-range"),
+            # integers with no double where a float is read; the worked
+            # examples are all exact, so the sweep never reads a float-mode
+            # matrix
+            ("reduce", {"g": 1, "mode": "float", "X": [[0.0]], "Y": [[10**400]]}, "finite"),
+            ("av-limit", {"M": [[1]], "t_samples": [-(10**400)]}, "finite"),
+            ("collar", {"t": [0.001, 10**400], "c_star": 0.5}, "finite"),
         ],
-        ids=["trop-jac", "reduce", "collar-huge", "collar-negative"],
+        ids=["trop-jac", "reduce", "collar-huge", "collar-negative", "reduce-huge-int",
+             "av-limit-huge-int", "collar-huge-int"],
     )
     def test_float_past_the_double_range_is_precondition_failure(
         self, capsys, tmp_path, command, doc, reason
@@ -570,11 +578,6 @@ class TestExitCodes:
         assert out == ""
         assert f"precondition failed: {reason}:" in err
 
-    def test_csv_flag_only_on_series_commands(self):
-        proc = run_proc(
-            ["trop-jac", "--emit-csv", "x.csv"], stdin_text=json.dumps(HANDCUFF)
-        )
-        assert proc.returncode == 2
 
 
 class TestDeterminismAndLogging:
@@ -620,7 +623,7 @@ class TestDeterminismAndLogging:
     def test_debug_line_reports_the_tolerance_the_command_runs_at(self, tmp_path):
         path = write_doc(tmp_path, "s.json", {"samples": DIVERGING_SAMPLES})
         proc = run_proc(
-            ["collapse", "--mode", "numeric", path], env_extra={"TROPLAB_LOG": "debug"}
+            ["collapse", path], env_extra={"TROPLAB_LOG": "debug"}
         )
         assert proc.returncode == 0
         assert "'tol': 0.001," in proc.stderr
@@ -678,19 +681,20 @@ def help_flags(capsys, command):
 # the flags each command reads, besides --seed, which every command takes
 COMMAND_FLAGS = {
     "reduce": {"--max-iter", "--u"},
-    "collapse": {"--tol", "--mode", "--emit-csv"},
+    "collapse": {"--tol"},
     "volume-limit": set(),
     "injrad-limit": set(),
-    "av-limit": {"--emit-csv"},
+    "av-limit": set(),
     "curve-limit": set(),
     "trop-jac": set(),
     "torelli-check": set(),
     "dual-complex": set(),
     "hybrid-limit": {"--gluing"},
     "tropicalize": {"--tol"},
-    "collar": {"--emit-csv"},
+    "collar": set(),
 }
 
+# --mode and --emit-csv are no command's flags: each command must refuse them
 FLAG_VALUES = {
     "--tol": "0.5",
     "--max-iter": "8",
@@ -727,7 +731,11 @@ def test_flags_section_lists_the_flags_the_parser_takes(capsys, page):
 
 
 # what replaces each node of a worked example's input in the mutation sweep
-MUTANTS = [None, "x", [], {}, [[1]], {"x": 1}, math.nan, 1e308]
+MUTANTS = [None, "x", [], {}, [[1]], {"x": 1}, math.nan, math.inf, 1e308, 10**400, -(10**400)]
+
+
+def _refuse(constant):
+    raise ValueError(f"non-JSON constant {constant}")
 
 
 def _mutations(node):
@@ -752,7 +760,8 @@ def _mutations(node):
 @pytest.mark.parametrize("page", COMMAND_PAGES, ids=lambda p: p.stem)
 def test_mutated_worked_example_never_crashes(capsys, tmp_path, page):
     # a malformed input exits 2 (schema) or 3 (precondition), never with
-    # a traceback
+    # a traceback; an input that exits 0 prints strict JSON, with no NaN
+    # or Infinity
     command, path, _ = worked_example(page, tmp_path)
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -763,7 +772,12 @@ def test_mutated_worked_example_never_crashes(capsys, tmp_path, page):
             code = main([command, case])
         except Exception as exc:  # a traceback: what the sweep looks for
             code = repr(exc)
-        capsys.readouterr()
+        out = capsys.readouterr().out
+        if code == 0:
+            try:
+                json.loads(out, parse_constant=_refuse)
+            except ValueError as exc:
+                code = f"exit 0 with {exc}"
         if code not in (0, 2, 3):
             crashed.append((where, code))
     assert crashed == []

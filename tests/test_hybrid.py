@@ -152,20 +152,26 @@ class TestGroupAction:
         (lambda: QuadraticForm([[None, 0], [0, 1]]), "numeric-entries"),
         (lambda: SiegelPoint([[None]], [[1]]), "numeric-entries"),
         (lambda: WeightedMetricGraph([("a", 0)], [("a", "a", "x")]), "numeric-entries"),
+        (lambda: WeightedMetricGraph([None], []), "graph-shape"),
+        (lambda: WeightedMetricGraph([("a", 0, 1)], []), "graph-shape"),
+        (lambda: WeightedMetricGraph([("a", 0)], [("a", "a")]), "graph-shape"),
+        (lambda: QuadraticForm([[1, 0], None]), "numeric-entries"),
+        (lambda: MonomialPathChart(segment(), None), "exact-exponents"),
     ],
     ids=["graph-endpoint", "graph-vertex", "stratum", "action", "generators", "exponent",
-         "action-float", "generators-float", "action-bool", "form", "siegel", "graph-length"],
+         "action-float", "generators-float", "action-bool", "form", "siegel", "graph-length",
+         "vertex-not-a-pair", "vertex-triple", "edge-pair", "form-row", "exponents"],
 )
 def test_malformed_constructor_entry_is_a_precondition_failure(build, invariant):
-    # each used to escape as a TypeError or ValueError from hashing,
-    # comparing, indexing by or converting the entry
+    # each used to escape as a TypeError, ValueError or IndexError from
+    # hashing, comparing, indexing by, unpacking or converting the entry
     with pytest.raises(PreconditionError) as info:
         build()
     assert info.value.invariant == invariant
 
 
 # each public constructor with valid arguments, as nested lists whose
-# leaves the sweep below replaces one at a time
+# nodes the sweep below replaces one at a time
 CONSTRUCTORS = {
     "QuadraticForm": (QuadraticForm, ([[2, 1], [1, 2]],)),
     "QuadraticForm-float": (QuadraticForm, ([[2.0, 1.0], [1.0, 2.0]],)),
@@ -180,15 +186,17 @@ CONSTRUCTORS = {
     ),
     "MonomialPathChart": (lambda m: MonomialPathChart(segment(), m), ([1, 2],)),
 }
-BAD_ENTRIES = [None, [1], "x", 2.5, True, math.nan]
+BAD_ENTRIES = [None, [1], "x", 2.5, True, math.nan, 10**400]
 
 
-def _leaf_paths(tree, path=()):
+def _node_paths(tree, path=()):
+    """The path of every node below the root: each argument, each of its
+    rows and entries, down to the leaves."""
+    if path:
+        yield path
     if isinstance(tree, (list, tuple)):
         for i, sub in enumerate(tree):
-            yield from _leaf_paths(sub, path + (i,))
-    else:
-        yield path
+            yield from _node_paths(sub, path + (i,))
 
 
 def _replaced(tree, path, value):
@@ -201,11 +209,12 @@ def _replaced(tree, path, value):
 
 @pytest.mark.parametrize("name", sorted(CONSTRUCTORS))
 def test_no_malformed_entry_escapes_as_a_bare_error(name):
-    # every leaf of the arguments replaced by each bad value: the
-    # constructor accepts it or fails a named invariant or the schema
+    # every node of the arguments, a whole argument or row included,
+    # replaced by each bad value: the constructor accepts it or fails a
+    # named invariant or the schema
     build, args = CONSTRUCTORS[name]
     build(*args)
-    for path in _leaf_paths(args):
+    for path in _node_paths(args):
         for bad in BAD_ENTRIES:
             try:
                 build(*_replaced(args, path, bad))
@@ -484,6 +493,17 @@ class TestTropicalize:
     def test_zero_coordinate_rejected(self):
         with pytest.raises(PreconditionError):
             tropicalize([[0.0, 0.5]])
+
+    @pytest.mark.parametrize(
+        "z", [math.nan, math.inf, -math.inf, complex(math.nan, 0), complex(1.7e308, 1.7e308)],
+        ids=["nan", "inf", "-inf", "complex-nan", "modulus-past-double"],
+    )
+    def test_non_finite_coordinate_fails_finite(self, z):
+        # each used to give a vector entry of nan or -inf, or an OverflowError
+        with pytest.raises(PreconditionError) as info:
+            tropicalize([[0.5, 0.5], [0.5, z]])
+        assert info.value.invariant == "finite"
+        assert "point 1" in str(info.value) and "coordinate 1" in str(info.value)
 
     def test_ragged_points_rejected(self):
         with pytest.raises(PreconditionError):

@@ -65,9 +65,9 @@ COMMAND_SUBMODULES = {
     "torelli-check": _DEGEN,
     "collar": _DEGEN,
     "trop-jac": _FORMS | {"tropical"},
-    "dual-complex": _BARE | {"hybrid"},
+    "dual-complex": _BARE | {"hybrid", "rationals"},
     "hybrid-limit": _BARE | {"hybrid", "rationals"},
-    "tropicalize": _BARE | {"hybrid"},
+    "tropicalize": _BARE | {"hybrid", "rationals"},
 }
 
 
