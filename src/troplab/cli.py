@@ -66,21 +66,6 @@ def _load_doc(source: str):
         raise SchemaError(f"unreadable JSON number: {exc}", "/")
 
 
-def _require_object(doc, keys, pointer: str = ""):
-    if not isinstance(doc, dict):
-        raise SchemaError("expected a JSON object", pointer or "/")
-    for k in keys:
-        if k not in doc:
-            raise SchemaError(f"missing required key {k!r}", f"{pointer}/{k}")
-
-
-def _nonempty(raw, pointer: str) -> list:
-    """raw, if it is a nonempty array."""
-    if not isinstance(raw, list) or not raw:
-        raise SchemaError("expected a nonempty array", pointer)
-    return raw
-
-
 # -- subcommand handlers -----------------------------------------------------
 # each returns its result dict and imports the library modules it runs, so
 # one call loads only those
@@ -103,20 +88,16 @@ def _cmd_reduce(doc, args):
 def _cmd_collapse(doc, args):
     """A document with `samples` is sampled; any other is a symbolic path."""
     from . import limits, siegel
-    from .rationals import parse_scalar
+    from .rationals import parse_array, parse_object, parse_scalar
 
-    if not (isinstance(doc, dict) and "samples" in doc):
+    if "samples" not in parse_object(doc):
         path = limits.SymbolicSiegelPath.from_json_dict(doc)
         return limits.classify_collapse_symbolic(path).to_json_dict()
-    raw = doc["samples"]
-    if not isinstance(raw, list):
-        raise SchemaError("samples must be a list of points", "/samples")
-    points = [
-        siegel.SiegelPoint.from_json_dict(p, f"/samples/{i}") for i, p in enumerate(raw)
-    ]
-    u = doc.get("u")
-    if u is not None:
-        u = parse_scalar(u, "float", "/u")
+    points = parse_array(
+        doc["samples"], siegel.SiegelPoint.from_json_dict, "/samples",
+        "samples must be a list of points",
+    )
+    u = None if doc.get("u") is None else parse_scalar(doc["u"], "float", "/u")
     return limits.classify_collapse_numeric(points, tol=args.tol, u=u).to_json_dict()
 
 
@@ -129,14 +110,12 @@ def _cmd_volume_limit(doc, args):
 
 def _cmd_injrad_limit(doc, args):
     from . import limits
-    from .rationals import parse_integer, parse_rational, parse_vector
+    from .rationals import parse_integer, parse_object, parse_rational, parse_vector
 
-    _require_object(doc, ["a", "r"])
-    a = parse_vector(_nonempty(doc["a"], "/a"), "exact", "/a")
+    parse_object(doc, ["a", "r"])
+    a = parse_vector(doc["a"], "exact", "/a", nonempty=True)
     r = parse_integer(doc["r"], "/r")
-    u0 = None
-    if doc.get("u0") is not None:
-        u0 = parse_rational(doc["u0"], "/u0")
+    u0 = None if doc.get("u0") is None else parse_rational(doc["u0"], "/u0")
     return limits.fixed_injrad_limit(a, r, u0=u0).to_json_dict()
 
 
@@ -148,29 +127,25 @@ _CONSTANT = re.compile(r"[+-]?\d+(?:/\d+)?")
 
 def _monomial_order(text, pointer: str) -> Fraction:
     """Vanishing order of a leading monomial written like '3*t^2' or 't'."""
-    if isinstance(text, (int, str)) and not isinstance(text, bool):
-        s = str(text).strip()
-        if _CONSTANT.fullmatch(s):
-            return Fraction(0)
-        m = _MONOMIAL.fullmatch(s)
-        if m:
-            return Fraction(m.group("exp") or 1)
-    raise SchemaError(f"cannot parse monomial {text!r}", pointer)
+    from .rationals import parse_integer
+
+    what = f"cannot parse monomial {text!r}"
+    s = text.strip() if isinstance(text, str) else str(parse_integer(text, pointer, what))
+    if _CONSTANT.fullmatch(s):
+        return Fraction(0)
+    m = _MONOMIAL.fullmatch(s)
+    if not m:
+        raise SchemaError(what, pointer)
+    return Fraction(m.group("exp") or 1)
 
 
 def _cmd_av_limit(doc, args):
     from . import degen
-    from .rationals import format_scalar, parse_vector
+    from .rationals import format_scalar, parse_object, parse_rows, parse_vector
 
-    _require_object(doc, [])
-    if "periods" in doc:
-        raw = doc["periods"]
-        if not isinstance(raw, list) or any(not isinstance(r, list) for r in raw):
-            raise SchemaError("periods must be a matrix of monomials", "/periods")
-        m = [
-            [_monomial_order(v, f"/periods/{i}/{j}") for j, v in enumerate(row)]
-            for i, row in enumerate(raw)
-        ]
+    if "periods" in parse_object(doc):
+        what = "periods must be a matrix of monomials"
+        m = parse_rows(doc["periods"], _monomial_order, "/periods", what, what)
         if any(len(row) != len(m) for row in m):
             raise SchemaError("periods must be square", "/periods")
         doc = {**doc, "M": [[format_scalar(v) for v in row] for row in m]}
@@ -208,19 +183,14 @@ def _cmd_torelli_check(doc, args):
 
 def _cmd_dual_complex(doc, args):
     from . import hybrid
-    from .rationals import parse_integer
+    from .rationals import parse_integer, parse_rows
 
     inc = hybrid.IncidenceComplex.from_json_dict(doc)
     complex_ = hybrid.dual_complex(inc)
     if doc.get("action") is not None:
-        raw = doc["action"]
-        if not isinstance(raw, list) or any(not isinstance(p, list) for p in raw):
-            raise SchemaError("action must be a list of permutations", "/action")
-        gens = [
-            tuple(parse_integer(x, f"/action/{i}/{j}") for j, x in enumerate(p))
-            for i, p in enumerate(raw)
-        ]
-        action = hybrid.GroupAction.from_generators(inc, gens)
+        what = "action must be a list of permutations"
+        gens = parse_rows(doc["action"], parse_integer, "/action", what, what)
+        action = hybrid.GroupAction.from_generators(inc, [tuple(p) for p in gens])
         _log("info", f"quotienting by a group of order {len(action.elements)}")
         complex_ = hybrid.quotient_complex(complex_, action)
     return complex_.to_json_dict()
@@ -228,10 +198,10 @@ def _cmd_dual_complex(doc, args):
 
 def _cmd_hybrid_limit(doc, args):
     from . import hybrid
-    from .rationals import parse_integer, parse_vector
+    from .rationals import parse_integer, parse_object, parse_vector
 
-    _require_object(doc, ["m"])
-    m = parse_vector(_nonempty(doc["m"], "/m"), "exact", "/m")
+    parse_object(doc, ["m"])
+    m = parse_vector(doc["m"], "exact", "/m", nonempty=True)
     n = parse_integer(doc.get("n", len(m)), "/n")
     if doc.get("strata") is not None:
         inc = hybrid.IncidenceComplex.from_json_dict({"n": n, "strata": doc["strata"]})
@@ -247,29 +217,32 @@ def _cmd_hybrid_limit(doc, args):
 def _cmd_tropicalize(doc, args):
     """Each coordinate is a number or [re, im]."""
     from . import hybrid
-    from .rationals import parse_scalar
+    from .rationals import parse_array, parse_object, parse_scalar, parse_vector
 
-    _require_object(doc, ["points"])
-    points = []
-    for k, p in enumerate(_nonempty(doc["points"], "/points")):
-        if not isinstance(p, list):
-            raise SchemaError("each point is a list of coordinates", f"/points/{k}")
-        coords = []
-        for i, z in enumerate(p):
-            parts = z if isinstance(z, list) and len(z) == 2 else [z]
-            coords.append(complex(*(parse_scalar(v, "float", f"/points/{k}/{i}") for v in parts)))
-        points.append(coords)
+    def coordinate(z, pointer):
+        if not isinstance(z, list):
+            return complex(parse_scalar(z, "float", pointer))
+        parts = parse_vector(z, "float", pointer)
+        if len(parts) != 2:
+            raise SchemaError("a coordinate is a number or [re, im]", pointer)
+        return complex(*parts)
+
+    def point(p, pointer):
+        return parse_array(p, coordinate, pointer, "each point is a list of coordinates")
+
+    parse_object(doc, ["points"])
+    points = parse_array(doc["points"], point, "/points", nonempty=True)
     return hybrid.tropicalize(points, tol=args.tol).to_json_dict()
 
 
 def _cmd_collar(doc, args):
     from . import degen
-    from .rationals import parse_scalar, parse_vector
+    from .rationals import parse_object, parse_scalar, parse_vector
 
-    _require_object(doc, ["t", "c_star"])
+    parse_object(doc, ["t", "c_star"])
     c_star = parse_scalar(doc["c_star"], "float", "/c_star")
     raw_t = doc["t"] if isinstance(doc["t"], list) else [doc["t"]]
-    ts = parse_vector(_nonempty(raw_t, "/t"), "float", "/t")
+    ts = parse_vector(raw_t, "float", "/t", nonempty=True)
     series = [{"t": t, "length": degen.collar_length(t, c_star)} for t in ts]
     return {"c_star": c_star, "series": series}
 

@@ -2,7 +2,8 @@
 
 An abelian family is summarized by the valuation matrix of its period
 monomials; the limit torus is just that matrix rescaled, and a numeric
-oracle rebuilds the same answer from sampled metrics at small t.  A
+oracle rebuilds the same answer from sampled metrics, which are multiples
+of that matrix at every t, so each sample is the limit in doubles.  A
 curve family is a stable dual graph with a node multiplicity per edge;
 its metric limit forgets the multiplicities (all edges become equal),
 while the hybrid limit keeps them as projective weights.  The collar
@@ -14,7 +15,7 @@ from typing import TYPE_CHECKING, List, NamedTuple, Sequence
 
 from .errors import PreconditionError, SchemaError
 from .forms import FlatTorus, QuadraticForm, is_homothetic, rescale_to_diameter_one
-from .rationals import parse_matrix
+from .rationals import parse_array, parse_integer, parse_matrix, parse_object, parse_size
 from .tropical import (
     WeightedMetricGraph,
     first_betti,
@@ -71,8 +72,7 @@ class AVFamily:
 
     @classmethod
     def from_json_dict(cls, obj, pointer: str = "") -> "AVFamily":
-        if not isinstance(obj, dict) or "M" not in obj:
-            raise SchemaError("expected an object with 'M'", pointer or "/")
+        parse_object(obj, ("M",), pointer)
 
         def square(key):
             rows = parse_matrix(obj[key], "exact", f"{pointer}/{key}")
@@ -84,8 +84,7 @@ class AVFamily:
             return QuadraticForm(rows, "exact")
 
         m = square("M")
-        if "r" in obj and obj["r"] != m.n:
-            raise SchemaError("r does not match the size of M", pointer + "/r")
+        parse_size(obj, "r", m.n, "M", pointer)
         block = square("abelian_block") if obj.get("abelian_block") is not None else None
         return cls(m, block)
 
@@ -96,12 +95,13 @@ def av_family_limit(fam: AVFamily) -> FlatTorus:
 
 
 def av_family_numeric_oracle(fam: AVFamily, t_samples: Sequence[float]) -> List[FlatTorus]:
-    """Rescaled metric tori sampled along the family at small t.
+    """Rescaled metric tori sampled along the family at the given t.
 
     With monomial period entries of order M[i][j], the imaginary part of
-    the period matrix at parameter t is M * (-log t) / (2 pi); each
-    sample is rescaled to diameter 1 so the tail can be compared with
-    av_family_limit directly.
+    the period matrix at parameter t is M * (-log t) / (2 pi), a multiple
+    of M for every t in (0, 1).  So each sample, rescaled to diameter 1,
+    equals av_family_limit up to the rounding of doubles at any t: it
+    checks the float rescaling, not a convergence.
     """
     mfloat = fam.valuation_matrix.to_float().entries
     out = []
@@ -163,22 +163,17 @@ class CurveFamily:
 
     @classmethod
     def from_json_dict(cls, obj, pointer: str = "") -> "CurveFamily":
-        if not isinstance(obj, dict) or "graph" not in obj:
-            raise SchemaError(
-                "expected an object with 'graph' and 'multiplicities'", pointer or "/"
-            )
-        raw_graph = obj["graph"]
-        # lengths are irrelevant here, so edges may omit "len"
-        if isinstance(raw_graph, dict) and isinstance(raw_graph.get("edges"), list):
-            raw_graph = dict(raw_graph)
-            raw_graph["edges"] = [
-                {**e, "len": e.get("len", 1)} if isinstance(e, dict) else e
-                for e in raw_graph["edges"]
-            ]
-        graph = WeightedMetricGraph.from_json_dict(raw_graph, pointer + "/graph")
-        mult = obj.get("multiplicities")
-        if not isinstance(mult, list):
-            raise SchemaError("multiplicities must be a list", pointer + "/multiplicities")
+        parse_object(obj, ("graph", "multiplicities"), pointer)
+        here = pointer + "/graph"
+        raw = parse_object(obj["graph"], (), here, "expected a graph object")
+
+        def edge(e, at):
+            # lengths are irrelevant here, so an edge may omit "len"
+            return {"len": 1, **parse_object(e, (), at, "edge needs 'u', 'v', and 'len'")}
+
+        edges = parse_array(raw.get("edges", []), edge, here + "/edges", "edges must be a list")
+        graph = WeightedMetricGraph.from_json_dict({**raw, "edges": edges}, here)
+        mult = parse_array(obj["multiplicities"], parse_integer, pointer + "/multiplicities")
         return cls(graph, mult)
 
 

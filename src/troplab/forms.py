@@ -31,10 +31,10 @@ from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import _linalg as la
-from .errors import ModeMixError, NotPositiveDefiniteError, PreconditionError, SchemaError
+from .errors import ModeMixError, NotPositiveDefiniteError, PreconditionError
 from .rationals import (
-    Scalar, as_integers, coerce_matrix, format_scalar, parse_matrix, past_double, quotient,
-    round_half_away,
+    Scalar, as_integers, coerce_matrix, format_scalar, parse_matrix, parse_object, parse_size,
+    past_double, quotient, round_half_away,
 )
 
 
@@ -138,13 +138,10 @@ class QuadraticForm:
 
     @classmethod
     def from_json_dict(cls, doc: dict, pointer: str = "") -> "QuadraticForm":
-        if not isinstance(doc, dict):
-            raise SchemaError("form must be an object", pointer or "/")
+        parse_object(doc, (), pointer, "form must be an object")
         mode = doc.get("mode", "exact")
         rows = parse_matrix(doc.get("entries"), mode, pointer + "/entries")
-        n = doc.get("n", len(rows))
-        if n != len(rows):
-            raise SchemaError("'n' disagrees with entries shape", pointer + "/n")
+        parse_size(doc, "n", len(rows), "entries", pointer)
         return cls(rows, mode)
 
     @property
@@ -230,30 +227,30 @@ def _jacobi(mode: str, den: int, d, lam) -> JacobiDecomposition:
 
 # -- LLL reduction ---------------------------------------------------------
 
+# the Lovasz constant of every reduction; covering_radius_sq relies on
+# 3/4 in dimension 2
+LLL_DELTA = Fraction(3, 4)
 
-def lll_reduce(
-    form: QuadraticForm, delta: Scalar = Fraction(3, 4)
-) -> Tuple[QuadraticForm, List[List[int]]]:
+
+def lll_reduce(form: QuadraticForm) -> Tuple[QuadraticForm, List[List[int]]]:
     """Gram-matrix LLL.  Returns (reduced, U) with U^T F U = reduced.
 
     For k = 1, 2, ... size-reduce b_k against b_{k-1}, ..., b_0 (rounding
     mu_kj half away from zero), then keep k + 1 if the Lovasz condition
-    holds, else swap b_{k-1}, b_k and step back.  This is the integral
-    LLL (H. Cohen, A Course in Computational Algebraic Number Theory,
-    Alg. 2.6.7) on the integer Gram stored with the form: it starts from
-    the leading minors d_i and lambda_ij = d_{j+1} mu_ij of the form's
-    elimination, which stay integers and are updated in O(n) per step by
-    exact division; delta is read exactly.  A float form is read from the
-    exact values of its entries, so it takes the same steps as its
-    to_exact() and gets back the exact reduced Gram rounded once per entry.
+    with delta = LLL_DELTA holds, else swap b_{k-1}, b_k and step back.
+    This is the integral LLL (H. Cohen, A Course in Computational
+    Algebraic Number Theory, Alg. 2.6.7) on the integer Gram stored with
+    the form: it starts from the leading minors d_i and
+    lambda_ij = d_{j+1} mu_ij of the form's elimination, which stay
+    integers and are updated in O(n) per step by exact division.  A float
+    form is read from the exact values of its entries, so it takes the
+    same steps as its to_exact() and gets back the exact reduced Gram
+    rounded once per entry.
     """
     if form.n <= 1:
         return form, la.identity(form.n)
-    delta = Fraction(delta)
-    if not 0.25 < delta < 1:
-        raise PreconditionError("lll-delta", "delta must lie in (1/4, 1)")
     m = [list(r) for r in form._gram]
-    u = _lll_integer(m, list(form._minors), [list(r) for r in form._lam], delta)
+    u = _lll_integer(m, list(form._minors), [list(r) for r in form._lam])
     rows = [[quotient(form.mode, x, form._den) for x in row] for row in m]
     return QuadraticForm(rows, form.mode), u
 
@@ -280,9 +277,9 @@ def _swap(m, u, k):
         m[r][k - 1], m[r][k] = m[r][k], m[r][k - 1]
 
 
-def _lll_integer(m, d, lam, delta: Fraction) -> List[List[int]]:
+def _lll_integer(m, d, lam) -> List[List[int]]:
     """LLL-reduce the integer Gram m, its minors d and lam, in place; returns U."""
-    dn, dd = delta.numerator, delta.denominator
+    dn, dd = LLL_DELTA.numerator, LLL_DELTA.denominator
     n = len(m)
     u = la.identity(n)
     k = 1
@@ -297,7 +294,7 @@ def _lll_integer(m, d, lam, delta: Fraction) -> List[List[int]]:
                 for i in range(j):
                     lk[i] -= q * lj[i]
         lkk = lk[k - 1]
-        # B_k >= (delta - mu^2) B_{k-1}, times d_k d_{k-1} dd
+        # B_k >= (LLL_DELTA - mu^2) B_{k-1}, times d_k d_{k-1} dd
         if dd * (d[k + 1] * d[k - 1] + lkk * lkk) >= dn * d[k] * d[k]:
             k += 1
             continue
@@ -371,7 +368,6 @@ def shortest_vector(form: QuadraticForm) -> Tuple[Tuple[int, ...], Scalar]:
     out = []
     for vec in best_vecs:
         w = la.mat_vec(u, list(vec))
-        w = [int(c) for c in w]
         for c in w:
             if c != 0:
                 if c < 0:
@@ -656,7 +652,7 @@ def covering_radius_sq(form: QuadraticForm) -> Scalar:
             continue
         _, _, d, lam = _integer_ldl(g)
         d, lam = list(d), [list(r) for r in lam]
-        _lll_integer(g, d, lam, Fraction(3, 4))
+        _lll_integer(g, d, lam)
         if len(g) == 2:
             q1, q2, b = g[0][0], g[1][1], -abs(g[0][1])
             total += Fraction(q1 * q2 * (q1 + 2 * b + q2), 4 * d[2] * den)
@@ -897,8 +893,7 @@ class FlatTorus:
 
     @classmethod
     def from_json_dict(cls, doc: dict, pointer: str = "") -> "FlatTorus":
-        if not isinstance(doc, dict) or "gram" not in doc:
-            raise SchemaError("torus must be an object with 'gram'", pointer or "/")
+        parse_object(doc, ("gram",), pointer, "torus must be an object")
         return cls(QuadraticForm.from_json_dict(doc["gram"], pointer + "/gram"))
 
 

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import PreconditionError, SchemaError
-from .rationals import as_list, format_rational
+from .rationals import as_list, format_rational, parse_integer, parse_object, parse_rows
 
 
 def downward_closure(sets: Iterable[Iterable[int]]) -> FrozenSet[FrozenSet[int]]:
@@ -79,23 +79,9 @@ class IncidenceComplex:
 
     @classmethod
     def from_json_dict(cls, obj, pointer: str = "") -> "IncidenceComplex":
-        if not isinstance(obj, dict) or "n" not in obj:
-            raise SchemaError("expected an object with 'n' and 'strata'", pointer or "/")
-        n = obj["n"]
-        if not isinstance(n, int) or isinstance(n, bool):
-            raise SchemaError("n must be an integer", pointer + "/n")
-        raw = obj.get("strata")
-        if not isinstance(raw, list):
-            raise SchemaError("strata must be a list of id lists", pointer + "/strata")
-        strata = []
-        for i, s in enumerate(raw):
-            if not isinstance(s, list):
-                raise SchemaError("stratum must be a list", f"{pointer}/strata/{i}")
-            for j, x in enumerate(s):
-                if not isinstance(x, int) or isinstance(x, bool):
-                    raise SchemaError("divisor id must be an integer", f"{pointer}/strata/{i}/{j}")
-            strata.append(s)
-        return cls(n, strata)
+        parse_object(obj, ("n", "strata"), pointer)
+        n = parse_integer(obj["n"], pointer + "/n")
+        return cls(n, parse_rows(obj["strata"], parse_integer, pointer + "/strata"))
 
 
 class DualComplex:

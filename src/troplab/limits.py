@@ -14,7 +14,10 @@ from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import PreconditionError, SchemaError
 from .forms import FlatTorus, JacobiDecomposition, LimitSpace, rescale_to_diameter_one
-from .rationals import Scalar, coerce_vector, format_rational, format_scalar, parse_rational
+from .rationals import (
+    Scalar, coerce_vector, format_rational, format_scalar, parse_array, parse_object,
+    parse_rational, parse_rows, parse_size,
+)
 from .siegel import SiegelPoint, default_u0, in_siegel_set, jacobi_decompose, metric_matrix
 
 
@@ -71,8 +74,7 @@ class MonomialEntry(_MonomialEntryFields):
 
     @classmethod
     def from_json_dict(cls, doc, pointer: str = "", t_convention: bool = False):
-        if not isinstance(doc, dict) or "c" not in doc:
-            raise SchemaError("monomial must be an object with 'c'", pointer or "/")
+        parse_object(doc, ("c",), pointer, "monomial must be an object with 'c'")
         c = parse_rational(doc["c"], pointer + "/c")
         e = parse_rational(doc.get("e", 0), pointer + "/e")
         if t_convention:
@@ -195,11 +197,11 @@ class SymbolicSiegelPath:
         return SiegelPoint(x, head.recompose())
 
     def to_json_dict(self) -> dict:
+        # a path read in the t = 1/s convention prints its exponents in t
         flip = self.convention == "t"
 
         def mono(m: MonomialEntry) -> dict:
-            e = -m.exponent if flip else m.exponent
-            return {"c": format_rational(m.coefficient), "e": format_rational(e)}
+            return (m.reparametrized(-1) if flip else m).to_json_dict()
 
         return {
             "g": self.g,
@@ -211,35 +213,18 @@ class SymbolicSiegelPath:
 
     @classmethod
     def from_json_dict(cls, doc: dict, pointer: str = "") -> "SymbolicSiegelPath":
-        if not isinstance(doc, dict):
-            raise SchemaError("path must be an object", pointer or "/")
+        parse_object(doc, ("X", "B", "D"), pointer, "path must be an object")
         convention = doc.get("convention", "s")
         if convention not in ("s", "t"):
             raise SchemaError("convention must be 's' or 't'", pointer + "/convention")
-        flip = convention == "t"
-        for key in ("X", "B", "D"):
-            if not isinstance(doc.get(key), list):
-                raise SchemaError(f"missing '{key}'", f"{pointer}/{key}")
 
-        def matrix(key):
-            rows = []
-            for i, r in enumerate(doc[key]):
-                here = f"{pointer}/{key}/{i}"
-                if not isinstance(r, list):
-                    raise SchemaError("matrix rows must be arrays", here)
-                rows.append(
-                    [
-                        MonomialEntry.from_json_dict(v, f"{here}/{j}", flip)
-                        for j, v in enumerate(r)
-                    ]
-                )
-            return rows
+        def entry(v, here):
+            return MonomialEntry.from_json_dict(v, here, convention == "t")
 
-        x, b = matrix("X"), matrix("B")
-        d = [
-            MonomialEntry.from_json_dict(v, f"{pointer}/D/{j}", flip)
-            for j, v in enumerate(doc["D"])
-        ]
+        x = parse_rows(doc["X"], entry, pointer + "/X")
+        b = parse_rows(doc["B"], entry, pointer + "/B")
+        d = parse_array(doc["D"], entry, pointer + "/D")
+        parse_size(doc, "g", len(d), "D", pointer)
         return cls(x, b, d, convention)
 
 

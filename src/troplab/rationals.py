@@ -36,10 +36,18 @@ def parse_rational(value, pointer: str = "/") -> Fraction:
     raise SchemaError(f"cannot parse rational from {type(value).__name__}", pointer)
 
 
-def parse_integer(value, pointer: str = "/") -> int:
+def parse_integer(value, pointer: str = "/", what: str = "expected an integer") -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError("expected an integer", pointer)
+        raise SchemaError(what, pointer)
     return value
+
+
+def parse_size(doc: dict, key: str, size: int, of: str, pointer: str = ""):
+    """Check doc[key], when given: an integer equal to size, the size of `of`."""
+    if key in doc:
+        what = f"{key} must be an integer equal to the size of {of}, not {doc[key]!r}"
+        if parse_integer(doc[key], f"{pointer}/{key}", what) != size:
+            raise SchemaError(what, f"{pointer}/{key}")
 
 
 def parse_scalar(value, mode: str, pointer: str = "/") -> Scalar:
@@ -57,25 +65,51 @@ def parse_scalar(value, mode: str, pointer: str = "/") -> Scalar:
         ) from None
 
 
-def parse_vector(raw, mode: str, pointer: str = "") -> List[Scalar]:
+def parse_object(
+    doc, required=(), pointer: str = "", what: str = "expected a JSON object"
+) -> dict:
+    """doc, if it is a JSON object with every required key; a missing key
+    fails at its own pointer."""
+    if not isinstance(doc, dict):
+        raise SchemaError(what, pointer or "/")
+    for k in required:
+        if k not in doc:
+            raise SchemaError(f"missing required key {k!r}", f"{pointer}/{k}")
+    return doc
+
+
+def parse_array(raw, read, pointer: str = "", what: str = "", nonempty: bool = False) -> list:
+    """read(entry, its pointer) of each entry of the JSON array raw."""
+    if not isinstance(raw, list) or (nonempty and not raw):
+        what = what or ("expected a nonempty array" if nonempty else "expected an array")
+        raise SchemaError(what, pointer or "/")
+    return [read(x, f"{pointer}/{j}") for j, x in enumerate(raw)]
+
+
+def parse_rows(
+    raw, read, pointer: str = "", what: str = "expected an array of arrays",
+    row_what: str = "matrix rows must be arrays",
+) -> List[list]:
+    """read(entry, its pointer) of each entry of an array of arrays."""
+    def row(r, here):
+        return parse_array(r, read, here, row_what)
+
+    return parse_array(raw, row, pointer, what)
+
+
+def parse_vector(raw, mode: str, pointer: str = "", nonempty: bool = False) -> List[Scalar]:
     """An array of scalars in one arithmetic mode (parse_scalar)."""
-    if not isinstance(raw, list):
-        raise SchemaError("expected an array", pointer or "/")
-    return [parse_scalar(x, mode, f"{pointer}/{j}") for j, x in enumerate(raw)]
+    def scalar(x, here):
+        return parse_scalar(x, mode, here)
+
+    return parse_array(raw, scalar, pointer, nonempty=nonempty)
 
 
 def parse_matrix(raw, mode: str, pointer: str = "") -> List[List[Scalar]]:
     """An array of arrays of scalars in one arithmetic mode; shape is unchecked."""
     if mode not in ("exact", "float"):
         raise SchemaError(f"mode must be 'exact' or 'float', not {mode!r}", pointer or "/")
-    if not isinstance(raw, list):
-        raise SchemaError("expected an array of arrays", pointer or "/")
-    rows = []
-    for i, row in enumerate(raw):
-        if not isinstance(row, list):
-            raise SchemaError("matrix rows must be arrays", f"{pointer}/{i}")
-        rows.append(parse_vector(row, mode, f"{pointer}/{i}"))
-    return rows
+    return parse_rows(raw, lambda x, here: parse_scalar(x, mode, here), pointer)
 
 
 def as_list(values, invariant: str, what: str) -> list:

@@ -16,9 +16,11 @@ from fractions import Fraction
 from typing import List, Tuple
 
 from . import _linalg as la
-from .errors import NotPositiveDefiniteError, PreconditionError, SchemaError
+from .errors import NotPositiveDefiniteError, PreconditionError
 from .forms import FlatTorus, QuadraticForm, jacobi_decompose, lll_reduce
-from .rationals import coerce_matrix, format_scalar, nearest_int, parse_matrix
+from .rationals import (
+    coerce_matrix, format_scalar, nearest_int, parse_matrix, parse_object, parse_size
+)
 
 
 def default_u0(g: int) -> int:
@@ -78,15 +80,11 @@ class SiegelPoint:
 
     @classmethod
     def from_json_dict(cls, doc: dict, pointer: str = "") -> "SiegelPoint":
-        if not isinstance(doc, dict):
-            raise SchemaError("point must be an object", pointer or "/")
+        parse_object(doc, (), pointer, "point must be an object")
         mode = doc.get("mode", "exact")
         x = parse_matrix(doc.get("X"), mode, f"{pointer}/X")
         y = parse_matrix(doc.get("Y"), mode, f"{pointer}/Y")
-        g = doc.get("g", len(y))
-        if "g" in doc and not (type(g) is int and 1 <= g == len(y)):
-            message = f"g must be a positive integer equal to the size of Y, not {g!r}"
-            raise SchemaError(message, f"{pointer}/g")
+        parse_size(doc, "g", len(y), "Y", pointer)
         return cls(x, QuadraticForm(y, mode))
 
 

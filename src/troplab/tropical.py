@@ -31,7 +31,8 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 from .errors import ModeMixError, PreconditionError, SchemaError
 from .forms import FlatTorus, QuadraticForm, cube_sign_walk
 from .rationals import (
-    Scalar, as_integers, coerce_vector, format_scalar, parse_matrix, parse_scalar, quotient
+    Scalar, as_integers, coerce_vector, format_scalar, parse_array, parse_integer, parse_matrix,
+    parse_object, parse_scalar, quotient,
 )
 
 
@@ -125,42 +126,35 @@ class WeightedMetricGraph:
 
     @classmethod
     def from_json_dict(cls, obj, pointer: str = "") -> "WeightedMetricGraph":
-        if not isinstance(obj, dict):
-            raise SchemaError("expected a graph object", pointer or "/")
+        parse_object(obj, (), pointer, "expected a graph object")
         mode = obj.get("mode", "exact")
         if mode not in ("exact", "float"):
             raise SchemaError("mode must be 'exact' or 'float'", pointer + "/mode")
-        raw_vs = obj.get("vertices")
-        raw_es = obj.get("edges", [])
-        if not isinstance(raw_vs, list) or not raw_vs:
-            raise SchemaError("vertices must be a nonempty list", pointer + "/vertices")
-        if not isinstance(raw_es, list):
-            raise SchemaError("edges must be a list", pointer + "/edges")
-        verts = []
-        for i, v in enumerate(raw_vs):
-            here = f"{pointer}/vertices/{i}"
-            if not isinstance(v, dict) or "id" not in v or "w" not in v:
-                raise SchemaError("vertex needs 'id' and 'w'", here)
-            if not _is_vertex_id(v["id"]):
-                raise SchemaError("vertex id must be a string or integer", here + "/id")
-            if not isinstance(v["w"], int) or isinstance(v["w"], bool) or v["w"] < 0:
-                raise SchemaError("weight must be a nonnegative integer", here + "/w")
-            verts.append((v["id"], v["w"]))
-        edges = []
-        for i, e in enumerate(raw_es):
-            here = f"{pointer}/edges/{i}"
-            if not isinstance(e, dict) or any(k not in e for k in ("u", "v", "len")):
-                raise SchemaError("edge needs 'u', 'v', and 'len'", here)
-            for end in ("u", "v"):
-                if not _is_vertex_id(e[end]):
-                    raise SchemaError("edge endpoint must be a string or integer", f"{here}/{end}")
-            edges.append((e["u"], e["v"], parse_scalar(e["len"], mode, here + "/len")))
+
+        def vertex_id(x, here):
+            if isinstance(x, str):
+                return x
+            return parse_integer(x, here, "vertex id must be a string or integer")
+
+        def vertex(v, here):
+            parse_object(v, ("id", "w"), here, "vertex needs 'id' and 'w'")
+            vid = vertex_id(v["id"], here + "/id")
+            what = "weight must be a nonnegative integer"
+            if parse_integer(v["w"], here + "/w", what) < 0:
+                raise SchemaError(what, here + "/w")
+            return vid, v["w"]
+
+        def edge(e, here):
+            parse_object(e, ("u", "v", "len"), here, "edge needs 'u', 'v', and 'len'")
+            u, v = vertex_id(e["u"], here + "/u"), vertex_id(e["v"], here + "/v")
+            return u, v, parse_scalar(e["len"], mode, here + "/len")
+
+        verts = parse_array(
+            obj.get("vertices"), vertex, pointer + "/vertices", "vertices must be a nonempty list",
+            nonempty=True,
+        )
+        edges = parse_array(obj.get("edges", []), edge, pointer + "/edges", "edges must be a list")
         return cls(verts, edges, mode)
-
-
-def _is_vertex_id(x) -> bool:
-    """A JSON vertex id: a string or an integer, not a bool."""
-    return isinstance(x, (str, int)) and not isinstance(x, bool)
 
 
 def first_betti(graph: WeightedMetricGraph) -> int:
@@ -368,11 +362,10 @@ class TropicalAV(_TropicalAVFields):
 
     @classmethod
     def from_json_dict(cls, obj, pointer: str = "") -> "TropicalAV":
-        if not isinstance(obj, dict) or "gram" not in obj:
-            raise SchemaError("expected an object with 'gram'", pointer or "/")
+        parse_object(obj, ("gram",), pointer)
         mode = obj.get("mode", "exact")
         gram = QuadraticForm(parse_matrix(obj["gram"], mode, pointer + "/gram"), mode)
-        return cls(obj.get("b1", gram.n), gram)
+        return cls(parse_integer(obj.get("b1", gram.n), pointer + "/b1"), gram)
 
 
 def _integer_jacobian(graph: WeightedMetricGraph):

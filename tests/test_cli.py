@@ -149,6 +149,40 @@ class TestReduce:
         assert "//" not in err
 
 
+@pytest.mark.parametrize("r", [True, 1.0], ids=["bool", "float"])
+def test_av_limit_rank_must_be_an_integer(capsys, tmp_path, r):
+    doc = write_doc(tmp_path, "a.json", {"M": [[1]], "r": r})
+    code, out, err = run_main(capsys, "av-limit", doc)
+    assert code == 2
+    assert out == ""
+    assert "(at /r)" in err
+
+
+@pytest.mark.parametrize("m", ["x", 1.5, True], ids=["str", "float", "bool"])
+@pytest.mark.parametrize("command", ["curve-limit", "torelli-check"])
+def test_mistyped_multiplicity_is_schema_error(capsys, tmp_path, command, m):
+    doc = {**CURVE_FAMILY, "multiplicities": [1, m, 3]}
+    code, out, err = run_main(capsys, command, write_doc(tmp_path, "f.json", doc))
+    assert code == 2
+    assert out == ""
+    assert "(at /multiplicities/1)" in err
+
+
+@pytest.mark.parametrize("g", ["x", 5, True, 2.0], ids=["str", "wrong-size", "bool", "float"])
+@pytest.mark.parametrize("command", ["collapse", "volume-limit"])
+def test_path_genus_must_equal_the_size_of_d(capsys, tmp_path, command, g):
+    doc = {
+        "g": g,
+        "X": [[{"c": 0}, {"c": 0}], [{"c": 0}, {"c": 0}]],
+        "B": [[{"c": 1}, {"c": 0}], [{"c": 0}, {"c": 1}]],
+        "D": [{"c": 2, "e": 0}, {"c": 1, "e": 1}],
+    }
+    code, out, err = run_main(capsys, command, write_doc(tmp_path, "p.json", doc))
+    assert code == 2
+    assert out == ""
+    assert f"equal to the size of D, not {g!r} (at /g)" in err
+
+
 class TestCollapse:
     def test_symbolic(self, capsys, tmp_path):
         doc = {
@@ -781,6 +815,46 @@ def test_mutated_worked_example_never_crashes(capsys, tmp_path, page):
         if code not in (0, 2, 3):
             crashed.append((where, code))
     assert crashed == []
+
+
+# a value of each JSON type but null, to stand in for a leaf of another type
+TYPED = ["x", [], {}, True, 1.5]
+
+
+def _json_type(value):
+    return "number" if type(value) in (int, float) else type(value)
+
+
+def _mistyped(node):
+    """(pointer, document) for every way to replace one leaf of the JSON
+    document node by a TYPED value of another JSON type; as in _mutations,
+    only the first entry of each list is descended into."""
+    if isinstance(node, dict):
+        for k, child in node.items():
+            for where, sub in _mistyped(child):
+                yield f"/{k}{where}", {**node, k: sub}
+    elif isinstance(node, list):
+        if node:
+            for where, sub in _mistyped(node[0]):
+                yield f"/0{where}", [sub] + node[1:]
+    else:
+        yield from (("", m) for m in TYPED if _json_type(m) != _json_type(node))
+
+
+@pytest.mark.parametrize("page", COMMAND_PAGES, ids=lambda p: p.stem)
+def test_mistyped_leaf_is_schema_error_at_the_leaf(capsys, tmp_path, page):
+    # a leaf of the wrong JSON type exits 2, and the error points at the
+    # leaf or at a key or entry below it
+    command, path, _ = worked_example(page, tmp_path)
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    missed = []
+    for where, mutant in _mistyped(doc):
+        code, _, err = run_main(capsys, command, write_doc(tmp_path, "case.json", mutant))
+        pointer = re.search(r"\(at (\S*)\)$", err.strip())
+        if code != 2 or not pointer or not (pointer[1] + "/").startswith(where + "/"):
+            missed.append((where, code, err.strip()))
+    assert missed == []
 
 
 # the library modules each command runs, with what they import

@@ -58,6 +58,8 @@ I3 = QuadraticForm([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
 SHEAR3 = [[1, 1, 1], [0, 1, 1], [0, 0, 1]]
 # the unit-length K4 Jacobian: the body-centred cubic lattice, mu^2 = 5/4
 K4_JACOBIAN = [[3, 1, -1], [1, 3, 1], [-1, 1, 3]]
+# Lovasz constants: lll_reduce runs at forms.LLL_DELTA = 3/4, and the
+# others, set in its place, check the integral Lovasz test at any delta
 DELTAS = [pytest.param(d, id=str(d)) for d in (F(1, 2), F(3, 4), F(99, 100))]
 # scales at which a tolerance relative to the largest entry must decide as
 # it does at 1
@@ -132,6 +134,12 @@ class TestQuadraticForm:
         with pytest.raises(SchemaError) as info:
             QuadraticForm.from_json_dict(doc, "")
         assert info.value.pointer == "/entries"
+
+    @pytest.mark.parametrize("n", [True, 1.0, "1"], ids=["bool", "float", "str"])
+    def test_json_size_must_be_an_integer(self, n):
+        with pytest.raises(SchemaError) as info:
+            QuadraticForm.from_json_dict({"n": n, "entries": [[1]]})
+        assert info.value.pointer == "/n"
 
 
 COERCING_CONSTRUCTORS = {
@@ -214,9 +222,10 @@ class TestLLL:
 
     @pytest.mark.parametrize("delta", DELTAS)
     @pytest.mark.parametrize("n", range(2, 13))
-    def test_matches_reference_on_rational_forms(self, n, delta):
+    def test_matches_reference_on_rational_forms(self, monkeypatch, n, delta):
+        monkeypatch.setattr(forms, "LLL_DELTA", delta)
         f = random_rational_form(seeded(100 + n), n)
-        reduced, u = lll_reduce(f, delta)
+        reduced, u = lll_reduce(f)
         want_rows, want_u = reference_lll(f, delta)
         assert reduced == QuadraticForm(want_rows)
         assert u == want_u
@@ -226,10 +235,11 @@ class TestLLL:
     @pytest.mark.parametrize(
         "rows", [a_n_gram(12), d_n_gram(8), e_n_gram(8)], ids=["A12", "D8", "E8"]
     )
-    def test_matches_reference_on_root_lattice_conjugates(self, rows, delta):
+    def test_matches_reference_on_root_lattice_conjugates(self, monkeypatch, rows, delta):
+        monkeypatch.setattr(forms, "LLL_DELTA", delta)
         n = len(rows)
         f = QuadraticForm(rows).transform(random_unimodular(seeded(n), n, steps=2 * n))
-        reduced, u = lll_reduce(f, delta)
+        reduced, u = lll_reduce(f)
         want_rows, want_u = reference_lll(f, delta)
         assert reduced == QuadraticForm(want_rows)
         assert u == want_u
@@ -240,18 +250,6 @@ class TestLLL:
         assert not lll_conditions_hold([[F(1), F(7)], [F(7), F(50)]])
         assert not lll_conditions_hold([[F(4), F(0)], [F(0), F(1)]])
         assert lll_conditions_hold([[F(1), F(0)], [F(0), F(1)]])
-
-    def test_float_delta_read_exactly_on_exact_forms(self):
-        f = random_rational_form(seeded(7), 6)
-        assert lll_reduce(f, 0.75) == lll_reduce(f, F(3, 4))
-
-    @pytest.mark.parametrize("delta", [F(1, 4), F(1), 0.25, 1.0])
-    def test_delta_out_of_range(self, delta):
-        with pytest.raises(PreconditionError) as info:
-            lll_reduce(QuadraticForm([[2, 1], [1, 2]]), delta)
-        assert info.value.invariant == "lll-delta"
-        with pytest.raises(PreconditionError):
-            lll_reduce(QuadraticForm([[2.0, 1.0], [1.0, 2.0]]), delta)
 
 
 class TestFloatLLLBreakdown:
@@ -279,18 +277,19 @@ class TestFloatLLLMatchesExact:
     # dyadic entries make to_float() lossless, so the float LLL must take
     # the steps of the exact one and round its reduced Gram once
     @staticmethod
-    def check(exact, delta):
+    def check(exact):
         f = exact.to_float()
         assert f.to_exact() == exact
-        want, want_u = lll_reduce(exact, delta)
-        reduced, u = lll_reduce(f, delta)
+        want, want_u = lll_reduce(exact)
+        reduced, u = lll_reduce(f)
         assert u == want_u
         assert reduced == want.to_float()
 
     @pytest.mark.parametrize("delta", DELTAS)
     @pytest.mark.parametrize("n", range(2, 13))
-    def test_rational_forms(self, n, delta):
-        self.check(random_rational_form(seeded(100 + n), n).to_float().to_exact(), delta)
+    def test_rational_forms(self, monkeypatch, n, delta):
+        monkeypatch.setattr(forms, "LLL_DELTA", delta)
+        self.check(random_rational_form(seeded(100 + n), n).to_float().to_exact())
 
     @pytest.mark.parametrize("delta", DELTAS)
     @pytest.mark.parametrize(
@@ -298,11 +297,12 @@ class TestFloatLLLMatchesExact:
         [a_n_gram(3), a_n_gram(12), d_n_gram(8), e_n_gram(8)],
         ids=["A3", "A12", "D8", "E8"],
     )
-    def test_root_lattice_conjugates(self, rows, delta):
+    def test_root_lattice_conjugates(self, monkeypatch, rows, delta):
         # mu = -1/2 occurs on A3's conjugates: both modes round it to -1
+        monkeypatch.setattr(forms, "LLL_DELTA", delta)
         n = len(rows)
         f = QuadraticForm(rows).transform(random_unimodular(seeded(n), n, steps=2 * n))
-        self.check(f, delta)
+        self.check(f)
 
 
 def near_singular_rows(rng, n, dyadic):

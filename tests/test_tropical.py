@@ -7,6 +7,7 @@ from troplab import (
     ModeMixError,
     PreconditionError,
     QuadraticForm,
+    SchemaError,
     WeightedMetricGraph,
     covering_radius_sq,
     cycle_basis,
@@ -342,6 +343,12 @@ class TestJacobian:
         assert doc["gram"] == [[1, 0], [0, 2]]
         back = TropicalAV.from_json_dict(doc)
         assert back.gram == tav.gram and back.b1 == tav.b1
+
+    @pytest.mark.parametrize("b1", [1.0, True, "1"], ids=["float", "bool", "str"])
+    def test_json_rank_must_be_an_integer(self, b1):
+        with pytest.raises(SchemaError) as info:
+            TropicalAV.from_json_dict({"b1": b1, "gram": [[1]]})
+        assert info.value.pointer == "/b1"
 
     def test_basis_independence_with_witness(self):
         rng = seeded(44)
