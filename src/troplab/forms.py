@@ -33,8 +33,8 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 from . import _linalg as la
 from .errors import ModeMixError, NotPositiveDefiniteError, PreconditionError
 from .rationals import (
-    Scalar, as_integers, coerce_matrix, format_scalar, parse_matrix, parse_object, parse_size,
-    past_double, quotient, round_half_away,
+    Scalar, as_integers, coerce_matrix, format_scalar, parse_matrix, parse_mode, parse_object,
+    parse_size, past_double, quotient, round_half_away,
 )
 
 
@@ -139,7 +139,7 @@ class QuadraticForm:
     @classmethod
     def from_json_dict(cls, doc: dict, pointer: str = "") -> "QuadraticForm":
         parse_object(doc, (), pointer, "form must be an object")
-        mode = doc.get("mode", "exact")
+        mode = parse_mode(doc, pointer)
         rows = parse_matrix(doc.get("entries"), mode, pointer + "/entries")
         parse_size(doc, "n", len(rows), "entries", pointer)
         return cls(rows, mode)

@@ -43,17 +43,14 @@ class MonomialEntry(_MonomialEntryFields):
     def is_zero(self) -> bool:
         return self.coefficient == 0
 
-    @property
-    def is_bounded(self) -> bool:
-        return self.is_zero or self.exponent <= 0
-
-    def limit(self) -> Fraction:
-        """Value as s -> infinity; requires boundedness."""
+    def limit(self, name: str = "entry") -> Fraction:
+        """Value as s -> infinity; a diverging entry fails `bounded-entry`
+        under its name."""
         if self.is_zero or self.exponent < 0:
             return Fraction(0)
         if self.exponent == 0:
             return self.coefficient
-        raise PreconditionError("bounded-entry", "entry diverges")
+        raise PreconditionError("bounded-entry", f"{name} diverges; no limit exists")
 
     def value_at(self, s: Fraction) -> Fraction:
         if self.is_zero:
@@ -90,17 +87,16 @@ class SymbolicSiegelPath:
 
     Shape is validated on construction (X symmetric, B unit upper
     triangular, D positive coefficients); the analytic admissibility
-    conditions (bounded X and B, ordered D exponents) are checked by the
-    operations that need them so that invalid paths produce the documented
-    errors rather than being unconstructible.
+    conditions are checked by the operations that need them, so that
+    invalid paths produce the documented errors rather than being
+    unconstructible: D's exponents must be ordered, and an entry of X or B
+    must stay bounded only where a limit reads it.  Exponents are in s.
     """
 
-    __slots__ = ("g", "x", "b", "d", "convention")
+    __slots__ = ("g", "x", "b", "d")
 
-    def __init__(self, x, b, d, convention: str = "s"):
+    def __init__(self, x, b, d):
         g = len(d)
-        if convention not in ("s", "t"):
-            raise PreconditionError("parameter-convention", "convention is 's' or 't'")
         x = [list(r) for r in x]
         b = [list(r) for r in b]
         if len(x) != g or any(len(r) != g for r in x):
@@ -130,7 +126,6 @@ class SymbolicSiegelPath:
         self.x = tuple(tuple(r) for r in x)
         self.b = tuple(tuple(r) for r in b)
         self.d = tuple(d)
-        self.convention = convention
 
     @classmethod
     def diagonal(cls, d_entries: Sequence[MonomialEntry]) -> "SymbolicSiegelPath":
@@ -148,7 +143,6 @@ class SymbolicSiegelPath:
             [[re(v) for v in r] for r in self.x],
             [[re(v) for v in r] for r in self.b],
             [re(v) for v in self.d],
-            self.convention,
         )
 
     def point_at(self, s) -> SiegelPoint:
@@ -159,16 +153,6 @@ class SymbolicSiegelPath:
         bv = [[self.b[i][j].value_at(s) for j in range(g)] for i in range(g)]
         dv = [self.d[j].value_at(s) for j in range(g)]
         return SiegelPoint(xv, JacobiDecomposition(bv, dv).recompose())
-
-    def _validate_bounded_frame(self):
-        for name, mat in (("X", self.x), ("B", self.b)):
-            for i in range(self.g):
-                for j in range(self.g):
-                    if not mat[i][j].is_bounded:
-                        raise PreconditionError(
-                            "bounded-entry",
-                            f"{name}[{i}][{j}] diverges; no limit exists",
-                        )
 
     def _validate_d_ordering(self):
         exps = [m.exponent for m in self.d]
@@ -185,30 +169,33 @@ class SymbolicSiegelPath:
                 )
         return exps
 
+    def _block_limit(self, name: str, lo: int, hi: int) -> list:
+        """Limits of the entries (i, j), lo <= i, j < hi, of X or B (name);
+        only these must stay bounded."""
+        mat = self.x if name == "X" else self.b
+        return [
+            [mat[i][j].limit(f"{name}[{i}][{j}]") for j in range(lo, hi)]
+            for i in range(lo, hi)
+        ]
+
     def _converging_point(self, r: int) -> SiegelPoint:
         """Limit of the upper-left r x r blocks of X and Y.
 
         Needs d_1, ..., d_r of exponent zero: the block of Y is then the
         recomposition of the limiting blocks of B and D.
         """
-        x = [[v.limit() for v in row[:r]] for row in self.x[:r]]
-        b = [[v.limit() for v in row[:r]] for row in self.b[:r]]
-        head = JacobiDecomposition(b, [m.coefficient for m in self.d[:r]])
+        x = self._block_limit("X", 0, r)
+        head = JacobiDecomposition(
+            self._block_limit("B", 0, r), [m.coefficient for m in self.d[:r]]
+        )
         return SiegelPoint(x, head.recompose())
 
     def to_json_dict(self) -> dict:
-        # a path read in the t = 1/s convention prints its exponents in t
-        flip = self.convention == "t"
-
-        def mono(m: MonomialEntry) -> dict:
-            return (m.reparametrized(-1) if flip else m).to_json_dict()
-
         return {
             "g": self.g,
-            "convention": self.convention,
-            "X": [[mono(v) for v in r] for r in self.x],
-            "B": [[mono(v) for v in r] for r in self.b],
-            "D": [mono(v) for v in self.d],
+            "X": [[v.to_json_dict() for v in r] for r in self.x],
+            "B": [[v.to_json_dict() for v in r] for r in self.b],
+            "D": [v.to_json_dict() for v in self.d],
         }
 
     @classmethod
@@ -225,7 +212,7 @@ class SymbolicSiegelPath:
         b = parse_rows(doc["B"], entry, pointer + "/B")
         d = parse_array(doc["D"], entry, pointer + "/D")
         parse_size(doc, "g", len(d), "D", pointer)
-        return cls(x, b, d, convention)
+        return cls(x, b, d)
 
 
 class NumericReport(NamedTuple):
@@ -269,16 +256,16 @@ class CollapseResult(NamedTuple):
         }
 
 
-def _collapse_tail(b, a, r: int) -> FlatTorus:
-    """Rescaled limit torus of a frame B whose first r limit ratios vanish.
+def _collapse_tail(b, a) -> FlatTorus:
+    """Rescaled limit torus of the surviving directions r, ..., g - 1.
 
-    The limit Gram is the lower-right (g - r) block of B^T diag(a) B, and
-    the discarded block is the kernel.  B is unit upper triangular and
-    a_j = 0 for j < r, so that block is the recomposition of the
-    lower-right blocks of B and a.
+    b and a are the lower-right blocks, from r on, of the frame B and of
+    the limit ratios.  The limit Gram is the lower-right block of
+    B^T diag(a) B, and the discarded block is the kernel.  B is unit upper
+    triangular and a_j = 0 for j < r, so that block is the recomposition
+    of b and a: no entry of B outside b, and no entry of X, enters.
     """
-    tail = JacobiDecomposition(tuple(row[r:] for row in b[r:]), tuple(a[r:]))
-    return rescale_to_diameter_one(tail.recompose())
+    return rescale_to_diameter_one(JacobiDecomposition(b, a).recompose())
 
 
 def classify_collapse_symbolic(path: SymbolicSiegelPath) -> CollapseResult:
@@ -286,10 +273,11 @@ def classify_collapse_symbolic(path: SymbolicSiegelPath) -> CollapseResult:
 
     The ratios d_j / d_g converge to a_j (zero exactly when the exponent
     lags); with r zeros the limit is the tail of B_inf and a (see
-    _collapse_tail).  The limit Gram is exact: its squared covering radius
-    is rational.
+    _collapse_tail).  With no diverging direction it is the rescaled torus
+    of the limiting point.  Only the entries the limit reads must stay
+    bounded.  The limit Gram is exact: its squared covering radius is
+    rational.
     """
-    path._validate_bounded_frame()
     exps = path._validate_d_ordering()
     g = path.g
     top = exps[g - 1]
@@ -301,7 +289,7 @@ def classify_collapse_symbolic(path: SymbolicSiegelPath) -> CollapseResult:
         torus = rescale_to_diameter_one(metric_matrix(path._converging_point(g)))
         return CollapseResult(r=0, profile=tuple(a), limit=torus, collapsed=False)
     r = sum(1 for v in a if v == 0)
-    torus = _collapse_tail([[v.limit() for v in row] for row in path.b], a, r)
+    torus = _collapse_tail(path._block_limit("B", r, g), a[r:])
     return CollapseResult(r=r, profile=tuple(a[r:]), limit=torus, collapsed=True)
 
 
@@ -337,46 +325,35 @@ def classify_collapse_numeric(
     }
     tail = d_top[-3:]
     diverging = tail[0] < tail[1] < tail[2] and d_top[-1] >= 2 * d_top[0]
-    if not diverging:
-        last = samples[-1]
-        torus = rescale_to_diameter_one(metric_matrix(last))
-        profile = tuple(ratios[j + 1][-1] for j in range(g))
-        report = NumericReport(
-            d_top=tuple(d_top),
-            ratios=ratios,
-            collapsed_directions=(),
-            diverging=False,
-        )
-        return CollapseResult(
-            r=0, profile=profile, limit=torus, collapsed=False, report=report
-        )
-    collapsed_flags = []
-    for j in range(g):
-        t3 = ratios[j + 1][-3:]
-        if max(t3) < tol and t3[0] > t3[1] > t3[2]:
-            collapsed_flags.append(True)
-        elif max(t3) - min(t3) <= tol * max(1.0, t3[-1]):
-            collapsed_flags.append(False)
-        else:
-            raise PreconditionError(
-                "oscillating-ratios",
-                f"ratio d_{j + 1}/d_{g} oscillates beyond tol; no subsequence classified",
-            )
+    collapsed_flags = [False] * g
+    if diverging:
+        for j in range(g):
+            t3 = ratios[j + 1][-3:]
+            if max(t3) < tol and t3[0] > t3[1] > t3[2]:
+                collapsed_flags[j] = True
+            elif not max(t3) - min(t3) <= tol * max(1.0, t3[-1]):
+                raise PreconditionError(
+                    "oscillating-ratios",
+                    f"ratio d_{j + 1}/d_{g} oscillates beyond tol; no subsequence classified",
+                )
     r = sum(collapsed_flags)
     if any(collapsed_flags[r:]):
         raise PreconditionError(
             "oscillating-ratios", "collapsed directions are not an initial block"
         )
-    a = [0.0 if collapsed_flags[j] else ratios[j + 1][-1] for j in range(g)]
-    torus = _collapse_tail(decs[-1].b, a, r)
     report = NumericReport(
         d_top=tuple(d_top),
         ratios=ratios,
         collapsed_directions=tuple(j + 1 for j in range(g) if collapsed_flags[j]),
-        diverging=True,
+        diverging=diverging,
     )
+    a = [0.0 if collapsed_flags[j] else ratios[j + 1][-1] for j in range(g)]
+    if diverging:
+        torus = _collapse_tail([row[r:] for row in decs[-1].b[r:]], a[r:])
+    else:
+        torus = rescale_to_diameter_one(metric_matrix(samples[-1]))
     return CollapseResult(
-        r=r, profile=tuple(a[r:]), limit=torus, collapsed=True, report=report
+        r=r, profile=tuple(a[r:]), limit=torus, collapsed=diverging, report=report
     )
 
 
@@ -385,9 +362,9 @@ def fixed_volume_limit(path: SymbolicSiegelPath) -> LimitSpace:
 
     The first r diagonal directions (exponent zero) survive as a
     2r-dimensional polarized torus built from the limiting upper-left
-    blocks; each diverging direction contributes one flat R factor.
+    r x r blocks of X and B, the only entries that must stay bounded; each
+    diverging direction contributes one flat R factor.
     """
-    path._validate_bounded_frame()
     exps = path._validate_d_ordering()
     g = path.g
     r = sum(1 for e in exps if e == 0)

@@ -105,10 +105,17 @@ def parse_vector(raw, mode: str, pointer: str = "", nonempty: bool = False) -> L
     return parse_array(raw, scalar, pointer, nonempty=nonempty)
 
 
-def parse_matrix(raw, mode: str, pointer: str = "") -> List[List[Scalar]]:
-    """An array of arrays of scalars in one arithmetic mode; shape is unchecked."""
+def parse_mode(doc: dict, pointer: str = "") -> str:
+    """The arithmetic mode of the object doc at pointer: its "mode", "exact"
+    when absent; any value but "exact" or "float" fails at /mode."""
+    mode = doc.get("mode", "exact")
     if mode not in ("exact", "float"):
-        raise SchemaError(f"mode must be 'exact' or 'float', not {mode!r}", pointer or "/")
+        raise SchemaError(f"mode must be 'exact' or 'float', not {mode!r}", pointer + "/mode")
+    return mode
+
+
+def parse_matrix(raw, mode: str, pointer: str = "") -> List[List[Scalar]]:
+    """An array of arrays of scalars in a checked mode (parse_mode); shape is unchecked."""
     return parse_rows(raw, lambda x, here: parse_scalar(x, mode, here), pointer)
 
 

@@ -19,7 +19,7 @@ from . import _linalg as la
 from .errors import NotPositiveDefiniteError, PreconditionError
 from .forms import FlatTorus, QuadraticForm, jacobi_decompose, lll_reduce
 from .rationals import (
-    coerce_matrix, format_scalar, nearest_int, parse_matrix, parse_object, parse_size
+    coerce_matrix, format_scalar, nearest_int, parse_matrix, parse_mode, parse_object, parse_size
 )
 
 
@@ -81,7 +81,7 @@ class SiegelPoint:
     @classmethod
     def from_json_dict(cls, doc: dict, pointer: str = "") -> "SiegelPoint":
         parse_object(doc, (), pointer, "point must be an object")
-        mode = doc.get("mode", "exact")
+        mode = parse_mode(doc, pointer)
         x = parse_matrix(doc.get("X"), mode, f"{pointer}/X")
         y = parse_matrix(doc.get("Y"), mode, f"{pointer}/Y")
         parse_size(doc, "g", len(y), "Y", pointer)

@@ -32,7 +32,7 @@ from .errors import ModeMixError, PreconditionError, SchemaError
 from .forms import FlatTorus, QuadraticForm, cube_sign_walk
 from .rationals import (
     Scalar, as_integers, coerce_vector, format_scalar, parse_array, parse_integer, parse_matrix,
-    parse_object, parse_scalar, quotient,
+    parse_mode, parse_object, parse_scalar, quotient,
 )
 
 
@@ -127,9 +127,7 @@ class WeightedMetricGraph:
     @classmethod
     def from_json_dict(cls, obj, pointer: str = "") -> "WeightedMetricGraph":
         parse_object(obj, (), pointer, "expected a graph object")
-        mode = obj.get("mode", "exact")
-        if mode not in ("exact", "float"):
-            raise SchemaError("mode must be 'exact' or 'float'", pointer + "/mode")
+        mode = parse_mode(obj, pointer)
 
         def vertex_id(x, here):
             if isinstance(x, str):
@@ -363,7 +361,7 @@ class TropicalAV(_TropicalAVFields):
     @classmethod
     def from_json_dict(cls, obj, pointer: str = "") -> "TropicalAV":
         parse_object(obj, ("gram",), pointer)
-        mode = obj.get("mode", "exact")
+        mode = parse_mode(obj, pointer)
         gram = QuadraticForm(parse_matrix(obj["gram"], mode, pointer + "/gram"), mode)
         return cls(parse_integer(obj.get("b1", gram.n), pointer + "/b1"), gram)
 

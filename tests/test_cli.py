@@ -8,11 +8,16 @@ from fractions import Fraction
 
 import pytest
 
+import troplab
 from troplab import (
+    AVFamily,
     CurveFamily,
     FlatTorus,
     IncidenceComplex,
+    MonomialEntry,
+    QuadraticForm,
     SiegelPoint,
+    SymbolicSiegelPath,
     WeightedMetricGraph,
 )
 from troplab.cli import main
@@ -121,7 +126,7 @@ class TestReduce:
         code, out, err = run_main(capsys, "reduce", write_doc(tmp_path, "z.json", doc))
         assert code == 2
         assert out == ""
-        assert "mode must be 'exact' or 'float', not 'fuzzy'" in err
+        assert "mode must be 'exact' or 'float', not 'fuzzy' (at /mode)" in err
 
     @pytest.mark.parametrize("g", [3, "two"], ids=["wrong-size", "not-an-integer"])
     def test_bad_genus_is_schema_error(self, capsys, tmp_path, g):
@@ -183,7 +188,72 @@ def test_path_genus_must_equal_the_size_of_d(capsys, tmp_path, command, g):
     assert f"equal to the size of D, not {g!r} (at /g)" in err
 
 
+@pytest.mark.parametrize("mode", ["fuzzy", []], ids=["str", "list"])
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        ("reduce", {"X": [[0]], "Y": [[1]]}),
+        ("trop-jac", {"vertices": [{"id": 0, "w": 0}], "edges": [{"u": 0, "v": 0, "len": 1}]}),
+    ],
+    ids=["reduce", "trop-jac"],
+)
+def test_unknown_mode_is_schema_error_at_mode(capsys, tmp_path, command, doc, mode):
+    code, out, err = run_main(capsys, command, write_doc(tmp_path, "m.json", {**doc, "mode": mode}))
+    assert code == 2
+    assert out == ""
+    assert f"mode must be 'exact' or 'float', not {mode!r} (at /mode)" in err
+
+
+def monomial_path(d, x=(), b=()):
+    """A symbolic path document: diagonal d = [(c, e), ...], X zero and B
+    the identity but for the entries {(i, j): (c, e)} in x and b."""
+    g = len(d)
+    xs = [[{"c": 0}] * g for _ in range(g)]
+    bs = [[{"c": int(i == j)} for j in range(g)] for i in range(g)]
+    for (i, j), (c, e) in dict(x).items():
+        xs[i][j] = xs[j][i] = {"c": c, "e": e}
+    for (i, j), (c, e) in dict(b).items():
+        bs[i][j] = {"c": c, "e": e}
+    return {"X": xs, "B": bs, "D": [{"c": c, "e": e} for c, e in d]}
+
+
 class TestCollapse:
+    @pytest.mark.parametrize(
+        "doc, r, entries",
+        [
+            # X11 = s, D = (s, 2s)
+            (monomial_path([(1, 1), (2, 1)], x={(0, 0): (1, 1)}), 0, [["4/3", 0], [0, "8/3"]]),
+            # B12 = s, D = (s, s^3)
+            (monomial_path([(1, 1), (1, 3)], b={(0, 1): (1, 1)}), 1, [[4]]),
+        ],
+        ids=["diverging-X", "diverging-B-outside-the-tail"],
+    )
+    def test_entry_the_limit_does_not_read_may_diverge(self, capsys, tmp_path, doc, r, entries):
+        code, out, _ = run_main(capsys, "collapse", write_doc(tmp_path, "p.json", doc))
+        assert code == 0
+        result = json.loads(out)
+        assert result["r"] == r
+        assert result["limit"]["gram"]["entries"] == entries
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            # D = (s^2, s) with B12 = 1/3: the limit exists, but the path
+            # is not in a fundamental set
+            (monomial_path([(1, 2), (1, 1)], b={(0, 1): ("1/3", 0)}), "d-ordering: d[0] outgrows d[1]"),
+            (
+                monomial_path([(1, 1), (1, 1)], b={(0, 1): ("1/7", 1)}),
+                "bounded-entry: B[0][1] diverges; no limit exists",
+            ),
+        ],
+        ids=["d-ordering", "diverging-B-in-the-tail"],
+    )
+    def test_refused_path_is_precondition_failure(self, capsys, tmp_path, doc, message):
+        code, out, err = run_main(capsys, "collapse", write_doc(tmp_path, "p.json", doc))
+        assert code == 3
+        assert out == ""
+        assert message in err
+
     def test_symbolic(self, capsys, tmp_path):
         doc = {
             "g": 2,
@@ -289,6 +359,14 @@ class TestVolumeAndInjrad:
         result = json.loads(out)
         assert result["euclidean_rank"] == 1
         assert result["torus_part"]["gram"]["entries"] == [["1/2", 0], [0, 2]]
+
+    def test_volume_limit_with_diverging_x_outside_the_torus(self, capsys, tmp_path):
+        doc = monomial_path([(1, 0), (1, 1)], x={(0, 0): ("1/3", 0), (0, 1): ("1/7", 1)})
+        code, out, _ = run_main(capsys, "volume-limit", write_doc(tmp_path, "p.json", doc))
+        assert code == 0
+        result = json.loads(out)
+        assert result["euclidean_rank"] == 1
+        assert result["torus_part"]["gram"]["entries"] == [[1, "1/3"], ["1/3", "10/9"]]
 
     def test_injrad_limit(self, capsys, tmp_path):
         doc = {"a": [1], "r": 0}
@@ -683,6 +761,79 @@ class TestRoundTrips:
         )
         assert code == 0
         IncidenceComplex.from_json_dict(doc)
+
+
+# (codec, worked example, its "input" or "output", keys down to the document)
+CODEC_DOCUMENTS = [
+    (MonomialEntry, "collapse", "input", ("D", 1)),
+    (SymbolicSiegelPath, "collapse", "input", ()),
+    (SymbolicSiegelPath, "volume-limit", "input", ()),
+    (QuadraticForm, "volume-limit", "output", ("torus_part", "gram")),
+    (QuadraticForm, "av-limit", "output", ("samples", 0, "gram")),
+    (FlatTorus, "collapse", "output", ("limit",)),
+    (FlatTorus, "torelli-check", "output", ("av_side",)),
+    (SiegelPoint, "reduce", "input", ()),
+    (SiegelPoint, "reduce", "output", ("point",)),
+    (WeightedMetricGraph, "trop-jac", "input", ()),
+    (WeightedMetricGraph, "curve-limit", "output", ("graph",)),
+    (TropicalAV, "trop-jac", "output", ()),
+    (AVFamily, "av-limit", "input", ()),
+    (CurveFamily, "curve-limit", "input", ()),
+    (CurveFamily, "torelli-check", "input", ()),
+    (IncidenceComplex, "dual-complex", "input", ()),
+]
+
+
+def worked_example_documents(stem, tmp_path):
+    """{"input": ..., "output": ...}: the JSON documents of a worked example."""
+    page = next(p for p in COMMAND_PAGES if p.stem == stem)
+    _, path, stdout = worked_example(page, tmp_path)
+    with open(path, encoding="utf-8") as f:
+        return {"input": json.load(f), "output": json.loads(stdout)}
+
+
+def assert_round_trips(codec, doc):
+    # reading what a value prints gives a value that prints the same JSON
+    printed = json.dumps(codec.from_json_dict(doc).to_json_dict(), sort_keys=True)
+    again = codec.from_json_dict(json.loads(printed)).to_json_dict()
+    assert json.dumps(again, sort_keys=True) == printed
+
+
+@pytest.mark.parametrize(
+    "codec, stem, side, keys",
+    CODEC_DOCUMENTS,
+    ids=[f"{codec.__name__}-{stem}-{side}" for codec, stem, side, _ in CODEC_DOCUMENTS],
+)
+def test_codec_round_trips_the_worked_examples(tmp_path, codec, stem, side, keys):
+    doc = worked_example_documents(stem, tmp_path)[side]
+    for key in keys:
+        doc = doc[key]
+    assert_round_trips(codec, doc)
+
+
+def test_every_codec_has_a_round_trip_case():
+    exported = (getattr(troplab, name) for name in troplab.__all__)
+    codecs = {v for v in exported if isinstance(v, type) and hasattr(v, "from_json_dict")}
+    assert codecs == {codec for codec, *_ in CODEC_DOCUMENTS}
+
+
+def test_t_convention_path_is_printed_in_s(tmp_path):
+    # every exponent of a "t" document is negated on input
+    s_doc = worked_example_documents("collapse", tmp_path)["input"]
+
+    def flip(m):
+        return {**m, "e": format(-Fraction(m.get("e", 0)))}
+
+    t_doc = {
+        "convention": "t",
+        "X": [[flip(m) for m in row] for row in s_doc["X"]],
+        "B": [[flip(m) for m in row] for row in s_doc["B"]],
+        "D": [flip(m) for m in s_doc["D"]],
+    }
+    read = SymbolicSiegelPath.from_json_dict(t_doc).to_json_dict()
+    assert read == SymbolicSiegelPath.from_json_dict(s_doc).to_json_dict()
+    assert "convention" not in read
+    assert_round_trips(SymbolicSiegelPath, t_doc)
 
 
 @pytest.mark.parametrize("page", COMMAND_PAGES, ids=lambda p: p.stem)

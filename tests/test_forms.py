@@ -133,7 +133,7 @@ class TestQuadraticForm:
         doc = {"n": 1, "mode": "fuzzy", "entries": [[1]]}
         with pytest.raises(SchemaError) as info:
             QuadraticForm.from_json_dict(doc, "")
-        assert info.value.pointer == "/entries"
+        assert info.value.pointer == "/mode"
 
     @pytest.mark.parametrize("n", [True, 1.0, "1"], ids=["bool", "float", "str"])
     def test_json_size_must_be_an_integer(self, n):

@@ -14,9 +14,13 @@ from troplab import (
     classify_collapse_symbolic,
     fixed_injrad_limit,
     fixed_volume_limit,
+    is_equivalent,
     is_homothetic,
+    lll_reduce,
+    metric_matrix,
     product_collapse_reduce,
     rescale_to_diameter_one,
+    siegel_reduce,
 )
 
 from helpers import seeded
@@ -32,6 +36,19 @@ def diag_path(*entries):
     return SymbolicSiegelPath.diagonal([mono(c, e) for c, e in entries])
 
 
+def frame_path(d, x=(), b=()):
+    """The path with diagonal d = [(c, e), ...] whose X is zero and B the
+    identity but for the entries {(i, j): (c, e)} given in x and b."""
+    g = len(d)
+    xs = [[mono(0)] * g for _ in range(g)]
+    bs = [[mono(int(i == j)) for j in range(g)] for i in range(g)]
+    for (i, j), entry in dict(x).items():
+        xs[i][j] = xs[j][i] = mono(*entry)
+    for (i, j), entry in dict(b).items():
+        bs[i][j] = mono(*entry)
+    return SymbolicSiegelPath(xs, bs, [mono(*entry) for entry in d])
+
+
 def sample_points(path, exponents_of_ten=range(1, 9)):
     return [path.point_at(F(10) ** k) for k in exponents_of_ten]
 
@@ -43,8 +60,10 @@ class TestMonomialEntry:
     def test_limit_values(self):
         assert mono(3, -2).limit() == 0
         assert mono(3, 0).limit() == 3
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError, match="entry diverges; no limit exists"):
             mono(3, 1).limit()
+        with pytest.raises(PreconditionError, match=r"X\[0\]\[1\] diverges"):
+            mono(3, 1).limit("X[0][1]")
 
     def test_reparametrize_scales_exponent(self):
         assert mono(2, F(1, 2)).reparametrized(4) == mono(2, 2)
@@ -63,13 +82,40 @@ class TestPathValidation:
         with pytest.raises(PreconditionError):
             classify_collapse_symbolic(path)
 
-    def test_diverging_frame_rejected(self):
-        x = [[mono(1, 1)]]
-        b = [[mono(1, 0)]]
-        d = [mono(1, 1)]
-        path = SymbolicSiegelPath(x, b, d)
-        with pytest.raises(PreconditionError):
-            classify_collapse_symbolic(path)
+    def test_diverging_x_still_collapses_to_the_circle(self):
+        # X never enters a collapse: X = s, D = s is the circle (r = 0)
+        path = frame_path([(1, 1)], x={(0, 0): (1, 1)})
+        res = classify_collapse_symbolic(path)
+        assert (res.r, res.collapsed, res.profile) == (0, True, (F(1),))
+        assert res.limit.gram == QuadraticForm([[4]])
+        space = fixed_volume_limit(path)
+        assert (space.euclidean_rank, space.torus_part) == (1, None)
+
+    @pytest.mark.parametrize(
+        "limit, path, entry",
+        [
+            # the fractional part of B_12 = s / 7 oscillates in the tail
+            (classify_collapse_symbolic, frame_path([(1, 1), (1, 1)], b={(0, 1): (F(1, 7), 1)}), "B[0][1]"),
+            # no direction diverges, so the limit reads all of X
+            (classify_collapse_symbolic, frame_path([(1, 0), (1, 0)], x={(1, 1): (1, 1)}), "X[1][1]"),
+            # the converging torus of the first two directions reads X_22
+            (fixed_volume_limit, frame_path([(1, 0), (1, 0), (1, 1)], x={(1, 1): (1, 1)}), "X[1][1]"),
+        ],
+        ids=["collapse-B-in-the-tail", "collapse-X-of-a-bounded-path", "volume-X-in-the-torus"],
+    )
+    def test_diverging_entry_the_limit_reads_is_refused(self, limit, path, entry):
+        with pytest.raises(PreconditionError) as info:
+            limit(path)
+        assert info.value.invariant == "bounded-entry"
+        assert f"{entry} diverges; no limit exists" in str(info.value)
+
+    @pytest.mark.parametrize("limit", [classify_collapse_symbolic, fixed_volume_limit])
+    def test_d_ordering_is_checked_before_any_entry(self, limit):
+        # fails d-ordering and has a diverging X entry that both limits read
+        path = frame_path([(1, 2), (1, 1)], x={(0, 0): (1, 1)})
+        with pytest.raises(PreconditionError) as info:
+            limit(path)
+        assert info.value.invariant == "d-ordering"
 
     def test_nonpositive_diagonal_rejected(self):
         with pytest.raises(PreconditionError):
@@ -117,6 +163,19 @@ class TestSymbolicCollapse:
                 assert again.r == base.r
                 assert again.profile == base.profile
                 assert again.limit.gram == base.limit.gram
+
+    def test_diverging_x_drops_out(self):
+        # X11 = s, D = (s, 2s): the limit of X = 0, diag(1/2, 1) rescaled
+        res = classify_collapse_symbolic(frame_path([(1, 1), (2, 1)], x={(0, 0): (1, 1)}))
+        assert (res.r, res.profile) == (0, (F(1, 2), F(1)))
+        assert res.limit.gram == QuadraticForm([[F(4, 3), 0], [0, F(8, 3)]])
+
+    def test_diverging_b_outside_the_tail_drops_out(self):
+        # B12 = s, D = (s, s^3): the first direction collapses, so only
+        # B's 1 x 1 tail is read and the limit is the circle
+        res = classify_collapse_symbolic(frame_path([(1, 1), (1, 3)], b={(0, 1): (1, 1)}))
+        assert (res.r, res.profile) == (1, (F(1),))
+        assert res.limit.gram == QuadraticForm([[4]])
 
     def test_abelian_block_does_not_change_class(self):
         small = classify_collapse_symbolic(diag_path((1, 0), (1, 1)))
@@ -180,6 +239,14 @@ class TestFixedVolume:
         space = fixed_volume_limit(diag_path((1, 1), (1, 2)))
         assert space.torus_part is None
         assert space.euclidean_rank == 2
+
+    def test_diverging_x_outside_the_block(self):
+        # X = [[1/3, s/7], [s/7, 0]], D = (1, s): the torus of X11 = 1/3,
+        # Y11 = 1 times R
+        path = frame_path([(1, 0), (1, 1)], x={(0, 0): (F(1, 3), 0), (0, 1): (F(1, 7), 1)})
+        space = fixed_volume_limit(path)
+        assert space.euclidean_rank == 1
+        assert space.torus_part.gram == QuadraticForm([[1, F(1, 3)], [F(1, 3), F(10, 9)]])
 
     def test_nothing_diverges(self):
         space = fixed_volume_limit(diag_path((3, 0)))
@@ -368,3 +435,85 @@ class TestCollapseOracle:
             assert matrix_product(y, top_right) == x
             x_yinv_x = matrix_product(x, top_right)
             assert [[p - q for p, q in zip(u, v)] for u, v in zip(bottom_right, x_yinv_x)] == y
+
+
+def projected_gram(gram, drop, keep):
+    """Gram of the basis vectors keep projected orthogonally off the span of
+    the vectors drop: elimination of drop's rows leaves the Schur complement."""
+    idx = list(drop) + list(keep)
+    m = [[F(gram[i][j]) for j in idx] for i in idx]
+    for p in range(len(drop)):
+        for i in range(p + 1, len(idx)):
+            f = m[i][p] / m[p][p]
+            m[i] = [v - f * w for v, w in zip(m[i], m[p])]
+    return [row[len(drop):] for row in m[len(drop):]]
+
+
+class TestSampledRoutes:
+    """Paths whose X and B diverge outside the entries a limit reads,
+    against sampled points: Siegel-reduced samples through the numeric
+    classifier for the collapse, and for the fixed-volume torus the LLL-
+    reduced metric matrix with its g - r shortest vectors projected out."""
+
+    @staticmethod
+    def wild_path(rng, exps, read):
+        """Integer d exponents exps; an entry (i, j) of X or B ("X", i, j)
+        may diverge unless read says the limit reads it."""
+        g = len(exps)
+
+        def entry(name, i, j):
+            e = rng.choice([-1, 0]) if read(name, i, j) else rng.choice([-1, 0, 1, 2])
+            return mono(F(rng.randint(-5, 5), rng.randint(2, 4)), e)
+
+        x = [[None] * g for _ in range(g)]
+        for i in range(g):
+            for j in range(i, g):
+                x[i][j] = x[j][i] = entry("X", i, j)
+        b = [[entry("B", i, j) if j > i else mono(int(i == j)) for j in range(g)] for i in range(g)]
+        d = [mono(F(rng.randint(4, 8), 4), e) for e in exps]
+        return SymbolicSiegelPath(x, b, d)
+
+    @staticmethod
+    def diverges(path):
+        return any(m.exponent > 0 for rows in (path.x, path.b) for row in rows for m in row)
+
+    def test_collapse(self):
+        rng = seeded(31)
+        wild = 0
+        for _ in range(16):
+            g = rng.randint(2, 4)
+            r = rng.randint(0, g - 1)
+            top = rng.randint(1, 2)
+            exps = sorted(rng.randint(0, top - 1) for _ in range(r)) + [top] * (g - r)
+            # a collapse reads B's block on the surviving directions only
+            path = self.wild_path(rng, exps, lambda name, i, j: name == "B" and i >= r)
+            wild += self.diverges(path)
+            sym = classify_collapse_symbolic(path)
+            samples = []
+            for k in range(3, 13):
+                z, _, ok = siegel_reduce(path.point_at(F(10) ** k + F(1, 3)))
+                assert ok
+                samples.append(z)
+            num = classify_collapse_numeric(samples)
+            assert (num.r, num.collapsed) == (sym.r, True)
+            assert is_equivalent(num.limit.gram, sym.limit.gram, tol=1e-4) is not None
+        assert wild > 0
+
+    def test_volume_limit(self):
+        rng = seeded(37)
+        wild = 0
+        for _ in range(16):
+            g = rng.randint(2, 4)
+            r = rng.randint(1, g - 1)
+            exps = [0] * r + sorted(rng.randint(1, 2) for _ in range(g - r))
+            # the torus reads the upper-left r x r blocks of X and B only
+            path = self.wild_path(rng, exps, lambda name, i, j: i < r and j < r)
+            wild += self.diverges(path)
+            space = fixed_volume_limit(path)
+            assert space.euclidean_rank == g - r
+            for s in (F(10) ** 9 + F(1, 3), F(10) ** 11 + F(2, 7)):
+                gram, _ = lll_reduce(metric_matrix(path.point_at(s)))
+                order = sorted(range(2 * g), key=lambda i: gram.entries[i][i])
+                block = projected_gram(gram.entries, order[: g - r], order[g - r : g + r])
+                assert is_equivalent(QuadraticForm(block), space.torus_part.gram, tol=1e-4) is not None
+        assert wild > 0

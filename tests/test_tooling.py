@@ -155,6 +155,27 @@ def test_only_rationals_reads_scalars_as_integer_ratios():
     assert found == [], found
 
 
+def test_only_rationals_reads_the_mode_of_a_document():
+    # one reading of a document's arithmetic mode: rationals.parse_mode
+    def reads_mode(node):
+        if isinstance(node, ast.Subscript):
+            key = node.slice
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            key = node.args[0] if node.func.attr == "get" and node.args else None
+        else:
+            return False
+        return isinstance(key, ast.Constant) and key.value == "mode"
+
+    found = [
+        f"{module}:{node.lineno}"
+        for module, tree in library_trees().items()
+        if module != "rationals.py"
+        for node in ast.walk(tree)
+        if reads_mode(node)
+    ]
+    assert found == [], found
+
+
 def test_every_module_level_import_is_used():
     # an import that nothing in its module names is dead; __init__.py
     # imports to re-export
