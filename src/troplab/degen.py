@@ -15,7 +15,10 @@ from typing import TYPE_CHECKING, List, NamedTuple, Sequence
 
 from .errors import PreconditionError, SchemaError
 from .forms import FlatTorus, QuadraticForm, is_homothetic, rescale_to_diameter_one
-from .rationals import parse_array, parse_integer, parse_matrix, parse_object, parse_size
+from .rationals import (
+    as_list, coerce_integer, coerce_vector, parse_array, parse_integer, parse_matrix, parse_object,
+    parse_size,
+)
 from .tropical import (
     WeightedMetricGraph,
     first_betti,
@@ -128,13 +131,11 @@ class CurveFamily:
     __slots__ = ("graph", "multiplicities")
 
     def __init__(self, graph: WeightedMetricGraph, multiplicities: Sequence[int]):
-        mult = []
-        for k, m in enumerate(multiplicities):
-            if not isinstance(m, int) or isinstance(m, bool) or m < 1:
-                raise PreconditionError(
-                    "positive-multiplicity", f"multiplicity of edge {k} must be >= 1"
-                )
-            mult.append(m)
+        given = as_list(multiplicities, "positive-multiplicity", "multiplicities must be an array")
+        mult = [
+            coerce_integer(m, "positive-multiplicity", f"multiplicity of edge {k} must be >= 1", 1)
+            for k, m in enumerate(given)
+        ]
         if len(mult) != len(graph.edges):
             raise PreconditionError(
                 "multiplicity-count",
@@ -226,9 +227,7 @@ def collar_length(t, c_star: float) -> float:
     2 log(-log|t|).
     """
     at = abs(t)
-    if not isinstance(c_star, (int, float)) or isinstance(c_star, bool):
-        raise PreconditionError("collar-range", "c_star must be a real number")
-    c_star = float(c_star)
+    (c_star,), _ = coerce_vector([c_star], "float", "c_star")
     # c_star < 1 first: the 4th power of a large c_star overflows
     if not (0.0 < c_star < 1.0 and 0.0 < at < c_star**4):
         raise PreconditionError(

@@ -19,7 +19,10 @@ from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import PreconditionError, SchemaError
-from .rationals import as_list, format_rational, parse_integer, parse_object, parse_rows
+from .rationals import (
+    as_list, coerce_integer, coerce_vector, format_rational, parse_integer, parse_object,
+    parse_rows,
+)
 
 
 def downward_closure(sets: Iterable[Iterable[int]]) -> FrozenSet[FrozenSet[int]]:
@@ -43,8 +46,7 @@ class IncidenceComplex:
     __slots__ = ("n", "strata")
 
     def __init__(self, n: int, strata: Iterable[Iterable[int]]):
-        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-            raise PreconditionError("divisor-count", "n must be a positive integer")
+        coerce_integer(n, "divisor-count", "n must be a positive integer", low=1)
         packed = set()
         for s in as_list(strata, "divisor-range", "strata must be an array of divisor id sets"):
             try:
@@ -56,10 +58,7 @@ class IncidenceComplex:
             if not fs:
                 raise PreconditionError("nonempty-stratum", "strata must be nonempty")
             for i in fs:
-                if not isinstance(i, int) or isinstance(i, bool) or not 1 <= i <= n:
-                    raise PreconditionError(
-                        "divisor-range", f"divisor id {i!r} outside 1..{n}"
-                    )
+                coerce_integer(i, "divisor-range", f"divisor id {i!r} outside 1..{n}", 1, n)
             packed.add(fs)
         for s in packed:
             for x in s:
@@ -301,16 +300,14 @@ def quotient_complex(c: DualComplex, a: GroupAction) -> DualComplex:
     labels of its representative's subchains, looked up.  The cost is
     |chains| x |generators| image tuples, not |orbits| x |G|.
     """
+    what = "quotients apply to stratum-labeled complexes from dual_complex"
     strata = []
     for d, labels in c.cells.items():
         for lab in labels:
-            if not isinstance(lab, tuple) or not all(
-                isinstance(x, int) and not isinstance(x, bool) for x in lab
-            ):
-                raise PreconditionError(
-                    "stratum-cells",
-                    "quotients apply to stratum-labeled complexes from dual_complex",
-                )
+            if not isinstance(lab, tuple):
+                raise PreconditionError("stratum-cells", what)
+            for x in lab:
+                coerce_integer(x, "stratum-cells", what)
             if len(lab) != d + 1:
                 raise PreconditionError("stratum-cells", "label size must match dimension")
             strata.append(lab)
@@ -395,9 +392,10 @@ class GluingFunction(enum.Enum):
         Log weighs each order by its share m_i / sum m; LogLog sees every
         scale log(m_i L) ~ log L and weighs them uniformly.
         """
+        orders, _ = coerce_vector(orders, "exact", "orders")
         if self is GluingFunction.LOG:
             total = sum(orders)
-            return tuple(Fraction(m) / total for m in orders)
+            return tuple(m / total for m in orders)
         return tuple(Fraction(1, len(orders)) for _ in orders)
 
 
@@ -417,23 +415,11 @@ class MonomialPathChart(_MonomialPathChartFields):
     __slots__ = ()
 
     def __new__(cls, complex: IncidenceComplex, exponents: Sequence):
-        exps = []
-        for i, m in enumerate(as_list(exponents, "exact-exponents", "exponents must be an array")):
-            if isinstance(m, float):
-                raise PreconditionError(
-                    "exact-exponents", "exponents must be exact rationals"
-                )
-            try:
-                m = Fraction(m)
-            except (TypeError, ValueError):
-                raise PreconditionError(
-                    "exact-exponents", f"exponent {i + 1} is not an exact rational: {m!r}"
-                )
+        given = as_list(exponents, "exact-exponents", "exponents must be an array")
+        exps, _ = coerce_vector(given, "exact", "exponents")
+        for i, m in enumerate(exps):
             if m < 0:
-                raise PreconditionError(
-                    "nonnegative-exponents", f"exponent {i + 1} is negative"
-                )
-            exps.append(m)
+                raise PreconditionError("nonnegative-exponents", f"exponent {i + 1} is negative")
         if len(exps) != complex.n:
             raise PreconditionError(
                 "exponent-count", f"expected {complex.n} exponents, got {len(exps)}"
@@ -563,29 +549,21 @@ def pushforward_map(m: Sequence[Sequence[int]], x: Sequence) -> Tuple[Fraction, 
     whole support is killed the image path never reaches the boundary
     and the map is undefined there.
     """
-    coords = []
-    for i, c in enumerate(x):
-        if isinstance(c, float):
-            raise PreconditionError("exact-coordinates", "coordinates must be exact")
-        c = Fraction(c)
+    coords, _ = coerce_vector(x, "exact", "coordinates")
+    for i, c in enumerate(coords):
         if c < 0:
-            raise PreconditionError(
-                "barycentric-coordinates", f"coordinate {i} is negative"
-            )
-        coords.append(c)
+            raise PreconditionError("barycentric-coordinates", f"coordinate {i} is negative")
     if sum(coords) != 1:
         raise PreconditionError("barycentric-coordinates", "coordinates must sum to 1")
-    rows = [list(r) for r in m]
+    rows = [as_list(r, "matrix-shape", "matrix rows must be arrays")
+            for r in as_list(m, "matrix-shape", "the matrix must be an array of rows")]
     if not rows or any(len(r) != len(coords) for r in rows):
         raise PreconditionError(
             "matrix-shape", "matrix columns must match the coordinate count"
         )
     for r in rows:
         for v in r:
-            if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-                raise PreconditionError(
-                    "nonnegative-integer-matrix", "entries must be integers >= 0"
-                )
+            coerce_integer(v, "nonnegative-integer-matrix", "entries must be integers >= 0", low=0)
     y = [sum(Fraction(r[j]) * coords[j] for j in range(len(coords))) for r in rows]
     total = sum(y)
     if total == 0:

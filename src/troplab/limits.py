@@ -15,8 +15,8 @@ from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 from .errors import PreconditionError, SchemaError
 from .forms import FlatTorus, JacobiDecomposition, LimitSpace, rescale_to_diameter_one
 from .rationals import (
-    Scalar, coerce_vector, format_rational, format_scalar, parse_array, parse_object,
-    parse_rational, parse_rows, parse_size,
+    Scalar, coerce_integer, coerce_vector, format_rational, format_scalar, parse_array,
+    parse_object, parse_rational, parse_rows, parse_size,
 )
 from .siegel import SiegelPoint, default_u0, in_siegel_set, jacobi_decompose, metric_matrix
 
@@ -35,9 +35,8 @@ class MonomialEntry(_MonomialEntryFields):
     __slots__ = ()
 
     def __new__(cls, coefficient=Fraction(0), exponent=Fraction(0)):
-        c = Fraction(coefficient)
-        e = Fraction(exponent) if c != 0 else Fraction(0)
-        return tuple.__new__(cls, (c, e))
+        (c, e), _ = coerce_vector([coefficient, exponent], "exact", "monomial (c, e)")
+        return tuple.__new__(cls, (c, e if c != 0 else Fraction(0)))
 
     @property
     def is_zero(self) -> bool:
@@ -97,6 +96,8 @@ class SymbolicSiegelPath:
 
     def __init__(self, x, b, d):
         g = len(d)
+        if g < 1:
+            raise PreconditionError("positive-genus", "D must be nonempty: a path needs g >= 1")
         x = [list(r) for r in x]
         b = [list(r) for r in b]
         if len(x) != g or any(len(r) != g for r in x):
@@ -293,6 +294,11 @@ def classify_collapse_symbolic(path: SymbolicSiegelPath) -> CollapseResult:
     return CollapseResult(r=r, profile=tuple(a[r:]), limit=torus, collapsed=True)
 
 
+def _settled(tail: Sequence[float], tol: float) -> bool:
+    """Whether the values of tail agree within tol * max(1, the last one)."""
+    return max(tail) - min(tail) <= tol * max(1.0, tail[-1])
+
+
 def classify_collapse_numeric(
     samples: Sequence[SiegelPoint], tol: float = 1e-3, u=None
 ) -> CollapseResult:
@@ -300,9 +306,10 @@ def classify_collapse_numeric(
 
     Requires at least 8 samples inside the fundamental set at slack u.
     Divergence of the top diagonal: strictly increasing over the last
-    three samples and at least doubled overall.  A direction is collapsed
-    when its ratio tail is below tol and decreasing; a non-collapsed tail
-    must have settled within tol or the classification refuses.
+    three samples and at least doubled overall; otherwise those three
+    values must have settled within tol.  A direction is collapsed when
+    its ratio tail is below tol and decreasing; any other ratio tail must
+    have settled within tol.  An unsettled tail fails `oscillating-ratios`.
     """
     samples = list(samples)
     if len(samples) < 8:
@@ -325,13 +332,18 @@ def classify_collapse_numeric(
     }
     tail = d_top[-3:]
     diverging = tail[0] < tail[1] < tail[2] and d_top[-1] >= 2 * d_top[0]
+    if not diverging and not _settled(tail, tol):
+        raise PreconditionError(
+            "oscillating-ratios",
+            f"d_{g} neither diverges nor settles within tol; no limit classified",
+        )
     collapsed_flags = [False] * g
     if diverging:
         for j in range(g):
             t3 = ratios[j + 1][-3:]
             if max(t3) < tol and t3[0] > t3[1] > t3[2]:
                 collapsed_flags[j] = True
-            elif not max(t3) - min(t3) <= tol * max(1.0, t3[-1]):
+            elif not _settled(t3, tol):
                 raise PreconditionError(
                     "oscillating-ratios",
                     f"ratio d_{j + 1}/d_{g} oscillates beyond tol; no subsequence classified",
@@ -385,8 +397,7 @@ def fixed_injrad_limit(a: Sequence, r: int, u0=None) -> LimitSpace:
     g = len(a)
     if g == 0:
         raise PreconditionError("positive-genus", "profile must be nonempty")
-    if not 0 <= r < g:
-        raise PreconditionError("rank-range", "need 0 <= r < g")
+    coerce_integer(r, "rank-range", "need 0 <= r < g", 0, g - 1)
     if u0 is None:
         u0 = default_u0(g)
     if not 1 < u0 * a[0]:

@@ -128,6 +128,16 @@ def as_list(values, invariant: str, what: str) -> list:
         raise PreconditionError(invariant, f"{what}, not a {type(values).__name__}") from None
 
 
+def coerce_integer(value, invariant: str, what: str, low=None, high=None) -> int:
+    """value, if it is an int but not a bool, in [low, high] where given;
+    any other value fails the invariant, with what saying what it must be."""
+    if isinstance(value, bool) or not isinstance(value, int) or not (
+        (low is None or low <= value) and (high is None or value <= high)
+    ):
+        raise PreconditionError(invariant, what)
+    return value
+
+
 def coerce_vector(
     values: Sequence, mode: Optional[str] = None, name: str = "entries"
 ) -> Tuple[List[Scalar], str]:
@@ -137,8 +147,10 @@ def coerce_vector(
     in exact mode raises ModeMixError, since converting it silently would
     hide that it was rounded; a float entry must be finite, or it fails the
     `finite` precondition naming name[j], as does an exact value past the
-    double range.  An entry that is no number fails `numeric-entries`.
+    double range.  Values that are not an array, or an entry that is no
+    number, fail `numeric-entries`.
     """
+    values = as_list(values, "numeric-entries", f"{name} must be an array")
     has_float = any(isinstance(x, float) for x in values)
     if mode is None:
         mode = "float" if has_float else "exact"

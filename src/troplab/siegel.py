@@ -19,14 +19,14 @@ from . import _linalg as la
 from .errors import NotPositiveDefiniteError, PreconditionError
 from .forms import FlatTorus, QuadraticForm, jacobi_decompose, lll_reduce
 from .rationals import (
-    coerce_matrix, format_scalar, nearest_int, parse_matrix, parse_mode, parse_object, parse_size
+    coerce_integer, coerce_matrix, format_scalar, nearest_int, parse_matrix, parse_mode,
+    parse_object, parse_size,
 )
 
 
 def default_u0(g: int) -> int:
     """Default fundamental-set slack: 2 in genus 1, 2^g above."""
-    if g < 1:
-        raise PreconditionError("positive-genus", "g must be >= 1")
+    coerce_integer(g, "positive-genus", "g must be >= 1", low=1)
     return 2 if g == 1 else 2**g
 
 

@@ -31,8 +31,8 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 from .errors import ModeMixError, PreconditionError, SchemaError
 from .forms import FlatTorus, QuadraticForm, cube_sign_walk
 from .rationals import (
-    Scalar, as_integers, coerce_vector, format_scalar, parse_array, parse_integer, parse_matrix,
-    parse_mode, parse_object, parse_scalar, quotient,
+    Scalar, as_integers, coerce_integer, coerce_vector, format_scalar, parse_array, parse_integer,
+    parse_matrix, parse_mode, parse_object, parse_scalar, quotient,
 )
 
 
@@ -56,10 +56,8 @@ class WeightedMetricGraph:
                 "graph-shape", "vertices must be (id, weight) pairs, edges (u, v, length) triples"
             ) from None
         for vid, w in verts:
-            if isinstance(w, bool) or not isinstance(w, int) or w < 0:
-                raise PreconditionError(
-                    "vertex-weight", f"weight of vertex {vid!r} must be a nonnegative integer"
-                )
+            what = f"weight of vertex {vid!r} must be a nonnegative integer"
+            coerce_integer(w, "vertex-weight", what, low=0)
         if not verts:
             raise PreconditionError("nonempty-graph", "a graph needs at least one vertex")
         pos = {}

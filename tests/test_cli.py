@@ -692,6 +692,33 @@ class TestExitCodes:
 
 
 
+def _found_samples():
+    """g = 2 float points whose top diagonal 2 s^2, at s = 10^k for
+    k = 1, 3, 2, 5, 4, 7, 6, 8, neither grows nor settles at the end."""
+    out = []
+    for k in (1, 3, 2, 5, 4, 7, 6, 8):
+        s = 10.0**k
+        out.append({"g": 2, "mode": "float", "X": [[-0.5, -1 / s], [-1 / s, -0.25]],
+                    "Y": [[1.5 * s, 0.0], [0.0, 2 * s * s]]})
+    return out
+
+
+@pytest.mark.parametrize(
+    "command, doc, reason",
+    [
+        ("collapse", {"X": [], "B": [], "D": []}, "positive-genus"),
+        ("volume-limit", {"X": [], "B": [], "D": []}, "positive-genus"),
+        ("collapse", {"samples": _found_samples()}, "oscillating-ratios"),
+    ],
+    ids=["collapse-empty-path", "volume-limit-empty-path", "collapse-unsettled-samples"],
+)
+def test_path_with_no_limit_is_precondition_failure(capsys, tmp_path, command, doc, reason):
+    code, out, err = run_main(capsys, command, write_doc(tmp_path, "p.json", doc))
+    assert code == 3
+    assert out == ""
+    assert f"precondition failed: {reason}:" in err
+
+
 class TestDeterminismAndLogging:
     def test_byte_identical_output(self):
         doc = json.dumps(CURVE_FAMILY)

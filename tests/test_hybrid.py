@@ -4,7 +4,9 @@ from fractions import Fraction
 import pytest
 
 from troplab import (
+    CurveFamily,
     GluingFunction,
+    MonomialEntry,
     WeightedMetricGraph,
     GroupAction,
     HybridLimit,
@@ -14,8 +16,11 @@ from troplab import (
     QuadraticForm,
     SchemaError,
     SiegelPoint,
+    collar_length,
+    default_u0,
     downward_closure,
     dual_complex,
+    fixed_injrad_limit,
     hybrid_limit,
     pushforward_map,
     quotient_complex,
@@ -145,7 +150,7 @@ class TestGroupAction:
         (lambda: IncidenceComplex(2, [[[1]]]), "divisor-range"),
         (lambda: GroupAction(segment(), [[1, [2]]]), "permutation"),
         (lambda: GroupAction.from_generators(segment(), [[1, [2]]]), "permutation"),
-        (lambda: MonomialPathChart(segment(), [[1], 0]), "exact-exponents"),
+        (lambda: MonomialPathChart(segment(), [[1], 0]), "numeric-entries"),
         (lambda: GroupAction(segment(), [(1, 2), (2.0, 1.0)]), "permutation"),
         (lambda: GroupAction.from_generators(segment(), [(2.0, 1.0)]), "permutation"),
         (lambda: GroupAction(segment(), [(True, 2)]), "permutation"),
@@ -157,10 +162,29 @@ class TestGroupAction:
         (lambda: WeightedMetricGraph([("a", 0)], [("a", "a")]), "graph-shape"),
         (lambda: QuadraticForm([[1, 0], None]), "numeric-entries"),
         (lambda: MonomialPathChart(segment(), None), "exact-exponents"),
+        (lambda: MonomialPathChart(segment(), [0.5, 0]), "matching-arithmetic-modes"),
+        (lambda: MonomialEntry(0.1, 1), "matching-arithmetic-modes"),
+        (lambda: MonomialEntry(0, "x"), "numeric-entries"),
+        (lambda: pushforward_map([[1]], ["1/0"]), "numeric-entries"),
+        (lambda: pushforward_map([[1]], [1.0]), "matching-arithmetic-modes"),
+        (lambda: pushforward_map([None], [1]), "matrix-shape"),
+        (lambda: pushforward_map([[True]], [1]), "nonnegative-integer-matrix"),
+        (lambda: CurveFamily(two_loops(), 2.5), "positive-multiplicity"),
+        (lambda: fixed_injrad_limit([1, 2], 1.5), "rank-range"),
+        (lambda: fixed_injrad_limit([1, 2], True), "rank-range"),
+        (lambda: default_u0(1.5), "positive-genus"),
+        (lambda: GluingFunction.LOG.weights([1, 0.5]), "matching-arithmetic-modes"),
+        (lambda: collar_length(0.001, math.nan), "finite"),
+        (lambda: collar_length(0.001, "x"), "numeric-entries"),
+        (lambda: WeightedMetricGraph([("a", 1.0)], []), "vertex-weight"),
     ],
     ids=["graph-endpoint", "graph-vertex", "stratum", "action", "generators", "exponent",
          "action-float", "generators-float", "action-bool", "form", "siegel", "graph-length",
-         "vertex-not-a-pair", "vertex-triple", "edge-pair", "form-row", "exponents"],
+         "vertex-not-a-pair", "vertex-triple", "edge-pair", "form-row", "exponents",
+         "exponent-float", "monomial-float", "monomial-exponent", "coordinate-string",
+         "coordinate-float", "matrix-row", "matrix-bool", "multiplicities", "rank-float",
+         "rank-bool", "genus-float", "orders-float", "c-star-nan", "c-star-string",
+         "vertex-weight-float"],
 )
 def test_malformed_constructor_entry_is_a_precondition_failure(build, invariant):
     # each used to escape as a TypeError, ValueError or IndexError from
@@ -170,8 +194,14 @@ def test_malformed_constructor_entry_is_a_precondition_failure(build, invariant)
     assert info.value.invariant == invariant
 
 
-# each public constructor with valid arguments, as nested lists whose
-# nodes the sweep below replaces one at a time
+def two_loops():
+    """One vertex with two loops: a stable genus-2 dual graph."""
+    return WeightedMetricGraph([("a", 0)], [("a", "a", 1), ("a", "a", 1)])
+
+
+# each public constructor or function that reads its arguments, with valid
+# arguments, as nested lists whose nodes the sweep below replaces one at a
+# time
 CONSTRUCTORS = {
     "QuadraticForm": (QuadraticForm, ([[2, 1], [1, 2]],)),
     "QuadraticForm-float": (QuadraticForm, ([[2.0, 1.0], [1.0, 2.0]],)),
@@ -185,6 +215,13 @@ CONSTRUCTORS = {
         lambda g: GroupAction.from_generators(segment(), g), ([[2, 1]],)
     ),
     "MonomialPathChart": (lambda m: MonomialPathChart(segment(), m), ([1, 2],)),
+    "MonomialEntry": (MonomialEntry, (1, 2)),
+    "CurveFamily": (lambda m: CurveFamily(two_loops(), m), ([1, 2],)),
+    "pushforward_map": (pushforward_map, ([[1, 0], [0, 1]], [1, 0])),
+    "fixed_injrad_limit": (fixed_injrad_limit, ([1, 2], 1)),
+    # a genus of 10**400 is valid, but its slack 2**(10**400) never finishes
+    "default_u0": (lambda g: g == 10**400 or default_u0(g), (2,)),
+    "GluingFunction.LOG.weights": (GluingFunction.LOG.weights, ([1, 2],)),
 }
 BAD_ENTRIES = [None, [1], "x", 2.5, True, math.nan, 10**400]
 

@@ -82,6 +82,11 @@ class TestPathValidation:
         with pytest.raises(PreconditionError):
             classify_collapse_symbolic(path)
 
+    def test_empty_path_is_refused(self):
+        with pytest.raises(PreconditionError) as info:
+            SymbolicSiegelPath([], [], [])
+        assert info.value.invariant == "positive-genus"
+
     def test_diverging_x_still_collapses_to_the_circle(self):
         # X never enters a collapse: X = s, D = s is the circle (r = 0)
         path = frame_path([(1, 1)], x={(0, 0): (1, 1)})
@@ -216,6 +221,17 @@ class TestNumericCollapse:
         assert not num.collapsed
         assert num.report is not None
         assert not num.report.diverging
+
+    def test_samples_that_neither_diverge_nor_settle_are_refused(self):
+        # the top diagonal 2 s^2 at s = 10^k, k = 1, 3, 2, 5, 4, 7, 6, 8:
+        # its last three values fall and rise, so the last sample is no limit
+        samples = []
+        for k in (1, 3, 2, 5, 4, 7, 6, 8):
+            s = 10.0**k
+            x = [[-0.5, -1 / s], [-1 / s, -0.25]]
+            samples.append(SiegelPoint(x, QuadraticForm([[1.5 * s, 0.0], [0.0, 2 * s * s]])))
+        with pytest.raises(PreconditionError, match="oscillating-ratios: d_2 neither diverges"):
+            classify_collapse_numeric(samples)
 
     def test_report_shape(self):
         path = diag_path((2, 0), (1, 1))

@@ -155,6 +155,26 @@ def test_only_rationals_reads_scalars_as_integer_ratios():
     assert found == [], found
 
 
+def test_only_rationals_checks_for_bool():
+    # one reading of integer arguments: rationals.coerce_integer, which
+    # refuses a bool where an integer is required
+    found = [
+        f"{module}:{node.lineno}"
+        for module, tree in library_trees().items()
+        if module != "rationals.py"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "isinstance"
+        and len(node.args) == 2
+        and any(
+            isinstance(t, ast.Name) and t.id == "bool"
+            for t in ast.walk(node.args[1])
+        )
+    ]
+    assert found == [], found
+
+
 def test_only_rationals_reads_the_mode_of_a_document():
     # one reading of a document's arithmetic mode: rationals.parse_mode
     def reads_mode(node):
