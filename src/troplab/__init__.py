@@ -8,13 +8,18 @@ graphs, and hybrid boundary limits of monomial path charts.
 Importing the package loads none of its submodules.  Each public name,
 and each submodule named in the table below, is imported on first
 access, so a CLI command or a script pays only for the modules it uses.
+The submodules read one another the same way where a path should not
+pay for a module it may never run: degen reads forms and tropical, and
+forms and tropical read the lattice search, as attributes of the package.
 """
 
 from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-# submodule -> the public names it defines; __all__ keeps this order
+# submodule -> the public names read from it; __all__ keeps this order.
+# forms resolves shortest_vector, is_equivalent and is_homothetic from the
+# lattice search, which loads only then
 _EXPORTS = {
     "errors": (
         "TroplabError",
@@ -97,6 +102,7 @@ _EXPORTS = {
         "tropicalize",
         "pushforward_map",
     ),
+    "lattice": (),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

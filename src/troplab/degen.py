@@ -8,27 +8,29 @@ curve family is a stable dual graph with a node multiplicity per edge;
 its metric limit forgets the multiplicities (all edges become equal),
 while the hybrid limit keeps them as projective weights.  The collar
 integral measures the hyperbolic length across a plumbing annulus.
+
+The module joins two sides, and each reads its library modules through
+the package, which loads a submodule on its first access: the abelian
+side loads forms, the curve side tropical, and the Torelli comparison
+the lattice search too.  The collar needs none of them.
 """
 
 import math
 from typing import TYPE_CHECKING, List, NamedTuple, Sequence
 
+import troplab
+
 from .errors import PreconditionError, SchemaError
-from .forms import FlatTorus, QuadraticForm, is_homothetic, rescale_to_diameter_one
 from .rationals import (
     as_list, coerce_integer, coerce_vector, parse_array, parse_integer, parse_matrix, parse_object,
     parse_size,
 )
-from .tropical import (
-    WeightedMetricGraph,
-    first_betti,
-    rescale_graph_to_diameter_one,
-    torelli,
-)
 
 if TYPE_CHECKING:
-    # an annotation only; the hybrid module loads when a gluing is built
+    # annotations only; each module loads with the side that runs it
+    from .forms import FlatTorus
     from .hybrid import GluingFunction
+    from .tropical import WeightedMetricGraph
 
 TWO_PI = 2 * math.pi
 
@@ -47,16 +49,16 @@ class AVFamily:
     __slots__ = ("valuation_matrix", "abelian_block")
 
     def __init__(self, valuation_matrix, abelian_block=None):
-        if not isinstance(valuation_matrix, QuadraticForm):
-            valuation_matrix = QuadraticForm(valuation_matrix, "exact")
+        if not isinstance(valuation_matrix, troplab.forms.QuadraticForm):
+            valuation_matrix = troplab.forms.QuadraticForm(valuation_matrix, "exact")
         if valuation_matrix.mode != "exact":
             raise PreconditionError(
                 "exact-valuations", "valuation matrices are exact rationals"
             )
         if valuation_matrix.n < 1:
             raise PreconditionError("torus-rank", "need at least one degenerating direction")
-        if abelian_block is not None and not isinstance(abelian_block, QuadraticForm):
-            abelian_block = QuadraticForm(abelian_block)
+        if abelian_block is not None and not isinstance(abelian_block, troplab.forms.QuadraticForm):
+            abelian_block = troplab.forms.QuadraticForm(abelian_block)
         self.valuation_matrix = valuation_matrix
         self.abelian_block = abelian_block
 
@@ -84,7 +86,7 @@ class AVFamily:
             for i, row in enumerate(rows):
                 if len(row) != len(rows):
                     raise SchemaError("matrix must be square", f"{pointer}/{key}/{i}")
-            return QuadraticForm(rows, "exact")
+            return troplab.forms.QuadraticForm(rows, "exact")
 
         m = square("M")
         parse_size(obj, "r", m.n, "M", pointer)
@@ -92,12 +94,12 @@ class AVFamily:
         return cls(m, block)
 
 
-def av_family_limit(fam: AVFamily) -> FlatTorus:
+def av_family_limit(fam: AVFamily) -> "FlatTorus":
     """Diameter-1 torus of the valuation matrix; the abelian block drops out."""
-    return rescale_to_diameter_one(fam.valuation_matrix)
+    return troplab.forms.rescale_to_diameter_one(fam.valuation_matrix)
 
 
-def av_family_numeric_oracle(fam: AVFamily, t_samples: Sequence[float]) -> List[FlatTorus]:
+def av_family_numeric_oracle(fam: AVFamily, t_samples: Sequence[float]) -> List["FlatTorus"]:
     """Rescaled metric tori sampled along the family at the given t.
 
     With monomial period entries of order M[i][j], the imaginary part of
@@ -114,7 +116,7 @@ def av_family_numeric_oracle(fam: AVFamily, t_samples: Sequence[float]) -> List[
             raise PreconditionError("t-range", f"sample {k} must lie in (0, 1)")
         scale = -math.log(t) / TWO_PI
         y = [[x * scale for x in row] for row in mfloat]
-        out.append(rescale_to_diameter_one(QuadraticForm(y, "float")))
+        out.append(troplab.forms.rescale_to_diameter_one(troplab.forms.QuadraticForm(y, "float")))
     return out
 
 
@@ -130,7 +132,7 @@ class CurveFamily:
 
     __slots__ = ("graph", "multiplicities")
 
-    def __init__(self, graph: WeightedMetricGraph, multiplicities: Sequence[int]):
+    def __init__(self, graph: "WeightedMetricGraph", multiplicities: Sequence[int]):
         given = as_list(multiplicities, "positive-multiplicity", "multiplicities must be an array")
         mult = [
             coerce_integer(m, "positive-multiplicity", f"multiplicity of edge {k} must be >= 1", 1)
@@ -141,20 +143,19 @@ class CurveFamily:
                 "multiplicity-count",
                 f"expected {len(graph.edges)} multiplicities, got {len(mult)}",
             )
-        genus = first_betti(graph) + graph.weight_sum()
-        if genus >= 2:
-            for vid, w in graph.vertices:
-                if w == 0 and graph.valence(vid) < 3:
-                    raise PreconditionError(
-                        "stable-dual-graph",
-                        f"weight-0 vertex {vid!r} has valence < 3 in a genus-{genus} graph",
-                    )
+        genus = troplab.tropical.first_betti(graph) + graph.weight_sum()
+        unstable = troplab.tropical.unstable_vertices(graph) if genus >= 2 else []
+        if unstable:
+            raise PreconditionError(
+                "stable-dual-graph",
+                f"weight-0 vertex {unstable[0]!r} has valence < 3 in a genus-{genus} graph",
+            )
         self.graph = graph
         self.multiplicities = tuple(mult)
 
     @property
     def genus(self) -> int:
-        return first_betti(self.graph) + self.graph.weight_sum()
+        return troplab.tropical.first_betti(self.graph) + self.graph.weight_sum()
 
     def to_json_dict(self) -> dict:
         return {
@@ -173,7 +174,7 @@ class CurveFamily:
             return {"len": 1, **parse_object(e, (), at, "edge needs 'u', 'v', and 'len'")}
 
         edges = parse_array(raw.get("edges", []), edge, here + "/edges", "edges must be a list")
-        graph = WeightedMetricGraph.from_json_dict({**raw, "edges": edges}, here)
+        graph = troplab.tropical.WeightedMetricGraph.from_json_dict({**raw, "edges": edges}, here)
         mult = parse_array(obj["multiplicities"], parse_integer, pointer + "/multiplicities")
         return cls(graph, mult)
 
@@ -186,28 +187,29 @@ def _require_edges(fam: CurveFamily):
         )
 
 
-def _with_lengths(fam: CurveFamily, lengths: Sequence) -> WeightedMetricGraph:
+def _with_lengths(fam: CurveFamily, lengths: Sequence) -> "WeightedMetricGraph":
     """The dual graph of the family with exact edge lengths."""
-    return WeightedMetricGraph(
+    return troplab.tropical.WeightedMetricGraph(
         fam.graph.vertices,
         [(u, v, l) for (u, v, _), l in zip(fam.graph.edges, lengths)],
         "exact",
     )
 
 
-def curve_family_gh_limit(fam: CurveFamily) -> WeightedMetricGraph:
+def curve_family_gh_limit(fam: CurveFamily) -> "WeightedMetricGraph":
     """Metric limit: all edges the same length, diameter 1.
 
     The multiplicities cancel out of the rescaled limit, which is why
     the answer depends only on the dual graph.
     """
     _require_edges(fam)
-    return rescale_graph_to_diameter_one(_with_lengths(fam, [1] * len(fam.graph.edges)))
+    unit = _with_lengths(fam, [1] * len(fam.graph.edges))
+    return troplab.tropical.rescale_graph_to_diameter_one(unit)
 
 
 def curve_family_hybrid_limit(
     fam: CurveFamily, gluing: "GluingFunction"
-) -> WeightedMetricGraph:
+) -> "WeightedMetricGraph":
     """Limit dual graph with projectivized edge lengths (summing to 1).
 
     Plain log keeps the multiplicities as weights; iterated log forgets
@@ -240,8 +242,8 @@ def collar_length(t, c_star: float) -> float:
 class TorelliComparison(NamedTuple):
     """Both limit tori of a curve family and whether they agree."""
 
-    gh_side: FlatTorus
-    av_side: FlatTorus
+    gh_side: "FlatTorus"
+    av_side: "FlatTorus"
     continuous: bool
 
     def to_json_dict(self) -> dict:
@@ -265,7 +267,7 @@ def torelli_family_compare(fam: CurveFamily) -> TorelliComparison:
     They agree only for special multiplicity patterns.  A tree fails
     `positive-genus` in torelli.
     """
-    gh_side = torelli(_with_lengths(fam, [1] * len(fam.graph.edges)))
-    av_side = torelli(_with_lengths(fam, fam.multiplicities))
-    continuous = is_homothetic(gh_side.gram, av_side.gram) is not None
+    gh_side = troplab.tropical.torelli(_with_lengths(fam, [1] * len(fam.graph.edges)))
+    av_side = troplab.tropical.torelli(_with_lengths(fam, fam.multiplicities))
+    continuous = troplab.lattice.is_homothetic(gh_side.gram, av_side.gram) is not None
     return TorelliComparison(gh_side, av_side, continuous)

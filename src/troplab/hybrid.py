@@ -15,13 +15,14 @@ exponents, iterated log washes the exponents out entirely.
 
 import enum
 import math
+import sys
 from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import PreconditionError, SchemaError
 from .rationals import (
-    as_list, coerce_integer, coerce_vector, format_rational, parse_integer, parse_object,
-    parse_rows,
+    as_integers, as_list, coerce_integer, coerce_vector, format_rational, parse_integer,
+    parse_object, parse_rows,
 )
 
 
@@ -196,7 +197,7 @@ class GroupAction:
             if t not in seen:
                 seen.add(t)
                 elems.append(t)
-        ident = tuple(range(1, n + 1))
+        ident = _identity(n)
         if ident not in seen:
             raise PreconditionError("group-identity", "identity permutation missing")
         # Grow the subgroup of generators picked greedily from the list;
@@ -229,7 +230,7 @@ class GroupAction:
 
     @classmethod
     def trivial(cls, inc: IncidenceComplex) -> "GroupAction":
-        return cls(inc, [tuple(range(1, inc.n + 1))])
+        return cls(inc, [_identity(inc.n)])
 
     @classmethod
     def from_generators(cls, inc: IncidenceComplex, generators: Iterable[Sequence[int]]) -> "GroupAction":
@@ -238,7 +239,7 @@ class GroupAction:
         n = inc.n
         given = as_list(generators, "permutation", "generators must be an array of permutations")
         gens = [_permutation(g, n) for g in given]
-        closure = {tuple(range(1, n + 1))}
+        closure = {_identity(n)}
         for _ in _grow(closure, gens):
             if len(closure) >= 40320:  # 8! guard against huge groups
                 raise PreconditionError(
@@ -258,6 +259,17 @@ def _permutation(p, n: int) -> Tuple[int, ...]:
     except TypeError:  # p is not iterable, or an entry does not compare with integers
         pass
     raise PreconditionError("permutation", f"{p!r} is not a permutation of 1..{n}")
+
+
+def _identity(n: int) -> Tuple[int, ...]:
+    """The identity of 1..n, listed entry by entry as every element of an
+    action is; an n longer than any sequence fails before one is built."""
+    if n > sys.maxsize:
+        raise PreconditionError(
+            "permutation-degree",
+            f"an action lists its elements as permutations of 1..n, so n must be <= {sys.maxsize}",
+        )
+    return tuple(range(1, n + 1))
 
 
 def _grow(group: set, gens: Sequence[Tuple[int, ...]]) -> Iterator[Tuple[int, ...]]:
@@ -392,11 +404,15 @@ class GluingFunction(enum.Enum):
         Log weighs each order by its share m_i / sum m; LogLog sees every
         scale log(m_i L) ~ log L and weighs them uniformly.
         """
-        orders, _ = coerce_vector(orders, "exact", "orders")
+        # the orders over one denominator, so each test and share is on ints
+        nums, _ = as_integers(coerce_vector(orders, "exact", "orders")[0])
+        for i, m in enumerate(nums):
+            if m <= 0:
+                raise PreconditionError("positive-order", f"orders[{i}] must be > 0")
         if self is GluingFunction.LOG:
-            total = sum(orders)
-            return tuple(m / total for m in orders)
-        return tuple(Fraction(1, len(orders)) for _ in orders)
+            total = sum(nums)
+            return tuple(Fraction(m, total) for m in nums)
+        return tuple(Fraction(1, len(nums)) for _ in nums)
 
 
 class _MonomialPathChartFields(NamedTuple):

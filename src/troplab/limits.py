@@ -15,7 +15,7 @@ from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 from .errors import PreconditionError, SchemaError
 from .forms import FlatTorus, JacobiDecomposition, LimitSpace, rescale_to_diameter_one
 from .rationals import (
-    Scalar, coerce_integer, coerce_vector, format_rational, format_scalar, parse_array,
+    Scalar, as_list, coerce_integer, coerce_vector, format_rational, format_scalar, parse_array,
     parse_object, parse_rational, parse_rows, parse_size,
 )
 from .siegel import SiegelPoint, default_u0, in_siegel_set, jacobi_decompose, metric_matrix
@@ -81,6 +81,13 @@ class MonomialEntry(_MonomialEntryFields):
 CONSTANT_ONE = MonomialEntry(Fraction(1), Fraction(0))
 
 
+def _square_rows(m, name: str) -> list:
+    """The rows of the matrix argument m as new lists; m or a row that is
+    not an array fails `shape-match`."""
+    what = f"{name} must be a g x g array of monomials"
+    return [as_list(r, "shape-match", what) for r in as_list(m, "shape-match", what)]
+
+
 class SymbolicSiegelPath:
     """Monomial path assembled from X, the Jacobi frame B, and diagonal D.
 
@@ -95,11 +102,11 @@ class SymbolicSiegelPath:
     __slots__ = ("g", "x", "b", "d")
 
     def __init__(self, x, b, d):
+        d = as_list(d, "shape-match", "D must be an array of monomials")
         g = len(d)
         if g < 1:
             raise PreconditionError("positive-genus", "D must be nonempty: a path needs g >= 1")
-        x = [list(r) for r in x]
-        b = [list(r) for r in b]
+        x, b = _square_rows(x, "X"), _square_rows(b, "B")
         if len(x) != g or any(len(r) != g for r in x):
             raise PreconditionError("shape-match", "X must be g x g")
         if len(b) != g or any(len(r) != g for r in b):

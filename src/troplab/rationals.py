@@ -239,6 +239,14 @@ def past_double(
     )
 
 
+def exponent_split(x: Fraction, n: int) -> Tuple[float, int]:
+    """(y, k) with x = 2^(kn) y and y a double near 1, for an exact x > 0
+    of any size: 2^k y^(1/n) is then the n-th root of x, with the root
+    taken in floats and only the final ldexp able to overflow."""
+    k = (x.numerator.bit_length() - x.denominator.bit_length()) // n
+    return float(x / Fraction(2) ** (k * n)), k
+
+
 def round_half_away(num: int, den: int) -> int:
     """num / den (den > 0) rounded to the nearest integer, half away from 0."""
     q, r = divmod(abs(num), den)

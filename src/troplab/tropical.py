@@ -28,8 +28,10 @@ the tent of u_f does; _integer_diameter gives the derivation.
 import operator
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
+import troplab
+
 from .errors import ModeMixError, PreconditionError, SchemaError
-from .forms import FlatTorus, QuadraticForm, cube_sign_walk
+from .forms import FlatTorus, QuadraticForm
 from .rationals import (
     Scalar, as_integers, coerce_integer, coerce_vector, format_scalar, parse_array, parse_integer,
     parse_matrix, parse_mode, parse_object, parse_scalar, quotient,
@@ -158,11 +160,15 @@ def first_betti(graph: WeightedMetricGraph) -> int:
     return len(graph.edges) - len(graph.vertices) + 1
 
 
+def unstable_vertices(graph: WeightedMetricGraph) -> list:
+    """Ids of the weight-0 vertices of valence < 3, in vertex order: a
+    stable type has none."""
+    return [vid for vid, w in graph.vertices if w == 0 and graph.valence(vid) < 3]
+
+
 def is_stable_type(graph: WeightedMetricGraph, g: int) -> bool:
-    """Genus count b1 + sum of weights equals g, and weight-0 vertices have valence >= 3."""
-    if first_betti(graph) + graph.weight_sum() != g:
-        return False
-    return all(w > 0 or graph.valence(vid) >= 3 for vid, w in graph.vertices)
+    """Genus count b1 + sum of weights equals g, and no vertex is unstable."""
+    return first_betti(graph) + graph.weight_sum() == g and not unstable_vertices(graph)
 
 
 def genus_condition_counting_leaves(graph: WeightedMetricGraph, g: int) -> bool:
@@ -418,15 +424,18 @@ def torelli(graph: WeightedMetricGraph) -> FlatTorus:
     series, and the maximum puts their terms in line, so with Q = den J
     and L_k the integer length of class k
         mu^2 = max_s b^T adj(Q) b / (4 det(Q) den),   b = sum_k s_k L_k c_k,
-    the edge-cube sign walk of forms.cube_sign_walk, which also gives
+    the edge-cube sign walk of lattice.cube_sign_walk, which also gives
     covering_radius_sq its blocks of dimension 3 (an obtuse superbase
     makes such a block a weighted K4 Laplacian); the Voronoi cell serves
-    dimension >= 4 only.  The walk visits all 2^(k-1) sign vectors of the
-    k classes, so each further class doubles the time.  The torus
+    dimension >= 4 only.  The walk is the one part of the lattice search
+    a graph needs, so the search loads (troplab.__getattr__) when a
+    Torelli torus is first asked for, and not with the graphs.  The walk
+    visits all 2^(k-1) sign vectors of the k classes, so each further
+    class doubles the time.  The torus
     J / mu^2 = 4 det(Q) Q / max is formed once: an exact Fraction, or for a
     float graph its exact copy's torus rounded once per entry.
     """
     classes, gram, _ = _integer_jacobian(graph)
-    det, best = cube_sign_walk(classes, gram)
+    det, best = troplab.lattice.cube_sign_walk(classes, gram)
     rows = [[quotient(graph.mode, 4 * det * x, best) for x in r] for r in gram]
     return FlatTorus(QuadraticForm(rows, graph.mode))

@@ -17,9 +17,9 @@ import pytest
 import troplab
 from troplab.cli import main
 
-from helpers import ROOT
+from helpers import ROOT, run_probe
 
-SUBMODULES = ("forms", "siegel", "limits", "tropical", "degen", "hybrid", "cli")
+SUBMODULES = ("forms", "lattice", "siegel", "limits", "tropical", "degen", "hybrid", "cli")
 SEED = 1
 
 
@@ -51,8 +51,12 @@ def _traced(span):
 
 def test_tracer_wraps_every_layer_and_puts_it_back(bench):
     modules = [importlib.import_module(f"troplab.{name}") for name in SUBMODULES]
-    before = [dict(vars(m)) for m in modules]
     names = bench["spans"].SPAN_NAMES
+    # forms keeps each name of the lattice search once it is first read,
+    # so every traced name is read before the namespaces are compared
+    for span in names:
+        _traced(span)
+    before = [dict(vars(m)) for m in modules]
     tracer = bench["spans"].Tracer()
     tracer.install()
     try:
@@ -91,3 +95,23 @@ def test_cli_examples_match_their_stored_output(bench, capsys, monkeypatch):
         if code != 0 or not bench["oracles"].same_value(json.loads(out), d["expected"], d["tol"]):
             wrong.append((d["command"], code))
     assert wrong == []
+
+
+SETUP_LOADS = """
+import sys
+sys.dont_write_bytecode = True
+sys.path.insert(0, %r)
+import calls, troplab, workloads
+calls.build(workloads.generate(sys.argv[1], %d, 0), troplab)
+print(" ".join(sorted(m for m in sys.modules if m.startswith("troplab."))))
+"""
+
+
+@pytest.mark.parametrize("workload", ["exact-lattice", "sampled-float"])
+def test_setup_loads_no_search_module(workload):
+    # building a workload's inputs, as a fresh benchmark set-up process
+    # does, compiles no lattice search
+    loaded = run_probe(SETUP_LOADS % (str(ROOT / "bench"), SEED), workload)[0].split()
+    assert "troplab.lattice" not in loaded
+    assert "troplab.forms" in loaded
+

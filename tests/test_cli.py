@@ -486,6 +486,15 @@ class TestComplexCommands:
         assert out == ""
         assert "precondition failed: permutation:" in err
 
+    def test_dual_complex_huge_n_with_an_empty_action(self, capsys, tmp_path):
+        # the trivial group's identity would list n entries: refused
+        # before one is built (it escaped as an OverflowError)
+        doc = {"n": 10**400, "strata": [[1]], "action": []}
+        code, out, err = run_main(capsys, "dual-complex", write_doc(tmp_path, "c.json", doc))
+        assert code == 3
+        assert out == ""
+        assert "precondition failed: permutation-degree:" in err
+
     @pytest.mark.parametrize(
         "coordinate, code",
         [("NaN", 3), ("Infinity", 3), ("-Infinity", 3), ("1" * 400, 3), ("[1, NaN]", 3),
@@ -1035,19 +1044,20 @@ def test_mistyped_leaf_is_schema_error_at_the_leaf(capsys, tmp_path, page):
     assert missed == []
 
 
-# the library modules each command runs, with what they import
+# the library modules each command runs, with what they import; only the
+# Torelli comparison runs the lattice search
 _SIEGEL = {"forms", "siegel"}
 _LIMITS = {"forms", "siegel", "limits"}
-_DEGEN = {"forms", "tropical", "degen"}
+_CURVE = {"forms", "tropical", "degen"}
 COMMAND_MODULES = {
     "reduce": _SIEGEL,
     "collapse": _LIMITS,
     "volume-limit": _LIMITS,
     "injrad-limit": _LIMITS,
-    "av-limit": _DEGEN,
-    "curve-limit": _DEGEN,
-    "torelli-check": _DEGEN,
-    "collar": _DEGEN,
+    "av-limit": {"forms", "degen"},
+    "curve-limit": _CURVE,
+    "torelli-check": _CURVE | {"lattice"},
+    "collar": {"degen"},
     "trop-jac": {"forms", "tropical"},
     "dual-complex": {"hybrid"},
     "hybrid-limit": {"hybrid"},
@@ -1060,5 +1070,5 @@ def test_worked_example_loads_only_the_modules_it_runs(tmp_path, page):
     command, path, _ = worked_example(page, tmp_path)
     code, loaded = loaded_submodules(command, path)
     assert code == 0
-    library = {"forms", "siegel", "limits", "tropical", "degen", "hybrid"}
+    library = {"forms", "lattice", "siegel", "limits", "tropical", "degen", "hybrid"}
     assert loaded & library == COMMAND_MODULES[command]

@@ -19,6 +19,7 @@ from troplab import (
     curve_family_hybrid_limit,
     graph_diameter,
     is_homothetic,
+    is_stable_type,
     torelli_family_compare,
     tropical_jacobian,
 )
@@ -140,9 +141,10 @@ class TestCurveFamily:
             [("a", 0), ("b", 0)],
             [("a", "a", F(1)), ("a", "a", F(1)), ("a", "b", F(1))],
         )
-        with pytest.raises(PreconditionError) as info:
+        with pytest.raises(PreconditionError, match="vertex 'b' has valence < 3") as info:
             CurveFamily(g, [1, 1, 1])
         assert info.value.invariant == "stable-dual-graph"
+        assert not is_stable_type(g, 2)
 
     def test_genus_one_loop_accepted(self):
         fam = CurveFamily(loop_graph(1), [3])

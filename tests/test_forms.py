@@ -30,7 +30,7 @@ from troplab import (
     torelli,
     tropical_jacobian,
 )
-from troplab import forms
+from troplab import forms, lattice
 
 from helpers import (
     a_n_gram,
@@ -608,9 +608,24 @@ class TestVoronoiCoveringRadius:
             assert got == float(covering_radius_sq(f.to_exact()))
 
 
+@pytest.mark.parametrize(
+    "name", ["shortest_vector", "is_equivalent", "is_homothetic", "cube_sign_walk"]
+)
+def test_search_names_resolve_here_from_the_lattice_module(name):
+    assert getattr(forms, name) is getattr(lattice, name)
+    assert name in dir(forms)
+
+
+def test_other_names_are_missing():
+    with pytest.raises(AttributeError, match="_enumerate_up_to"):
+        forms._enumerate_up_to
+    with pytest.raises(ImportError):
+        from troplab.forms import no_such_name  # noqa: F401
+
+
 def voronoi_search(form):
     """The Voronoi search run directly on the form's integer Gram, unreduced."""
-    return forms._voronoi_covering_radius_sq(form._gram, form._minors, form._lam, form._den)
+    return lattice._voronoi_covering_radius_sq(form._gram, form._minors, form._lam, form._den)
 
 
 class TestPlanarCoveringRadius:
@@ -678,7 +693,7 @@ class TestSellingCoveringRadius:
         def refuse(g, d, lam, den):
             raise AssertionError(f"Voronoi search on a block of dimension {len(g)}")
 
-        monkeypatch.setattr(forms, "_voronoi_covering_radius_sq", refuse)
+        monkeypatch.setattr(lattice, "_voronoi_covering_radius_sq", refuse)
         assert covering_radius_sq(QuadraticForm(a_n_gram(3))) == 1
         assert covering_radius_sq(I3.transform(SHEAR3)) == F(3, 4)
         assert covering_radius_sq(QuadraticForm(K4_JACOBIAN)) == F(5, 4)

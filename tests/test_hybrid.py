@@ -16,6 +16,7 @@ from troplab import (
     QuadraticForm,
     SchemaError,
     SiegelPoint,
+    SymbolicSiegelPath,
     collar_length,
     default_u0,
     downward_closure,
@@ -174,6 +175,13 @@ class TestGroupAction:
         (lambda: fixed_injrad_limit([1, 2], True), "rank-range"),
         (lambda: default_u0(1.5), "positive-genus"),
         (lambda: GluingFunction.LOG.weights([1, 0.5]), "matching-arithmetic-modes"),
+        (lambda: GluingFunction.LOG.weights([1, -1]), "positive-order"),
+        (lambda: GluingFunction.LOGLOG.weights([0, 1]), "positive-order"),
+        (lambda: SymbolicSiegelPath(None, [[MonomialEntry(1)]], [MonomialEntry(1)]), "shape-match"),
+        # the identity of 1..n is refused before it is built: tuple() of
+        # that range overflowed
+        (lambda: GroupAction.trivial(IncidenceComplex(10**400, [[1]])), "permutation-degree"),
+        (lambda: GroupAction(IncidenceComplex(10**400, [[1]]), []), "permutation-degree"),
         (lambda: collar_length(0.001, math.nan), "finite"),
         (lambda: collar_length(0.001, "x"), "numeric-entries"),
         (lambda: WeightedMetricGraph([("a", 1.0)], []), "vertex-weight"),
@@ -183,7 +191,9 @@ class TestGroupAction:
          "vertex-not-a-pair", "vertex-triple", "edge-pair", "form-row", "exponents",
          "exponent-float", "monomial-float", "monomial-exponent", "coordinate-string",
          "coordinate-float", "matrix-row", "matrix-bool", "multiplicities", "rank-float",
-         "rank-bool", "genus-float", "orders-float", "c-star-nan", "c-star-string",
+         "rank-bool", "genus-float", "orders-float", "orders-negative", "orders-zero",
+         "path-x-none", "trivial-huge-degree", "no-elements-huge-degree", "c-star-nan",
+         "c-star-string",
          "vertex-weight-float"],
 )
 def test_malformed_constructor_entry_is_a_precondition_failure(build, invariant):
@@ -222,6 +232,15 @@ CONSTRUCTORS = {
     # a genus of 10**400 is valid, but its slack 2**(10**400) never finishes
     "default_u0": (lambda g: g == 10**400 or default_u0(g), (2,)),
     "GluingFunction.LOG.weights": (GluingFunction.LOG.weights, ([1, 2],)),
+    # a MonomialEntry is a tuple, so the sweep reaches its fields too
+    "SymbolicSiegelPath": (
+        SymbolicSiegelPath,
+        (
+            [[MonomialEntry(), MonomialEntry(1)], [MonomialEntry(1), MonomialEntry()]],
+            [[MonomialEntry(1), MonomialEntry(1)], [MonomialEntry(), MonomialEntry(1)]],
+            [MonomialEntry(1, 1), MonomialEntry(2, 1)],
+        ),
+    ),
 }
 BAD_ENTRIES = [None, [1], "x", 2.5, True, math.nan, 10**400]
 

@@ -5,7 +5,7 @@ import pytest
 
 from helpers import COMMAND_PAGES, SRC, loaded_submodules, run_probe, worked_example
 
-SUBMODULES = ("forms", "siegel", "limits", "tropical", "degen", "hybrid")
+SUBMODULES = ("forms", "lattice", "siegel", "limits", "tropical", "degen", "hybrid")
 
 # modules no import path of the library may load: each costs milliseconds
 # on every CLI start
@@ -21,6 +21,21 @@ loaded = {name.partition(".")[0] for name in set(sys.modules) - before}
 print(" ".join(sorted(loaded - set(sys.stdlib_module_names) - {"troplab"})))
 print(" ".join(sorted(loaded & %r)))
 """ % (list(SUBMODULES), SLOW_STDLIB)
+
+BUILD_OBJECTS = """
+import sys
+from troplab import AVFamily, FlatTorus, QuadraticForm, SiegelPoint
+QuadraticForm([[2, -1, 0], [-1, 2, -1], [0, -1, 2]])
+FlatTorus([[1, 0], [0, 1]])
+SiegelPoint([[0, 0], [0, 0]], [[2, 1], [1, 2]])
+AVFamily([[2, -1, 0], [-1, 2, -1], [0, -1, 2]])
+import troplab.forms
+try:
+    troplab.forms.no_such_name
+except AttributeError:
+    pass
+print(" ".join(sorted(m for m in sys.modules if m.startswith("troplab."))))
+"""
 
 IMPORT_CLI = """
 import sys
@@ -48,22 +63,31 @@ def test_import_of_the_cli_loads_no_library_module():
     assert loaded & SLOW_STDLIB == set()
 
 
+def test_building_objects_loads_neither_the_search_nor_tropical():
+    # forms, Siegel points, tori and abelian families, built in a fresh
+    # interpreter, compile no lattice search and no graph code
+    loaded = set(run_probe(BUILD_OBJECTS)[0].split())
+    assert loaded == {
+        f"troplab.{name}" for name in ("_linalg", "errors", "rationals", "forms", "siegel", "degen")
+    }
+
+
 # every troplab submodule that each documented command loads, each one
 # paid for on every CLI start
 _BARE = {"cli", "errors"}
 _FORMS = _BARE | {"_linalg", "forms", "rationals"}
 _SIEGEL = _FORMS | {"siegel"}
 _LIMITS = _SIEGEL | {"limits"}
-_DEGEN = _FORMS | {"tropical", "degen"}
+_CURVE = _FORMS | {"tropical", "degen"}
 COMMAND_SUBMODULES = {
     "reduce": _SIEGEL,
     "collapse": _LIMITS,
     "volume-limit": _LIMITS,
     "injrad-limit": _LIMITS,
-    "av-limit": _DEGEN,
-    "curve-limit": _DEGEN,
-    "torelli-check": _DEGEN,
-    "collar": _DEGEN,
+    "av-limit": _FORMS | {"degen"},
+    "curve-limit": _CURVE,
+    "torelli-check": _CURVE | {"lattice"},
+    "collar": _BARE | {"rationals", "degen"},
     "trop-jac": _FORMS | {"tropical"},
     "dual-complex": _BARE | {"hybrid", "rationals"},
     "hybrid-limit": _BARE | {"hybrid", "rationals"},

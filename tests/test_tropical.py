@@ -20,7 +20,7 @@ from troplab import (
     torelli,
     tropical_jacobian,
 )
-from troplab.tropical import TropicalAV
+from troplab.tropical import TropicalAV, unstable_vertices
 
 from helpers import (
     complete_graph,
@@ -126,6 +126,17 @@ class TestCombinatorics:
         weighted = WeightedMetricGraph([("a", 2)], [])
         assert is_stable_type(weighted, 2)
         assert not is_stable_type(weighted, 3)
+
+    def test_unstable_vertices_are_the_weight_zero_ones_of_valence_below_three(self):
+        # a loop at "a", a weight-1 leaf "b", a weight-0 leaf "c" and a
+        # weight-0 vertex "d" of valence 2 between "a" and "c"
+        g = WeightedMetricGraph(
+            [("a", 0), ("b", 1), ("c", 0), ("d", 0)],
+            [("a", "a", F(1)), ("a", "b", F(1)), ("a", "d", F(1)), ("d", "c", F(1))],
+        )
+        assert unstable_vertices(g) == ["c", "d"]
+        assert not is_stable_type(g, 2)
+        assert unstable_vertices(theta_graph(1, 1, 1)) == []
 
     def test_leaf_counting_variant_differs(self):
         # a weight-1 leaf hanging off a loop: the leaf-counting rule
