@@ -69,7 +69,6 @@ _EXPORTS = {
         "TropicalAV",
         "first_betti",
         "is_stable_type",
-        "genus_condition_counting_leaves",
         "graph_diameter",
         "rescale_graph_to_diameter_one",
         "cycle_basis",

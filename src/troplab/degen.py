@@ -187,15 +187,6 @@ def _require_edges(fam: CurveFamily):
         )
 
 
-def _with_lengths(fam: CurveFamily, lengths: Sequence) -> "WeightedMetricGraph":
-    """The dual graph of the family with exact edge lengths."""
-    return troplab.tropical.WeightedMetricGraph(
-        fam.graph.vertices,
-        [(u, v, l) for (u, v, _), l in zip(fam.graph.edges, lengths)],
-        "exact",
-    )
-
-
 def curve_family_gh_limit(fam: CurveFamily) -> "WeightedMetricGraph":
     """Metric limit: all edges the same length, diameter 1.
 
@@ -203,7 +194,7 @@ def curve_family_gh_limit(fam: CurveFamily) -> "WeightedMetricGraph":
     the answer depends only on the dual graph.
     """
     _require_edges(fam)
-    unit = _with_lengths(fam, [1] * len(fam.graph.edges))
+    unit = fam.graph.with_lengths([1] * len(fam.graph.edges), "exact")
     return troplab.tropical.rescale_graph_to_diameter_one(unit)
 
 
@@ -216,7 +207,7 @@ def curve_family_hybrid_limit(
     them and distributes length uniformly.
     """
     _require_edges(fam)
-    return _with_lengths(fam, gluing.weights(fam.multiplicities))
+    return fam.graph.with_lengths(gluing.weights(fam.multiplicities), "exact")
 
 
 def collar_length(t, c_star: float) -> float:
@@ -267,7 +258,7 @@ def torelli_family_compare(fam: CurveFamily) -> TorelliComparison:
     They agree only for special multiplicity patterns.  A tree fails
     `positive-genus` in torelli.
     """
-    gh_side = troplab.tropical.torelli(_with_lengths(fam, [1] * len(fam.graph.edges)))
-    av_side = troplab.tropical.torelli(_with_lengths(fam, fam.multiplicities))
+    gh_side = troplab.tropical.torelli(fam.graph.with_lengths([1] * len(fam.graph.edges), "exact"))
+    av_side = troplab.tropical.torelli(fam.graph.with_lengths(fam.multiplicities, "exact"))
     continuous = troplab.lattice.is_homothetic(gh_side.gram, av_side.gram) is not None
     return TorelliComparison(gh_side, av_side, continuous)

@@ -30,7 +30,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import troplab
 
-from .errors import ModeMixError, PreconditionError, SchemaError
+from .errors import PreconditionError, SchemaError
 from .forms import FlatTorus, QuadraticForm
 from .rationals import (
     Scalar, as_integers, coerce_integer, coerce_vector, format_scalar, parse_array, parse_integer,
@@ -44,7 +44,9 @@ class WeightedMetricGraph:
     Vertices are (id, weight) pairs with unique hashable ids; edges are
     (u, v, length) triples in a fixed input order that all cycle-space
     coordinates refer to.  Lengths are all Fraction ("exact" mode) or all
-    float ("float"), mirroring QuadraticForm.
+    float ("float"), mirroring QuadraticForm.  The constructor checks the
+    combinatorics once; a length variant (with_lengths, scaled) reads only
+    its new lengths and shares the checked vertices and spanning tree.
     """
 
     __slots__ = ("vertices", "edges", "mode", "_pos", "_tree")
@@ -71,22 +73,18 @@ class WeightedMetricGraph:
         except TypeError:
             raise PreconditionError("unique-vertex-ids", f"vertex id {vid!r} is not hashable")
 
-        lengths, mode = coerce_vector([e[2] for e in edges], mode, "lengths")
-        parsed = []
+        lengths, mode = _positive_lengths([e[2] for e in edges], mode)
         try:
-            for k, ((u, v, _), length) in enumerate(zip(edges, lengths)):
+            for k, (u, v, _) in enumerate(edges):
                 if u not in pos or v not in pos:
                     raise PreconditionError(
                         "edge-endpoints", f"edge {k} references an unknown vertex"
                     )
-                if length <= 0:
-                    raise PreconditionError("positive-length", f"edge {k} has nonpositive length")
-                parsed.append((u, v, length))
         except TypeError:  # an unhashable endpoint
             raise PreconditionError("edge-endpoints", f"edge {k} has an unhashable endpoint")
 
         self.vertices = tuple(verts)
-        self.edges = tuple(parsed)
+        self.edges = tuple((u, v, length) for (u, v, _), length in zip(edges, lengths))
         self.mode = mode
         self._pos = pos
         self._tree = _spanning_tree(self)
@@ -105,15 +103,33 @@ class WeightedMetricGraph:
     def weight_sum(self) -> int:
         return sum(w for _, w in self.vertices)
 
+    def with_lengths(self, lengths: Sequence, mode: Optional[str] = None) -> "WeightedMetricGraph":
+        """The graph with the same vertices, ids and edge endpoints, and
+        these lengths in edge order.
+
+        The lengths are read as the constructor reads them, one per edge;
+        the vertices, the id positions and the spanning tree are shared
+        with this graph, which checked them when it was built.
+        """
+        lengths, mode = _positive_lengths(lengths, mode)
+        if len(lengths) != len(self.edges):
+            raise PreconditionError(
+                "graph-shape",
+                f"expected {len(self.edges)} lengths, one per edge, got {len(lengths)}",
+            )
+        graph = object.__new__(WeightedMetricGraph)
+        graph.vertices, graph._pos, graph._tree = self.vertices, self._pos, self._tree
+        graph.edges = tuple((u, v, length) for (u, v, _), length in zip(self.edges, lengths))
+        graph.mode = mode
+        return graph
+
     def scaled(self, c: Scalar) -> "WeightedMetricGraph":
-        """Same combinatorics with every length multiplied by c > 0."""
+        """Same combinatorics with every length multiplied by c > 0, read
+        in the graph's mode."""
+        (c,), _ = coerce_vector([c], self.mode, "c")
         if c <= 0:
             raise PreconditionError("positive-scale", "scale factor must be > 0")
-        if self.mode == "exact" and isinstance(c, float):
-            raise ModeMixError("float scale on an exact graph; convert lengths first")
-        return WeightedMetricGraph(
-            self.vertices, [(u, v, c * l) for u, v, l in self.edges], self.mode
-        )
+        return self.with_lengths([c * l for _, _, l in self.edges], self.mode)
 
     def to_json_dict(self) -> dict:
         return {
@@ -155,6 +171,16 @@ class WeightedMetricGraph:
         return cls(verts, edges, mode)
 
 
+def _positive_lengths(values: Sequence, mode: Optional[str]) -> Tuple[List[Scalar], str]:
+    """The lengths through rationals.coerce_vector, and the mode; a length
+    <= 0 fails `positive-length`."""
+    lengths, mode = coerce_vector(values, mode, "lengths")
+    for k, length in enumerate(lengths):
+        if length <= 0:
+            raise PreconditionError("positive-length", f"edge {k} has nonpositive length")
+    return lengths, mode
+
+
 def first_betti(graph: WeightedMetricGraph) -> int:
     """Rank of the cycle space: #edges - #vertices + 1 (graph is connected)."""
     return len(graph.edges) - len(graph.vertices) + 1
@@ -169,16 +195,6 @@ def unstable_vertices(graph: WeightedMetricGraph) -> list:
 def is_stable_type(graph: WeightedMetricGraph, g: int) -> bool:
     """Genus count b1 + sum of weights equals g, and no vertex is unstable."""
     return first_betti(graph) + graph.weight_sum() == g and not unstable_vertices(graph)
-
-
-def genus_condition_counting_leaves(graph: WeightedMetricGraph, g: int) -> bool:
-    """Variant genus count that also adds the number of valence-1 vertices.
-
-    Disagrees with is_stable_type's count exactly on graphs with leaves;
-    exposed separately so both conventions stay testable.
-    """
-    v1 = sum(1 for vid, _ in graph.vertices if graph.valence(vid) == 1)
-    return v1 + first_betti(graph) + graph.weight_sum() == g
 
 
 # -- metric realization ----------------------------------------------------
@@ -267,9 +283,7 @@ def rescale_graph_to_diameter_one(graph: WeightedMetricGraph) -> WeightedMetricG
         raise PreconditionError(
             "positive-diameter", "cannot rescale a graph with no edges"
         )
-    edges = [(u, v, quotient(graph.mode, 4 * l, best4))
-             for (u, v, _), l in zip(graph.edges, lengths)]
-    return WeightedMetricGraph(graph.vertices, edges, graph.mode)
+    return graph.with_lengths([quotient(graph.mode, 4 * l, best4) for l in lengths], graph.mode)
 
 
 # -- cycle space -------------------------------------------------------------

@@ -23,6 +23,7 @@ from troplab import (
     torelli_family_compare,
     tropical_jacobian,
 )
+from troplab import tropical
 
 from helpers import (
     collar_quadrature,
@@ -305,3 +306,18 @@ class TestTorelliComparison:
         doc = torelli_family_compare(fam).to_json_dict()
         assert set(doc) == {"gh_side", "av_side", "continuous"}
         assert doc["continuous"] is False
+
+
+def test_a_built_family_builds_no_spanning_tree_again(monkeypatch):
+    # the dual graph's combinatorics is checked once, when the family is
+    # built: every length variant shares its spanning tree
+    built = []
+    spanning_tree = tropical._spanning_tree
+    monkeypatch.setattr(tropical, "_spanning_tree", lambda g: built.append(g) or spanning_tree(g))
+    fam = k4_family([1, 2, 3, 1, 2, 3])
+    assert len(built) == 1
+    curve_family_gh_limit(fam)
+    curve_family_hybrid_limit(fam, GluingFunction.LOG)
+    curve_family_hybrid_limit(fam, GluingFunction.LOGLOG)
+    torelli_family_compare(fam)
+    assert len(built) == 1

@@ -5,6 +5,7 @@ import pytest
 
 from troplab import (
     CurveFamily,
+    DualComplex,
     GluingFunction,
     MonomialEntry,
     WeightedMetricGraph,
@@ -93,6 +94,36 @@ class TestDualComplex:
         dc = dual_complex(IncidenceComplex(1, [[1]]))
         assert dc.counts() == {0: 1}
         assert dc.dimension() == 0
+
+    @pytest.mark.parametrize(
+        "cells, facets, invariant",
+        [
+            ({0: ["a", "a"]}, {}, "unique-cells"),
+            ({0: ["a", "b"], 1: ["a"]}, {"a": ["a", "b"]}, "unique-cells"),
+            ({0: ["a"]}, {"a": ["a"]}, "facet-count"),
+            ({0: ["a", "b"], 1: ["e"]}, {"e": ["a"]}, "facet-count"),
+            ({0: ["a", "b"], 1: ["e"]}, {}, "facet-count"),
+            ({0: ["a", "b"], 1: ["e"]}, {"e": ["a", "x"]}, "facet-dimension"),
+            ({0: ["a", "b", "c"], 2: ["t"]}, {"t": ["a", "b", "c"]}, "facet-dimension"),
+        ],
+        ids=["duplicate-vertex", "label-in-two-dimensions", "vertex-with-facet",
+             "edge-with-one-facet", "edge-with-no-facets", "unknown-facet",
+             "facet-two-dimensions-down"],
+    )
+    def test_malformed_complex_fails_its_invariant(self, cells, facets, invariant):
+        with pytest.raises(PreconditionError) as info:
+            DualComplex(cells, facets)
+        assert info.value.invariant == invariant
+
+    def test_rebuilding_a_computed_complex_changes_nothing(self):
+        segment_flip = GroupAction.from_generators(segment(), [(2, 1)])
+        cyclic = GroupAction.from_generators(simplex(4), [(2, 3, 4, 1)])
+        for dc in (dual_complex(segment()), dual_complex(simplex(4)),
+                   quotient_complex(dual_complex(segment()), segment_flip),
+                   quotient_complex(dual_complex(simplex(4)), cyclic)):
+            back = DualComplex(dc.cells, dc.facets)
+            assert back.cells == dc.cells and back.facets == dc.facets
+            assert back.to_json_dict() == dc.to_json_dict()
 
 
 class TestGroupAction:
@@ -227,6 +258,8 @@ CONSTRUCTORS = {
     "MonomialPathChart": (lambda m: MonomialPathChart(segment(), m), ([1, 2],)),
     "MonomialEntry": (MonomialEntry, (1, 2)),
     "CurveFamily": (lambda m: CurveFamily(two_loops(), m), ([1, 2],)),
+    "WeightedMetricGraph.scaled": (lambda c: two_loops().scaled(c), (2,)),
+    "WeightedMetricGraph.with_lengths": (lambda l: two_loops().with_lengths(l), ([1, 2],)),
     "pushforward_map": (pushforward_map, ([[1, 0], [0, 1]], [1, 0])),
     "fixed_injrad_limit": (fixed_injrad_limit, ([1, 2], 1)),
     # a genus of 10**400 is valid, but its slack 2**(10**400) never finishes

@@ -301,3 +301,24 @@ def test_every_module_level_name_is_used():
                 if (module, target.id) not in used and target.id not in attributes:
                     unused.append(f"{module}:{node.lineno} {target.id}")
     assert unused == [], unused
+
+
+def test_length_variants_go_through_with_lengths():
+    # a graph rebuilt from another graph's vertices re-checks combinatorics
+    # that graph already checked; WeightedMetricGraph.with_lengths shares it
+    def is_graph_constructor(func):
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        return name == "WeightedMetricGraph"
+
+    found = [
+        f"{module}:{node.lineno}"
+        for module, tree in library_trees().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and is_graph_constructor(node.func)
+        and any(
+            isinstance(arg, ast.Attribute) and arg.attr == "vertices"
+            for arg in node.args[:1] + [k.value for k in node.keywords if k.arg == "vertices"]
+        )
+    ]
+    assert found == [], found

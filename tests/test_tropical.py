@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,6 @@ from troplab import (
     covering_radius_sq,
     cycle_basis,
     first_betti,
-    genus_condition_counting_leaves,
     graph_diameter,
     is_equivalent,
     is_stable_type,
@@ -108,6 +108,81 @@ class TestGraphValidation:
         assert back.edges == g.edges
 
 
+def _slots(g):
+    return g.vertices, g.edges, g.mode, g._pos, g._tree
+
+
+class TestLengthVariants:
+    def test_with_lengths_matches_the_constructor(self):
+        # loops and parallel edges, exact and float lengths, each slot
+        # equal to the graph built from scratch
+        rng = seeded(71)
+        for _ in range(60):
+            vertices, edges = random_multigraph(rng)
+            g = WeightedMetricGraph(vertices, edges)
+            exact = [F(rng.randint(1, 9), rng.randint(1, 4)) for _ in edges]
+            floats = [float(x) for x in exact]
+            integers = [rng.randint(1, 5) for _ in edges]
+            for lengths, mode in [(exact, None), (exact, "exact"), (floats, None),
+                                  (exact, "float"), (integers, None)]:
+                rebuilt = WeightedMetricGraph(
+                    g.vertices, [(u, v, l) for (u, v, _), l in zip(g.edges, lengths)], mode
+                )
+                variant = g.with_lengths(lengths, mode)
+                assert _slots(variant) == _slots(rebuilt)
+                assert variant.vertices is g.vertices and variant._tree is g._tree
+
+    @pytest.mark.parametrize(
+        "lengths, mode, invariant",
+        [
+            ([1, 2], None, "graph-shape"),
+            ([1, 2, 3, 4], None, "graph-shape"),
+            ([1, 0, 3], None, "positive-length"),
+            ([1, F(-1, 2), 3], None, "positive-length"),
+            ([1.0, -2.0, 3.0], None, "positive-length"),
+            ([1.0, math.inf, 3.0], None, "finite"),
+            ([1.0, math.nan, 3.0], "float", "finite"),
+            ([1, 2.5, 3], "exact", "matching-arithmetic-modes"),
+            ([1, None, 3], None, "numeric-entries"),
+            (None, None, "numeric-entries"),
+        ],
+    )
+    def test_with_lengths_raises_the_constructors_invariant(self, lengths, mode, invariant):
+        g = theta_graph(1, 2, 3)
+        with pytest.raises(PreconditionError) as info:
+            g.with_lengths(lengths, mode)
+        assert info.value.invariant == invariant
+        if lengths is not None and len(lengths) == len(g.edges):
+            # the constructor on the same lengths fails the same way
+            with pytest.raises(PreconditionError) as built:
+                WeightedMetricGraph(
+                    g.vertices, [(u, v, l) for (u, v, _), l in zip(g.edges, lengths)], mode
+                )
+            assert str(built.value) == str(info.value)
+
+    def test_scaled_reads_its_factor_in_the_graphs_mode(self):
+        g = theta_graph(1, 2, 3)
+        assert g.scaled(2).edges == theta_graph(2, 4, 6).edges
+        assert g.scaled(F(1, 2)).mode == "exact"
+        h = WeightedMetricGraph(g.vertices, [(u, v, float(l)) for u, v, l in g.edges])
+        assert h.scaled(2).edges == tuple((u, v, 2.0 * l) for u, v, l in h.edges)
+        assert h.scaled(F(1, 2)).mode == "float"
+        for graph, c, invariant in [
+            (g, 0, "positive-scale"),
+            (g, F(-1), "positive-scale"),
+            (h, -2.0, "positive-scale"),
+            (g, 2.0, "matching-arithmetic-modes"),
+            (g, None, "numeric-entries"),
+            (g, [1], "numeric-entries"),
+            (g, "x", "numeric-entries"),
+            (h, math.nan, "finite"),
+            (h, 10**400, "finite"),
+        ]:
+            with pytest.raises(PreconditionError) as info:
+                graph.scaled(c)
+            assert info.value.invariant == invariant
+
+
 class TestCombinatorics:
     def test_first_betti(self):
         assert first_betti(loop_graph(1)) == 1
@@ -137,16 +212,6 @@ class TestCombinatorics:
         assert unstable_vertices(g) == ["c", "d"]
         assert not is_stable_type(g, 2)
         assert unstable_vertices(theta_graph(1, 1, 1)) == []
-
-    def test_leaf_counting_variant_differs(self):
-        # a weight-1 leaf hanging off a loop: the leaf-counting rule
-        # adds the 1-valent vertex to the genus bookkeeping
-        g = WeightedMetricGraph(
-            [("a", 0), ("b", 1)],
-            [("a", "a", F(1)), ("a", "b", F(1))],
-        )
-        assert genus_condition_counting_leaves(g, 3)
-        assert not genus_condition_counting_leaves(g, 2)
 
 
 class TestDiameter:
