@@ -38,8 +38,9 @@ import troplab
 from . import _linalg as la
 from .errors import ModeMixError, NotPositiveDefiniteError, PreconditionError
 from .rationals import (
-    Scalar, as_integers, coerce_matrix, exponent_split, format_scalar, parse_matrix, parse_mode,
-    parse_object, parse_size, past_double, quotient, round_half_away,
+    Scalar, as_integers, as_list, coerce_integer, coerce_matrix, coerce_vector, exponent_split,
+    format_scalar, parse_matrix, parse_mode, parse_object, parse_size, past_double, quotient,
+    round_half_away,
 )
 
 # names whose home is the lattice search: each resolves here on first
@@ -58,6 +59,15 @@ def __getattr__(name):
 
 def __dir__():
     return sorted(set(globals()) | set(_SEARCH_NAMES))
+
+
+def integral_rows(mat, name: str) -> List[List[int]]:
+    """The rows of an integral matrix as ints, each entry read by value
+    (an integral float counts); any other entry fails `integral`."""
+    try:
+        return la.int_matrix(mat)
+    except (ArithmeticError, TypeError, ValueError):
+        raise PreconditionError("integral", f"{name} must have integer entries") from None
 
 
 class QuadraticForm:
@@ -98,10 +108,10 @@ class QuadraticForm:
         return quotient(self.mode, self._minors[-1], self._den**self.n)
 
     def scale(self, c: Scalar) -> "QuadraticForm":
+        """c F for c > 0, read in the form's mode."""
+        (c,), _ = coerce_vector([c], self.mode, "c")
         if c <= 0:
             raise PreconditionError("positive-scale", "scale factor must be > 0")
-        if self.mode == "exact" and isinstance(c, float):
-            raise ModeMixError("float scale on an exact form; convert first")
         return QuadraticForm(
             [[c * x for x in row] for row in self.entries], self.mode
         )
@@ -117,9 +127,15 @@ class QuadraticForm:
     def transform(self, u: Sequence[Sequence[int]]) -> "QuadraticForm":
         """U^T F U for an integer matrix U (columns are new basis vectors).
 
-        Computed on the stored integer Gram; a float form gets the exact
-        product rounded once per entry.
+        U has n rows of equal length and integral entries, read by value
+        (an integral float counts).  Computed on the stored integer Gram; a
+        float form gets the exact product rounded once per entry.
         """
+        what = f"U must have {self.n} rows of equal length"
+        rows = [as_list(r, "matrix-shape", what) for r in as_list(u, "matrix-shape", what)]
+        if len(rows) != self.n or any(len(r) != len(rows[0]) for r in rows):
+            raise PreconditionError("matrix-shape", what)
+        u = integral_rows(rows, "U")
         m = la.mat_mul(la.transpose(u), la.mat_mul(self._gram, u))
         rows = [[quotient(self.mode, x, self._den) for x in r] for r in m]
         return QuadraticForm(rows, self.mode)
@@ -521,14 +537,13 @@ class LimitSpace(_LimitSpaceFields):
         euclidean_rank: int,
         torus_part: Optional[FlatTorus] = None,
     ):
-        for c in circle_circumferences:
-            if c <= 0:
-                raise PreconditionError(
-                    "positive-circumference", "circle factors must be positive"
-                )
-        if euclidean_rank < 0:
-            raise PreconditionError("nonnegative-rank", "euclidean rank < 0")
-        return tuple.__new__(cls, (circle_circumferences, euclidean_rank, torus_part))
+        circles, _ = coerce_vector(circle_circumferences, None, "circle_circumferences")
+        if any(c <= 0 for c in circles):
+            raise PreconditionError("positive-circumference", "circle factors must be positive")
+        coerce_integer(
+            euclidean_rank, "nonnegative-rank", "euclidean rank must be an integer >= 0", low=0
+        )
+        return tuple.__new__(cls, (tuple(circles), euclidean_rank, torus_part))
 
     def to_json_dict(self) -> dict:
         return {

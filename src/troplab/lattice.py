@@ -73,23 +73,9 @@ def shortest_vector(form: QuadraticForm) -> Tuple[Tuple[int, ...], Scalar]:
     dec = jacobi_decompose(reduced)
     bound = min(reduced.entries[i][i] for i in range(form.n))
     candidates = _enumerate_up_to(dec.b, dec.d, bound)
-    best_val = None
-    best_vecs = []
-    for vec, val in candidates:
-        if best_val is None or val < best_val:
-            best_val, best_vecs = val, [vec]
-        elif val == best_val:
-            best_vecs.append(vec)
-    out = []
-    for vec in best_vecs:
-        w = la.mat_vec(u, list(vec))
-        for c in w:
-            if c != 0:
-                if c < 0:
-                    w = [-t for t in w]
-                break
-        out.append(tuple(w))
-    return min(out), best_val
+    best_val = min(val for _, val in candidates)
+    mapped = (tuple(la.mat_vec(u, vec)) for vec, val in candidates if val == best_val)
+    return min(max(w, tuple(-x for x in w)) for w in mapped), best_val
 
 
 
@@ -449,57 +435,39 @@ def is_equivalent(
     return u
 
 
-def _integer_nth_root(value: int, n: int) -> Optional[int]:
-    if value < 0:
-        return None
-    if value in (0, 1):
-        return value
-    # integer Newton from above ends at floor(value^(1/n))
-    x = 1 << -(-value.bit_length() // n)
-    while True:
-        y = ((n - 1) * x + value // x ** (n - 1)) // n
-        if y >= x:
-            break
-        x = y
-    return x if x**n == value else None
-
-
-def _fraction_nth_root(x: Fraction, n: int) -> Optional[Fraction]:
-    num = _integer_nth_root(x.numerator, n)
-    if num is None:
-        return None
-    den = _integer_nth_root(x.denominator, n)
-    if den is None:
-        return None
-    return Fraction(num, den)
-
-
 def is_homothetic(
     f1: QuadraticForm, f2: QuadraticForm, tol: float = 1e-6
 ) -> Optional[Tuple[Scalar, List[List[int]]]]:
     """Equality up to positive scale: returns (c, U) with U^T (c f1) U = f2.
 
-    The determinant pins the only possible scale, c = (det f2 / det f1)^(1/n),
-    with the ratio read exactly from the stored minors (d_n / den^n of each
-    form).  When both forms are exact the test is exact: a ratio that is no
-    rational n-th power proves them not homothetic.  Otherwise the float
-    path with tol decides, on c = 2^k (ratio / 2^(kn))^(1/n) with k chosen
-    so that the root is taken in floats on a ratio near 1 and no scale
-    overflows a double before the answer does.
+    Exact forms (both exact) take the scale from their contents.  The
+    content of a form is the gcd of the entries of its integer Gram
+    g = den F over den; it is a GL(n, Z) invariant and scales with the
+    form, so c = content(f2) / content(f1) is the only scale that can
+    work.  A pair whose determinants do not differ by c^n, read exactly
+    on the stored minors, is not homothetic; any other pair is decided by
+    the exact is_equivalent.  Float forms take the scale from the
+    determinants, c = (det f2 / det f1)^(1/n), with the ratio read
+    exactly from the stored minors, and the float path with tol decides,
+    on c = 2^k (ratio / 2^(kn))^(1/n) with k chosen so that the root is
+    taken in floats on a ratio near 1 and no scale overflows a double
+    before the answer does.
     """
     if f1.n != f2.n:
         raise PreconditionError("dimension-match", "forms have different ranks")
     n = f1.n
     if n == 0:
         return (Fraction(1), []) if f1.mode == "exact" else (1.0, [])
-    ratio = Fraction(f2._minors[-1] * f1._den**n, f1._minors[-1] * f2._den**n)
+    # det f2 / det f1 = d2 / d1
+    d1, d2 = f1._minors[-1] * f2._den**n, f2._minors[-1] * f1._den**n
     if f1.mode == "exact" and f2.mode == "exact":
-        c = _fraction_nth_root(ratio, n)
-        if c is None:
+        content1, content2 = (math.gcd(*(x for r in f._gram for x in r)) for f in (f1, f2))
+        c = Fraction(content2 * f1._den, content1 * f2._den)
+        if c**n * d1 != d2:
             return None
         u = is_equivalent(f1.scale(c), f2)
         return (c, u) if u is not None else None
-    y, k = exponent_split(ratio, n)
+    y, k = exponent_split(Fraction(d2, d1), n)
     c = math.ldexp(y ** (1.0 / n), k)
     u = is_equivalent(f1.to_float().scale(c), f2.to_float(), tol=tol)
     return (c, u) if u is not None else None

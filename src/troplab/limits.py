@@ -144,8 +144,8 @@ class SymbolicSiegelPath:
         return cls(x, b, list(d_entries))
 
     def reparametrized(self, k: int) -> "SymbolicSiegelPath":
-        if k < 1:
-            raise PreconditionError("positive-power", "k must be >= 1")
+        """Substitute s -> s^k for an integer k >= 1."""
+        coerce_integer(k, "positive-power", "k must be an integer >= 1", low=1)
         re = lambda m: m.reparametrized(k)
         return SymbolicSiegelPath(
             [[re(v) for v in r] for r in self.x],

@@ -17,7 +17,7 @@ from typing import List, Tuple
 
 from . import _linalg as la
 from .errors import NotPositiveDefiniteError, PreconditionError
-from .forms import FlatTorus, QuadraticForm, jacobi_decompose, lll_reduce
+from .forms import FlatTorus, QuadraticForm, integral_rows, jacobi_decompose, lll_reduce
 from .rationals import (
     coerce_integer, coerce_matrix, format_scalar, nearest_int, parse_matrix, parse_mode,
     parse_object, parse_size,
@@ -96,14 +96,6 @@ def _sympl_j(g: int) -> List[List[int]]:
     return j
 
 
-def _integral(mat, name: str) -> List[List[int]]:
-    """The rows of an integral matrix as ints; any other entry raises."""
-    try:
-        return la.int_matrix(mat)
-    except (ArithmeticError, TypeError, ValueError):
-        raise PreconditionError("integral", f"{name} must have integer entries")
-
-
 class SymplecticElement:
     """Integral 2g x 2g matrix preserving the standard alternating form.
 
@@ -116,7 +108,7 @@ class SymplecticElement:
     __slots__ = ("g", "mat")
 
     def __init__(self, mat):
-        rows = _integral(mat, "gamma")
+        rows = integral_rows(mat, "gamma")
         n = len(rows)
         if n % 2 != 0 or any(len(r) != n for r in rows):
             raise PreconditionError("even-size", "matrix must be 2g x 2g")
@@ -166,7 +158,7 @@ class SymplecticElement:
     def translation(cls, s) -> "SymplecticElement":
         """Z -> Z + S for integral symmetric S."""
         g = len(s)
-        rows = _integral(s, "S")
+        rows = integral_rows(s, "S")
         if any(len(r) != g for r in rows) or any(
             rows[i][j] != rows[j][i] for i in range(g) for j in range(i)
         ):
@@ -179,6 +171,8 @@ class SymplecticElement:
     @classmethod
     def partial_inversion(cls, g: int, index: int = 0) -> "SymplecticElement":
         """Inversion in one coordinate direction; full inversion at g = 1."""
+        coerce_integer(g, "positive-genus", "g must be an integer >= 1", low=1)
+        coerce_integer(index, "index-range", f"index must be an integer in 0..{g - 1}", 0, g - 1)
         m = la.zeros(2 * g, 2 * g)
         for i in range(g):
             if i == index:
@@ -304,6 +298,9 @@ def siegel_reduce(
     whether membership at slack u was reached within it.
     """
     g = z.g
+    coerce_integer(
+        max_iterations, "nonnegative-iterations", "max_iterations must be an integer >= 0", low=0
+    )
     if u is None:
         u = default_u0(g)
     if not default_u0(g) <= u < math.inf:

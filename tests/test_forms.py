@@ -860,14 +860,19 @@ class TestEquivalenceReference:
             assert is_equivalent(g.scale(F(2, 3)), f.scale(F(2, 3))) is None
 
     def test_homothety_with_rational_scale_gives_the_reference_witness(self):
+        # c is the scale the pair is built with, not one read off the code
         rng = seeded(63)
-        for rows in (a_n_gram(3), a_n_gram(5), d_n_gram(4), e_n_gram(6), z_plus(3, 1)):
+        lattices = (a_n_gram(2), a_n_gram(3), a_n_gram(4), a_n_gram(5), d_n_gram(4),
+                    d_n_gram(5), e_n_gram(6), z_plus(3, 1))
+        for rows in lattices:
             n = len(rows)
             f = QuadraticForm(rows).scale(F(rng.randint(1, 9), rng.randint(2, 9)))
             c = F(rng.randint(1, 9), rng.randint(2, 9))
             g = f.scale(c).transform(random_unimodular(rng, n, steps=n))
             got = is_homothetic(f, g)
             assert got == (c, reference_is_equivalent(f.scale(c), g))
+            assert got == (c, is_equivalent(f.scale(c), g))
+            assert is_homothetic(g, f) == (1 / c, is_equivalent(g.scale(1 / c), f))
 
 
 class TestHomothety:
@@ -901,6 +906,24 @@ class TestHomothety:
         assert got[0] == F(3, 7)
         loose = is_homothetic(I2, QuadraticForm([[1, 0], [0, 2]]), tol=1e-6)
         assert loose is None
+
+    @pytest.mark.parametrize(
+        "rows1, rows2, root",
+        [
+            ([[1, 0], [0, 4]], [[2, 0], [0, 2]], 1),
+            ([[1, 0], [0, 1]], [[2, 1], [1, 5]], 3),
+            (a_n_gram(2), [[1, 0], [0, 3]], 1),
+            (d_n_gram(4), z_plus(3, 4), 1),
+            (e_n_gram(6), z_plus(5, 3), 1),
+        ],
+        ids=["diag14-diag22", "I2-ratio-9", "A2-Z+3", "D4-Z3+4", "E6-Z5+3"],
+    )
+    def test_nth_power_det_ratio_without_homothety_gives_none(self, rows1, rows2, root):
+        f1, f2 = QuadraticForm(rows1), QuadraticForm(rows2)
+        assert f2.det() == root**f1.n * f1.det()
+        for s in (F(1), F(2, 3)):
+            assert is_homothetic(f1.scale(s), f2) is None
+            assert is_homothetic(f2, f1.scale(s)) is None
 
 
     @pytest.mark.parametrize("s", SCALES)

@@ -12,12 +12,14 @@ from troplab import (
     GroupAction,
     HybridLimit,
     IncidenceComplex,
+    LimitSpace,
     MonomialPathChart,
     PreconditionError,
     QuadraticForm,
     SchemaError,
     SiegelPoint,
     SymbolicSiegelPath,
+    SymplecticElement,
     collar_length,
     default_u0,
     downward_closure,
@@ -26,6 +28,7 @@ from troplab import (
     hybrid_limit,
     pushforward_map,
     quotient_complex,
+    siegel_reduce,
     tropicalize,
 )
 
@@ -216,6 +219,24 @@ class TestGroupAction:
         (lambda: collar_length(0.001, math.nan), "finite"),
         (lambda: collar_length(0.001, "x"), "numeric-entries"),
         (lambda: WeightedMetricGraph([("a", 1.0)], []), "vertex-weight"),
+        (lambda: SymplecticElement.partial_inversion(2, 5), "index-range"),
+        (lambda: SymplecticElement.partial_inversion(2, -1), "index-range"),
+        (lambda: SymplecticElement.partial_inversion(True, 0), "positive-genus"),
+        (lambda: siegel_reduce(SiegelPoint([[0]], [[2]]), max_iterations=2.5),
+         "nonnegative-iterations"),
+        (lambda: siegel_reduce(SiegelPoint([[0]], [[2]]), max_iterations=True),
+         "nonnegative-iterations"),
+        (lambda: QuadraticForm([[2, 1], [1, 2]]).scale(None), "numeric-entries"),
+        (lambda: QuadraticForm([[2, 1], [1, 2]]).scale("x"), "numeric-entries"),
+        (lambda: QuadraticForm([[2, 1], [1, 2]]).transform([[1, 0]]), "matrix-shape"),
+        (lambda: QuadraticForm([[2, 1], [1, 2]]).transform([[1.5, 0], [0, 1]]), "integral"),
+        (lambda: LimitSpace(("a",), 0), "numeric-entries"),
+        (lambda: LimitSpace((1,), True), "nonnegative-rank"),
+        (lambda: LimitSpace((1,), 1.5), "nonnegative-rank"),
+        (lambda: SymbolicSiegelPath.diagonal([MonomialEntry(1)]).reparametrized(True),
+         "positive-power"),
+        (lambda: SymbolicSiegelPath.diagonal([MonomialEntry(1)]).reparametrized(1.5),
+         "positive-power"),
     ],
     ids=["graph-endpoint", "graph-vertex", "stratum", "action", "generators", "exponent",
          "action-float", "generators-float", "action-bool", "form", "siegel", "graph-length",
@@ -225,11 +246,16 @@ class TestGroupAction:
          "rank-bool", "genus-float", "orders-float", "orders-negative", "orders-zero",
          "path-x-none", "trivial-huge-degree", "no-elements-huge-degree", "c-star-nan",
          "c-star-string",
-         "vertex-weight-float"],
+         "vertex-weight-float", "inversion-index-high", "inversion-index-negative",
+         "inversion-genus-bool", "max-iterations-float", "max-iterations-bool",
+         "form-scale-none", "form-scale-string", "transform-short", "transform-float",
+         "limit-circle-string", "limit-rank-bool", "limit-rank-float", "reparametrized-bool",
+         "reparametrized-float"],
 )
 def test_malformed_constructor_entry_is_a_precondition_failure(build, invariant):
     # each used to escape as a TypeError, ValueError or IndexError from
-    # hashing, comparing, indexing by, unpacking or converting the entry
+    # hashing, comparing, indexing by, unpacking or converting the entry,
+    # or to be accepted (a bool or float count, an index out of range)
     with pytest.raises(PreconditionError) as info:
         build()
     assert info.value.invariant == invariant
@@ -261,6 +287,14 @@ CONSTRUCTORS = {
     "WeightedMetricGraph.scaled": (lambda c: two_loops().scaled(c), (2,)),
     "WeightedMetricGraph.with_lengths": (lambda l: two_loops().with_lengths(l), ([1, 2],)),
     "pushforward_map": (pushforward_map, ([[1, 0], [0, 1]], [1, 0])),
+    "QuadraticForm.scale": (lambda c: QuadraticForm([[2, 1], [1, 2]]).scale(c), (2,)),
+    "QuadraticForm.transform": (
+        lambda u: QuadraticForm([[2, 1], [1, 2]]).transform(u), ([[1, 1], [0, 1]],)
+    ),
+    "LimitSpace": (LimitSpace, ([1, 2], 1)),
+    "SymbolicSiegelPath.reparametrized": (
+        lambda k: SymbolicSiegelPath.diagonal([MonomialEntry(1, 1)]).reparametrized(k), (2,)
+    ),
     "fixed_injrad_limit": (fixed_injrad_limit, ([1, 2], 1)),
     # a genus of 10**400 is valid, but its slack 2**(10**400) never finishes
     "default_u0": (lambda g: g == 10**400 or default_u0(g), (2,)),
