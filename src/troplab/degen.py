@@ -22,8 +22,8 @@ import troplab
 
 from .errors import PreconditionError, SchemaError
 from .rationals import (
-    as_list, coerce_integer, coerce_vector, parse_array, parse_integer, parse_matrix, parse_object,
-    parse_size,
+    as_list, coerce_integer, coerce_number, coerce_vector, parse_array, parse_integer, parse_matrix,
+    parse_object, parse_size,
 )
 
 if TYPE_CHECKING:
@@ -219,7 +219,7 @@ def collar_length(t, c_star: float) -> float:
     is -2 log tan(pi eps / 2), and only |t| matters.  Grows like
     2 log(-log|t|).
     """
-    at = abs(t)
+    at = abs(coerce_number(t, "numeric-entries", "t must be a number", complex_ok=True))
     (c_star,), _ = coerce_vector([c_star], "float", "c_star")
     # c_star < 1 first: the 4th power of a large c_star overflows
     if not (0.0 < c_star < 1.0 and 0.0 < at < c_star**4):

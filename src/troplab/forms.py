@@ -4,15 +4,19 @@ The form is the Gram matrix of a lattice basis; the associated flat torus
 is R^n / Z^n with that inner product.  Exact mode keeps every entry a
 Fraction so reduction and covering radii in every dimension are exact.
 Float mode holds numerically sampled inputs, each entry read as its exact
-(dyadic) value.  A form is eliminated once, when it is built,
-fraction-free in integers; positive definiteness, det, jacobi_decompose,
-LLL and the covering radius all read those minors, and a float answer is
-the exact one rounded once.  The covering radius splits the integer Gram
-into orthogonal blocks, a float Gram read on its integers without
-conversion, and LLL-reduces every block of dimension >= 2 once in
-integers: a 2-dimensional block reads its closed form off the reduced
-basis, with no separate Gauss reduction, and a larger one goes to the
-lattice search.
+(dyadic) value.  A form read from outside is eliminated once, when it is
+built, fraction-free in integers; positive definiteness, det,
+jacobi_decompose, LLL and the covering radius all read those minors, and
+a float answer is the exact one rounded once.  A derived form keeps the
+integers its derivation produced (QuadraticForm._from_gram), with no
+Fraction read back: LLL, scaling, rescaling, Jacobi recomposition and
+the exact copy of a float form carry their minors over, and a transform,
+a product, a tropical Jacobian or a Siegel metric is eliminated once on
+its integer Gram.  The covering radius splits the integer Gram into
+orthogonal blocks, a float Gram read on its integers without conversion,
+and LLL-reduces every block of dimension >= 2 once in integers: a
+2-dimensional block reads its closed form off the reduced basis, with no
+separate Gauss reduction, and a larger one goes to the lattice search.
 
 The search (troplab.lattice: enumeration, shortest vectors, the covering
 radius of a block of dimension >= 3, equivalence and homothety) loads
@@ -30,6 +34,7 @@ finite.
 """
 
 import math
+import operator
 from fractions import Fraction
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
@@ -96,10 +101,58 @@ class QuadraticForm:
                         "symmetric", f"entries[{i}][{j}] != entries[{j}][{i}]"
                     )
                 rows[j][i] = rows[i][j]  # one object for both halves
-        self.n = n
+        self._set(rows, mode, *_integer_ldl(rows))
+
+    def _set(self, rows, mode, g, den, d, lam):
+        # the slots of every form, read from outside or derived
+        self.n = len(rows)
         self.entries = tuple(tuple(r) for r in rows)
         self.mode = mode
-        self._gram, self._den, self._minors, self._lam = _integer_ldl(self.entries)
+        self._gram, self._den, self._minors, self._lam = g, den, d, lam
+
+    @classmethod
+    def _from_gram(cls, g, den: int, mode: str, minors=None) -> "QuadraticForm":
+        """The form g / den in mode, for a symmetric integer Gram g and den > 0.
+
+        It is put over the lcm of its entries' denominators, as the
+        constructor puts it: g and den are divided by c = gcd(den, content
+        of g), the minors d_i by c^i and lambda_ij by c^(j+1).  minors are
+        (d, lam) of g when the caller has them; without them g is
+        eliminated in integers, and a leading minor <= 0 raises
+        NotPositiveDefiniteError as the constructor does.  A float form
+        rounds each entry once and reads the result back, since it stores
+        the integers of its rounded entries.
+        """
+        form = cls.__new__(cls)
+        n = len(g)
+        rows = [[0] * n for _ in range(n)]
+        if mode == "float":
+            for i in range(n):
+                for j in range(i + 1):
+                    rows[i][j] = rows[j][i] = quotient(mode, g[i][j], den)
+            form._set(rows, mode, *_integer_ldl(rows))
+            return form
+        c = math.gcd(den, *(x for r in g for x in r))
+        if c != 1:
+            g, den = [[x // c for x in r] for r in g], den // c
+            if minors is not None:
+                minors = _scaled_minors(minors, c, operator.floordiv)
+        g = tuple(map(tuple, g))
+        d, lam = _eliminate(g) if minors is None else minors
+        for i in range(n):
+            for j in range(i + 1):
+                rows[i][j] = rows[j][i] = Fraction(g[i][j], den)
+        form._set(rows, mode, g, den, tuple(d), tuple(map(tuple, lam)))
+        return form
+
+    def _scaled(self, p: int, q: int) -> "QuadraticForm":
+        """(p / q) F for integers p, q > 0, on the stored integers: p g
+        over q den, whose minors are d_i p^i and lambda_ij p^(j+1)."""
+        g = [[p * x for x in r] for r in self._gram]
+        minors = None
+        if self.mode == "exact":
+            minors = _scaled_minors((self._minors, self._lam), p, operator.mul)
+        return QuadraticForm._from_gram(g, self._den * q, self.mode, minors)
 
     # -- basic algebra ---------------------------------------------------
 
@@ -112,9 +165,8 @@ class QuadraticForm:
         (c,), _ = coerce_vector([c], self.mode, "c")
         if c <= 0:
             raise PreconditionError("positive-scale", "scale factor must be > 0")
-        return QuadraticForm(
-            [[c * x for x in row] for row in self.entries], self.mode
-        )
+        (p,), q = as_integers([c])
+        return self._scaled(p, q)
 
     def evaluate(self, v: Sequence[int]) -> Scalar:
         """Value of the form on an integer vector."""
@@ -137,20 +189,17 @@ class QuadraticForm:
             raise PreconditionError("matrix-shape", what)
         u = integral_rows(rows, "U")
         m = la.mat_mul(la.transpose(u), la.mat_mul(self._gram, u))
-        rows = [[quotient(self.mode, x, self._den) for x in r] for r in m]
-        return QuadraticForm(rows, self.mode)
+        return QuadraticForm._from_gram(m, self._den, self.mode)
 
     def to_float(self) -> "QuadraticForm":
-        return QuadraticForm(self.entries, "float")
+        return QuadraticForm._from_gram(self._gram, self._den, "float")
 
     def to_exact(self) -> "QuadraticForm":
-        """The form itself when exact; else its entries' exact values."""
+        """The form itself when exact; else its entries' exact values,
+        which its integers already hold."""
         if self.mode == "exact":
             return self
-        # float -> Fraction is the exact binary expansion, never lossy
-        return QuadraticForm(
-            [[Fraction(x) for x in row] for row in self.entries], "exact"
-        )
+        return QuadraticForm._from_gram(self._gram, self._den, "exact", (self._minors, self._lam))
 
     # -- plumbing ----------------------------------------------------------
 
@@ -199,6 +248,14 @@ def _integer_ldl(entries):
     # the lower triangle is all the elimination reads
     flat, den = as_integers(x for i, r in enumerate(entries) for x in r[: i + 1])
     low = [flat[i * (i + 1) // 2 : (i + 1) * (i + 2) // 2] for i in range(len(entries))]
+    d, lam = _eliminate(low)
+    n = len(low)
+    g = tuple(tuple(low[max(i, j)][min(i, j)] for j in range(n)) for i in range(n))
+    return g, den, d, lam
+
+
+def _eliminate(low):
+    """(d, lam) of the integer Gram whose row i begins with low[i][: i + 1]."""
     d, lam = [1], []
     for i, gi in enumerate(low):
         li = []
@@ -211,9 +268,20 @@ def _integer_ldl(entries):
         if li[i] <= 0:
             raise NotPositiveDefiniteError(i + 1)
         d.append(li.pop())
-    n = len(low)
-    g = tuple(tuple(low[max(i, j)][min(i, j)] for j in range(n)) for i in range(n))
-    return g, den, tuple(d), tuple(map(tuple, lam))
+    return tuple(d), tuple(map(tuple, lam))
+
+
+def _scaled_minors(minors, p: int, op):
+    """(d, lam) of the integer Gram p g (op = operator.mul) or g / p
+    (operator.floordiv, exact) from those of g: d_i p^i and lambda_ij p^(j+1)."""
+    d, lam = minors
+    powers = [1]
+    for _ in d[1:]:
+        powers.append(powers[-1] * p)
+    return (
+        [op(x, w) for x, w in zip(d, powers)],
+        [[op(x, w) for x, w in zip(r, powers[1:])] for r in lam],
+    )
 
 
 class JacobiDecomposition(NamedTuple):
@@ -228,14 +296,35 @@ class JacobiDecomposition(NamedTuple):
         Entry (i, j), i <= j, sums b_ki (d_k b_kj) over k <= i, the rows
         where column i of B can be nonzero; entry (j, i) is the same
         number, so a float form is symmetric however its products round.
+        Exact B and d are read as integers, B = B' / beta and d = d' /
+        delta, so that g = B'^T diag(d') B' is the Gram over beta^2 delta.
+        With B unit triangular its minors need no elimination: d_i is the
+        product of beta^2 d'_k over k < i, and lambda_ij = d_{j+1} b_ji.
         """
         b, d = self.b, self.d
         n = len(d)
+        exact = not any(isinstance(x, float) for r in (d, *b) for x in r)
+        if exact:
+            flat, beta = as_integers(b[k][j] for k in range(n) for j in range(k, n))
+            d, delta = as_integers(d)
+            at = iter(flat)
+            b = [[0] * k + [next(at) for _ in range(k, n)] for k in range(n)]
         rows = [[0] * n for _ in range(n)]
         for i in range(n):
             for j in range(i, n):
                 rows[i][j] = rows[j][i] = sum(b[k][i] * (d[k] * b[k][j]) for k in range(i + 1))
-        return QuadraticForm(rows)
+        if not exact:
+            return QuadraticForm(rows)
+        minors = None
+        if all(b[k][k] == beta for k in range(n)):
+            minors = [1]
+            for k, x in enumerate(d):
+                if x <= 0:
+                    raise NotPositiveDefiniteError(k + 1)
+                minors.append(minors[-1] * beta * beta * x)
+            lam = [[minors[j + 1] // beta * b[j][i] for j in range(i)] for i in range(n)]
+            minors = (minors, lam)
+        return QuadraticForm._from_gram(rows, beta * beta * delta, "exact", minors)
 
 
 def jacobi_decompose(form: QuadraticForm) -> JacobiDecomposition:
@@ -287,10 +376,9 @@ def lll_reduce(form: QuadraticForm) -> Tuple[QuadraticForm, List[List[int]]]:
     """
     if form.n <= 1:
         return form, la.identity(form.n)
-    m = [list(r) for r in form._gram]
-    u = _lll_integer(m, list(form._minors), [list(r) for r in form._lam])
-    rows = [[quotient(form.mode, x, form._den) for x in row] for row in m]
-    return QuadraticForm(rows, form.mode), u
+    m, d, lam = [list(r) for r in form._gram], list(form._minors), [list(r) for r in form._lam]
+    u = _lll_integer(m, d, lam)
+    return QuadraticForm._from_gram(m, form._den, form.mode, (d, lam)), u
 
 
 def _translate(m, u, k, j, q):
@@ -475,9 +563,7 @@ def rescale_to_diameter_one(torus) -> FlatTorus:
     if form.n == 0:
         raise PreconditionError("positive-dimension", "cannot rescale a point")
     mu2 = covering_radius_sq(form.to_exact())
-    den = form._den * mu2.numerator
-    rows = [[quotient(form.mode, mu2.denominator * x, den) for x in r] for r in form._gram]
-    return FlatTorus(QuadraticForm(rows, form.mode))
+    return FlatTorus(form._scaled(mu2.denominator, mu2.numerator))
 
 
 def product(t1: FlatTorus, t2: FlatTorus) -> FlatTorus:
@@ -488,10 +574,13 @@ def product(t1: FlatTorus, t2: FlatTorus) -> FlatTorus:
         return t1
     if t1.gram.mode != t2.gram.mode:
         raise ModeMixError("product of mixed-mode tori; convert one side")
-    n1, n2 = t1.dimension, t2.dimension
-    rows = [list(r) + [0] * n2 for r in t1.gram.entries]
-    rows += [[0] * n1 + list(r) for r in t2.gram.entries]
-    return FlatTorus(QuadraticForm(rows, t1.gram.mode))
+    f1, f2 = t1.gram, t2.gram
+    # both integer Grams over den = lcm(den1, den2)
+    den = math.lcm(f1._den, f2._den)
+    p1, p2 = den // f1._den, den // f2._den
+    g = [[p1 * x for x in r] + [0] * f2.n for r in f1._gram]
+    g += [[0] * f1.n + [p2 * x for x in r] for r in f2._gram]
+    return FlatTorus(QuadraticForm._from_gram(g, den, f1.mode))
 
 
 def join_path(x: FlatTorus, t) -> FlatTorus:

@@ -21,8 +21,8 @@ from typing import Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Option
 
 from .errors import PreconditionError, SchemaError
 from .rationals import (
-    as_integers, as_list, coerce_integer, coerce_vector, format_rational, parse_integer,
-    parse_object, parse_rows,
+    as_integers, as_list, coerce_integer, coerce_number, coerce_vector, format_rational,
+    parse_integer, parse_object, parse_rows,
 )
 
 
@@ -501,16 +501,17 @@ def tropicalize(points: Sequence[Sequence[complex]], tol: float = 1e-6) -> Tropi
     tail has settled to within tol in the max norm, which must be finite
     and > 0.  Each coordinate must be nonzero with -log|z| finite.
     """
-    if not 0 < tol < math.inf:
+    if not 0 < coerce_number(tol, "positive-tolerance", "tol must be a real number") < math.inf:
         raise PreconditionError(
             "positive-tolerance", f"tol must be finite and > 0, not {tol!r}"
         )
+    points = as_list(points, "sample-count", "points must be an array of points")
     if not points:
         raise PreconditionError("sample-count", "need at least one point")
     vectors = []
     width = None
     for k, p in enumerate(points):
-        coords = list(p)
+        coords = as_list(p, "coordinate-count", "each point must be an array of coordinates")
         if width is None:
             width = len(coords)
         if len(coords) != width or width == 0:
@@ -523,6 +524,10 @@ def tropicalize(points: Sequence[Sequence[complex]], tol: float = 1e-6) -> Tropi
                 az = abs(z)
             except OverflowError:  # a complex z whose modulus has no double
                 az = math.inf
+            except TypeError:
+                raise PreconditionError(
+                    "numeric-entries", f"point {k} has {z!r} at coordinate {i}, not a number"
+                ) from None
             if az == 0:
                 raise PreconditionError(
                     "nonzero-coordinates", f"point {k} has a zero coordinate {i}"

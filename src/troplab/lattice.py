@@ -19,13 +19,14 @@ first access.
 
 import math
 import operator
+import sys
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from . import _linalg as la
 from .errors import ModeMixError, PreconditionError
 from .forms import QuadraticForm, jacobi_decompose, jacobi_from_minors, lll_reduce
-from .rationals import Scalar, exponent_split, quotient
+from .rationals import Scalar, coerce_number, exponent_split, quotient
 
 
 # -- enumeration -----------------------------------------------------------
@@ -364,7 +365,10 @@ def is_equivalent(
             "float-mode equivalence needs an explicit tol; "
             "exact certification requires two exact forms"
         )
-    if not exact and not 0 <= tol < math.inf:
+    # the slack of a float form is a double, so tol must have one too
+    if not exact and not 0 <= coerce_number(
+        tol, "nonnegative-tolerance", "tol must be a real number"
+    ) <= sys.float_info.max:
         raise PreconditionError(
             "nonnegative-tolerance", f"tol must be finite and >= 0, not {tol!r}"
         )

@@ -11,6 +11,7 @@ scalar, a float rounded once.
 """
 
 import math
+import numbers
 from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -138,6 +139,20 @@ def coerce_integer(value, invariant: str, what: str, low=None, high=None) -> int
     return value
 
 
+def coerce_number(value, invariant: str, what: str, complex_ok: bool = False):
+    """value, if it is a real number (or, with complex_ok, a complex one)
+    but not a bool; any other value fails the invariant, with what saying
+    what it must be.  The caller checks its range."""
+    kind = type(value)
+    if kind is float or kind is int or kind is Fraction or complex_ok and kind is complex:
+        return value
+    if isinstance(value, bool) or not isinstance(
+        value, numbers.Complex if complex_ok else numbers.Real
+    ):
+        raise PreconditionError(invariant, what)
+    return value
+
+
 def coerce_vector(
     values: Sequence, mode: Optional[str] = None, name: str = "entries"
 ) -> Tuple[List[Scalar], str]:
@@ -159,23 +174,40 @@ def coerce_vector(
             raise ModeMixError(f"{name} has a float entry in exact mode; convert it explicitly")
         try:
             # a Fraction is immutable, so it is kept rather than copied
-            return [x if type(x) is Fraction else Fraction(x) for x in values], mode
+            return [x if type(x) is Fraction else _fraction(x) for x in values], mode
         except (TypeError, ValueError, ZeroDivisionError):
-            raise _bad_entry(values, Fraction, name) from None
+            raise _bad_entry(values, _fraction, name) from None
     if mode != "float":
         raise PreconditionError("arithmetic-mode", f"unknown mode {mode!r}")
     try:
-        values = [float(x) for x in values]
+        # float() of a float is that float, so a float entry costs no copy
+        values = [x if type(x) is float else _float(x) for x in values]
     except (TypeError, ValueError, OverflowError):
-        raise _bad_entry(values, float, name) from None
+        raise _bad_entry(values, _float, name) from None
     if not all(map(math.isfinite, values)):
         j = next(j for j, x in enumerate(values) if not math.isfinite(x))
         raise PreconditionError("finite", f"{name}[{j}] is {values[j]!r}")
     return values, mode
 
 
+# Fraction() and float() read these too, as numeric text or as 0 and 1
+_NOT_NUMBERS = (bool, str, bytes, bytearray)
+
+
+def _fraction(x) -> Fraction:
+    if isinstance(x, _NOT_NUMBERS):
+        raise TypeError(x)
+    return Fraction(x)
+
+
+def _float(x) -> float:
+    if isinstance(x, _NOT_NUMBERS):
+        raise TypeError(x)
+    return float(x)
+
+
 def _bad_entry(values: Sequence, convert, name: str) -> PreconditionError:
-    """The failure of the first value that convert (Fraction or float) rejects."""
+    """The failure of the first value that convert (_fraction or _float) rejects."""
     for j, x in enumerate(values):
         try:
             convert(x)

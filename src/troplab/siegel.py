@@ -12,6 +12,7 @@ rounded once per entry.
 """
 
 import math
+import sys
 from fractions import Fraction
 from typing import List, Tuple
 
@@ -19,8 +20,8 @@ from . import _linalg as la
 from .errors import NotPositiveDefiniteError, PreconditionError
 from .forms import FlatTorus, QuadraticForm, integral_rows, jacobi_decompose, lll_reduce
 from .rationals import (
-    coerce_integer, coerce_matrix, format_scalar, nearest_int, parse_matrix, parse_mode,
-    parse_object, parse_size,
+    as_integers, coerce_integer, coerce_matrix, coerce_number, format_scalar, nearest_int,
+    parse_matrix, parse_mode, parse_object, parse_size,
 )
 
 
@@ -236,8 +237,10 @@ def metric_matrix(z: SiegelPoint) -> QuadraticForm:
     bottom_right = la.mat_add(la.mat_mul(x, la.mat_mul(y_inv, x)), y)
     rows = [r + s for r, s in zip(y_inv, top_right)]
     rows += [r + s for r, s in zip(bottom_left, bottom_right)]
+    flat, den = as_integers(x for r in rows for x in r)
+    n = len(rows)
     try:
-        return QuadraticForm(rows, z.mode)
+        return QuadraticForm._from_gram([flat[i * n : (i + 1) * n] for i in range(n)], den, z.mode)
     except NotPositiveDefiniteError as exc:  # only a float point's rounding
         raise PreconditionError(
             "well-conditioned",
@@ -255,9 +258,12 @@ def in_siegel_set(z: SiegelPoint, u) -> bool:
 
     |x_ij| < u, |1 - b_ij| < u above the diagonal, 1 < u d_1, and
     d_i < u d_{i+1}.  An infinite u would admit every point, so u must
-    be finite.
+    be finite, and for a float point, whose products with u are doubles,
+    within the double range.
     """
-    if not 1 < u < math.inf:
+    if not 1 < coerce_number(u, "slack-range", "u must be a real number") < math.inf or (
+        z.mode == "float" and u > sys.float_info.max
+    ):
         raise PreconditionError("slack-range", f"u must be finite and exceed 1, not {u!r}")
     g = z.g
     for i in range(g):
@@ -303,7 +309,7 @@ def siegel_reduce(
     )
     if u is None:
         u = default_u0(g)
-    if not default_u0(g) <= u < math.inf:
+    if not default_u0(g) <= coerce_number(u, "slack-range", "u must be a real number") < math.inf:
         raise PreconditionError(
             "slack-range",
             f"u must be finite and >= configured default {default_u0(g)}, not {u!r}",
@@ -331,4 +337,4 @@ def siegel_reduce(
             cur = step.act(cur)
             gamma = step.compose(gamma)
             ok = in_siegel_set(cur, u)
-    return SiegelPoint(cur.x, QuadraticForm(cur.y.entries, z.mode)), gamma, ok
+    return SiegelPoint(cur.x, cur.y if z.mode == "exact" else cur.y.to_float()), gamma, ok

@@ -421,8 +421,7 @@ def tropical_jacobian(graph: WeightedMetricGraph) -> TropicalAV:
     and for a float graph its exact Jacobian rounded once per entry.
     """
     _, gram, den = _integer_jacobian(graph)
-    rows = [[quotient(graph.mode, x, den) for x in r] for r in gram]
-    return TropicalAV(len(rows), QuadraticForm(rows, graph.mode))
+    return TropicalAV(len(gram), QuadraticForm._from_gram(gram, den, graph.mode))
 
 
 def torelli(graph: WeightedMetricGraph) -> FlatTorus:
@@ -451,5 +450,5 @@ def torelli(graph: WeightedMetricGraph) -> FlatTorus:
     """
     classes, gram, _ = _integer_jacobian(graph)
     det, best = troplab.lattice.cube_sign_walk(classes, gram)
-    rows = [[quotient(graph.mode, 4 * det * x, best) for x in r] for r in gram]
-    return FlatTorus(QuadraticForm(rows, graph.mode))
+    g = [[4 * det * x for x in r] for r in gram]
+    return FlatTorus(QuadraticForm._from_gram(g, best, graph.mode))

@@ -24,6 +24,7 @@ from troplab import (
     jacobi_decompose,
     join_path,
     lll_reduce,
+    metric_matrix,
     product,
     rescale_to_diameter_one,
     shortest_vector,
@@ -1015,3 +1016,119 @@ class TestJoinPath:
         x = FlatTorus(QuadraticForm([[3, 1], [1, 2]]))
         for t in (F(1, 10), F(1, 3), F(9, 10)):
             assert join_path(x, t).diameter() == pytest.approx(1.0, abs=1e-5)
+
+
+# -- derived forms -------------------------------------------------------------
+
+SLOTS = ("n", "entries", "mode", "_gram", "_den", "_minors", "_lam")
+
+
+def assert_constructor_reread(form):
+    # the re-read goes through the constructor's coercion and elimination
+    ref = QuadraticForm(form.rows, form.mode)
+    for slot in SLOTS:
+        assert getattr(form, slot) == getattr(ref, slot), slot
+    assert [type(x) for r in form.entries for x in r] == [type(x) for r in ref.entries for x in r]
+
+
+def shared_factor_form(rng, n):
+    """k G / m for an integer positive-definite G, with k and m sharing the
+    factors 2 and 3: a derived Gram that picks up 2 or 3 must be reduced."""
+    k = rng.choice((2, 3, 4, 6, 12))
+    m = rng.choice((2, 3, 4, 6, 9, 12, 35))
+    return QuadraticForm([[F(k * x, m) for x in r] for r in random_integer_pd(rng, n)])
+
+
+def derived_forms(rng, f):
+    """(site, form) for every library site that derives a form from another."""
+    n = f.n
+    c = F(rng.choice((2, 3, 4, 6, 9)), rng.choice((1, 2, 3, 4, 6)))
+    u = [[2 * x for x in r] for r in random_unimodular(rng, n)] if n else []
+    f2 = shared_factor_form(rng, rng.randint(1, 3))
+    graph = WeightedMetricGraph(
+        [("a", 0), ("b", 0)],
+        [("a", "b", rng.choice((F(1, 2), F(3, 2), F(2, 3), 6))) for _ in range(rng.randint(2, 4))],
+    )
+    x = [[F(rng.randint(-3, 3), 6) for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(i):
+            x[i][j] = x[j][i]
+    out = [
+        ("lll_reduce", lll_reduce(f)[0]),
+        ("scale", f.scale(c)),
+        ("rescale_to_diameter_one", rescale_to_diameter_one(f).gram),
+        ("to_float", f.to_float()),
+        ("to_exact", f.to_float().to_exact()),
+        ("recompose", jacobi_decompose(f).recompose()),
+        ("transform", f.transform(u)),
+        ("product", product(FlatTorus(f), FlatTorus(f2)).gram),
+        ("tropical_jacobian", tropical_jacobian(graph).gram),
+        ("torelli", torelli(graph).gram),
+        ("metric_matrix", metric_matrix(SiegelPoint(x, f))),
+    ]
+    homothetic = is_homothetic(f, f.transform(random_unimodular(rng, n)).scale(c))
+    assert homothetic is not None and homothetic[0] == c
+    ff = f.to_float()
+    out += [
+        ("float lll_reduce", lll_reduce(ff)[0]),
+        ("float scale", ff.scale(float(c))),
+        ("float rescale_to_diameter_one", rescale_to_diameter_one(ff).gram),
+        ("float transform", ff.transform(u)),
+        ("float product", product(FlatTorus(ff), FlatTorus(f2.to_float())).gram),
+        ("float metric_matrix", metric_matrix(SiegelPoint([[float(v) for v in r] for r in x], ff))),
+    ]
+    return out
+
+
+class TestDerivedForms:
+    def test_every_derived_form_equals_its_constructor_reread(self):
+        rng = seeded(29)
+        sites = set()
+        for _ in range(40):
+            f = shared_factor_form(rng, rng.randint(1, 5))
+            for site, form in derived_forms(rng, f):
+                assert_constructor_reread(form)
+                sites.add(site)
+        assert len(sites) == 17
+
+    def test_float_results_are_the_exact_ones_rounded_once(self):
+        rng = seeded(30)
+        for _ in range(20):
+            n = rng.randint(1, 5)
+            ff = shared_factor_form(rng, n).to_float()
+            fe = ff.to_exact()
+            c = rng.uniform(0.1, 10.0)
+            u = random_unimodular(rng, n)
+            pairs = [
+                (lll_reduce(ff)[0], lll_reduce(fe)[0]),
+                (ff.scale(c), fe.scale(F(c))),
+                (rescale_to_diameter_one(ff).gram, rescale_to_diameter_one(fe).gram),
+                (ff.transform(u), fe.transform(u)),
+                (fe.to_float(), fe),
+            ]
+            for got, exact in pairs:
+                assert got.mode == "float"
+                assert got.entries == tuple(tuple(float(x) for x in r) for r in exact.entries)
+
+    def test_derived_grams_are_reduced_over_their_denominator(self):
+        # 6 [[2, 1], [1, 2]] / 35 scaled by 35/3: the Gram 2 [[2, 1], [1, 2]]
+        # over 1, with minors 1, 4, 12 and lambda_10 = 2
+        f = QuadraticForm([[F(12, 35), F(6, 35)], [F(6, 35), F(12, 35)]])
+        g = f.scale(F(35, 3))
+        assert (g._gram, g._den, g._minors, g._lam) == (((4, 2), (2, 4)), 1, (1, 4, 12), ((), (2,)))
+
+    def test_recompose_with_a_nonpositive_diagonal_names_the_constructor_minor(self):
+        rng = seeded(31)
+        for _ in range(40):
+            n = rng.randint(1, 5)
+            b = [[F(rng.randint(-4, 4), rng.randint(1, 4)) if j > i else F(int(i == j))
+                  for j in range(n)] for i in range(n)]
+            d = [F(rng.randint(1, 6), rng.randint(1, 5)) for _ in range(n)]
+            d[rng.randrange(n)] = F(-rng.randint(0, 3), rng.randint(1, 3))
+            rows = [[sum(b[k][i] * d[k] * b[k][j] for k in range(n)) for j in range(n)]
+                    for i in range(n)]
+            with pytest.raises(NotPositiveDefiniteError) as want:
+                QuadraticForm(rows)
+            with pytest.raises(NotPositiveDefiniteError) as got:
+                JacobiDecomposition(b, d).recompose()
+            assert got.value.minor_index == want.value.minor_index

@@ -26,6 +26,8 @@ from troplab import (
     dual_complex,
     fixed_injrad_limit,
     hybrid_limit,
+    in_siegel_set,
+    is_equivalent,
     pushforward_map,
     quotient_complex,
     siegel_reduce,
@@ -237,6 +239,20 @@ class TestGroupAction:
          "positive-power"),
         (lambda: SymbolicSiegelPath.diagonal([MonomialEntry(1)]).reparametrized(1.5),
          "positive-power"),
+        # Fraction() and float() read numeric text and bools as numbers
+        (lambda: QuadraticForm([["1/2"]]), "numeric-entries"),
+        (lambda: QuadraticForm([[True]]), "numeric-entries"),
+        (lambda: QuadraticForm([["2.5"]], "float"), "numeric-entries"),
+        (lambda: QuadraticForm([[1]]).scale(True), "numeric-entries"),
+        (lambda: QuadraticForm([[1]]).scale("2"), "numeric-entries"),
+        (lambda: two_loops().scaled(True), "numeric-entries"),
+        (lambda: in_siegel_set(SiegelPoint([[0]], [[1]]), u="3"), "slack-range"),
+        (lambda: in_siegel_set(SiegelPoint([[0.0]], [[1.0]]), u=10**400), "slack-range"),
+        (lambda: collar_length("x", 0.5), "numeric-entries"),
+        (lambda: is_equivalent(QuadraticForm([[1]]), QuadraticForm([[1]]), tol=True),
+         "nonnegative-tolerance"),
+        (lambda: tropicalize([[0.5, 2.0]], tol=True), "positive-tolerance"),
+        (lambda: tropicalize([[0.5, None]]), "numeric-entries"),
     ],
     ids=["graph-endpoint", "graph-vertex", "stratum", "action", "generators", "exponent",
          "action-float", "generators-float", "action-bool", "form", "siegel", "graph-length",
@@ -250,7 +266,10 @@ class TestGroupAction:
          "inversion-genus-bool", "max-iterations-float", "max-iterations-bool",
          "form-scale-none", "form-scale-string", "transform-short", "transform-float",
          "limit-circle-string", "limit-rank-bool", "limit-rank-float", "reparametrized-bool",
-         "reparametrized-float"],
+         "reparametrized-float", "form-text", "form-bool", "float-form-text", "form-scale-bool",
+         "form-scale-text", "graph-scale-bool", "slack-text", "float-slack-huge",
+         "collar-t-string", "equivalence-tol-bool", "tropicalize-tol-bool",
+         "tropicalize-coordinate-none"],
 )
 def test_malformed_constructor_entry_is_a_precondition_failure(build, invariant):
     # each used to escape as a TypeError, ValueError or IndexError from
@@ -299,6 +318,14 @@ CONSTRUCTORS = {
     # a genus of 10**400 is valid, but its slack 2**(10**400) never finishes
     "default_u0": (lambda g: g == 10**400 or default_u0(g), (2,)),
     "GluingFunction.LOG.weights": (GluingFunction.LOG.weights, ([1, 2],)),
+    "in_siegel_set": (lambda u: in_siegel_set(SiegelPoint([[0.5]], [[2.0]]), u), (2,)),
+    "collar_length": (collar_length, (0.001, 0.5)),
+    "is_equivalent": (
+        lambda tol: is_equivalent(QuadraticForm([[2.0, 1.0], [1.0, 2.0]]),
+                                  QuadraticForm([[2.0, -1.0], [-1.0, 2.0]]), tol=tol),
+        (0.1,),
+    ),
+    "tropicalize": (tropicalize, ([[0.5, 2.0], [0.25, 4.0], [0.125, 8.0]], 1e-6)),
     # a MonomialEntry is a tuple, so the sweep reaches its fields too
     "SymbolicSiegelPath": (
         SymbolicSiegelPath,

@@ -322,3 +322,43 @@ def test_length_variants_go_through_with_lengths():
         )
     ]
     assert found == [], found
+
+
+def test_derived_forms_go_through_the_builder():
+    # rows built with rationals.quotient come from integers the caller
+    # already holds; QuadraticForm._from_gram takes those integers, where the
+    # constructor would read the Fractions back and eliminate them again
+    def is_form_constructor(func):
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        return name == "QuadraticForm"
+
+    def calls_quotient(node):
+        return any(
+            isinstance(n, ast.Call) and getattr(n.func, "id", None) == "quotient"
+            for n in ast.walk(node)
+        )
+
+    found = set()
+    for module, tree in library_trees().items():
+        for func in ast.walk(tree):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            built = {
+                target.id
+                for node in ast.walk(func)
+                if isinstance(node, (ast.Assign, ast.AugAssign)) and calls_quotient(node.value)
+                for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+                if isinstance(target, ast.Name)
+            }
+            found.update(
+                f"{module}:{node.lineno}"
+                for node in ast.walk(func)
+                if isinstance(node, ast.Call)
+                and is_form_constructor(node.func)
+                and node.args
+                and (
+                    calls_quotient(node.args[0])
+                    or isinstance(node.args[0], ast.Name) and node.args[0].id in built
+                )
+            )
+    assert sorted(found) == [], sorted(found)
