@@ -2,7 +2,7 @@
 
 Everything here works on lists of lists.  Callers pass only ints and
 Fractions (a float input is read at its exact value before it gets here),
-so every result is exact; int_matrix alone also takes an integral float.
+so every result is exact.
 Matrices are tiny (a handful of rows), so one cubic elimination serves
 them all: the fraction-free Gauss-Jordan pass of int_adjugate, which
 solve reads after scaling its input to integers.
@@ -63,20 +63,6 @@ def _integer_rows(a):
     nums, den = as_integers(x for r in a for x in r)
     it = iter(nums)
     return den, [[next(it) for _ in r] for r in a]
-
-
-def int_matrix(a) -> Matrix:
-    """Cast entries to int, insisting they already are integral."""
-    out = []
-    for row in a:
-        r = []
-        for x in row:
-            xi = int(round(x))
-            if x != xi:
-                raise ValueError(f"non-integral entry {x}")
-            r.append(xi)
-        out.append(r)
-    return out
 
 
 def int_adjugate(a):

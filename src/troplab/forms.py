@@ -43,9 +43,9 @@ import troplab
 from . import _linalg as la
 from .errors import ModeMixError, NotPositiveDefiniteError, PreconditionError
 from .rationals import (
-    Scalar, as_integers, as_list, coerce_integer, coerce_matrix, coerce_vector, exponent_split,
-    format_scalar, parse_matrix, parse_mode, parse_object, parse_size, past_double, quotient,
-    round_half_away,
+    Scalar, as_integers, check_symmetric, coerce_integer, coerce_matrix, coerce_number,
+    coerce_vector, exponent_split, format_scalar, integral_matrix, matrix_rows, parse_matrix,
+    parse_mode, parse_object, parse_size, past_double, quotient, round_half_away,
 )
 
 # names whose home is the lattice search: each resolves here on first
@@ -64,15 +64,6 @@ def __getattr__(name):
 
 def __dir__():
     return sorted(set(globals()) | set(_SEARCH_NAMES))
-
-
-def integral_rows(mat, name: str) -> List[List[int]]:
-    """The rows of an integral matrix as ints, each entry read by value
-    (an integral float counts); any other entry fails `integral`."""
-    try:
-        return la.int_matrix(mat)
-    except (ArithmeticError, TypeError, ValueError):
-        raise PreconditionError("integral", f"{name} must have integer entries") from None
 
 
 class QuadraticForm:
@@ -94,13 +85,9 @@ class QuadraticForm:
         n = len(rows)
         if any(len(r) != n for r in rows):
             raise PreconditionError("square-matrix", "entries must be n x n")
-        for i in range(n):
-            for j in range(i + 1, n):
-                if rows[i][j] != rows[j][i]:
-                    raise PreconditionError(
-                        "symmetric", f"entries[{i}][{j}] != entries[{j}][{i}]"
-                    )
-                rows[j][i] = rows[i][j]  # one object for both halves
+        check_symmetric(rows, "entries")
+        for i, r in enumerate(rows):
+            r[:i] = [rows[j][i] for j in range(i)]  # one object for both halves
         self._set(rows, mode, *_integer_ldl(rows))
 
     def _set(self, rows, mode, g, den, d, lam):
@@ -169,12 +156,11 @@ class QuadraticForm:
         return self._scaled(p, q)
 
     def evaluate(self, v: Sequence[int]) -> Scalar:
-        """Value of the form on an integer vector."""
-        return sum(
-            self.entries[i][j] * v[i] * v[j]
-            for i in range(self.n)
-            for j in range(self.n)
-        )
+        """Value of the form on a vector of n numbers (coerce_vector)."""
+        v, _ = coerce_vector(v, None, "v")
+        if len(v) != self.n:
+            raise PreconditionError("shape-match", f"v must have {self.n} entries")
+        return sum(x * y for x, y in zip(v, la.mat_vec(self.entries, v)))
 
     def transform(self, u: Sequence[Sequence[int]]) -> "QuadraticForm":
         """U^T F U for an integer matrix U (columns are new basis vectors).
@@ -184,10 +170,10 @@ class QuadraticForm:
         float form gets the exact product rounded once per entry.
         """
         what = f"U must have {self.n} rows of equal length"
-        rows = [as_list(r, "matrix-shape", what) for r in as_list(u, "matrix-shape", what)]
-        if len(rows) != self.n or any(len(r) != len(rows[0]) for r in rows):
+        rows = matrix_rows(u, "matrix-shape", what, self.n)
+        if any(len(r) != len(rows[0]) for r in rows):
             raise PreconditionError("matrix-shape", what)
-        u = integral_rows(rows, "U")
+        u = integral_matrix(rows, "U")
         m = la.mat_mul(la.transpose(u), la.mat_mul(self._gram, u))
         return QuadraticForm._from_gram(m, self._den, self.mode)
 
@@ -291,7 +277,8 @@ class JacobiDecomposition(NamedTuple):
     d: tuple
 
     def recompose(self) -> QuadraticForm:
-        """The form B^T diag(d) B, in the arithmetic of the entries of B and d.
+        """The form B^T diag(d) B: float when an entry of B or d is a float
+        (rationals.coerce_matrix), else exact.
 
         Entry (i, j), i <= j, sums b_ki (d_k b_kj) over k <= i, the rows
         where column i of B can be nonzero; entry (j, i) is the same
@@ -301,9 +288,11 @@ class JacobiDecomposition(NamedTuple):
         With B unit triangular its minors need no elimination: d_i is the
         product of beta^2 d'_k over k < i, and lambda_ij = d_{j+1} b_ji.
         """
-        b, d = self.b, self.d
+        d, d_mode = coerce_vector(self.d, None, "d")
         n = len(d)
-        exact = not any(isinstance(x, float) for r in (d, *b) for x in r)
+        b, b_mode = coerce_matrix(self.b, None, "B")
+        b = matrix_rows(b, "shape-match", "B must be n x n for the n entries of d", n, n)
+        exact = b_mode == d_mode == "exact"
         if exact:
             flat, beta = as_integers(b[k][j] for k in range(n) for j in range(k, n))
             d, delta = as_integers(d)
@@ -591,10 +580,10 @@ def join_path(x: FlatTorus, t) -> FlatTorus:
     circle [4].  It is computed on the exact values of X and t; when
     either is float, the answer is the exact one rounded once per entry.
     """
-    tq = t if isinstance(t, float) else Fraction(t)
-    if not 0 <= tq <= 1:  # a NaN fails here too
-        raise PreconditionError("join-parameter", "t must lie in [0, 1]")
-    joined, tq = x.gram.to_exact(), Fraction(tq)
+    what = "t must be a number in [0, 1]"
+    if not 0 <= coerce_number(t, "join-parameter", what) <= 1:  # a NaN fails here too
+        raise PreconditionError("join-parameter", what)
+    joined, tq = x.gram.to_exact(), Fraction(t)
     if tq == 1:
         joined = QuadraticForm([[1]])
     elif tq > 0:

@@ -22,7 +22,7 @@ from typing import Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Option
 from .errors import PreconditionError, SchemaError
 from .rationals import (
     as_integers, as_list, coerce_integer, coerce_number, coerce_vector, format_rational,
-    parse_integer, parse_object, parse_rows,
+    matrix_rows, parse_integer, parse_object, parse_rows,
 )
 
 
@@ -392,7 +392,7 @@ class GluingFunction(enum.Enum):
 
     def evaluate(self, z: float) -> float:
         """Divergence scale at |z| = z, for 0 < z < 1."""
-        if not 0.0 < z < 1.0:
+        if not 0.0 < coerce_number(z, "unit-disc", "z must be a real number") < 1.0:
             raise PreconditionError("unit-disc", "gluing functions read 0 < |z| < 1")
         if self is GluingFunction.LOG:
             return -math.log(z)
@@ -521,13 +521,9 @@ def tropicalize(points: Sequence[Sequence[complex]], tol: float = 1e-6) -> Tropi
         v = []
         for i, z in enumerate(coords):
             try:
-                az = abs(z)
+                az = abs(coerce_number(z, "numeric-entries", "coordinates must be numbers", True))
             except OverflowError:  # a complex z whose modulus has no double
                 az = math.inf
-            except TypeError:
-                raise PreconditionError(
-                    "numeric-entries", f"point {k} has {z!r} at coordinate {i}, not a number"
-                ) from None
             if az == 0:
                 raise PreconditionError(
                     "nonzero-coordinates", f"point {k} has a zero coordinate {i}"
@@ -551,12 +547,8 @@ def tropicalize(points: Sequence[Sequence[complex]], tol: float = 1e-6) -> Tropi
                 tuple(x / n for x in v)
                 for v, n in zip(vectors[-3:], tail)
             ]
-            spread = max(
-                abs(units[a][i] - units[b][i])
-                for a in range(3)
-                for b in range(a + 1, 3)
-                for i in range(width)
-            )
+            # the largest |u_a[i] - u_b[i]| over pairs is max - min of column i
+            spread = max(max(col) - min(col) for col in zip(*units))
             if spread <= tol:
                 direction = units[-1]
     return Tropicalization(tuple(vectors), direction)
@@ -576,12 +568,10 @@ def pushforward_map(m: Sequence[Sequence[int]], x: Sequence) -> Tuple[Fraction, 
             raise PreconditionError("barycentric-coordinates", f"coordinate {i} is negative")
     if sum(coords) != 1:
         raise PreconditionError("barycentric-coordinates", "coordinates must sum to 1")
-    rows = [as_list(r, "matrix-shape", "matrix rows must be arrays")
-            for r in as_list(m, "matrix-shape", "the matrix must be an array of rows")]
-    if not rows or any(len(r) != len(coords) for r in rows):
-        raise PreconditionError(
-            "matrix-shape", "matrix columns must match the coordinate count"
-        )
+    what = "the matrix must be a nonempty array of rows, one entry per coordinate"
+    rows = matrix_rows(m, "matrix-shape", what, cols=len(coords))
+    if not rows:
+        raise PreconditionError("matrix-shape", what)
     for r in rows:
         for v in r:
             coerce_integer(v, "nonnegative-integer-matrix", "entries must be integers >= 0", low=0)

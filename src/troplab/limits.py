@@ -9,14 +9,16 @@ limit (keeps the converging block as a torus factor) and the fixed
 injectivity radius limit (keeps every direction as a circle factor).
 """
 
+import sys
 from fractions import Fraction
 from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import PreconditionError, SchemaError
 from .forms import FlatTorus, JacobiDecomposition, LimitSpace, rescale_to_diameter_one
 from .rationals import (
-    Scalar, as_list, coerce_integer, coerce_vector, format_rational, format_scalar, parse_array,
-    parse_object, parse_rational, parse_rows, parse_size,
+    Scalar, as_list, check_symmetric, coerce_integer, coerce_number, coerce_vector,
+    format_rational, format_scalar, matrix_rows, parse_array, parse_object, parse_rational,
+    parse_rows, parse_size,
 )
 from .siegel import SiegelPoint, default_u0, in_siegel_set, jacobi_decompose, metric_matrix
 
@@ -81,13 +83,6 @@ class MonomialEntry(_MonomialEntryFields):
 CONSTANT_ONE = MonomialEntry(Fraction(1), Fraction(0))
 
 
-def _square_rows(m, name: str) -> list:
-    """The rows of the matrix argument m as new lists; m or a row that is
-    not an array fails `shape-match`."""
-    what = f"{name} must be a g x g array of monomials"
-    return [as_list(r, "shape-match", what) for r in as_list(m, "shape-match", what)]
-
-
 class SymbolicSiegelPath:
     """Monomial path assembled from X, the Jacobi frame B, and diagonal D.
 
@@ -106,21 +101,11 @@ class SymbolicSiegelPath:
         g = len(d)
         if g < 1:
             raise PreconditionError("positive-genus", "D must be nonempty: a path needs g >= 1")
-        x, b = _square_rows(x, "X"), _square_rows(b, "B")
-        if len(x) != g or any(len(r) != g for r in x):
-            raise PreconditionError("shape-match", "X must be g x g")
-        if len(b) != g or any(len(r) != g for r in b):
-            raise PreconditionError("shape-match", "B must be g x g")
-        for i in range(g):
-            for j in range(g):
-                if not isinstance(x[i][j], MonomialEntry) or not isinstance(
-                    b[i][j], MonomialEntry
-                ):
-                    raise PreconditionError("monomial-entries", "entries must be monomials")
-        for i in range(g):
-            for j in range(i + 1, g):
-                if x[i][j] != x[j][i]:
-                    raise PreconditionError("symmetric", "X must be symmetric")
+        x = matrix_rows(x, "shape-match", "X must be a g x g array of monomials", g, g)
+        b = matrix_rows(b, "shape-match", "B must be a g x g array of monomials", g, g)
+        if not all(isinstance(v, MonomialEntry) for r in x + b for v in r):
+            raise PreconditionError("monomial-entries", "entries must be monomials")
+        check_symmetric(x, "X")
         for i in range(g):
             if b[i][i] != CONSTANT_ONE:
                 raise PreconditionError("unit-triangular", "B diagonal must be 1")
@@ -154,8 +139,9 @@ class SymbolicSiegelPath:
         )
 
     def point_at(self, s) -> SiegelPoint:
-        """Exact evaluation at a parameter value (integer exponents only)."""
-        s = Fraction(s)
+        """Exact evaluation at a parameter value s, a number read at its
+        exact value (integer exponents only)."""
+        s = Fraction(coerce_vector([s], None, "s")[0][0])
         g = self.g
         xv = [[self.x[i][j].value_at(s) for j in range(g)] for i in range(g)]
         bv = [[self.b[i][j].value_at(s) for j in range(g)] for i in range(g)]
@@ -316,8 +302,12 @@ def classify_collapse_numeric(
     three samples and at least doubled overall; otherwise those three
     values must have settled within tol.  A direction is collapsed when
     its ratio tail is below tol and decreasing; any other ratio tail must
-    have settled within tol.  An unsettled tail fails `oscillating-ratios`.
+    have settled within tol.  An unsettled tail fails `oscillating-ratios`;
+    a tol that is not a number in (0, inf) fails `positive-tolerance`.
     """
+    tol = coerce_number(tol, "positive-tolerance", "tol must be a real number")
+    if not 0 < tol <= sys.float_info.max:
+        raise PreconditionError("positive-tolerance", f"tol must be finite and > 0, not {tol!r}")
     samples = list(samples)
     if len(samples) < 8:
         raise PreconditionError("sample-count", "need at least 8 sample points")
@@ -400,13 +390,16 @@ def fixed_injrad_limit(a: Sequence, r: int, u0=None) -> LimitSpace:
     a_i < u0 a_{i+1}.
     Any float entry makes the whole profile float.
     """
-    a, _ = coerce_vector(a, None, "a")
+    a, mode = coerce_vector(a, None, "a")
     g = len(a)
     if g == 0:
         raise PreconditionError("positive-genus", "profile must be nonempty")
     coerce_integer(r, "rank-range", "need 0 <= r < g", 0, g - 1)
     if u0 is None:
         u0 = default_u0(g)
+    u0 = coerce_number(u0, "slack-range", "u0 must be a real number")
+    if mode == "float" and u0 > sys.float_info.max:  # its products with a are doubles
+        raise PreconditionError("slack-range", "u0 must lie in the double range for a float a")
     if not 1 < u0 * a[0]:
         raise PreconditionError("slack-range", "need 1 < u0 * a_1")
     for i in range(g - 1):
@@ -423,7 +416,7 @@ def product_collapse_reduce(
     different monomial rates: only the strictly dominant factor survives.
     Any float exponent makes all of them float.
     """
-    blocks = list(blocks)
+    blocks = matrix_rows(blocks, "factor-pair", "blocks must be (torus, exponent) pairs", cols=2)
     if not blocks:
         raise PreconditionError("nonempty-product", "no factors given")
     exps, _ = coerce_vector([e for _, e in blocks], None, "exponents")

@@ -129,6 +129,49 @@ def as_list(values, invariant: str, what: str) -> list:
         raise PreconditionError(invariant, f"{what}, not a {type(values).__name__}") from None
 
 
+def matrix_rows(m, invariant: str, what: str, rows=None, cols=None) -> List[list]:
+    """The rows of the matrix argument m as new lists: rows of them, each of
+    cols entries, where given.  m, a row that is not an array or another
+    shape fails the caller's shape invariant, with what saying what m must be."""
+    out = [as_list(r, invariant, what) for r in as_list(m, invariant, what)]
+    if rows not in (None, len(out)) or cols is not None and any(len(r) != cols for r in out):
+        raise PreconditionError(invariant, what)
+    return out
+
+
+def integral_matrix(m, name: str, invariant: str = "integral") -> List[List[int]]:
+    """The rows of the matrix argument m with each entry as the int it
+    equals, read by its exact value: an int, Fraction or float that is
+    integral counts.  A bool, text, any other value or a non-integral
+    number fails the invariant at name[i][j], as does m or a row that is
+    not an array."""
+    return [
+        [x if type(x) is int else _integer(x, invariant, f"{name}[{i}][{j}]")
+         for j, x in enumerate(r)]
+        for i, r in enumerate(matrix_rows(m, invariant, f"{name} must be a matrix"))
+    ]
+
+
+def _integer(x, invariant: str, where: str) -> int:
+    if isinstance(x, (int, float, Fraction)) and not isinstance(x, bool):
+        try:
+            p, q = x.as_integer_ratio()
+        except (OverflowError, ValueError):  # an infinite or NaN float
+            q = 0
+        if q == 1:
+            return p
+    raise PreconditionError(invariant, f"{where} is {x!r}, not an integer")
+
+
+def check_symmetric(rows, name: str) -> None:
+    """Fail `symmetric` at the first pair name[i][j] != name[j][i], i < j,
+    of the square rows; the rows are left as they are."""
+    for i, r in enumerate(rows):
+        for j in range(i + 1, len(rows)):
+            if r[j] != rows[j][i]:
+                raise PreconditionError("symmetric", f"{name}[{i}][{j}] != {name}[{j}][{i}]")
+
+
 def coerce_integer(value, invariant: str, what: str, low=None, high=None) -> int:
     """value, if it is an int but not a bool, in [low, high] where given;
     any other value fails the invariant, with what saying what it must be."""
@@ -226,10 +269,7 @@ def coerce_matrix(
     With no mode, any float entry makes it "float", else "exact".  Rows
     that are not arrays fail `numeric-entries`.
     """
-    rows = [
-        as_list(r, "numeric-entries", f"{name}[{i}] must be an array")
-        for i, r in enumerate(as_list(rows, "numeric-entries", f"{name} must be an array"))
-    ]
+    rows = matrix_rows(rows, "numeric-entries", f"{name} must be an array of arrays")
     if mode is None:
         mode = "float" if any(isinstance(x, float) for r in rows for x in r) else "exact"
     elif mode not in ("exact", "float"):

@@ -18,10 +18,10 @@ from typing import List, Tuple
 
 from . import _linalg as la
 from .errors import NotPositiveDefiniteError, PreconditionError
-from .forms import FlatTorus, QuadraticForm, integral_rows, jacobi_decompose, lll_reduce
+from .forms import FlatTorus, QuadraticForm, jacobi_decompose, lll_reduce
 from .rationals import (
-    as_integers, coerce_integer, coerce_matrix, coerce_number, format_scalar, nearest_int,
-    parse_matrix, parse_mode, parse_object, parse_size,
+    as_integers, check_symmetric, coerce_integer, coerce_matrix, coerce_number, format_scalar,
+    integral_matrix, matrix_rows, nearest_int, parse_matrix, parse_mode, parse_object, parse_size,
 )
 
 
@@ -40,13 +40,8 @@ class SiegelPoint:
         if not isinstance(y, QuadraticForm):
             y = QuadraticForm(y)
         g = y.n
-        rows, _ = coerce_matrix(x, y.mode, "X")
-        if len(rows) != g or any(len(r) != g for r in rows):
-            raise PreconditionError("shape-match", "X must be g x g")
-        for i in range(g):
-            for j in range(i + 1, g):
-                if rows[i][j] != rows[j][i]:
-                    raise PreconditionError("symmetric", "X must be symmetric")
+        rows = matrix_rows(coerce_matrix(x, y.mode, "X")[0], "shape-match", "X must be g x g", g, g)
+        check_symmetric(rows, "X")
         self.g = g
         self.x = tuple(tuple(r) for r in rows)
         self.y = y
@@ -109,7 +104,7 @@ class SymplecticElement:
     __slots__ = ("g", "mat")
 
     def __init__(self, mat):
-        rows = integral_rows(mat, "gamma")
+        rows = integral_matrix(mat, "gamma")
         n = len(rows)
         if n % 2 != 0 or any(len(r) != n for r in rows):
             raise PreconditionError("even-size", "matrix must be 2g x 2g")
@@ -140,14 +135,15 @@ class SymplecticElement:
         diag(U^T, U^-1) is symplectic for every invertible U; U must be
         integral with an integral inverse.
         """
+        u = matrix_rows(u, "square-matrix", "U must be g x g")
         g = len(u)
         if any(len(r) != g for r in u):
             raise PreconditionError("square-matrix", "U must be g x g")
+        u = integral_matrix(u, "U", "unimodular")
         try:
-            u = la.int_matrix(u)
             u_inv = la.int_inverse(u)
         except (ArithmeticError, ValueError):
-            raise PreconditionError("unimodular", "U must be in GL(g, Z)")
+            raise PreconditionError("unimodular", "U must be in GL(g, Z)") from None
         ut = la.transpose(u)
         m = la.zeros(2 * g, 2 * g)
         for i in range(g):
@@ -158,12 +154,11 @@ class SymplecticElement:
     @classmethod
     def translation(cls, s) -> "SymplecticElement":
         """Z -> Z + S for integral symmetric S."""
-        g = len(s)
-        rows = integral_rows(s, "S")
-        if any(len(r) != g for r in rows) or any(
-            rows[i][j] != rows[j][i] for i in range(g) for j in range(i)
-        ):
+        rows = integral_matrix(s, "S")
+        g = len(rows)
+        if any(len(r) != g for r in rows):
             raise PreconditionError("symmetric", "S must be a symmetric g x g matrix")
+        check_symmetric(rows, "S")
         m = la.identity(2 * g)
         for i in range(g):
             m[i][g:] = rows[i]

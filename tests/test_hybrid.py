@@ -6,12 +6,14 @@ import pytest
 from troplab import (
     CurveFamily,
     DualComplex,
+    FlatTorus,
     GluingFunction,
     MonomialEntry,
     WeightedMetricGraph,
     GroupAction,
     HybridLimit,
     IncidenceComplex,
+    JacobiDecomposition,
     LimitSpace,
     MonomialPathChart,
     PreconditionError,
@@ -20,6 +22,7 @@ from troplab import (
     SiegelPoint,
     SymbolicSiegelPath,
     SymplecticElement,
+    classify_collapse_numeric,
     collar_length,
     default_u0,
     downward_closure,
@@ -28,6 +31,8 @@ from troplab import (
     hybrid_limit,
     in_siegel_set,
     is_equivalent,
+    join_path,
+    product_collapse_reduce,
     pushforward_map,
     quotient_complex,
     siegel_reduce,
@@ -253,6 +258,42 @@ class TestGroupAction:
          "nonnegative-tolerance"),
         (lambda: tropicalize([[0.5, 2.0]], tol=True), "positive-tolerance"),
         (lambda: tropicalize([[0.5, None]]), "numeric-entries"),
+        # a matrix that must be symmetric names its first unequal pair
+        (lambda: QuadraticForm([[2, 1], [0, 2]]), "symmetric"),
+        (lambda: SiegelPoint([[0, 1], [0, 0]], [[2, 1], [1, 2]]), "symmetric"),
+        (lambda: SymbolicSiegelPath(
+            [[MonomialEntry(), MonomialEntry(1)], [MonomialEntry(), MonomialEntry()]],
+            [[MonomialEntry(1), MonomialEntry()], [MonomialEntry(), MonomialEntry(1)]],
+            [MonomialEntry(1, 1), MonomialEntry(2, 1)],
+        ), "symmetric"),
+        (lambda: SymplecticElement.translation([[0, 1], [0, 0]]), "symmetric"),
+        # an integral matrix reads a bool or text as no integer
+        (lambda: SymplecticElement([[True, 0], [0, 1]]), "integral"),
+        (lambda: QuadraticForm([[2]]).transform([[True]]), "integral"),
+        (lambda: SymplecticElement.from_gl([[True, 0], [0, 1]]), "unimodular"),
+        (lambda: SymplecticElement.from_gl([["1"]]), "unimodular"),
+        (lambda: SymplecticElement.from_gl(5), "square-matrix"),
+        (lambda: SymplecticElement.translation(5), "integral"),
+        (lambda: SymplecticElement.translation([["1"]]), "integral"),
+        (lambda: JacobiDecomposition([[None]], [1]).recompose(), "numeric-entries"),
+        (lambda: classify_collapse_numeric(doubling_samples(), tol="x"), "positive-tolerance"),
+        (lambda: classify_collapse_numeric(doubling_samples(), tol=True), "positive-tolerance"),
+        (lambda: classify_collapse_numeric(doubling_samples(), tol=math.nan),
+         "positive-tolerance"),
+        (lambda: classify_collapse_numeric(doubling_samples(), tol=-1.0), "positive-tolerance"),
+        (lambda: join_path(FlatTorus([[2]]), True), "join-parameter"),
+        (lambda: join_path(FlatTorus([[2]]), "1/2"), "join-parameter"),
+        (lambda: join_path(FlatTorus([[2]]), "x"), "join-parameter"),
+        (lambda: SymbolicSiegelPath.diagonal([MonomialEntry(1)]).point_at(True),
+         "numeric-entries"),
+        (lambda: SymbolicSiegelPath.diagonal([MonomialEntry(1)]).point_at("2"),
+         "numeric-entries"),
+        (lambda: fixed_injrad_limit([1, 2], 1, "x"), "slack-range"),
+        (lambda: GluingFunction.LOG.evaluate("x"), "unit-disc"),
+        (lambda: QuadraticForm([[1]]).evaluate([True]), "numeric-entries"),
+        (lambda: QuadraticForm([[1]]).evaluate(["x"]), "numeric-entries"),
+        (lambda: product_collapse_reduce([(FlatTorus([[1]]), 1, 2)]), "factor-pair"),
+        (lambda: tropicalize([[True, 0.5]]), "numeric-entries"),
     ],
     ids=["graph-endpoint", "graph-vertex", "stratum", "action", "generators", "exponent",
          "action-float", "generators-float", "action-bool", "form", "siegel", "graph-length",
@@ -269,7 +310,14 @@ class TestGroupAction:
          "reparametrized-float", "form-text", "form-bool", "float-form-text", "form-scale-bool",
          "form-scale-text", "graph-scale-bool", "slack-text", "float-slack-huge",
          "collar-t-string", "equivalence-tol-bool", "tropicalize-tol-bool",
-         "tropicalize-coordinate-none"],
+         "tropicalize-coordinate-none", "form-asymmetric", "siegel-x-asymmetric",
+         "path-x-asymmetric", "translation-asymmetric", "gamma-bool", "transform-u-bool",
+         "from-gl-bool", "from-gl-text", "from-gl-not-an-array", "translation-not-an-array",
+         "translation-text", "recompose-none", "numeric-tol-text", "numeric-tol-bool",
+         "numeric-tol-nan", "numeric-tol-negative", "join-t-bool", "join-t-text",
+         "join-t-string", "point-at-bool", "point-at-text", "injrad-u0-string",
+         "gluing-z-string", "evaluate-bool", "evaluate-string", "product-triple",
+         "tropicalize-coordinate-bool"],
 )
 def test_malformed_constructor_entry_is_a_precondition_failure(build, invariant):
     # each used to escape as a TypeError, ValueError or IndexError from
@@ -283,6 +331,11 @@ def test_malformed_constructor_entry_is_a_precondition_failure(build, invariant)
 def two_loops():
     """One vertex with two loops: a stable genus-2 dual graph."""
     return WeightedMetricGraph([("a", 0)], [("a", "a", 1), ("a", "a", 1)])
+
+
+def doubling_samples():
+    """Eight genus-1 samples whose Y doubles: a diverging top diagonal."""
+    return [SiegelPoint([[0.0]], [[2.0 ** k]]) for k in range(8)]
 
 
 # each public constructor or function that reads its arguments, with valid
@@ -314,7 +367,7 @@ CONSTRUCTORS = {
     "SymbolicSiegelPath.reparametrized": (
         lambda k: SymbolicSiegelPath.diagonal([MonomialEntry(1, 1)]).reparametrized(k), (2,)
     ),
-    "fixed_injrad_limit": (fixed_injrad_limit, ([1, 2], 1)),
+    "fixed_injrad_limit": (fixed_injrad_limit, ([1, 2], 1, 4)),
     # a genus of 10**400 is valid, but its slack 2**(10**400) never finishes
     "default_u0": (lambda g: g == 10**400 or default_u0(g), (2,)),
     "GluingFunction.LOG.weights": (GluingFunction.LOG.weights, ([1, 2],)),
@@ -326,6 +379,28 @@ CONSTRUCTORS = {
         (0.1,),
     ),
     "tropicalize": (tropicalize, ([[0.5, 2.0], [0.25, 4.0], [0.125, 8.0]], 1e-6)),
+    "SymplecticElement": (SymplecticElement, ([[1, 0], [0, 1]],)),
+    "SymplecticElement.from_gl": (SymplecticElement.from_gl, ([[1, 1], [0, 1]],)),
+    "SymplecticElement.translation": (SymplecticElement.translation, ([[1, 2], [2, 0]],)),
+    "JacobiDecomposition.recompose": (
+        lambda b, d: JacobiDecomposition(b, d).recompose(),
+        ([[1, Fraction(1, 2)], [0, 1]], [1, 2]),
+    ),
+    "classify_collapse_numeric": (
+        lambda tol: classify_collapse_numeric(doubling_samples(), tol), (1e-3,)
+    ),
+    "join_path": (lambda t: join_path(FlatTorus([[2]]), t), (Fraction(1, 2),)),
+    "SymbolicSiegelPath.point_at": (
+        lambda s: SymbolicSiegelPath.diagonal([MonomialEntry(1, 1)]).point_at(s), (2,)
+    ),
+    "GluingFunction.LOG.evaluate": (GluingFunction.LOG.evaluate, (0.5,)),
+    "QuadraticForm.evaluate": (
+        lambda v: QuadraticForm([[2, 1], [1, 2]]).evaluate(v), ([1, -1],)
+    ),
+    # a torus given as its Gram rows, so the sweep reaches its entries too
+    "product_collapse_reduce": (
+        product_collapse_reduce, ([([[1]], 1), ([[2, 1], [1, 2]], 2)],)
+    ),
     # a MonomialEntry is a tuple, so the sweep reaches its fields too
     "SymbolicSiegelPath": (
         SymbolicSiegelPath,

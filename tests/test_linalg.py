@@ -1,25 +1,36 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from troplab import _linalg as la
+from troplab.errors import PreconditionError
+from troplab.rationals import integral_matrix
 
 from helpers import _fraction_inverse
 
 
-def test_int_matrix_rejects_non_integral_fraction():
-    with pytest.raises(ValueError, match="non-integral"):
-        la.int_matrix([[1, Fraction(1, 2)]])
+def test_integral_matrix_rejects_non_integral_fraction():
+    with pytest.raises(PreconditionError, match=r"integral: m\[0\]\[1\] is Fraction\(1, 2\)"):
+        integral_matrix([[1, Fraction(1, 2)]], "m")
 
 
-def test_int_matrix_rejects_non_integral_float():
-    with pytest.raises(ValueError, match="non-integral"):
-        la.int_matrix([[2.5]])
+def test_integral_matrix_rejects_non_integral_float():
+    with pytest.raises(PreconditionError, match=r"integral: m\[0\]\[0\] is 2.5"):
+        integral_matrix([[2.5]], "m")
 
 
-def test_int_matrix_casts_integral_entries():
-    assert la.int_matrix([[Fraction(4, 2), 3.0, -1]]) == [[2, 3, -1]]
+def test_integral_matrix_casts_integral_entries():
+    assert integral_matrix([[Fraction(4, 2), 3.0, -1]], "m") == [[2, 3, -1]]
+
+
+@pytest.mark.parametrize("entry", [True, False, "1", None, math.inf, math.nan, 1j])
+def test_integral_matrix_rejects_bool_text_and_non_numbers(entry):
+    # a bool compares equal to 0 or 1 and int() reads text, but neither is an integer here
+    with pytest.raises(PreconditionError) as info:
+        integral_matrix([[1, entry]], "m", "unimodular")
+    assert info.value.invariant == "unimodular"
 
 
 def test_mat_mul_rejects_shape_mismatch():

@@ -179,6 +179,21 @@ def test_only_rationals_reads_scalars_as_integer_ratios():
     assert found == [], found
 
 
+def test_only_rationals_calls_round():
+    # one reading of integral arguments: rationals.integral_matrix decides
+    # an entry by its exact value; round(True) == True would count a bool
+    found = [
+        f"{module}:{node.lineno}"
+        for module, tree in library_trees().items()
+        if module != "rationals.py"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "round"
+    ]
+    assert found == [], found
+
+
 def test_only_rationals_checks_for_bool():
     # one reading of integer arguments: rationals.coerce_integer, which
     # refuses a bool where an integer is required
