@@ -5,10 +5,14 @@ block of dimension >= 3, and GL(n, Z) equivalence and homothety.  Each
 search runs in integers, on the Gram g = den F and the leading minors
 that troplab.forms keeps with every form, LLL-reduced first.  Equivalence
 matches inner products on the integer Grams, exactly or, with a
-tolerance, within a slack scaled to the same integer units.  A
-3-dimensional block of the covering radius goes to an obtuse superbase
-and the edge-cube sign walk (cube_sign_walk, which also serves
-tropical.torelli), and the Voronoi cell serves dimension >= 4.
+tolerance, within a slack scaled to the same integer units.  The
+short-vector walk under all of them takes each level's range of
+candidates from math.isqrt on integers for an exact form, and from a
+padded float square root for a float form; a walk whose widest level
+would hold more than sys.maxsize candidates fails `search-range` before
+it starts.  A 3-dimensional block of the covering radius goes to an
+obtuse superbase and the edge-cube sign walk (cube_sign_walk, which also
+serves tropical.torelli), and the Voronoi cell serves dimension >= 4.
 
 Building forms, Siegel points and tori never loads this module:
 forms.covering_radius_sq imports it for a block of dimension >= 3,
@@ -32,33 +36,97 @@ from .rationals import Scalar, coerce_number, exponent_split, quotient
 # -- enumeration -----------------------------------------------------------
 
 
+# the widest level of a walk holds 2 isqrt(floor(bound / min d_j)) + 1
+# candidates, which is at most sys.maxsize iff bound < _RANGE_LIMIT min d_j;
+# a power of two, so the product is exact in doubles too
+_RANGE_LIMIT = ((sys.maxsize + 1) // 2) ** 2
+
+
+def _check_search_range(dvec, bound) -> None:
+    """Refuse a walk that cannot finish, before it starts.
+
+    The all-zero prefix reaches every level with room = bound, so level j
+    holds 2 isqrt(floor(bound / d_j)) + 1 candidates there, the most at the
+    smallest d_j.  A count past sys.maxsize fails `search-range` in both
+    modes, as does a float d_j rounded to 0.0, whose level is unbounded.
+    """
+    dmin = min(dvec)
+    if bound < _RANGE_LIMIT * dmin:
+        return
+    if not dmin or bound == math.inf:
+        count = "unboundedly many"
+    else:
+        count = 2 * math.isqrt(math.floor(Fraction(bound) / Fraction(dmin))) + 1
+        e = math.log10(count)
+        count = f"about {10 ** (e % 1):.3g}e+{math.floor(e)}"
+    raise PreconditionError(
+        "search-range",
+        f"the lattice search would try {count} values of one coordinate, "
+        f"more than {sys.maxsize}: the bound is too far above the smallest Gram-Schmidt length",
+    )
+
+
 def _enumerate_up_to(bmat, dvec, bound) -> List[Tuple[Tuple[int, ...], Scalar]]:
-    """All nonzero integer vectors with form value <= bound (both signs)."""
+    """All nonzero integer vectors with form value <= bound (both signs).
+
+    Fincke-Pohst on F = B^T diag(d) B: level j, from the last coordinate
+    to the first, takes each x_j with d_j (x_j + c)^2 <= room, where
+    c = sum_{i>j} b_ji x_i and room is the bound less the terms of the
+    levels above, in ascending order.  An exact walk reads its range from
+    integers: with c = p/q and room/d_j = a/b (q, b > 0, in lowest terms or
+    not), the x_j that fit are those with (q x_j + p)^2 <= q^2 a / b, that
+    is |q x_j + p| <= s = isqrt(q^2 a // b), so it tests no candidate and
+    converts nothing to float.  A float walk pads a float square root by
+    one either side and tests each candidate.
+    """
     n = len(dvec)
+    _check_search_range(dvec, bound)
     found = []
     x = [0] * n
 
-    def recurse(j, partial):
-        if j < 0:
-            if any(x):
-                found.append((tuple(x), partial))
-            return
-        c = sum(bmat[j][i] * x[i] for i in range(j + 1, n))
-        room = bound - partial
-        if room < 0:
-            return
-        rad = math.sqrt(max(0.0, float(room / dvec[j]))) if dvec[j] else 0.0
-        cf = float(c)
-        lo = math.floor(-cf - rad) - 1
-        hi = math.ceil(-cf + rad) + 1
-        for xj in range(lo, hi + 1):
-            term = dvec[j] * (xj + c) ** 2
-            if term <= room:
-                x[j] = xj
-                recurse(j - 1, partial + term)
-        x[j] = 0
+    if isinstance(dvec[0], Fraction):
+        bound = Fraction(bound)
+        # d_j = dnum_j / dden_j, so room / d_j = room.num dden_j / (room.den dnum_j)
+        dnum = [d.numerator for d in dvec]
+        dden = [d.denominator for d in dvec]
 
-    recurse(n - 1, 0 * dvec[0] if n else 0)
+        def recurse(j, partial):
+            if j < 0:
+                if any(x):
+                    found.append((tuple(x), partial))
+                return
+            c = sum(bmat[j][i] * x[i] for i in range(j + 1, n))
+            room = bound - partial
+            p, q = c.numerator, c.denominator
+            s = math.isqrt(q * q * room.numerator * dden[j] // (room.denominator * dnum[j]))
+            for xj in range(-((s + p) // q), (s - p) // q + 1):
+                x[j] = xj
+                recurse(j - 1, partial + dvec[j] * (xj + c) ** 2)
+            x[j] = 0
+
+    else:
+
+        def recurse(j, partial):
+            if j < 0:
+                if any(x):
+                    found.append((tuple(x), partial))
+                return
+            c = sum(bmat[j][i] * x[i] for i in range(j + 1, n))
+            room = bound - partial
+            # a rounded partial sum may leave room slightly below 0; then
+            # every term, being >= 0, fails the test below
+            rad = math.sqrt(max(0.0, float(room / dvec[j])))
+            cf = float(c)
+            lo = math.floor(-cf - rad) - 1
+            hi = math.ceil(-cf + rad) + 1
+            for xj in range(lo, hi + 1):
+                term = dvec[j] * (xj + c) ** 2
+                if term <= room:
+                    x[j] = xj
+                    recurse(j - 1, partial + term)
+            x[j] = 0
+
+    recurse(n - 1, 0 * dvec[0])
     return found
 
 

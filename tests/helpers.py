@@ -348,14 +348,7 @@ def _vectors_up_to(rows, bound):
     + 1 and kept when its term fits the room left.
     """
     n = len(rows)
-    q, b = [], []
-    for i in range(n):
-        qi = rows[i][i] - sum(b[k][i] ** 2 * q[k] for k in range(i))
-        bi = [Fraction(int(i == j)) for j in range(n)]
-        for j in range(i + 1, n):
-            bi[j] = (rows[i][j] - sum(b[k][i] * q[k] * b[k][j] for k in range(i))) / qi
-        q.append(qi)
-        b.append(bi)
+    b, q = jacobi_factors(rows)
     found, x = [], [0] * n
 
     def walk(i, value):
@@ -376,8 +369,41 @@ def _vectors_up_to(rows, bound):
     return found
 
 
+def jacobi_factors(rows):
+    """(B, q) in Fractions with rows = B^T diag(q) B, B unit upper triangular."""
+    n = len(rows)
+    q, b = [], []
+    for i in range(n):
+        qi = rows[i][i] - sum(b[k][i] ** 2 * q[k] for k in range(i))
+        bi = [Fraction(int(i == j)) for j in range(n)]
+        for j in range(i + 1, n):
+            bi[j] = (rows[i][j] - sum(b[k][i] * q[k] * b[k][j] for k in range(i))) / qi
+        q.append(qi)
+        b.append(bi)
+    return b, q
+
+
+def box_vectors_up_to(rows, bound):
+    """Every nonzero integer x with x^T rows x <= bound, with its value, by
+    brute force over the Cauchy-Schwarz box.
+
+    x_i = <rows^-1 e_i, x> in the inner product of rows, so
+    x_i^2 <= (rows^-1)_ii x^T rows x <= bound (rows^-1)_ii, and every
+    integer point of that box is evaluated exactly.
+    """
+    n = len(rows)
+    inv = _fraction_inverse(rows)
+    half = [math.isqrt(math.floor(bound * inv[i][i])) for i in range(n)]
+    found = []
+    for x in itertools.product(*(range(-h, h + 1) for h in half)):
+        value = sum(Fraction(rows[i][j]) * x[i] * x[j] for i in range(n) for j in range(n))
+        if any(x) and value <= bound:
+            found.append((x, value))
+    return found
+
+
 def _fraction_inverse(rows):
-    """Inverse of an integer matrix over Fractions; None when singular."""
+    """Inverse of a rational matrix over Fractions; None when singular."""
     n = len(rows)
     a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
          for i, row in enumerate(rows)]

@@ -1,4 +1,7 @@
 import math
+import time
+import types
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -35,11 +38,13 @@ from troplab import forms, lattice
 
 from helpers import (
     a_n_gram,
+    box_vectors_up_to,
     brute_equivalent,
     d_n_gram,
     e_n_gram,
     grid_gap,
     is_unimodular,
+    jacobi_factors,
     lll_conditions_hold,
     random_integer_pd,
     random_pd_form,
@@ -171,6 +176,21 @@ def test_exact_mode_rejects_float_entries(build, where):
         build(1.5, "exact")
     assert build(Fraction(3, 2), "exact").mode == "exact"
     assert build(1.5, "float").mode == "float"
+
+
+@pytest.mark.parametrize("form, c", [(I2, 0), (I2, F(-1, 2)), (I2.to_float(), -2.0)])
+def test_scale_must_be_positive(form, c):
+    with pytest.raises(PreconditionError) as info:
+        form.scale(c)
+    assert info.value.invariant == "positive-scale"
+
+
+def test_a_point_has_no_diameter_to_rescale():
+    point = QuadraticForm([])
+    for torus in (point, FlatTorus(point)):
+        with pytest.raises(PreconditionError, match="cannot rescale a point") as info:
+            rescale_to_diameter_one(torus)
+        assert info.value.invariant == "positive-dimension"
 
 
 class TestJacobi:
@@ -457,6 +477,142 @@ class TestShortestVector:
             v, norm = shortest_vector(f)
             assert f.evaluate(v) == norm
             assert any(c != 0 for c in v)
+
+
+def lattice_value(rows, x):
+    return sum(F(rows[i][j]) * x[i] * x[j] for i in range(len(x)) for j in range(len(x)))
+
+
+class TestEnumeration:
+    """The Fincke-Pohst walk against brute force over the Cauchy-Schwarz
+    box, on Jacobi factors computed here, not by the library."""
+
+    @staticmethod
+    def walk(rows, bound, to_float=False):
+        b, q = jacobi_factors(rows)
+        if to_float:
+            b = [[float(x) for x in r] for r in b]
+            q = [float(x) for x in q]
+        return lattice._enumerate_up_to(b, q, bound)
+
+    def cases(self):
+        rng = seeded(71)
+        for _ in range(40):
+            n = rng.randint(1, 4)
+            m = [[F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)] for _ in range(n)]
+            rows = [
+                [sum(m[k][i] * m[k][j] for k in range(n)) + (F(1, rng.randint(1, 4)) if i == j else 0)
+                 for j in range(n)]
+                for i in range(n)
+            ]
+            yield rows
+        for rows in (a_n_gram(1), a_n_gram(2), a_n_gram(3), a_n_gram(4), d_n_gram(4)):
+            c = F(rng.randint(1, 9), rng.randint(1, 9))
+            yield [[c * x for x in r] for r in rows]
+
+    def test_exact_walk_matches_the_box(self):
+        rng = seeded(72)
+        on_bound = 0
+        for rows in self.cases():
+            n = len(rows)
+            # a lattice value as the bound puts vectors exactly on it
+            x = [0] * n
+            while not any(x):
+                x = [rng.randint(-1, 1) for _ in range(n)]
+            value = lattice_value(rows, x)
+            # a float bound, as a tolerant search of a float form against
+            # an exact one passes, is read at its exact value
+            bounds = [value, float(value), max(rows[i][i] for i in range(n))]
+            for bound in bounds:
+                got = self.walk(rows, bound)
+                want = box_vectors_up_to(rows, F(bound))
+                assert Counter(got) == Counter(want)
+                assert all(isinstance(v, Fraction) for _, v in got)
+                on_bound += sum(v == bound for _, v in got)
+        assert on_bound > 0
+
+    def test_float_walk_of_an_integer_form_matches_the_box(self):
+        # its Jacobi factors 4, 4, 5 and 1/2 are exact in doubles, so every
+        # value the float walk sums is exact too
+        rows = [[4, 2, 2], [2, 5, 1], [2, 1, 6]]
+        for bound in (4, 9, 16, 25):
+            got = self.walk(rows, float(bound), to_float=True)
+            want = [(x, float(v)) for x, v in box_vectors_up_to(rows, bound)]
+            assert Counter(got) == Counter(want)
+            assert any(v == bound for _, v in got)
+
+    def test_visiting_order(self):
+        # ascending x_j at every level, the last coordinate outermost
+        rows = a_n_gram(3)
+        got = [x for x, _ in self.walk(rows, 4)]
+        assert got == sorted(got, key=lambda x: x[::-1])
+
+
+class TestExactSearchUsesNoFloat:
+    @pytest.fixture(autouse=True)
+    def no_float(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a float in the exact search")
+
+        monkeypatch.setattr(lattice, "float", refuse, raising=False)
+        monkeypatch.setattr(lattice, "math", types.SimpleNamespace(**{**vars(math), "sqrt": refuse}))
+
+    def test_patch_is_seen(self):
+        with pytest.raises(AssertionError):
+            lattice.math.sqrt(2)
+        with pytest.raises(AssertionError):
+            is_equivalent(I2.to_float(), I2.to_float(), tol=1e-9)
+
+    def test_searches(self):
+        e8 = QuadraticForm(e_n_gram(8)).scale(F(3, 7))
+        assert shortest_vector(e8)[1] == F(6, 7)
+        f = QuadraticForm(d_n_gram(5))
+        g = f.transform(random_unimodular(seeded(73), 5))
+        for u in (is_equivalent(f, g), is_equivalent(f, g, tol=1e-6)):
+            assert u is not None and f.transform(u) == g
+        assert is_homothetic(f, g.scale(F(5, 3)))[0] == F(5, 3)
+        assert covering_radius_sq(QuadraticForm(a_n_gram(4))) == F(6, 5)
+
+
+# ||x||^2 = x_0^2 + 10^400 x_1^2, past the double range, and x_0^2 + 10^60 x_1^2,
+# inside it, whose equivalence search would still walk 2 10^30 + 1 values of x_0
+WIDE = QuadraticForm([[1, 0], [0, 10**400]])
+WIDE_60 = QuadraticForm([[1, 0], [0, 10**60]])
+
+
+@pytest.mark.parametrize(
+    "call, count",
+    [
+        (lambda: is_equivalent(WIDE, WIDE), "2e+200"),
+        (lambda: is_homothetic(WIDE, WIDE.scale(3)), "2e+200"),
+        (lambda: covering_radius_sq(QuadraticForm(
+            [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 10**400]]
+        )), "e+200"),
+        (lambda: is_equivalent(WIDE_60, WIDE_60), "2e+30"),
+    ],
+    ids=["equivalent", "homothetic", "covering-radius", "equivalent-1e60"],
+)
+def test_a_search_that_cannot_finish_fails_search_range(call, count):
+    start = time.perf_counter()
+    with pytest.raises(PreconditionError) as info:
+        call()
+    assert time.perf_counter() - start < 1
+    assert info.value.invariant == "search-range"
+    assert count in str(info.value)
+
+
+def test_search_range_holds_in_float_mode():
+    wide = QuadraticForm([[1.0, 0.0], [0.0, 1e300]])
+    with pytest.raises(PreconditionError) as info:
+        is_equivalent(wide, wide, tol=1e-6)
+    assert info.value.invariant == "search-range"
+    # a slack of tol times the largest entry past the double range is inf
+    big = I2.to_float().scale(1e10)
+    with pytest.raises(PreconditionError, match="search-range: .* unboundedly many"):
+        is_equivalent(big, big, tol=1e300)
+    # a Gram-Schmidt length rounded to 0.0 leaves a level unbounded
+    with pytest.raises(PreconditionError, match="search-range: .* unboundedly many"):
+        lattice._enumerate_up_to(((1, 0.5), (0, 1)), (1.0, 0.0), 1.0)
 
 
 class TestCoveringRadius:

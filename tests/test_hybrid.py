@@ -183,6 +183,20 @@ class TestGroupAction:
         with pytest.raises(PreconditionError):
             GroupAction.from_generators(segment(), [(1, 1)])
 
+    def test_closures_past_8_factorial_fail_group_size(self):
+        # a swap and an n-cycle generate S_n: S_8 has exactly 8! elements
+        # and is built, S_9 fails as its closure grows past them
+        def symmetric(n):
+            points = IncidenceComplex(n, [[i] for i in range(1, n + 1)])
+            swap = (2, 1) + tuple(range(3, n + 1))
+            cycle = tuple(range(2, n + 1)) + (1,)
+            return GroupAction.from_generators(points, [swap, cycle])
+
+        assert len(symmetric(8).elements) == math.factorial(8)
+        with pytest.raises(PreconditionError) as info:
+            symmetric(9)
+        assert info.value.invariant == "group-size"
+
 
 @pytest.mark.parametrize(
     "build, invariant",

@@ -76,6 +76,13 @@ class TestMonomialEntry:
         assert flipped.exponent == -m.exponent
 
 
+def test_pointwise_value_needs_an_integer_exponent():
+    assert mono(3, 2).value_at(F(2)) == 12
+    with pytest.raises(PreconditionError) as info:
+        mono(1, F(1, 2)).value_at(F(4))
+    assert info.value.invariant == "integer-exponent"
+
+
 class TestPathValidation:
     def test_diagonal_exponents_must_be_sorted(self):
         path = diag_path((1, 2), (1, 1))
@@ -233,6 +240,19 @@ class TestNumericCollapse:
         with pytest.raises(PreconditionError, match="oscillating-ratios: d_2 neither diverges"):
             classify_collapse_numeric(samples)
 
+    def test_collapse_that_is_no_initial_block_is_refused(self):
+        # d_3 = 10^(k+4) diverges; d_1 / d_3 = 2e-3 stays at tol's order
+        # while d_2 / d_3 falls below tol, as d_1 < u d_2 with u = 8 allows
+        samples = []
+        for k in range(1, 9):
+            d3 = F(10) ** (k + 4)
+            diag = [F(2, 1000) * d3, F(90 - k, 100000) * d3, d3]
+            y = QuadraticForm([[diag[i] if i == j else 0 for j in range(3)] for i in range(3)])
+            samples.append(SiegelPoint([[0] * 3 for _ in range(3)], y))
+        with pytest.raises(PreconditionError, match="not an initial block") as info:
+            classify_collapse_numeric(samples)
+        assert info.value.invariant == "oscillating-ratios"
+
     def test_report_shape(self):
         path = diag_path((2, 0), (1, 1))
         num = classify_collapse_numeric(sample_points(path))
@@ -299,6 +319,11 @@ class TestFixedInjrad:
         space = fixed_injrad_limit([F(1), 2.0, F(6)], 1)
         assert space.circle_circumferences == (3.0, 1.0)
         assert all(type(c) is float for c in space.circle_circumferences)
+
+    def test_empty_profile_rejected(self):
+        with pytest.raises(PreconditionError) as info:
+            fixed_injrad_limit([], 0)
+        assert info.value.invariant == "positive-genus"
 
     def test_nan_entry_rejected(self):
         with pytest.raises(PreconditionError) as info:
