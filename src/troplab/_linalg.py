@@ -11,7 +11,7 @@ solve reads after scaling its input to integers.
 from fractions import Fraction
 from typing import List, Sequence
 
-from .rationals import as_integers
+from .rationals import integer_rows
 
 Matrix = List[list]
 
@@ -49,20 +49,13 @@ def solve(a, b) -> Matrix:
     """X with A X = B, exact, for A and B of ints and Fractions.
 
     Over common denominators N = p A and M = q B are integer matrices
-    (rationals.as_integers), so X = p adj(N) M / (q det N): one Bareiss
+    (rationals.integer_rows), so X = p adj(N) M / (q det N): one Bareiss
     pass and one Fraction per entry.  B = identity gives the inverse.
     Raises ZeroDivisionError on singular input.
     """
-    (p, n), (q, m) = _integer_rows(a), _integer_rows(b)
+    (n, p), (m, q) = integer_rows(a), integer_rows(b)
     det, adj = int_adjugate(n)
     return [[Fraction(p * x, q * det) for x in r] for r in mat_mul(adj, m)]
-
-
-def _integer_rows(a):
-    """(den, den * A): A over the lcm of its entries' denominators."""
-    nums, den = as_integers(x for r in a for x in r)
-    it = iter(nums)
-    return den, [[next(it) for _ in r] for r in a]
 
 
 def int_adjugate(a):

@@ -4,19 +4,18 @@ The form is the Gram matrix of a lattice basis; the associated flat torus
 is R^n / Z^n with that inner product.  Exact mode keeps every entry a
 Fraction so reduction and covering radii in every dimension are exact.
 Float mode holds numerically sampled inputs, each entry read as its exact
-(dyadic) value.  A form read from outside is eliminated once, when it is
-built, fraction-free in integers; positive definiteness, det,
-jacobi_decompose, LLL and the covering radius all read those minors, and
-a float answer is the exact one rounded once.  A derived form keeps the
-integers its derivation produced (QuadraticForm._from_gram), with no
-Fraction read back: LLL, scaling, rescaling, Jacobi recomposition and
-the exact copy of a float form carry their minors over, and a transform,
-a product, a tropical Jacobian or a Siegel metric is eliminated once on
-its integer Gram.  The covering radius splits the integer Gram into
-orthogonal blocks, a float Gram read on its integers without conversion,
-and LLL-reduces every block of dimension >= 2 once in integers: a
-2-dimensional block reads its closed form off the reduced basis, with no
-separate Gauss reduction, and a larger one goes to the lattice search.
+(dyadic) value, and one rounding rule holds for every float answer: it
+is the exact answer rounded once.  A form read from outside is
+eliminated once, when it is built, fraction-free in integers; positive
+definiteness, det, jacobi_decompose, LLL and the covering radius all
+read those minors.  A derived form keeps the integers its derivation
+produced (QuadraticForm._from_gram): LLL, scaling, rescaling, Jacobi
+recomposition and the exact copy of a float form carry their minors
+over, and a transform, a product, a tropical Jacobian or a Siegel metric
+is eliminated once on its integer Gram.  The covering radius splits the
+integer Gram into orthogonal blocks and LLL-reduces every block of
+dimension >= 2 once in integers: a 2-dimensional block reads its closed
+form off the reduced basis, and a larger one goes to the lattice search.
 
 The search (troplab.lattice: enumeration, shortest vectors, the covering
 radius of a block of dimension >= 3, equivalence and homothety) loads
@@ -44,8 +43,8 @@ from . import _linalg as la
 from .errors import ModeMixError, NotPositiveDefiniteError, PreconditionError
 from .rationals import (
     Scalar, as_integers, check_symmetric, coerce_integer, coerce_matrix, coerce_number,
-    coerce_vector, exponent_split, format_scalar, integral_matrix, matrix_rows, parse_matrix,
-    parse_mode, parse_object, parse_size, past_double, quotient, round_half_away,
+    coerce_vector, exponent_split, format_scalar, integer_rows, integral_matrix, matrix_rows,
+    parse_matrix, parse_mode, parse_object, parse_size, past_double, quotient, round_half_away,
 )
 
 # names whose home is the lattice search: each resolves here on first
@@ -232,8 +231,7 @@ def _integer_ldl(entries):
     NotPositiveDefiniteError(i).
     """
     # the lower triangle is all the elimination reads
-    flat, den = as_integers(x for i, r in enumerate(entries) for x in r[: i + 1])
-    low = [flat[i * (i + 1) // 2 : (i + 1) * (i + 2) // 2] for i in range(len(entries))]
+    low, den = integer_rows(r[: i + 1] for i, r in enumerate(entries))
     d, lam = _eliminate(low)
     n = len(low)
     g = tuple(tuple(low[max(i, j)][min(i, j)] for j in range(n)) for i in range(n))
@@ -278,32 +276,28 @@ class JacobiDecomposition(NamedTuple):
 
     def recompose(self) -> QuadraticForm:
         """The form B^T diag(d) B: float when an entry of B or d is a float
-        (rationals.coerce_matrix), else exact.
+        (rationals.coerce_matrix), else exact, and in both modes computed
+        exactly, a float form being the exact Gram rounded once per entry.
 
-        Entry (i, j), i <= j, sums b_ki (d_k b_kj) over k <= i, the rows
-        where column i of B can be nonzero; entry (j, i) is the same
-        number, so a float form is symmetric however its products round.
-        Exact B and d are read as integers, B = B' / beta and d = d' /
-        delta, so that g = B'^T diag(d') B' is the Gram over beta^2 delta.
-        With B unit triangular its minors need no elimination: d_i is the
-        product of beta^2 d'_k over k < i, and lambda_ij = d_{j+1} b_ji.
+        The upper triangle of B and d are read as integers, B = B' / beta
+        and d = d' / delta, so that g = B'^T diag(d') B' is the Gram over
+        beta^2 delta; entry (i, j) sums b'_ki d'_k b'_kj over k <= i, the
+        rows where column i of B can be nonzero.  With B unit triangular
+        the minors of an exact g need no elimination: d_i is the product
+        of beta^2 d'_k over k < i, and lambda_ij = d_{j+1} b_ji.
         """
         d, d_mode = coerce_vector(self.d, None, "d")
         n = len(d)
         b, b_mode = coerce_matrix(self.b, None, "B")
         b = matrix_rows(b, "shape-match", "B must be n x n for the n entries of d", n, n)
-        exact = b_mode == d_mode == "exact"
-        if exact:
-            flat, beta = as_integers(b[k][j] for k in range(n) for j in range(k, n))
-            d, delta = as_integers(d)
-            at = iter(flat)
-            b = [[0] * k + [next(at) for _ in range(k, n)] for k in range(n)]
+        mode = "exact" if b_mode == d_mode == "exact" else "float"
+        b, beta = integer_rows(r[k:] for k, r in enumerate(b))
+        b = [[0] * k + r for k, r in enumerate(b)]
+        d, delta = as_integers(d)
         rows = [[0] * n for _ in range(n)]
         for i in range(n):
             for j in range(i, n):
                 rows[i][j] = rows[j][i] = sum(b[k][i] * (d[k] * b[k][j]) for k in range(i + 1))
-        if not exact:
-            return QuadraticForm(rows)
         minors = None
         if all(b[k][k] == beta for k in range(n)):
             minors = [1]
@@ -313,7 +307,7 @@ class JacobiDecomposition(NamedTuple):
                 minors.append(minors[-1] * beta * beta * x)
             lam = [[minors[j + 1] // beta * b[j][i] for j in range(i)] for i in range(n)]
             minors = (minors, lam)
-        return QuadraticForm._from_gram(rows, beta * beta * delta, "exact", minors)
+        return QuadraticForm._from_gram(rows, beta * beta * delta, mode, minors)
 
 
 def jacobi_decompose(form: QuadraticForm) -> JacobiDecomposition:
@@ -338,6 +332,12 @@ def jacobi_from_minors(mode: str, den: int, d, lam) -> JacobiDecomposition:
         for i in range(n)
     )
     dvec = tuple(quotient(mode, d[i + 1], d[i] * den) for i in range(n))
+    if mode == "float" and 0.0 in dvec:
+        raise PreconditionError(
+            "well-conditioned",
+            f"the Gram-Schmidt length d[{dvec.index(0.0)}] of this form is positive but "
+            "rounds to 0.0 in doubles; decompose its to_exact()",
+        )
     return JacobiDecomposition(b=b, d=dvec)
 
 

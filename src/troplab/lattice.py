@@ -5,12 +5,14 @@ block of dimension >= 3, and GL(n, Z) equivalence and homothety.  Each
 search runs in integers, on the Gram g = den F and the leading minors
 that troplab.forms keeps with every form, LLL-reduced first.  Equivalence
 matches inner products on the integer Grams, exactly or, with a
-tolerance, within a slack scaled to the same integer units.  The
-short-vector walk under all of them takes each level's range of
-candidates from math.isqrt on integers for an exact form, and from a
-padded float square root for a float form; a walk whose widest level
-would hold more than sys.maxsize candidates fails `search-range` before
-it starts.  A 3-dimensional block of the covering radius goes to an
+tolerance, within a slack scaled to the same integer units.  One
+short-vector walk serves every search in both modes: each level takes
+its range of candidates from math.isqrt on the exact values of its
+numbers, a float read as its dyadic value, and a walk whose widest
+level would hold more than sys.maxsize candidates fails `search-range`
+before it starts.  A float shortest vector is that of the exact copy,
+its length rounded once; a tolerant search sums its float norms in
+doubles.  A 3-dimensional block of the covering radius goes to an
 obtuse superbase and the edge-cube sign walk (cube_sign_walk, which also
 serves tropical.torelli), and the Voronoi cell serves dimension >= 4.
 
@@ -30,7 +32,7 @@ from typing import Dict, List, Optional, Tuple
 from . import _linalg as la
 from .errors import ModeMixError, PreconditionError
 from .forms import QuadraticForm, jacobi_decompose, jacobi_from_minors, lll_reduce
-from .rationals import Scalar, coerce_number, exponent_split, quotient
+from .rationals import Scalar, coerce_number, exponent_split, quotient, square_range
 
 
 # -- enumeration -----------------------------------------------------------
@@ -72,61 +74,35 @@ def _enumerate_up_to(bmat, dvec, bound) -> List[Tuple[Tuple[int, ...], Scalar]]:
     Fincke-Pohst on F = B^T diag(d) B: level j, from the last coordinate
     to the first, takes each x_j with d_j (x_j + c)^2 <= room, where
     c = sum_{i>j} b_ji x_i and room is the bound less the terms of the
-    levels above, in ascending order.  An exact walk reads its range from
-    integers: with c = p/q and room/d_j = a/b (q, b > 0, in lowest terms or
-    not), the x_j that fit are those with (q x_j + p)^2 <= q^2 a / b, that
-    is |q x_j + p| <= s = isqrt(q^2 a // b), so it tests no candidate and
-    converts nothing to float.  A float walk pads a float square root by
-    one either side and tests each candidate.
+    levels above, in ascending order.  One walk serves both modes: each
+    level reads c, room and d_j at their exact values and takes its range
+    from math.isqrt on integers (rationals.square_range), so it tests no
+    candidate.  The partial sums stay in the number type of d, Fractions
+    or floats; the bound is read in that type, a float bound exactly on
+    an exact walk.  A float walk sums its terms in doubles, so a vector on
+    the boundary may be left out.
     """
     n = len(dvec)
     _check_search_range(dvec, bound)
     found = []
     x = [0] * n
+    zero = 0 * dvec[0]
+    # the bound in the walk's number type: Fraction() reads a float
+    # exactly, and a float walk rounds it back to that float
+    bound = zero + Fraction(bound)
 
-    if isinstance(dvec[0], Fraction):
-        bound = Fraction(bound)
-        # d_j = dnum_j / dden_j, so room / d_j = room.num dden_j / (room.den dnum_j)
-        dnum = [d.numerator for d in dvec]
-        dden = [d.denominator for d in dvec]
+    def recurse(j, partial):
+        if j < 0:
+            if any(x):
+                found.append((tuple(x), partial))
+            return
+        c = sum(bmat[j][i] * x[i] for i in range(j + 1, n))
+        for xj in square_range(c, bound - partial, dvec[j]):
+            x[j] = xj
+            recurse(j - 1, partial + dvec[j] * (xj + c) ** 2)
+        x[j] = 0
 
-        def recurse(j, partial):
-            if j < 0:
-                if any(x):
-                    found.append((tuple(x), partial))
-                return
-            c = sum(bmat[j][i] * x[i] for i in range(j + 1, n))
-            room = bound - partial
-            p, q = c.numerator, c.denominator
-            s = math.isqrt(q * q * room.numerator * dden[j] // (room.denominator * dnum[j]))
-            for xj in range(-((s + p) // q), (s - p) // q + 1):
-                x[j] = xj
-                recurse(j - 1, partial + dvec[j] * (xj + c) ** 2)
-            x[j] = 0
-
-    else:
-
-        def recurse(j, partial):
-            if j < 0:
-                if any(x):
-                    found.append((tuple(x), partial))
-                return
-            c = sum(bmat[j][i] * x[i] for i in range(j + 1, n))
-            room = bound - partial
-            # a rounded partial sum may leave room slightly below 0; then
-            # every term, being >= 0, fails the test below
-            rad = math.sqrt(max(0.0, float(room / dvec[j])))
-            cf = float(c)
-            lo = math.floor(-cf - rad) - 1
-            hi = math.ceil(-cf + rad) + 1
-            for xj in range(lo, hi + 1):
-                term = dvec[j] * (xj + c) ** 2
-                if term <= room:
-                    x[j] = xj
-                    recurse(j - 1, partial + term)
-            x[j] = 0
-
-    recurse(n - 1, 0 * dvec[0])
+    recurse(n - 1, zero)
     return found
 
 
@@ -134,17 +110,19 @@ def shortest_vector(form: QuadraticForm) -> Tuple[Tuple[int, ...], Scalar]:
     """A shortest nonzero lattice vector and its squared length.
 
     Deterministic: among all minimizers the sign-canonical lexicographically
-    smallest coordinate vector is returned.
+    smallest coordinate vector is returned.  A float form gets the answer
+    of its to_exact(), the length rounded once.
     """
     if form.n == 0:
         raise PreconditionError("positive-dimension", "no vectors in dimension 0")
-    reduced, u = lll_reduce(form)
+    reduced, u = lll_reduce(form.to_exact())
     dec = jacobi_decompose(reduced)
     bound = min(reduced.entries[i][i] for i in range(form.n))
     candidates = _enumerate_up_to(dec.b, dec.d, bound)
     best_val = min(val for _, val in candidates)
     mapped = (tuple(la.mat_vec(u, vec)) for vec, val in candidates if val == best_val)
-    return min(max(w, tuple(-x for x in w)) for w in mapped), best_val
+    vec = min(max(w, tuple(-x for x in w)) for w in mapped)
+    return vec, quotient(form.mode, best_val.numerator, best_val.denominator)
 
 
 

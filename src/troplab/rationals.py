@@ -209,28 +209,38 @@ def coerce_vector(
     number, fail `numeric-entries`.
     """
     values = as_list(values, "numeric-entries", f"{name} must be an array")
-    has_float = any(isinstance(x, float) for x in values)
+    mode = _mode(mode, [values])
+    return _entries(values, mode, name), mode
+
+
+def _mode(mode: Optional[str], rows: List[list]) -> str:
+    """mode, or with none "float" when an entry of the rows is a float, else "exact"."""
     if mode is None:
-        mode = "float" if has_float else "exact"
-    if mode == "exact":
-        if has_float:
-            raise ModeMixError(f"{name} has a float entry in exact mode; convert it explicitly")
-        try:
-            # a Fraction is immutable, so it is kept rather than copied
-            return [x if type(x) is Fraction else _fraction(x) for x in values], mode
-        except (TypeError, ValueError, ZeroDivisionError):
-            raise _bad_entry(values, _fraction, name) from None
-    if mode != "float":
+        return "float" if any(isinstance(x, float) for r in rows for x in r) else "exact"
+    if mode not in ("exact", "float"):
         raise PreconditionError("arithmetic-mode", f"unknown mode {mode!r}")
+    return mode
+
+
+def _entries(values: list, mode: str, name: str, row: Optional[int] = None) -> List[Scalar]:
+    """The list values in mode, as coerce_vector reads them; a failure
+    names the entries name, or name[row] for a row of a matrix."""
+    exact = mode == "exact"
+    kind, convert = (Fraction, _fraction) if exact else (float, _float)
     try:
-        # float() of a float is that float, so a float entry costs no copy
-        values = [x if type(x) is float else _float(x) for x in values]
-    except (TypeError, ValueError, OverflowError):
-        raise _bad_entry(values, _float, name) from None
-    if not all(map(math.isfinite, values)):
-        j = next(j for j, x in enumerate(values) if not math.isfinite(x))
-        raise PreconditionError("finite", f"{name}[{j}] is {values[j]!r}")
-    return values, mode
+        # an entry already of its mode's type is kept, not copied
+        out = [x if type(x) is kind else convert(x) for x in values]
+        if exact or all(map(math.isfinite, out)):
+            return out
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        out = None
+    name = name if row is None else f"{name}[{row}]"
+    if exact and any(isinstance(x, float) for x in values):
+        raise ModeMixError(f"{name} has a float entry in exact mode; convert it explicitly")
+    if out is None:
+        raise _bad_entry(values, convert, name)
+    j = next(j for j, x in enumerate(out) if not math.isfinite(x))
+    raise PreconditionError("finite", f"{name}[{j}] is {out[j]!r}")
 
 
 # Fraction() and float() read these too, as numeric text or as 0 and 1
@@ -238,7 +248,8 @@ _NOT_NUMBERS = (bool, str, bytes, bytearray)
 
 
 def _fraction(x) -> Fraction:
-    if isinstance(x, _NOT_NUMBERS):
+    # a float in exact mode is a ModeMixError (_entries)
+    if isinstance(x, (float, *_NOT_NUMBERS)):
         raise TypeError(x)
     return Fraction(x)
 
@@ -264,25 +275,43 @@ def _bad_entry(values: Sequence, convert, name: str) -> PreconditionError:
 def coerce_matrix(
     rows: Sequence[Sequence], mode: Optional[str] = None, name: str = "entries"
 ) -> Tuple[List[List[Scalar]], str]:
-    """Each row through coerce_vector as name[i], all in one mode, and the mode.
+    """Each row as coerce_vector reads it, as name[i], all in one mode, and the mode.
 
     With no mode, any float entry makes it "float", else "exact".  Rows
     that are not arrays fail `numeric-entries`.
     """
     rows = matrix_rows(rows, "numeric-entries", f"{name} must be an array of arrays")
-    if mode is None:
-        mode = "float" if any(isinstance(x, float) for r in rows for x in r) else "exact"
-    elif mode not in ("exact", "float"):
-        raise PreconditionError("arithmetic-mode", f"unknown mode {mode!r}")
-    return [coerce_vector(r, mode, f"{name}[{i}]")[0] for i, r in enumerate(rows)], mode
+    mode = _mode(mode, rows)
+    return [_entries(r, mode, name, i) for i, r in enumerate(rows)], mode
+
+
+def integer_rows(rows: Iterable[Iterable]) -> Tuple[List[List[int]], int]:
+    """(g, den): den is the lcm of the denominators of the exact values in
+    the rows, which may differ in length, and g[i][j] = den * rows[i][j],
+    so the integers hold the matrix exactly."""
+    ratios = [[x.as_integer_ratio() for x in r] for r in rows]
+    den = math.lcm(*(q for r in ratios for _, q in r))
+    return [[p * (den // q) for p, q in r] for r in ratios], den
 
 
 def as_integers(values: Iterable) -> Tuple[List[int], int]:
-    """(nums, den): den is the lcm of the denominators of the exact values
-    and nums[i] = den * values[i], so the integers hold the values exactly."""
-    ratios = [x.as_integer_ratio() for x in values]
-    den = math.lcm(*(q for _, q in ratios))
-    return [p * (den // q) for p, q in ratios], den
+    """(nums, den): integer_rows of the one row values."""
+    (nums,), den = integer_rows([values])
+    return nums, den
+
+
+def square_range(c, room, d) -> range:
+    """The integers x with d (x + c)^2 <= room, for d > 0, with c, room and
+    d read at their exact values: for c = p/q and room/d = a/b, those with
+    |q x + p| <= isqrt(q^2 a // b), and none when room < 0."""
+    p, q = c.as_integer_ratio()
+    a, b = room.as_integer_ratio()
+    e, f = d.as_integer_ratio()
+    t = q * q * a * f // (b * e)
+    if t < 0:
+        return range(0)
+    s = math.isqrt(t)
+    return range(-((s + p) // q), (s - p) // q + 1)
 
 
 def quotient(mode: str, num: int, den: int) -> Scalar:

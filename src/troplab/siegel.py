@@ -20,7 +20,7 @@ from . import _linalg as la
 from .errors import NotPositiveDefiniteError, PreconditionError
 from .forms import FlatTorus, QuadraticForm, jacobi_decompose, lll_reduce
 from .rationals import (
-    as_integers, check_symmetric, coerce_integer, coerce_matrix, coerce_number, format_scalar,
+    check_symmetric, coerce_integer, coerce_matrix, coerce_number, format_scalar, integer_rows,
     integral_matrix, matrix_rows, nearest_int, parse_matrix, parse_mode, parse_object, parse_size,
 )
 
@@ -232,10 +232,8 @@ def metric_matrix(z: SiegelPoint) -> QuadraticForm:
     bottom_right = la.mat_add(la.mat_mul(x, la.mat_mul(y_inv, x)), y)
     rows = [r + s for r, s in zip(y_inv, top_right)]
     rows += [r + s for r, s in zip(bottom_left, bottom_right)]
-    flat, den = as_integers(x for r in rows for x in r)
-    n = len(rows)
     try:
-        return QuadraticForm._from_gram([flat[i * n : (i + 1) * n] for i in range(n)], den, z.mode)
+        return QuadraticForm._from_gram(*integer_rows(rows), z.mode)
     except NotPositiveDefiniteError as exc:  # only a float point's rounding
         raise PreconditionError(
             "well-conditioned",

@@ -204,7 +204,8 @@ class TestJacobi:
 
     def test_recompose_float_frame_is_symmetric(self):
         # b_ki (d_k b_kj) and b_kj (d_k b_ki) round differently, so a
-        # recomposition that computed both halves could fail "symmetric"
+        # recomposition that computed both halves in floats could fail
+        # "symmetric"; it is the exact Gram rounded once per entry
         rng = seeded(12)
         for _ in range(40):
             n = rng.randint(3, 5)
@@ -215,9 +216,16 @@ class TestJacobi:
                 [[Fraction(v) for v in r] for r in b], [Fraction(v) for v in d]
             ).recompose()
             assert f.mode == "float"
-            for row, exact_row in zip(f.entries, exact.entries):
-                for v, w in zip(row, exact_row):
-                    assert abs(v - float(w)) <= 1e-12 * (1 + abs(float(w)))
+            assert f.entries == tuple(tuple(float(w) for w in r) for r in exact.entries)
+
+    def test_a_length_rounded_to_zero_fails_well_conditioned(self):
+        # positive definite, but d_1 = u / (2^40 + 1) underflows to 0.0
+        u = 2.0**-1074
+        f = QuadraticForm([[(2**40 + 1) * u, 2**20 * u], [2**20 * u, u]])
+        with pytest.raises(PreconditionError, match=r"to_exact\(\)") as info:
+            jacobi_decompose(f)
+        assert info.value.invariant == "well-conditioned"
+        assert jacobi_decompose(f.to_exact()).d[1] == F(1, 2**1074 * (2**40 + 1))
 
     def test_unit_upper_triangular_factor(self):
         f = QuadraticForm([[2, 1], [1, 2]])
@@ -470,6 +478,19 @@ class TestShortestVector:
         v, norm = shortest_vector(QuadraticForm([[1, 7], [7, 50]]))
         assert norm == 1
 
+    def test_float_form_gets_the_exact_answer_rounded_once(self):
+        # summed in doubles, the norms of this form exceed its rounded
+        # diagonal, so a float walk bounded by that diagonal kept nothing
+        f = QuadraticForm(
+            [[1.3349150108450107, 0.13808345431570654, -0.4765415187115988],
+             [0.13808345431570654, 1.2923932284517288, -0.7564286377271401],
+             [-0.4765415187115988, -0.7564286377271401, 1.682526695948051]],
+            "float",
+        )
+        v, norm = shortest_vector(f)
+        exact_v, exact_norm = shortest_vector(f.to_exact())
+        assert v == exact_v and type(norm) is float and norm == float(exact_norm)
+
     def test_vector_achieves_norm(self):
         rng = seeded(13)
         for _ in range(15):
@@ -558,10 +579,10 @@ class TestExactSearchUsesNoFloat:
         monkeypatch.setattr(lattice, "math", types.SimpleNamespace(**{**vars(math), "sqrt": refuse}))
 
     def test_patch_is_seen(self):
-        with pytest.raises(AssertionError):
-            lattice.math.sqrt(2)
-        with pytest.raises(AssertionError):
-            is_equivalent(I2.to_float(), I2.to_float(), tol=1e-9)
+        # a call in the search's own namespace reaches the patched names
+        for call in ("float(2)", "math.sqrt(2)"):
+            with pytest.raises(AssertionError):
+                eval(call, vars(lattice))
 
     def test_searches(self):
         e8 = QuadraticForm(e_n_gram(8)).scale(F(3, 7))

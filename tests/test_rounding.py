@@ -13,6 +13,7 @@ import pytest
 
 from troplab import (
     FlatTorus,
+    JacobiDecomposition,
     QuadraticForm,
     SiegelPoint,
     SymplecticElement,
@@ -23,6 +24,7 @@ from troplab import (
     metric_matrix,
     rescale_graph_to_diameter_one,
     rescale_to_diameter_one,
+    shortest_vector,
     torelli,
     tropical_jacobian,
 )
@@ -90,6 +92,22 @@ def _act(rng, cast):
     return _scalars(gamma.act(z))
 
 
+def _recompose(rng, cast):
+    # entries of B with 27-bit numerators, so that the products of a Gram
+    # entry are too long for a double and a float sum of them would round
+    n = rng.randint(1, 4)
+    b = [[Fraction(rng.randint(-2**26, 2**26), 2**26) if j > i else Fraction(int(i == j))
+          for j in range(n)] for i in range(n)]
+    d = [Fraction(rng.randint(1, 64), 2 ** rng.randint(0, 5)) for _ in range(n)]
+    frame = JacobiDecomposition([[cast(x) for x in r] for r in b], [cast(x) for x in d])
+    return _scalars(frame.recompose())
+
+
+def _shortest(rng, cast):
+    vec, norm = shortest_vector(_form(rng, cast))
+    return list(vec) + [norm]
+
+
 def _lll(rng, cast):
     reduced, u = lll_reduce(_form(rng, cast))
     return _scalars(reduced) + [x for r in u for x in r]
@@ -108,6 +126,8 @@ CASES = {
     "tropical_jacobian": lambda rng, cast: _scalars(tropical_jacobian(_graph(rng, cast))),
     "torelli": lambda rng, cast: _scalars(torelli(_graph(rng, cast))),
     "lll_reduce": _lll,
+    "JacobiDecomposition.recompose": _recompose,
+    "shortest_vector": _shortest,
     "covering_radius_sq": lambda rng, cast: [covering_radius_sq(_form(rng, cast))],
     "metric_matrix": lambda rng, cast: _scalars(metric_matrix(_point(rng, cast))),
     "SymplecticElement.act": _act,

@@ -179,6 +179,23 @@ def test_only_rationals_reads_scalars_as_integer_ratios():
     assert found == [], found
 
 
+def test_the_lattice_search_takes_no_float_square_root():
+    # one walk for both modes: each level's range is read from integers
+    # (rationals.square_range), so the search converts nothing to float
+    # and takes no float square root
+    found = [
+        f"lattice.py:{node.lineno}"
+        for node in ast.walk(library_trees()["lattice.py"])
+        if isinstance(node, ast.Call)
+        and (
+            isinstance(node.func, ast.Name) and node.func.id == "float"
+            or isinstance(node.func, ast.Attribute) and node.func.attr == "sqrt"
+            and isinstance(node.func.value, ast.Name) and node.func.value.id == "math"
+        )
+    ]
+    assert found == [], found
+
+
 def test_only_rationals_calls_round():
     # one reading of integral arguments: rationals.integral_matrix decides
     # an entry by its exact value; round(True) == True would count a bool
