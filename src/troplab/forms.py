@@ -284,7 +284,10 @@ class JacobiDecomposition(NamedTuple):
         beta^2 delta; entry (i, j) sums b'_ki d'_k b'_kj over k <= i, the
         rows where column i of B can be nonzero.  With B unit triangular
         the minors of an exact g need no elimination: d_i is the product
-        of beta^2 d'_k over k < i, and lambda_ij = d_{j+1} b_ji.
+        of beta^2 d'_k over k < i, and lambda_ij = d_{j+1} b_ji.  With d > 0
+        too the exact Gram is positive definite, so a float frame whose
+        rounding to doubles is not fails `well-conditioned`, as
+        siegel.metric_matrix does.
         """
         d, d_mode = coerce_vector(self.d, None, "d")
         n = len(d)
@@ -307,7 +310,17 @@ class JacobiDecomposition(NamedTuple):
                 minors.append(minors[-1] * beta * beta * x)
             lam = [[minors[j + 1] // beta * b[j][i] for j in range(i)] for i in range(n)]
             minors = (minors, lam)
-        return QuadraticForm._from_gram(rows, beta * beta * delta, mode, minors)
+        try:
+            return QuadraticForm._from_gram(rows, beta * beta * delta, mode, minors)
+        except NotPositiveDefiniteError as exc:
+            if minors is None:
+                raise
+            # positive exact minors: only a float frame's rounding fails
+            raise PreconditionError(
+                "well-conditioned",
+                "the exact Gram of this frame is positive definite but its rounding to "
+                f"doubles is not ({exc}); give B and d as exact numbers",
+            )
 
 
 def jacobi_decompose(form: QuadraticForm) -> JacobiDecomposition:

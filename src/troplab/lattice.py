@@ -5,16 +5,20 @@ block of dimension >= 3, and GL(n, Z) equivalence and homothety.  Each
 search runs in integers, on the Gram g = den F and the leading minors
 that troplab.forms keeps with every form, LLL-reduced first.  Equivalence
 matches inner products on the integer Grams, exactly or, with a
-tolerance, within a slack scaled to the same integer units.  One
+tolerance, within a slack scaled to the same integer units, choosing
+each basis image from one sorted candidate list per norm.  One
 short-vector walk serves every search in both modes: each level takes
 its range of candidates from math.isqrt on the exact values of its
-numbers, a float read as its dyadic value, and a walk whose widest
-level would hold more than sys.maxsize candidates fails `search-range`
-before it starts.  A float shortest vector is that of the exact copy,
-its length rounded once; a tolerant search sums its float norms in
-doubles.  A 3-dimensional block of the covering radius goes to an
-obtuse superbase and the edge-cube sign walk (cube_sign_walk, which also
-serves tropical.torelli), and the Voronoi cell serves dimension >= 4.
+numbers, a float read as its dyadic value, and reads its centre, kept
+per level as the walk descends, instead of summing it; a walk whose
+widest level would hold more than sys.maxsize candidates fails
+`search-range` before it starts.  A float shortest vector is that of the
+exact copy, its length rounded once; a tolerant search sums its float
+centres from the top level down and its norms in doubles, so a float
+value may differ from a direct sum in its last bits.  A 3-dimensional
+block of the covering radius goes to an obtuse superbase and the
+edge-cube sign walk (cube_sign_walk, which also serves tropical.torelli),
+and the Voronoi cell serves dimension >= 4.
 
 Building forms, Siegel points and tori never loads this module:
 forms.covering_radius_sq imports it for a block of dimension >= 3,
@@ -72,15 +76,21 @@ def _enumerate_up_to(bmat, dvec, bound) -> List[Tuple[Tuple[int, ...], Scalar]]:
     """All nonzero integer vectors with form value <= bound (both signs).
 
     Fincke-Pohst on F = B^T diag(d) B: level j, from the last coordinate
-    to the first, takes each x_j with d_j (x_j + c)^2 <= room, where
-    c = sum_{i>j} b_ji x_i and room is the bound less the terms of the
-    levels above, in ascending order.  One walk serves both modes: each
-    level reads c, room and d_j at their exact values and takes its range
-    from math.isqrt on integers (rationals.square_range), so it tests no
-    candidate.  The partial sums stay in the number type of d, Fractions
-    or floats; the bound is read in that type, a float bound exactly on
-    an exact walk.  A float walk sums its terms in doubles, so a vector on
-    the boundary may be left out.
+    to the first, takes each x_j with d_j (x_j + c_j)^2 <= room, where
+    c_j = sum_{i>j} b_ji x_i and room is the bound less the terms of the
+    levels above, in ascending order.  The centres are kept per level, as
+    Schnorr and Euchner keep them (Math. Programming 66 (1994)): each x_j
+    tried sets c_k, for every k < j with b_kj != 0, to its value on
+    entering level j plus b_kj x_j, and leaving level j restores them, so
+    a node reads its centre instead of summing it.  One walk serves both
+    modes: each level reads c_j, room and d_j at their exact values and
+    takes its range from math.isqrt on integers (rationals.square_range),
+    so it tests no candidate.  Centres and partial sums stay in the number
+    type of d, Fractions or floats; the bound is read in that type, a
+    float bound exactly on an exact walk.  A float walk sums each centre
+    from the top level down, so a float value may differ in its last bits
+    from a direct sum, and its terms in doubles, so a vector on the
+    boundary may be left out.
     """
     n = len(dvec)
     _check_search_range(dvec, bound)
@@ -90,16 +100,25 @@ def _enumerate_up_to(bmat, dvec, bound) -> List[Tuple[Tuple[int, ...], Scalar]]:
     # the bound in the walk's number type: Fraction() reads a float
     # exactly, and a float walk rounds it back to that float
     bound = zero + Fraction(bound)
+    # cen[k] sums b_ki x_i over the levels i > k fixed so far; cols[j]
+    # holds the (k, b_kj) with k < j and b_kj != 0
+    cen = [zero] * n
+    cols = [[(k, bmat[k][j]) for k in range(j) if bmat[k][j]] for j in range(n)]
 
     def recurse(j, partial):
         if j < 0:
             if any(x):
                 found.append((tuple(x), partial))
             return
-        c = sum(bmat[j][i] * x[i] for i in range(j + 1, n))
+        c = cen[j]
+        col = cols[j]
+        base = cen[:j]
         for xj in square_range(c, bound - partial, dvec[j]):
             x[j] = xj
+            for k, b in col:
+                cen[k] = base[k] + b * xj
             recurse(j - 1, partial + dvec[j] * (xj + c) ** 2)
+        cen[:j] = base
         x[j] = 0
 
     recurse(n - 1, zero)
@@ -382,9 +401,12 @@ def is_equivalent(
     """GL(n, Z) equivalence.  Returns U with U^T f1 U = f2, or None.
 
     Both forms are LLL-reduced, and the images of the reduced basis of f1
-    are chosen in turn from the vectors of f2 of the matching length.  A
-    candidate for vector i is tested against each chosen vector w with one
-    dot product with the stored image of w under the Gram of f2.
+    are chosen in turn from the vectors of f2 of the matching length: one
+    sorted candidate list per distinct norm on the reduced f1's diagonal,
+    so a norm that repeats, as in a root lattice, scans the short vectors
+    of f2 once.  A candidate for vector i is tested against each chosen
+    vector w with one dot product with the stored image of w under the
+    Gram of f2.
 
     The search runs on the integer Grams g = den F stored with the forms:
     <v, w> = F1[i][j] in the reduced forms is tested as
@@ -435,12 +457,10 @@ def is_equivalent(
     need = [m1.entries[i][i] for i in range(n)]
     maxnorm = max(need) + slack
     pool = _enumerate_up_to(dec2.b, dec2.d, maxnorm)
-    cands = []
-    for i in range(n):
-        ci = sorted(vec for vec, val in pool if abs(val - need[i]) <= slack)
-        if not ci:
-            return None
-        cands.append(ci)
+    by_norm = {t: sorted(vec for vec, val in pool if abs(val - t) <= slack) for t in set(need)}
+    if not all(by_norm.values()):
+        return None
+    cands = [by_norm[t] for t in need]
 
     gram = [[m1._den * x for x in row] for row in m2._gram]
     target = [[m2._den * x for x in row] for row in m1._gram]

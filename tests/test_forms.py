@@ -37,6 +37,7 @@ from troplab import (
 from troplab import forms, lattice
 
 from helpers import (
+    _vectors_up_to,
     a_n_gram,
     box_vectors_up_to,
     brute_equivalent,
@@ -226,6 +227,17 @@ class TestJacobi:
             jacobi_decompose(f)
         assert info.value.invariant == "well-conditioned"
         assert jacobi_decompose(f.to_exact()).d[1] == F(1, 2**1074 * (2**40 + 1))
+
+    def test_a_frame_whose_rounding_is_not_positive_definite_fails_well_conditioned(self):
+        # d > 0 with B unit upper triangular: the exact Gram is positive
+        # definite, but its leading minor 3 rounded to doubles is not
+        b = [[1, 45787461, -56241421], [0, 1, 2393571], [0, 0, 1]]
+        d = [9, 8, 7]
+        frame = JacobiDecomposition([[float(x) for x in r] for r in b], [float(x) for x in d])
+        with pytest.raises(PreconditionError, match="rounding to doubles") as info:
+            frame.recompose()
+        assert info.value.invariant == "well-conditioned"
+        assert JacobiDecomposition(b, d).recompose().det() == 9 * 8 * 7
 
     def test_unit_upper_triangular_factor(self):
         f = QuadraticForm([[2, 1], [1, 2]])
@@ -567,6 +579,29 @@ class TestEnumeration:
         rows = a_n_gram(3)
         got = [x for x, _ in self.walk(rows, 4)]
         assert got == sorted(got, key=lambda x: x[::-1])
+
+    def test_kept_centres_match_the_direct_sums(self):
+        # above dimension 4 the box is too slow: the reference walk sums
+        # each centre directly, and the kept centres give the same list,
+        # in the same order, with the same Fraction values
+        rng = seeded(74)
+        cases = []
+        for rows in (
+            [a_n_gram(n) for n in range(5, 9)]
+            + [d_n_gram(n) for n in range(5, 9)]
+            + [e_n_gram(n) for n in (6, 7, 8)]
+        ):
+            c = F(rng.randint(1, 9), rng.randint(1, 9))
+            cases += [([[c * x for x in r] for r in rows], k * 2 * c) for k in (1, 2)]
+        for _ in range(20):
+            rows = random_rational_form(rng, rng.randint(5, 6)).rows
+            minimum = min(v for _, v in _vectors_up_to(rows, min(rows[i][i] for i in range(len(rows)))))
+            cases += [(rows, minimum), (rows, 2 * minimum)]
+        for rows, bound in cases:
+            got = self.walk(rows, bound)
+            want = _vectors_up_to(rows, bound)
+            assert got == want
+            assert all(isinstance(v, Fraction) for _, v in got)
 
 
 class TestExactSearchUsesNoFloat:
@@ -932,6 +967,33 @@ class TestEquivalence:
         for f1 in (f, f.to_exact()):
             assert is_equivalent(f1, perturbed(0.5), tol=tol) is not None
             assert is_equivalent(f1, perturbed(5), tol=tol) is None
+
+    def test_a_repeated_norm_shares_one_candidate_list(self):
+        # Z^2 + 3 A_2: the reduced diagonal repeats the norms 1 and 6
+        f = QuadraticForm([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 6, -3], [0, 0, -3, 6]])
+        assert sorted(lll_reduce(f)[0].entries[i][i] for i in range(4)) == [1, 1, 6, 6]
+        rng = seeded(19)
+        for _ in range(5):
+            g = f.transform(random_unimodular(rng, 4, steps=8))
+            for f1, f2 in ((f, g), (g, f)):
+                u = is_equivalent(f1, f2)
+                assert u is not None and f1.transform(u) == f2
+
+    def test_norms_closer_than_the_slack_keep_their_own_lists(self):
+        # the lists are keyed by exact norm: 1 and 1 + 1e-9 lie within the
+        # slack (3e-6) of each other and each still finds its vectors
+        tol = 1e-6
+        f = QuadraticForm([[1.0, 0.0, 0.0], [0.0, 1.0 + 1e-9, 0.0], [0.0, 0.0, 3.0]])
+        rng = seeded(20)
+        for _ in range(5):
+            g = f.transform(random_unimodular(rng, 3))
+            for f1, f2 in ((f, g), (g, f)):
+                u = is_equivalent(f1, f2, tol=tol)
+                assert u is not None and is_unimodular(u)
+                got = f1.transform(u).entries
+                assert all(
+                    abs(x - y) <= tol * 3 for r, s in zip(got, f2.entries) for x, y in zip(r, s)
+                )
 
     @pytest.mark.parametrize("s", SCALES)
     def test_tol_is_relative_at_every_scale(self, s):

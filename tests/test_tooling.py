@@ -196,6 +196,24 @@ def test_the_lattice_search_takes_no_float_square_root():
     assert found == [], found
 
 
+def test_the_lattice_walk_sums_no_centre_at_a_node():
+    # each level's centre is kept as the walk descends, so the recursive
+    # function of _enumerate_up_to reads it and calls no sum
+    walk = next(
+        node for node in ast.walk(library_trees()["lattice.py"])
+        if isinstance(node, ast.FunctionDef) and node.name == "_enumerate_up_to"
+    )
+    nested = [node for node in ast.walk(walk) if isinstance(node, ast.FunctionDef) and node is not walk]
+    assert nested, "the walk has no recursive function"
+    found = [
+        f"lattice.py:{node.lineno}"
+        for fn in nested
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "sum"
+    ]
+    assert found == [], found
+
+
 def test_only_rationals_calls_round():
     # one reading of integral arguments: rationals.integral_matrix decides
     # an entry by its exact value; round(True) == True would count a bool
