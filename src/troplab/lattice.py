@@ -10,7 +10,9 @@ each basis image from one sorted candidate list per norm.  One
 short-vector walk serves every search in both modes: each level takes
 its range of candidates from math.isqrt on the exact values of its
 numbers, a float read as its dyadic value, and reads its centre, kept
-per level as the walk descends, instead of summing it; a walk whose
+per level as the walk descends, instead of summing it.  The walk fixes
+the sign of each vector's last nonzero coordinate, so it visits one
+vector of each +-pair and lists the other as its negative; a walk whose
 widest level would hold more than sys.maxsize candidates fails
 `search-range` before it starts.  A float shortest vector is that of the
 exact copy, its length rounded once; a tolerant search sums its float
@@ -73,7 +75,8 @@ def _check_search_range(dvec, bound) -> None:
 
 
 def _enumerate_up_to(bmat, dvec, bound) -> List[Tuple[Tuple[int, ...], Scalar]]:
-    """All nonzero integer vectors with form value <= bound (both signs).
+    """All nonzero integer vectors with form value <= bound, both signs,
+    in ascending order of (x_{n-1}, ..., x_0).
 
     Fincke-Pohst on F = B^T diag(d) B: level j, from the last coordinate
     to the first, takes each x_j with d_j (x_j + c_j)^2 <= room, where
@@ -82,19 +85,26 @@ def _enumerate_up_to(bmat, dvec, bound) -> List[Tuple[Tuple[int, ...], Scalar]]:
     Schnorr and Euchner keep them (Math. Programming 66 (1994)): each x_j
     tried sets c_k, for every k < j with b_kj != 0, to its value on
     entering level j plus b_kj x_j, and leaving level j restores them, so
-    a node reads its centre instead of summing it.  One walk serves both
-    modes: each level reads c_j, room and d_j at their exact values and
-    takes its range from math.isqrt on integers (rationals.square_range),
-    so it tests no candidate.  Centres and partial sums stay in the number
-    type of d, Fractions or floats; the bound is read in that type, a
-    float bound exactly on an exact walk.  A float walk sums each centre
-    from the top level down, so a float value may differ in its last bits
-    from a direct sum, and its terms in doubles, so a vector on the
-    boundary may be left out.
+    a node reads its centre instead of summing it.  x and -x have the same
+    value, so the walk fixes the sign of the last nonzero coordinate: for
+    j = 0, ..., n-1 it holds the coordinates above j at 0, where the
+    centre is 0, runs x_j from 1 up, and walks the levels below as above.
+    That half is the second half of the list, and the first half is its
+    negatives in reverse order, each with the same value: a caller that
+    needs one vector of each +-pair reads the second half.  One walk
+    serves both modes: each level reads c_j, room and d_j at their exact
+    values and takes its range from math.isqrt on integers
+    (rationals.square_range), so it tests no candidate.  Centres and
+    partial sums stay in the number type of d, Fractions or floats; the
+    bound is read in that type, a float bound exactly on an exact walk.
+    A float walk sums each centre from the top level down, so a float
+    value may differ in its last bits from a direct sum, and its terms in
+    doubles, so a vector on the boundary may be left out; rounding is
+    symmetric under negation, so -x gets the value of x bit for bit.
     """
     n = len(dvec)
     _check_search_range(dvec, bound)
-    found = []
+    half = []
     x = [0] * n
     zero = 0 * dvec[0]
     # the bound in the walk's number type: Fraction() reads a float
@@ -107,8 +117,7 @@ def _enumerate_up_to(bmat, dvec, bound) -> List[Tuple[Tuple[int, ...], Scalar]]:
 
     def recurse(j, partial):
         if j < 0:
-            if any(x):
-                found.append((tuple(x), partial))
+            half.append((tuple(x), partial))
             return
         c = cen[j]
         col = cols[j]
@@ -121,23 +130,36 @@ def _enumerate_up_to(bmat, dvec, bound) -> List[Tuple[Tuple[int, ...], Scalar]]:
         cen[:j] = base
         x[j] = 0
 
-    recurse(n - 1, zero)
-    return found
+    # x_j > 0 is the last nonzero coordinate: the levels above add 0
+    for j in range(n):
+        col = cols[j]
+        for xj in range(1, square_range(zero, bound, dvec[j]).stop):
+            x[j] = xj
+            for k, b in col:
+                cen[k] = zero + b * xj
+            recurse(j - 1, dvec[j] * (xj + zero) ** 2)
+        for k, _ in col:
+            cen[k] = zero
+        x[j] = 0
+    return [(tuple(-a for a in vec), val) for vec, val in reversed(half)] + half
 
 
 def shortest_vector(form: QuadraticForm) -> Tuple[Tuple[int, ...], Scalar]:
     """A shortest nonzero lattice vector and its squared length.
 
     Deterministic: among all minimizers the sign-canonical lexicographically
-    smallest coordinate vector is returned.  A float form gets the answer
-    of its to_exact(), the length rounded once.
+    smallest coordinate vector is returned.  The sign-canonical max(w, -w)
+    is the same for both vectors of a +-pair, so only one of each pair, the
+    second half of the walk's list, is mapped.  A float form gets the
+    answer of its to_exact(), the length rounded once.
     """
     if form.n == 0:
         raise PreconditionError("positive-dimension", "no vectors in dimension 0")
     reduced, u = lll_reduce(form.to_exact())
     dec = jacobi_decompose(reduced)
     bound = min(reduced.entries[i][i] for i in range(form.n))
-    candidates = _enumerate_up_to(dec.b, dec.d, bound)
+    found = _enumerate_up_to(dec.b, dec.d, bound)
+    candidates = found[len(found) // 2:]
     best_val = min(val for _, val in candidates)
     mapped = (tuple(la.mat_vec(u, vec)) for vec, val in candidates if val == best_val)
     vec = min(max(w, tuple(-x for x in w)) for w in mapped)

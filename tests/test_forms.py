@@ -1,4 +1,5 @@
 import math
+import operator
 import time
 import types
 from collections import Counter
@@ -37,6 +38,7 @@ from troplab import (
 from troplab import forms, lattice
 
 from helpers import (
+    _fraction_inverse,
     _vectors_up_to,
     a_n_gram,
     box_vectors_up_to,
@@ -511,6 +513,31 @@ class TestShortestVector:
             assert f.evaluate(v) == norm
             assert any(c != 0 for c in v)
 
+    def test_the_choice_is_the_canonical_smallest_minimizer(self):
+        # brute force: the minimizers of U^T F U are the V v, V = U^-1, for
+        # the minimizers v of F found in the Cauchy-Schwarz box of F; the
+        # answer is the smallest max(w, -w) over them
+        rng = seeded(75)
+        cases = []
+        for rows in (a_n_gram(3), d_n_gram(4)):
+            for _ in range(6):
+                v = random_unimodular(rng, len(rows), steps=8)
+                u = [[int(x) for x in r] for r in _fraction_inverse(v)]
+                cases.append((QuadraticForm(rows).transform(u), rows, v))
+        for _ in range(30):
+            n = rng.randint(1, 4)
+            f = random_pd_form(rng, n) if rng.random() < 0.5 else random_rational_form(rng, n)
+            cases.append((f, f.rows, [[int(i == j) for j in range(n)] for i in range(n)]))
+        ties = 0
+        for f, rows, v in cases:
+            box = box_vectors_up_to(rows, min(rows[i][i] for i in range(len(rows))))
+            best = min(val for _, val in box)
+            mapped = [tuple(sum(map(operator.mul, r, x)) for r in v) for x, val in box if val == best]
+            ties += len(mapped) > 2
+            want = min(max(w, tuple(-a for a in w)) for w in mapped)
+            assert shortest_vector(f) == (want, best)
+        assert ties >= 12
+
 
 def lattice_value(rows, x):
     return sum(F(rows[i][j]) * x[i] * x[j] for i in range(len(x)) for j in range(len(x)))
@@ -602,6 +629,88 @@ class TestEnumeration:
             want = _vectors_up_to(rows, bound)
             assert got == want
             assert all(isinstance(v, Fraction) for _, v in got)
+
+    @staticmethod
+    def both_signs(b, q, bound):
+        """The walk's list by a walk over both signs, and the number of
+        levels it enters.
+
+        Every level is entered from the top, the zero prefix too, and keeps
+        its centres and sums its value in the walk's order: c_k gains
+        b_kj x_j for each x_j tried, the value gains q_j (x_j + c_j)^2.  A
+        level's candidates are those of a box around -c_j whose term fits
+        the room left, tested at the exact values of c_j, q_j and the room.
+        """
+        n = len(q)
+        found, x, cen = [], [0] * n, [0 * q[0]] * n
+        entered = 0
+
+        def walk(j, partial):
+            nonlocal entered
+            if j < 0:
+                if any(x):
+                    found.append((tuple(x), partial))
+                return
+            entered += 1
+            c, room = cen[j], bound - partial
+            half = math.isqrt(max(0, math.floor(F(room) / F(q[j])))) + 1
+            base = cen[:j]
+            for xj in range(math.floor(-F(c)) - half, math.ceil(-F(c)) + half + 1):
+                if F(q[j]) * (xj + F(c)) ** 2 > F(room):
+                    continue
+                x[j] = xj
+                for k in range(j):
+                    cen[k] = base[k] + b[k][j] * xj
+                walk(j - 1, partial + q[j] * (xj + c) ** 2)
+            cen[:j] = base
+            x[j] = 0
+
+        walk(n - 1, 0 * q[0])
+        return found, entered
+
+    def test_float_walk_matches_the_both_signs_walk(self):
+        # random float forms, whose centres and values round: the same
+        # list in the same order, each value equal bit for bit
+        rng = seeded(76)
+        on_bound = 0
+        for _ in range(60):
+            n = rng.randint(2, 6)
+            m = [[rng.uniform(-1, 1) for _ in range(n)] for _ in range(n)]
+            rows = [[sum(F(m[k][i]) * F(m[k][j]) for k in range(n)) + (i == j) for j in range(n)]
+                    for i in range(n)]
+            b, q = jacobi_factors(rows)
+            b = [[float(v) for v in r] for r in b]
+            q = [float(v) for v in q]
+            top = float(max(rows[i][i] for i in range(n)))
+            for bound in (q[0], top, 1.5 * top):
+                got = lattice._enumerate_up_to(b, q, bound)
+                want, _ = self.both_signs(b, q, bound)
+                assert [x for x, _ in got] == [x for x, _ in want]
+                assert [v.hex() for _, v in got] == [v.hex() for _, v in want]
+                on_bound += any(v == bound for _, v in got)
+        assert on_bound > 0
+
+    def test_the_walk_enters_half_the_levels(self, monkeypatch):
+        # the both-signs walk enters the n levels of the zero prefix once
+        # and every other prefix with its negative; the walk fixes the sign
+        # and enters each level of the zero prefix once to start a sign
+        calls = [0]
+        real = lattice.square_range
+
+        def counted(*args):
+            calls[0] += 1
+            return real(*args)
+
+        monkeypatch.setattr(lattice, "square_range", counted)
+        for n in range(5, 9):
+            for rows in (a_n_gram(n), d_n_gram(n), e_n_gram(n)):
+                b, q = jacobi_factors(rows)
+                for bound in (2, 4):
+                    calls[0] = 0
+                    got = lattice._enumerate_up_to(b, q, bound)
+                    want, entered = self.both_signs(b, q, bound)
+                    assert got == want
+                    assert 2 * calls[0] <= entered + n
 
 
 class TestExactSearchUsesNoFloat:
